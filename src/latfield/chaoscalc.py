@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz, toeplitz
+from scipy.linalg import toeplitz
 
 from ._errors import ModelError, NumericalError
 from .covariance import (
@@ -30,14 +30,12 @@ from .covariance import (
     _lag_values,
     composite_values,
 )
-from .fieldsim import DENSE_LIMIT, LatticeSpec, dense_covariance_matrix
+from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks, dense_covariance_matrix
 from .hermite import PURE, hermite_rank, phi_second_moment
 
 MAX_CHAOS_ORDER = 30
 #: largest per-factor point count for the exact q=3 clique sum (cost n^4)
 CLIQUE_LIMIT = 256
-#: 1-D factors at least this large route through the FFT Toeplitz matmul
-_TOEPLITZ_MIN = 512
 #: factorized results self-check against the direct lag sum below this size
 _VAR_CHECK_LAGS = 20_000
 _DIRECT_LAG_LIMIT = 2**24
@@ -49,14 +47,6 @@ def _check_q(q: int):
     if q > MAX_CHAOS_ORDER:
         raise ModelError(
             f"q = {q} exceeds the overflow guard (q <= {MAX_CHAOS_ORDER})"
-        )
-
-
-def _check_blocks(cov: CompositeCovariance, lattice: LatticeSpec):
-    if lattice.block_dims != cov.blocks:
-        raise ModelError(
-            f"lattice block dims {lattice.block_dims} do not match "
-            f"covariance blocks {cov.blocks}"
         )
 
 
@@ -98,21 +88,7 @@ def _direct_pair_sum(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> 
 
 def variance_hermite(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
     """Var(Y[q]) = q! sum over lattice pairs of C^q, exactly."""
-    _check_q(q)
-    _check_blocks(cov, lattice)
-    if cov.structure == SEPARABLE:
-        value = float(math.factorial(q))
-        for factor, sizes in zip(cov.factors, lattice.blocks):
-            value *= _factor_pair_sum(factor, sizes, q)
-        if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
-            direct = math.factorial(q) * _direct_pair_sum(cov, lattice, q)
-            if abs(value - direct) > 1e-9 * max(abs(direct), 1.0):
-                raise NumericalError(
-                    f"factorized variance {value!r} disagrees with the "
-                    f"direct lag sum {direct!r}"
-                )
-        return value
-    return math.factorial(q) * _direct_pair_sum(cov, lattice, q)
+    return _model_terms(cov, lattice, q, (), tv=False)[0][0]
 
 
 @dataclass(frozen=True)
@@ -177,11 +153,6 @@ def _factor_contraction(factor, sizes, q, r) -> float:
             f"contraction norms are capped at {DENSE_LIMIT} points per factor "
             f"({n} requested)"
         )
-    if len(sizes) == 1 and n >= _TOEPLITZ_MIN:
-        col = _lag_values(factor, np.arange(n, dtype=float)[:, None])
-        acol = col**r
-        ab = matmul_toeplitz((acol, acol), toeplitz(col ** (q - r)))
-        return float(np.einsum("ij,ji->", ab, ab))
     m = _factor_matrix(factor, sizes)
     return _trace_abab(m**r, m ** (q - r))
 
@@ -194,10 +165,8 @@ def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
         raise ModelError("contraction order r must satisfy 1 <= r <= q-1")
     _check_blocks(cov, lattice)
     if cov.structure == SEPARABLE:
-        out = 1.0
-        for factor, sizes in zip(cov.factors, lattice.blocks):
-            out *= _factor_contraction(factor, sizes, q, r)
-        return out
+        return math.prod(
+            _factor_contraction(f, s, q, r) for f, s in zip(cov.factors, lattice.blocks))
     matrix = dense_covariance_matrix(cov, lattice)
     return _trace_abab(matrix**r, matrix ** (q - r))
 
@@ -215,21 +184,49 @@ def _clique_sum(matrix: np.ndarray) -> float:
     return total
 
 
-def _clique_total(cov, lattice) -> Optional[float]:
-    if cov.structure == SEPARABLE:
-        if any(math.prod(sizes) > CLIQUE_LIMIT for sizes in lattice.blocks):
-            return None
-        out = 1.0
-        for factor, sizes in zip(cov.factors, lattice.blocks):
-            out *= _clique_sum(_factor_matrix(factor, sizes))
-        return out
-    if lattice.n_total > CLIQUE_LIMIT:
-        return None
-    return _clique_sum(dense_covariance_matrix(cov, lattice))
+def _factor_terms(factor, sizes, q: int, orders, with_clique: bool):
+    """One factor's (variance q! S(q), {r: ||f (x)_r f||^2 for r in orders},
+    clique sum) on its own block window; the clique sum is None unless asked
+    for and the window has at most CLIQUE_LIMIT points."""
+    small = with_clique and math.prod(sizes) <= CLIQUE_LIMIT
+    clique = _clique_sum(_factor_matrix(factor, sizes)) if small else None
+    norms = {r: _factor_contraction(factor, sizes, q, r) for r in orders}
+    return math.factorial(q) * _factor_pair_sum(factor, sizes, q), norms, clique
 
 
-def fourth_cumulant(cov: CompositeCovariance, lattice: LatticeSpec, q: int):
-    """kappa_4 of Y[q]/sqrt(Var); returns (value, exact flag).
+def _model_terms(cov, lattice, q: int, orders, tv: bool):
+    """The model's (variance, norms, clique sum) as in _factor_terms, plus the
+    factor terms of a separable model (else None), whose products make the
+    model's terms.  The model's clique sum needs every factor's; ``tv`` asks
+    for each factor's own too, for the per-factor kappa_4 of the TV bound."""
+    _check_q(q)
+    _check_blocks(cov, lattice)
+    if cov.structure != SEPARABLE:
+        variance = math.factorial(q) * _direct_pair_sum(cov, lattice, q)
+        norms = {r: contraction_norm(cov, lattice, q, r) for r in orders}
+        small = q == 3 and len(orders) > 0 and lattice.n_total <= CLIQUE_LIMIT
+        clique = _clique_sum(dense_covariance_matrix(cov, lattice)) if small else None
+        return (variance, norms, clique), None
+    with_cliques = q == 3 and len(orders) > 0 and (
+        tv or all(math.prod(s) <= CLIQUE_LIMIT for s in lattice.blocks))
+    factors = [_factor_terms(f, s, q, orders, with_cliques)
+               for f, s in zip(cov.factors, lattice.blocks)]
+    variances, norms, cliques = zip(*factors)
+    variance = math.prod(variances) / math.factorial(q) ** (len(factors) - 1)
+    if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
+        direct = math.factorial(q) * _direct_pair_sum(cov, lattice, q)
+        if abs(variance - direct) > 1e-9 * max(abs(direct), 1.0):
+            raise NumericalError(
+                f"factorized variance {variance!r} disagrees with the "
+                f"direct lag sum {direct!r}"
+            )
+    norms = {r: math.prod(n[r] for n in norms) for r in orders}
+    clique = None if None in cliques else math.prod(cliques)
+    return (variance, norms, clique), factors
+
+
+def _kappa4(q: int, variance: float, norms: dict, clique: Optional[float]):
+    """kappa_4 of Y[q]/sqrt(Var) from its terms; returns (value, exact flag).
 
     q = 1 is Gaussian (0, exact).  q = 2 and q = 3 use the exact
     fourth-moment identities; the q = 3 one needs the 4-clique sum, which
@@ -237,28 +234,31 @@ def fourth_cumulant(cov: CompositeCovariance, lattice: LatticeSpec, q: int):
     CLIQUE_LIMIT points.  q >= 4 always reports the upper bound
     sum_r q!^2 binom(q,r)^2 (1 + binom(2q-2r, q-r)) ||f (x)_r f||^2 / Var^2.
     """
-    _check_q(q)
     if q == 1:
         return 0.0, True
-    var = variance_hermite(cov, lattice, q)
-    p1 = contraction_norm(cov, lattice, q, 1)
+    p1 = norms[1]
     if q == 2:
-        return 48.0 * p1 / var**2, True
+        return 48.0 * p1 / variance**2, True
     if q == 3:
-        u1 = _clique_total(cov, lattice)
-        if u1 is not None:
-            return (1944.0 * p1 + 1296.0 * u1) / var**2, True
-        return 3240.0 * p1 / var**2, False  # clique sum <= p1
-    total = 0.0
-    for r in range(1, q):
-        pr = p1 if r == 1 else contraction_norm(cov, lattice, q, r)
-        total += (
-            math.factorial(q) ** 2
-            * math.comb(q, r) ** 2
-            * (1 + math.comb(2 * q - 2 * r, q - r))
-            * pr
-        )
-    return total / var**2, False
+        if clique is not None:
+            return (1944.0 * p1 + 1296.0 * clique) / variance**2, True
+        return 3240.0 * p1 / variance**2, False  # clique sum <= p1
+    total = sum(
+        math.factorial(q) ** 2
+        * math.comb(q, r) ** 2
+        * (1 + math.comb(2 * q - 2 * r, q - r))
+        * pr
+        for r, pr in norms.items()
+    )
+    return total / variance**2, False
+
+
+def fourth_cumulant(cov: CompositeCovariance, lattice: LatticeSpec, q: int):
+    """kappa_4 of Y[q]/sqrt(Var) and its exact flag; see _kappa4."""
+    if q == 1:
+        return 0.0, True
+    terms, _ = _model_terms(cov, lattice, q, range(1, 2 if q <= 3 else q), tv=False)
+    return _kappa4(q, *terms)
 
 
 def cq_constant(q: int) -> float:
@@ -273,6 +273,11 @@ def cq_constant(q: int) -> float:
     return math.sqrt(4.0 * s / q)
 
 
+def _tv(q: int, factors) -> float:
+    prod = math.prod(math.sqrt(max(_kappa4(q, *terms)[0], 0.0)) for terms in factors)
+    return min(1.0, cq_constant(q) * prod)
+
+
 def tv_bound(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
     """d_TV(normalized Y[q], N) <= c_q prod_i sqrt(kappa_4 of factor i).
 
@@ -283,13 +288,8 @@ def tv_bound(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
         raise ModelError("the TV bound applies to separable covariances only")
     if q < 2:
         raise ModelError("the TV bound needs q >= 2")
-    _check_blocks(cov, lattice)
-    prod = 1.0
-    for factor, sizes in zip(cov.factors, lattice.blocks):
-        sub = CompositeCovariance(SEPARABLE, (factor,))
-        k4, _ = fourth_cumulant(sub, LatticeSpec((tuple(sizes),)), q)
-        prod *= math.sqrt(max(k4, 0.0))
-    return min(1.0, cq_constant(q) * prod)
+    _, factors = _model_terms(cov, lattice, q, range(1, 2 if q <= 3 else q), tv=True)
+    return _tv(q, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +381,19 @@ class ChaosReport:
 def chaos_report(cov: CompositeCovariance, lattice: LatticeSpec,
                  q: int) -> ChaosReport:
     """All diagnostics for one chaos order, ready for serialization."""
-    variance = variance_hermite(cov, lattice, q)
-    norms = {r: contraction_norm(cov, lattice, q, r) for r in range(1, q)}
-    k4, exact = fourth_cumulant(cov, lattice, q)
+    terms, factors = _model_terms(cov, lattice, q, range(1, q), tv=True)
+    k4, exact = _kappa4(q, *terms)
     notes = []
     if not exact:
         notes.append("fourth cumulant is an upper bound, not the exact value")
     tv = None
-    if cov.structure == SEPARABLE and q >= 2:
-        tv = tv_bound(cov, lattice, q)
+    if factors is not None and q >= 2:
+        tv = _tv(q, factors)
         notes.append("tv bound from per-factor fourth cumulants, clamped at 1")
     return ChaosReport(
         q=q,
-        variance=variance,
-        contraction_norms=norms,
+        variance=terms[0],
+        contraction_norms=terms[1],
         fourth_cumulant=k4,
         fourth_exact=exact,
         tv_bound=tv,

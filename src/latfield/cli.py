@@ -551,7 +551,6 @@ def _cmd_validate(args) -> int:
             "rung": idx,
             "sizes": list(lattice.all_sizes),
             "method": sampler.method,
-            "exact": sampler.exact,
             "min_eigenvalue": sampler.min_eigenvalue,
             "factors": [],
         }
@@ -569,7 +568,7 @@ def _cmd_validate(args) -> int:
           f"hash={config_fingerprint(config)[:12]}")
     for row in rows:
         print(
-            "rung {rung} sizes {sizes}: method {method}, exact {exact}, "
+            "rung {rung} sizes {sizes}: method {method}, "
             "min eigenvalue {min_eigenvalue:.3e}".format(**row)
         )
         for frow in row["factors"]:

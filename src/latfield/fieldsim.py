@@ -81,7 +81,6 @@ class Sampler:
     method: str
     cov: CompositeCovariance
     lattice: LatticeSpec
-    exact: bool
     min_eigenvalue: float
     sqrt_spectrum: Optional[np.ndarray] = None     # circulant methods
     chol_factor: Optional[np.ndarray] = None       # dense fallback
@@ -166,7 +165,7 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
             for s in spectra[1:]:
                 full = np.multiply.outer(full, s)
             return Sampler(
-                KRONECKER_CIRCULANT, cov, lattice, exact=True,
+                KRONECKER_CIRCULANT, cov, lattice,
                 min_eigenvalue=float(worst), sqrt_spectrum=full,
             )
     else:
@@ -181,7 +180,7 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
             worst = min(worst, mn)
             if root is not None:
                 return Sampler(
-                    FULL_CIRCULANT, cov, lattice, exact=True,
+                    FULL_CIRCULANT, cov, lattice,
                     min_eigenvalue=float(mn), sqrt_spectrum=root,
                 )
     if lattice.n_total > DENSE_LIMIT:
@@ -191,7 +190,7 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
         )
     factor, mn = _dense_factor(cov, lattice)
     return Sampler(
-        DENSE_CHOLESKY, cov, lattice, exact=True,
+        DENSE_CHOLESKY, cov, lattice,
         min_eigenvalue=mn, chol_factor=factor,
     )
 

@@ -7,29 +7,11 @@ other block is frozen at given coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ._errors import ModelError
-from .fieldsim import FieldSample, LatticeSpec
+from .fieldsim import FieldSample
 from .hermite import HermiteSpec
-
-FULL = "full"
-MARGINAL = "marginal"
-
-
-@dataclass(frozen=True)
-class FunctionalValue:
-    """A tagged functional evaluation (what was summed, over which window)."""
-
-    value: float
-    kind: str
-    phi: HermiteSpec
-    lattice: LatticeSpec
-    block: Optional[int] = None
-    frozen: Optional[tuple] = None
 
 
 def evaluate(sample: FieldSample, phi: HermiteSpec) -> float:
@@ -73,14 +55,3 @@ def marginal_evaluate(sample: FieldSample, phi: HermiteSpec, block: int,
 def excursion_volume(sample: FieldSample, level: float) -> float:
     """Number of lattice points with field value >= level."""
     return float(np.count_nonzero(sample.values >= level))
-
-
-def full_functional(sample: FieldSample, phi: HermiteSpec) -> FunctionalValue:
-    return FunctionalValue(evaluate(sample, phi), FULL, phi, sample.lattice)
-
-
-def marginal_functional(sample: FieldSample, phi: HermiteSpec, block: int,
-                        frozen=()) -> FunctionalValue:
-    value = marginal_evaluate(sample, phi, block, frozen)
-    return FunctionalValue(value, MARGINAL, phi, sample.lattice,
-                           block=block, frozen=tuple(frozen))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from latfield import chaoscalc
 from latfield._errors import ModelError
 from latfield.chaoscalc import (
     AdditiveVariance,
@@ -161,8 +162,8 @@ def test_contraction_symmetry_and_bound():
                 assert lhs <= (var / math.factorial(q)) ** 2 * (1 + 1e-12)
 
 
-def test_contraction_toeplitz_fast_path():
-    # above the FFT cutoff, against the plain dense-matrix trace
+def test_contraction_matches_dense_trace_past_512_points():
+    # a 1-D factor past 512 points, against the plain dense-matrix trace
     factor = FactorCovariance(FGN, hurst=0.85)
     n = 600
     cov = _sep(factor)
@@ -378,7 +379,7 @@ def test_gamma_quotient():
     assert slope == pytest.approx(-2.0 * beta, abs=0.1)
 
 
-def test_chaos_report():
+def test_chaos_report(monkeypatch):
     cov = _sep(FactorCovariance(FGN, hurst=0.3), FactorCovariance(FGN, hurst=0.9))
     lat = LatticeSpec(((8,), (8,)))
     rep = chaos_report(cov, lat, 2)
@@ -392,3 +393,42 @@ def test_chaos_report():
     assert rep1.contraction_norms == {}
     assert rep1.fourth_cumulant == 0.0
     assert rep1.tv_bound is None
+
+    # the report equals the standalone diagnostics
+    long_short = _sep(FactorCovariance(FGN, hurst=0.7), FactorCovariance(FGN, hurst=0.3))
+    gneiting = CompositeCovariance(
+        GNEITING, (FactorCovariance(CAUCHY, exponent=1.0), FactorCovariance(CAUCHY, exponent=0.7))
+    )
+    cases = [
+        (long_short, LatticeSpec(((64,), (16,))), 2, True),
+        (long_short, LatticeSpec(((40,), (12,))), 3, True),    # under CLIQUE_LIMIT
+        (long_short, LatticeSpec(((300,), (12,))), 3, False),  # over CLIQUE_LIMIT
+        (_sep(FactorCovariance(FGN, hurst=0.6), FactorCovariance(CAUCHY, exponent=0.8, dim=2)),
+         LatticeSpec(((20,), (4, 3))), 4, False),
+        (gneiting, LatticeSpec(((6,), (5,))), 3, True),
+    ]
+    for cov, lat, q, want_exact in cases:
+        rep = chaos_report(cov, lat, q)
+        assert rep.variance == pytest.approx(variance_hermite(cov, lat, q), rel=1e-12)
+        assert set(rep.contraction_norms) == set(range(1, q))
+        for r, norm in rep.contraction_norms.items():
+            assert norm == pytest.approx(contraction_norm(cov, lat, q, r), rel=1e-12)
+        k4, exact = fourth_cumulant(cov, lat, q)
+        assert rep.fourth_cumulant == pytest.approx(k4, rel=1e-12)
+        assert rep.fourth_exact == exact == want_exact
+        if cov.structure == SEPARABLE:
+            assert rep.tv_bound == pytest.approx(tv_bound(cov, lat, q), rel=1e-12)
+        else:
+            assert rep.tv_bound is None
+
+    # each factor's contraction is computed once per report
+    calls = []
+    original = chaoscalc._factor_contraction
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(chaoscalc, "_factor_contraction", counted)
+    chaos_report(long_short, LatticeSpec(((64,), (16,))), 2)
+    assert len(calls) == 2

@@ -6,14 +6,7 @@ import pytest
 
 from latfield._errors import ModelError
 from latfield.fieldsim import FieldSample, LatticeSpec
-from latfield.functionals import (
-    FULL,
-    evaluate,
-    excursion_volume,
-    full_functional,
-    marginal_evaluate,
-    marginal_functional,
-)
+from latfield.functionals import evaluate, excursion_volume, marginal_evaluate
 from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_eval
 
 
@@ -95,12 +88,3 @@ def test_excursion_volume():
         assert excursion_volume(s, level) == evaluate(
             s, HermiteSpec(INDICATOR, level=level)
         )
-
-
-def test_tagged_records():
-    s = _sample(np.zeros((2, 2)), ((2,), (2,)))
-    phi = HermiteSpec(PURE, q=2)
-    rec = full_functional(s, phi)
-    assert rec.kind == FULL and rec.value == evaluate(s, phi)
-    mrec = marginal_functional(s, phi, block=1, frozen=(0,))
-    assert mrec.block == 1 and mrec.frozen == (0,) and mrec.value == -2.0
