@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.special import owens_t
+from scipy.stats import norm
 
 from ._errors import ModelError, NumericalError
 from .covariance import (
@@ -27,6 +29,7 @@ from .covariance import (
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
+    _grid_vectors,
     _lag_values,
     composite_values,
 )
@@ -53,8 +56,7 @@ def _check_q(q: int):
 def _lag_grid(sizes):
     """All window lags (rows) with their pair weights prod_j (n_j - |z_j|)."""
     axes = [np.arange(-(n - 1), n) for n in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lags = np.stack([m.ravel() for m in mesh], axis=-1).astype(float)
+    lags = _grid_vectors(axes).reshape(-1, len(sizes))
     weights = None
     for n, ax in zip(sizes, axes):
         wa = (n - np.abs(ax)).astype(float)
@@ -69,7 +71,9 @@ def _factor_pair_sum(factor: FactorCovariance, sizes, k: int) -> float:
     return float(np.sum(weights * vals**k))
 
 
-def _direct_pair_sum(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
+def _window_values(cov: CompositeCovariance, lattice: LatticeSpec):
+    """The covariance at every window lag, and the lags' pair weights;
+    ModelError past _DIRECT_LAG_LIMIT lags."""
     sizes = lattice.all_sizes
     count = math.prod(2 * n - 1 for n in sizes)
     if count > _DIRECT_LAG_LIMIT:
@@ -78,7 +82,11 @@ def _direct_pair_sum(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> 
             "use a factorized structure or a smaller window"
         )
     lags, weights = _lag_grid(sizes)
-    vals = composite_values(cov, lags)
+    return composite_values(cov, lags), weights
+
+
+def _direct_pair_sum(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
+    vals, weights = _window_values(cov, lattice)
     return float(np.sum(weights * vals**q))
 
 
@@ -129,6 +137,19 @@ def variance_phi(cov, lattice, coefficients, phi=None) -> PhiVariance:
     return PhiVariance(value=value, rank=rank, qmax=qmax, tail_bound=tail)
 
 
+def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
+                       level: float) -> float:
+    """Var(sum_t 1{B_t >= a}) for any structure: the lag sum of W(z) times
+    P(X >= a, Y >= a) - Phibar(a)^2 = Phibar(a) - 2 T(a, sqrt((1-rho)/(1+rho)))
+    - Phibar(a)^2 for a pair with correlation rho = C(z), T being Owen's T."""
+    _check_blocks(cov, lattice)
+    rho, weights = _window_values(cov, lattice)
+    tail = float(norm.sf(level))
+    with np.errstate(divide="ignore"):
+        joint = tail - 2.0 * owens_t(level, np.sqrt((1.0 - rho) / (1.0 + rho)))
+    return float(np.sum(weights * (joint - tail**2)))
+
+
 # ---------------------------------------------------------------------------
 # contraction norms
 
@@ -141,8 +162,11 @@ def _factor_matrix(factor: FactorCovariance, sizes) -> np.ndarray:
     return dense_covariance_matrix(comp, LatticeSpec((tuple(sizes),)))
 
 
-def _trace_abab(a_mat: np.ndarray, b_mat: np.ndarray) -> float:
-    ab = a_mat @ b_mat
+def _trace_abab(m: np.ndarray, q: int, r: int) -> float:
+    """trace((AB)^2) with A = M^(.r), B = M^(.(q-r)); power 1 is M itself,
+    and A serves as B when r = q - r."""
+    a_mat = m if r == 1 else m**r
+    ab = a_mat @ (a_mat if q == 2 * r else m if q - r == 1 else m ** (q - r))
     return float(np.einsum("ij,ji->", ab, ab))
 
 
@@ -153,8 +177,15 @@ def _factor_contraction(factor, sizes, q, r) -> float:
             f"contraction norms are capped at {DENSE_LIMIT} points per factor "
             f"({n} requested)"
         )
-    m = _factor_matrix(factor, sizes)
-    return _trace_abab(m**r, m ** (q - r))
+    return _trace_abab(_factor_matrix(factor, sizes), q, r)
+
+
+def _symmetric_norms(q: int, orders, norm_at) -> dict:
+    """{r: norm_at(r)}, r > q/2 reusing q - r: trace((AB)^2) = trace((BA)^2)."""
+    norms = {}
+    for r in orders:
+        norms[r] = norms[q - r] if q - r in norms else norm_at(r)
+    return norms
 
 
 def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
@@ -167,8 +198,7 @@ def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
     if cov.structure == SEPARABLE:
         return math.prod(
             _factor_contraction(f, s, q, r) for f, s in zip(cov.factors, lattice.blocks))
-    matrix = dense_covariance_matrix(cov, lattice)
-    return _trace_abab(matrix**r, matrix ** (q - r))
+    return _trace_abab(dense_covariance_matrix(cov, lattice), q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +220,7 @@ def _factor_terms(factor, sizes, q: int, orders, with_clique: bool):
     for and the window has at most CLIQUE_LIMIT points."""
     small = with_clique and math.prod(sizes) <= CLIQUE_LIMIT
     clique = _clique_sum(_factor_matrix(factor, sizes)) if small else None
-    norms = {r: _factor_contraction(factor, sizes, q, r) for r in orders}
+    norms = _symmetric_norms(q, orders, lambda r: _factor_contraction(factor, sizes, q, r))
     return math.factorial(q) * _factor_pair_sum(factor, sizes, q), norms, clique
 
 
@@ -203,7 +233,7 @@ def _model_terms(cov, lattice, q: int, orders, tv: bool):
     _check_blocks(cov, lattice)
     if cov.structure != SEPARABLE:
         variance = math.factorial(q) * _direct_pair_sum(cov, lattice, q)
-        norms = {r: contraction_norm(cov, lattice, q, r) for r in orders}
+        norms = _symmetric_norms(q, orders, lambda r: contraction_norm(cov, lattice, q, r))
         small = q == 3 and len(orders) > 0 and lattice.n_total <= CLIQUE_LIMIT
         clique = _clique_sum(dense_covariance_matrix(cov, lattice)) if small else None
         return (variance, norms, clique), None

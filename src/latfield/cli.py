@@ -33,7 +33,6 @@ from .covariance import (
     WHITE_NOISE,
     CompositeCovariance,
     FactorCovariance,
-    embedding_spectrum,
 )
 from .fieldsim import LatticeSpec, build_sampler
 from .harness import (
@@ -547,23 +546,13 @@ def _cmd_validate(args) -> int:
     rows = []
     for idx, lattice in enumerate(config.ladder):
         sampler = build_sampler(config.covariance, lattice)
-        row = {
+        rows.append({
             "rung": idx,
             "sizes": list(lattice.all_sizes),
             "method": sampler.method,
             "min_eigenvalue": sampler.min_eigenvalue,
-            "factors": [],
-        }
-        if config.covariance.structure == SEPARABLE:
-            for i, factor in enumerate(config.covariance.factors):
-                rep = embedding_spectrum(factor, lattice.blocks[i])
-                row["factors"].append({
-                    "factor": i,
-                    "embedded_shape": list(rep.embedded_shape),
-                    "min_eigenvalue": rep.min_eigenvalue,
-                    "nonnegative": rep.nonnegative,
-                })
-        rows.append(row)
+            "embeddings": _doc(sampler.embeddings),
+        })
     print(f"config ok: label={config.label!r} rungs={len(config.ladder)} "
           f"hash={config_fingerprint(config)[:12]}")
     for row in rows:
@@ -571,12 +560,9 @@ def _cmd_validate(args) -> int:
             "rung {rung} sizes {sizes}: method {method}, "
             "min eigenvalue {min_eigenvalue:.3e}".format(**row)
         )
-        for frow in row["factors"]:
-            print(
-                "  factor {factor}: embedded {embedded_shape}, "
-                "min eigenvalue {min_eigenvalue:.3e}, "
-                "nonnegative {nonnegative}".format(**frow)
-            )
+        for i, emb in enumerate(row["embeddings"]):
+            print(f"  embedding {i}: shape {emb['shape']}, doublings {emb['doublings']}, "
+                  f"min eigenvalue {emb['min_eigenvalue']:.3e}")
     if args.out:
         path = _write_json(args.out, (config.label or "config") + "-spectrum",
                            {"label": config.label, "spectra": rows})

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError, NumericalError
+from ._errors import ModelError
 
 FGN = "fgn"
 CAUCHY = "cauchy"
@@ -168,6 +168,13 @@ def _norm_values(model: FactorCovariance, r):
     return out
 
 
+def _grid_vectors(axes) -> np.ndarray:
+    """Every combination of the per-axis values in axis-major order, as
+    float vectors: shape (len(axes[0]), ..., len(axes[-1]), len(axes))."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.astype(float) for g in grids], axis=-1)
+
+
 def _lag_values(model: FactorCovariance, lags):
     """Vectorized factor evaluation; ``lags`` has shape (..., dim)."""
     lags = np.asarray(lags, dtype=float)
@@ -268,25 +275,21 @@ def gneiting_sandwich(cov: CompositeCovariance, lag, domain_diameter2: float):
 
 def embedded_sizes(sizes, doublings: int = 0) -> tuple:
     """Per-axis circulant embedding sizes: 2(n-1), doubled ``doublings`` times."""
-    out = []
-    for n in sizes:
-        m = max(1, 2 * (int(n) - 1))
-        out.append(m * 2**doublings if m > 1 else 1)
-    return tuple(out)
+    return tuple(1 if int(n) <= 1 else 2 * (int(n) - 1) * 2**doublings for n in sizes)
 
 
-def _wrapped_lag_axes(msizes):
-    """Per-axis absolute wrapped lags |z| = min(k, m-k) of a circulant grid."""
-    return [np.minimum(np.arange(m), m - np.arange(m)) for m in msizes]
+def _wrapped_lag_grid(sizes, doublings: int):
+    """Lag vectors of a circulant embedding grid, each axis wrapped to
+    |z| = min(k, m-k)."""
+    return _grid_vectors([np.minimum(np.arange(m), m - np.arange(m))
+                          for m in embedded_sizes(sizes, doublings)])
 
 
-def factor_embedding_values(model: FactorCovariance, sizes, doublings: int = 0):
-    """Factor covariance evaluated on its wrapped embedding grid."""
-    msizes = embedded_sizes(sizes, doublings)
-    axes = _wrapped_lag_axes(msizes)
-    grids = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
-    lags = np.stack([g.astype(float) for g in grids], axis=-1)
-    return _lag_values(model, lags)
+def nonnegative_spectrum(eigenvalues: np.ndarray) -> bool:
+    """Whether an embedding spectrum is nonnegative up to SPECTRUM_TOL
+    relative slack: the certificate that circulant sampling is exact."""
+    mx = max(float(np.max(eigenvalues)), 1.0)
+    return float(np.min(eigenvalues)) >= -SPECTRUM_TOL * mx
 
 
 @dataclass(frozen=True)
@@ -297,8 +300,7 @@ class SpectrumReport:
 
     @property
     def nonnegative(self) -> bool:
-        mx = float(np.max(self.eigenvalues)) if self.eigenvalues.size else 0.0
-        return self.min_eigenvalue >= -SPECTRUM_TOL * max(mx, 1.0)
+        return nonnegative_spectrum(self.eigenvalues)
 
 
 def embedding_spectrum(model: FactorCovariance, sizes, doublings: int = 0) -> SpectrumReport:
@@ -312,22 +314,17 @@ def embedding_spectrum(model: FactorCovariance, sizes, doublings: int = 0) -> Sp
         raise ModelError("sizes must be positive")
     if len(sizes) != model.dim:
         raise ModelError(f"got {len(sizes)} sizes for a dim-{model.dim} factor")
-    values = factor_embedding_values(model, sizes, doublings)
-    eig = np.fft.fftn(values).real
+    eig = np.fft.fftn(_lag_values(model, _wrapped_lag_grid(sizes, doublings))).real
     return SpectrumReport(
         eigenvalues=eig,
         min_eigenvalue=float(eig.min()),
-        embedded_shape=values.shape,
+        embedded_shape=eig.shape,
     )
 
 
 def composite_embedding_values(cov: CompositeCovariance, sizes, doublings: int = 0):
     """Composite covariance on the wrapped embedding grid of all axes."""
-    msizes = embedded_sizes(sizes, doublings)
-    axes = _wrapped_lag_axes(msizes)
-    grids = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
-    lags = np.stack([g.astype(float) for g in grids], axis=-1)
-    return composite_values(cov, lags)
+    return composite_values(cov, _wrapped_lag_grid(sizes, doublings))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ Draws are counter-based: the stream is a pure function of
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,11 +22,12 @@ import numpy as np
 from ._errors import ModelError, NumericalError
 from .covariance import (
     SEPARABLE,
-    SPECTRUM_TOL,
     CompositeCovariance,
+    _grid_vectors,
     composite_embedding_values,
     composite_values,
     embedding_spectrum,
+    nonnegative_spectrum,
 )
 
 KRONECKER_CIRCULANT = "kronecker_circulant"
@@ -77,11 +79,22 @@ class FieldSample:
 
 
 @dataclass(frozen=True)
+class Embedding:
+    """One circulant embedding a sampler draws from: its grid shape, the
+    doublings past the minimal 2(n-1) per axis, and the minimum eigenvalue
+    of its (nonnegative) spectrum."""
+
+    shape: tuple
+    doublings: int
+    min_eigenvalue: float
+
+
+@dataclass(frozen=True)
 class Sampler:
     method: str
-    cov: CompositeCovariance
     lattice: LatticeSpec
-    min_eigenvalue: float
+    min_eigenvalue: float                          # least over embeddings, or dense matrix
+    embeddings: tuple = ()                         # circulant methods: Embedding records
     sqrt_spectrum: Optional[np.ndarray] = None     # circulant methods
     chol_factor: Optional[np.ndarray] = None       # dense fallback
 
@@ -94,27 +107,11 @@ def _check_blocks(cov: CompositeCovariance, lattice: LatticeSpec):
         )
 
 
-def _clipped_sqrt(eig: np.ndarray):
-    """Sqrt of a spectrum after clipping floating-point negatives."""
-    mx = max(float(eig.max()), 1.0)
-    mn = float(eig.min())
-    ok = mn >= -SPECTRUM_TOL * mx
-    if ok:
-        return np.sqrt(np.clip(eig, 0.0, None)), mn
-    return None, mn
-
-
-def _lattice_points(lattice: LatticeSpec) -> np.ndarray:
-    axes = [np.arange(n) for n in lattice.all_sizes]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-
-
 def dense_covariance_matrix(cov: CompositeCovariance, lattice: LatticeSpec) -> np.ndarray:
     """Covariance matrix over all lattice points (n_total <= DENSE_LIMIT)."""
     if lattice.n_total > DENSE_LIMIT:
         raise ModelError(f"dense covariance capped at {DENSE_LIMIT} points")
-    pts = _lattice_points(lattice)
+    pts = _grid_vectors([np.arange(n) for n in lattice.all_sizes]).reshape(lattice.n_total, -1)
     out = np.empty((len(pts), len(pts)))
     for i in range(0, len(pts), 256):
         chunk = pts[i : i + 256]
@@ -128,70 +125,56 @@ def _dense_factor(cov, lattice):
         return np.linalg.cholesky(matrix), float(np.linalg.eigvalsh(matrix).min())
     except np.linalg.LinAlgError:
         eig, vec = np.linalg.eigh(matrix)
-        mn = float(eig.min())
-        if mn < -SPECTRUM_TOL * max(float(eig.max()), 1.0):
+        if not nonnegative_spectrum(eig):
             raise NumericalError(
                 f"covariance matrix is not positive semidefinite "
-                f"(min eigenvalue {mn:.3e})"
+                f"(min eigenvalue {float(eig.min()):.3e})"
             )
-        return vec * np.sqrt(np.clip(eig, 0.0, None)), mn
+        return vec * np.sqrt(np.clip(eig, 0.0, None)), float(eig.min())
+
+
+def _embed(spectrum_at):
+    """Square root of the first nonnegative spectrum_at(doublings) over
+    doublings 0..MAX_DOUBLINGS, and its Embedding record.  Raises
+    NumericalError when none is nonnegative."""
+    worst = np.inf
+    for doublings in range(MAX_DOUBLINGS + 1):
+        try:
+            eig = spectrum_at(doublings)
+        except ModelError:
+            break  # e.g. a tabulated covariance has no lags this far out
+        mn = float(eig.min())
+        if nonnegative_spectrum(eig):
+            return np.sqrt(np.clip(eig, 0.0, None)), Embedding(eig.shape, doublings, mn)
+        worst = min(worst, mn)
+    raise NumericalError(f"no nonnegative circulant embedding (min eigenvalue {worst:.3e})")
 
 
 def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
     """Choose and precompute an exact sampling method for (cov, lattice)."""
     _check_blocks(cov, lattice)
-    if cov.structure == SEPARABLE:
-        spectra = []
-        feasible = True
-        worst = np.inf
-        for factor, sizes in zip(cov.factors, lattice.blocks):
-            got = None
-            for doublings in range(MAX_DOUBLINGS + 1):
-                try:
-                    rep = embedding_spectrum(factor, sizes, doublings)
-                except ModelError:
-                    break  # e.g. a tabulated factor has no lags this far out
-                root, mn = _clipped_sqrt(rep.eigenvalues)
-                worst = min(worst, mn)
-                if root is not None:
-                    got = root
-                    break
-            if got is None:
-                feasible = False
-                break
-            spectra.append(got)
-        if feasible:
-            full = spectra[0]
-            for s in spectra[1:]:
-                full = np.multiply.outer(full, s)
-            return Sampler(
-                KRONECKER_CIRCULANT, cov, lattice,
-                min_eigenvalue=float(worst), sqrt_spectrum=full,
-            )
+    if cov.structure == SEPARABLE:  # C = C1 (x) ... (x) Cp: one embedding per factor
+        method = KRONECKER_CIRCULANT
+        spectra = [lambda d, f=f, s=s: embedding_spectrum(f, s, d).eigenvalues
+                   for f, s in zip(cov.factors, lattice.blocks)]
     else:
-        worst = np.inf
-        for doublings in range(MAX_DOUBLINGS + 1):
-            try:
-                values = composite_embedding_values(cov, lattice.all_sizes, doublings)
-            except ModelError:
-                break
-            eig = np.fft.fftn(values).real
-            root, mn = _clipped_sqrt(eig)
-            worst = min(worst, mn)
-            if root is not None:
-                return Sampler(
-                    FULL_CIRCULANT, cov, lattice,
-                    min_eigenvalue=float(mn), sqrt_spectrum=root,
-                )
-    if lattice.n_total > DENSE_LIMIT:
-        raise NumericalError(
-            f"no nonnegative circulant embedding (min eigenvalue {worst:.3e}) "
-            f"and {lattice.n_total} points exceeds the dense fallback limit"
-        )
-    factor, mn = _dense_factor(cov, lattice)
+        method = FULL_CIRCULANT
+        spectra = [lambda d: np.fft.fftn(
+            composite_embedding_values(cov, lattice.all_sizes, d)).real]
+    try:
+        roots, records = zip(*map(_embed, spectra))
+    except NumericalError as exc:
+        if lattice.n_total > DENSE_LIMIT:
+            raise NumericalError(
+                f"{exc} and {lattice.n_total} points exceeds the dense fallback limit"
+            ) from None
+        factor, mn = _dense_factor(cov, lattice)
+        return Sampler(DENSE_CHOLESKY, lattice, min_eigenvalue=mn, chol_factor=factor)
     return Sampler(
-        DENSE_CHOLESKY, cov, lattice,
-        min_eigenvalue=mn, chol_factor=factor,
+        method, lattice,
+        min_eigenvalue=min(e.min_eigenvalue for e in records),
+        embeddings=records,
+        sqrt_spectrum=functools.reduce(np.multiply.outer, roots),
     )
 
 

@@ -28,17 +28,18 @@ from .chaoscalc import (
     additive_variance,
     chaos_report,
     fourth_cumulant,
+    variance_indicator,
     variance_phi,
 )
 from .covariance import ADDITIVE, SEPARABLE, CompositeCovariance
 from .fieldsim import LatticeSpec, build_sampler, draw
 from .functionals import evaluate
-from .hermite import HermiteSpec, hermite_coefficients, hermite_rank
+from .hermite import INDICATOR, HermiteSpec, hermite_coefficients, hermite_rank
 
 OUTPUTS = ("normality", "kurtosis_series", "rate_fit", "chaos_reports")
 
-#: non-separable exact variances walk the full lag grid; past this many
-#: lags the harness standardizes empirically instead of stalling
+#: indicator and non-separable exact variances walk the full lag grid; past
+#: this many lags the harness standardizes empirically instead of stalling
 _EXACT_LAG_LIMIT = 2**18
 
 #: two-sided level of the kurtosis confidence interval and the KS test
@@ -264,8 +265,13 @@ class ExperimentResult:
 def _exact_moments(cov, lattice, coeffs, phi):
     """(exact mean, exact variance or None, variance source)."""
     mean = float(lattice.n_total) * float(coeffs[0])
+    full_grid = phi.kind == INDICATOR or cov.structure not in (SEPARABLE, ADDITIVE)
+    if full_grid and math.prod(2 * n - 1 for n in lattice.all_sizes) > _EXACT_LAG_LIMIT:
+        return mean, None, "empirical"
     try:
-        if cov.structure == ADDITIVE:
+        if phi.kind == INDICATOR:
+            var = variance_indicator(cov, lattice, phi.level)
+        elif cov.structure == ADDITIVE:
             rank = hermite_rank(coeffs)
             var = sum(
                 coeffs[q] ** 2 * additive_variance(cov, lattice, q).total
@@ -273,10 +279,6 @@ def _exact_moments(cov, lattice, coeffs, phi):
                 if coeffs[q] != 0.0
             )
         else:
-            if cov.structure != SEPARABLE:
-                lags = math.prod(2 * n - 1 for n in lattice.all_sizes)
-                if lags > _EXACT_LAG_LIMIT:
-                    return mean, None, "empirical"
             var = variance_phi(cov, lattice, coeffs, phi=phi).value
     except (ModelError, NumericalError):
         return mean, None, "empirical"

@@ -55,7 +55,6 @@ class HermiteSpec:
     level: Optional[float] = None
     func: Optional[Callable] = None
     qmax: int = DEFAULT_QMAX
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.kind == PURE:

@@ -24,6 +24,7 @@ from .covariance import (
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
+    _grid_vectors,
     _lag_values,
     decay_exponent,
     is_nonnegative,
@@ -78,9 +79,7 @@ def _box_lags(dim: int, radius: int) -> np.ndarray:
         raise ModelError(
             f"lag box with {count} points is too large; reduce the radius"
         )
-    axes = [np.arange(-radius, radius + 1)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1).astype(float)
+    return _grid_vectors([np.arange(-radius, radius + 1)] * dim).reshape(-1, dim)
 
 
 def _lag_power_sum(factor: FactorCovariance, radius: int, q: int) -> float:

@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
+from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from latfield import chaoscalc
 from latfield._errors import ModelError
@@ -26,6 +28,7 @@ from latfield.chaoscalc import (
     reduction_ratio,
     tv_bound,
     variance_hermite,
+    variance_indicator,
     variance_phi,
 )
 from latfield.covariance import (
@@ -430,5 +433,30 @@ def test_chaos_report(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(chaoscalc, "_factor_contraction", counted)
-    chaos_report(long_short, LatticeSpec(((64,), (16,))), 2)
-    assert len(calls) == 2
+    # r and q - r share one norm, so only r <= q/2 is computed per factor
+    for q, want in ((2, 2), (3, 2), (4, 4)):
+        calls.clear()
+        chaos_report(long_short, LatticeSpec(((64,), (16,))), q)
+        assert len(calls) == want, q
+
+
+def test_variance_indicator():
+    # at level 0 the orthant probability is 1/4 + arcsin(rho) / 2 pi
+    factor = FactorCovariance(FGN, hurst=0.3)
+    n = 500
+    lags = np.arange(-(n - 1), n)
+    rho = np.array([eval_factor(factor, [z]) for z in lags])
+    want = float(np.sum((n - np.abs(lags)) * np.arcsin(rho) / (2.0 * np.pi)))
+    got = variance_indicator(_sep(factor), LatticeSpec(((n,),)), 0.0)
+    assert got == pytest.approx(want, rel=1e-12)
+
+    # two points at nonzero levels, against scipy's bivariate normal CDF
+    factor = FactorCovariance(FGN, hurst=0.8)
+    rho = eval_factor(factor, [1])
+    for level in (0.7, -1.3):
+        p = ndtr(-level)
+        both = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]]).cdf(
+            [-level, -level])
+        want = 2.0 * p * (1.0 - p) + 2.0 * (both - p**2)
+        got = variance_indicator(_sep(factor), LatticeSpec(((2,),)), level)
+        assert got == pytest.approx(want, rel=1e-12), level

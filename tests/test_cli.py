@@ -202,6 +202,32 @@ def test_validate_command_reports_spectra(tmp_path, capsys):
     assert "min eigenvalue" in text
 
 
+def test_validate_reports_the_embedding_the_sampler_uses(tmp_path, capsys):
+    # the 2-D factor's minimal 30x30 embedding is negative; the sampler
+    # draws on the 60x60 one after one doubling
+    text = MINIMAL.replace(
+        "    - family: white_noise",
+        "    - family: cauchy\n"
+        "      exponent: 0.5\n"
+        "      dim: 2\n"
+        "    - family: fgn\n"
+        "      hurst: 0.3",
+    ).replace("    - [16]\n    - [32]", "    - [[16, 16], 8]")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("  embedding 0: shape [60, 60], doublings 1,")
+               for line in lines)
+    (rung,) = json.loads((tmp_path / "smoke-spectrum.json").read_text())["spectra"]
+    assert rung["method"] == "kronecker_circulant"
+    assert rung["min_eigenvalue"] >= -1e-10
+    first = rung["embeddings"][0]
+    assert first["shape"] == [60, 60] and first["doublings"] == 1
+    assert first["min_eigenvalue"] >= -1e-10
+    assert f"min eigenvalue {first['min_eigenvalue']:.3e}" in "\n".join(lines)
+
+
 def test_validate_rejects_bad_configs_with_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINIMAL.replace("q: 2", "q: 0"))

@@ -18,6 +18,7 @@ from latfield.fieldsim import (
     DENSE_CHOLESKY,
     FULL_CIRCULANT,
     KRONECKER_CIRCULANT,
+    Embedding,
     FieldSample,
     LatticeSpec,
     Sampler,
@@ -100,6 +101,33 @@ def test_kronecker_embedding_matches_full_embedding():
     assert np.allclose(joint, expected, atol=1e-10)
 
 
+def test_sampler_records_the_embeddings_it_uses():
+    # the 2-D Cauchy factor's minimal 30x30 embedding has a negative
+    # spectrum; the sampler doubles once and draws on 60x60
+    cov = _separable(
+        FactorCovariance(CAUCHY, dim=2, exponent=0.5), FactorCovariance(FGN, hurst=0.3)
+    )
+    sampler = build_sampler(cov, LatticeSpec(((16, 16), (8,))))
+    assert sampler.method == KRONECKER_CIRCULANT
+    cauchy, fgn = sampler.embeddings
+    assert (cauchy.shape, cauchy.doublings) == ((60, 60), 1)
+    assert (fgn.shape, fgn.doublings) == ((14,), 0)
+    assert sampler.sqrt_spectrum.shape == (60, 60, 14)
+    assert min(cauchy.min_eigenvalue, fgn.min_eigenvalue) >= -1e-10
+    assert sampler.min_eigenvalue == cauchy.min_eigenvalue
+    # the full circulant keeps one record for the joint embedding
+    additive = CompositeCovariance(
+        ADDITIVE,
+        (FactorCovariance(CAUCHY, exponent=1.0), FactorCovariance(CAUCHY, exponent=2.0)),
+        weights=(0.3, 0.7),
+    )
+    sampler = build_sampler(additive, LatticeSpec(((8,), (6,))))
+    assert sampler.method == FULL_CIRCULANT
+    (joint,) = sampler.embeddings
+    assert joint == Embedding((14, 10), 0, sampler.min_eigenvalue)
+    assert sampler.sqrt_spectrum.shape == joint.shape
+
+
 def test_fgn_lag_one_covariance():
     cov = _separable(FactorCovariance(FGN, hurst=0.75))
     sampler = build_sampler(cov, LatticeSpec(((256,),)))
@@ -160,6 +188,7 @@ def test_dense_fallback_on_unembeddable_tabulated():
     lat = LatticeSpec(((3,),))
     sampler = build_sampler(cov, lat)
     assert sampler.method == DENSE_CHOLESKY
+    assert sampler.embeddings == ()
     matrix = dense_covariance_matrix(cov, lat)
     assert np.allclose(sampler.chol_factor @ sampler.chol_factor.T, matrix)
     sample = draw(sampler, seed=3, replicate_id=0)

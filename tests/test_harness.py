@@ -248,6 +248,24 @@ def test_rate_fit_output_uses_exact_cumulants():
         assert n == latt.n_total
 
 
+def test_indicator_variance_is_exact():
+    # a sum of n iid Bernoulli(1/2) variables has variance n / 4; a chaos
+    # sum truncated at q = 20 gives 221.5 at n = 1000 and inflates the
+    # standardized variance by 13 %
+    config = ExperimentConfig(
+        covariance=WHITE,
+        phi=HermiteSpec("indicator", level=0.0),
+        ladder=(lattice(1000),),
+        replicates=4000,
+        seed=20261017,
+    )
+    rung = run_experiment(config).rungs[0]
+    assert rung.variance_source == "exact"
+    assert rung.exact_variance == pytest.approx(250.0, rel=1e-12)
+    assert rung.exact_mean == 500.0
+    assert abs(rung.stats.variance - 1.0) < 5 * rung.stats.variance_se
+
+
 def test_empirical_fallback_is_flagged():
     # isotropic models have no factorized variance, and past the lag-grid
     # budget the harness standardizes by the empirical spread instead
