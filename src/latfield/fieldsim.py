@@ -8,12 +8,18 @@ embedding spectrum stays negative after bounded doubling, small lattices
 fall back to a dense Cholesky factor; larger ones fail loudly.
 
 Draws are counter-based: the stream is a pure function of
-(seed, replicate_id), independent of thread schedule.
+(seed, replicate_id), independent of thread schedule.  A circulant draw
+reuses one workspace per thread (the normals and the spectrum product at
+embedding size) and inverts the transform one axis at a time, cropping
+each axis to the lattice as soon as it is transformed; its values are
+bit-identical to the one-shot ``ifftn`` of the whole embedding, whatever
+the thread count.
 """
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +42,9 @@ DENSE_CHOLESKY = "dense_cholesky"
 
 MAX_DOUBLINGS = 3
 DENSE_LIMIT = 4096
+
+_SLAB = 1 << 16   # complex points per inverse-FFT temporary in draw (1 MB)
+_local = threading.local()  # this thread's draw buffers, see _workspace
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,32 @@ def _replicate_rng(seed: int, replicate_id: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def _workspace(shape) -> tuple:
+    """This thread's draw buffers for an embedding of the given shape: m
+    reals for one half of the normals and the m-point complex product.
+    Replaced when the shape changes."""
+    ws = getattr(_local, "buffers", None)
+    if ws is None or ws[1].shape != shape:
+        ws = (np.empty(math.prod(shape)), np.empty(shape, dtype=complex))
+        _local.buffers = ws
+    return ws
+
+
+def _ifft_in_place(v: np.ndarray, axis: int):
+    """v[...] = np.fft.ifft(v, axis=axis).  A multi-axis v goes through
+    slabs of about _SLAB points, so no temporary of v's size is allocated;
+    each lane is transformed by itself, so the values do not depend on the
+    slabs.  A 1-D v is a single lane and is transformed whole."""
+    if v.ndim == 1:
+        v[...] = np.fft.ifft(v)
+        return
+    cut = 1 if axis == 0 else 0
+    step = max(1, _SLAB * v.shape[cut] // v.size)
+    for start in range(0, v.shape[cut], step):
+        slab = (slice(None),) * cut + (slice(start, start + step),)
+        v[slab] = np.fft.ifft(v[slab], axis=axis)
+
+
 def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
     """One field realization; a pure function of (seed, replicate_id)."""
     rng = _replicate_rng(seed, replicate_id)
@@ -193,11 +228,18 @@ def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
         z = rng.standard_normal(lattice.n_total)
         values = (sampler.chol_factor @ z).reshape(lattice.all_sizes)
     else:
+        # ifftn(sqrt_spectrum * (z[:m] + 1j*z[m:])).real * sqrt(m), cropped to
+        # the lattice, for z = standard_normal(2m).  The inverse runs one axis
+        # at a time, last axis first as ifftn does, and each axis is cropped
+        # right after its transform, so every kept value gets ifftn's arithmetic.
         shape = sampler.sqrt_spectrum.shape
-        m_tot = int(np.prod(shape))
-        z = rng.standard_normal(2 * m_tot)
-        w = (z[:m_tot] + 1j * z[m_tot:]).reshape(shape)
-        field = np.fft.ifftn(sampler.sqrt_spectrum * w).real * np.sqrt(m_tot)
-        values = field[tuple(slice(0, n) for n in lattice.all_sizes)].copy()
+        z, w = _workspace(shape)
+        w.real = rng.standard_normal(out=z).reshape(shape)
+        w.imag = rng.standard_normal(out=z).reshape(shape)
+        np.multiply(w, sampler.sqrt_spectrum, out=w)
+        for axis in reversed(range(w.ndim)):
+            _ifft_in_place(w, axis)
+            w = w[(slice(None),) * axis + (slice(0, lattice.all_sizes[axis]),)]
+        values = w.real * np.sqrt(z.size)  # a fresh array, not a view of w
     return FieldSample(values=values, lattice=lattice, seed=int(seed),
                        replicate_id=int(replicate_id))

@@ -1,12 +1,21 @@
 """Sampling: method selection, exactness certificates, and MC covariance checks."""
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not a POSIX platform
+    resource = None
 
 from latfield._errors import ModelError, NumericalError
 from latfield.covariance import (
     ADDITIVE,
     CAUCHY,
+    EXPONENTIAL,
     FGN,
+    GNEITING,
     SEPARABLE,
     TABULATED,
     WHITE_NOISE,
@@ -14,6 +23,7 @@ from latfield.covariance import (
     FactorCovariance,
     composite_embedding_values,
 )
+from latfield import fieldsim
 from latfield.fieldsim import (
     DENSE_CHOLESKY,
     FULL_CIRCULANT,
@@ -23,6 +33,7 @@ from latfield.fieldsim import (
     LatticeSpec,
     Sampler,
     build_sampler,
+    _replicate_rng,
     dense_covariance_matrix,
     draw,
 )
@@ -68,6 +79,114 @@ def test_replicate_streams_look_independent():
     y = draw(sampler, seed=9, replicate_id=2**20).values
     rho = np.corrcoef(x, y)[0, 1]
     assert abs(rho) < 5.0 / np.sqrt(x.size)
+
+
+def _one_shot_draw(sampler, seed, replicate_id):
+    """The circulant draw as one ifftn over the whole embedding, cropped."""
+    m = sampler.sqrt_spectrum.size
+    z = _replicate_rng(seed, replicate_id).standard_normal(2 * m)
+    w = (z[:m] + 1j * z[m:]).reshape(sampler.sqrt_spectrum.shape)
+    field = np.fft.ifftn(sampler.sqrt_spectrum * w).real * np.sqrt(m)
+    return field[tuple(slice(0, n) for n in sampler.lattice.all_sizes)]
+
+
+_CIRCULANT_CASES = {
+    "one factor": (_separable(FactorCovariance(FGN, hurst=0.7)), ((100,),)),
+    "two factors": (
+        _separable(FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4)),
+        ((40,), (33,)),
+    ),
+    "three factors": (
+        _separable(
+            FactorCovariance(FGN, hurst=0.3),
+            FactorCovariance(CAUCHY, exponent=1.5),
+            FactorCovariance(EXPONENTIAL, scale=2.0),
+        ),
+        ((9,), (8,), (7,)),
+    ),
+    "2-D factor x 1-D factor": (
+        _separable(FactorCovariance(CAUCHY, dim=2, exponent=0.5), FactorCovariance(FGN, hurst=0.3)),
+        ((16, 16), (8,)),
+    ),
+    "additive": (
+        CompositeCovariance(
+            ADDITIVE,
+            (FactorCovariance(CAUCHY, exponent=0.48), FactorCovariance(CAUCHY, exponent=3.0)),
+            weights=(0.1, 0.9),
+        ),
+        ((40,), (13,)),
+    ),
+    "gneiting": (
+        CompositeCovariance(
+            GNEITING, (FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=1.0))
+        ),
+        ((24,), (24,)),
+    ),
+    "size-1 axis": (
+        _separable(FactorCovariance(FGN, hurst=0.7), FactorCovariance(CAUCHY, exponent=1.5)),
+        ((1,), (16,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("slab", [None, 7], ids=["default slab", "7-point slabs"])
+@pytest.mark.parametrize("case", list(_CIRCULANT_CASES))
+def test_draw_matches_one_shot_inverse_fft(case, slab, monkeypatch):
+    # the per-axis, crop-as-you-go inverse gives the one-shot ifftn values
+    # bit for bit, however the lanes are cut into slabs
+    if slab is not None:
+        monkeypatch.setattr(fieldsim, "_SLAB", slab)
+    cov, blocks = _CIRCULANT_CASES[case]
+    sampler = build_sampler(cov, LatticeSpec(blocks))
+    assert sampler.method != DENSE_CHOLESKY
+    for r in range(3):
+        sample = draw(sampler, seed=31, replicate_id=r)
+        assert sample.values.shape == sampler.lattice.all_sizes
+        assert np.array_equal(sample.values, _one_shot_draw(sampler, 31, r))
+
+
+def test_draws_never_alias_the_workspace():
+    # interleaved draws from two embedding shapes on one thread: every
+    # earlier sample survives later draws, and each equals the same draw
+    # taken alone on a fresh thread, whose workspace is new
+    small = build_sampler(_separable(FactorCovariance(FGN, hurst=0.7)), LatticeSpec(((50,),)))
+    large = build_sampler(
+        _separable(FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4)),
+        LatticeSpec(((20,), (30,))),
+    )
+    assert small.sqrt_spectrum.shape != large.sqrt_spectrum.shape
+    plan = list(enumerate([small, large, large, small, small, large] * 2))
+    samples, copies = [], []
+    for r, sampler in plan:
+        samples.append(draw(sampler, seed=5, replicate_id=r))
+        copies.append(samples[-1].values.copy())
+        for sample, copy in zip(samples, copies):
+            assert np.array_equal(sample.values, copy)
+    for (r, sampler), sample in zip(plan, samples):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            alone = pool.submit(draw, sampler, 5, r).result()
+        assert np.array_equal(sample.values, alone.values)
+
+
+@pytest.mark.skipif(
+    not hasattr(resource, "RUSAGE_THREAD"),
+    reason="needs resource.RUSAGE_THREAD (per-thread page-fault counts), "
+    "which this platform does not provide",
+)
+def test_draw_reuses_its_buffers():
+    # a 256x256 draw that allocated its arrays afresh (about 20 MB on the
+    # 510x510 embedding) would take about 5000 minor faults; one that reuses
+    # its thread's workspace takes almost none
+    cov = _separable(FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4))
+    sampler = build_sampler(cov, LatticeSpec(((256,), (256,))))
+    assert sampler.sqrt_spectrum.shape == (510, 510)
+    draw(sampler, seed=8, replicate_id=0)  # warm-up: allocates the workspace
+    reps = 20
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for r in range(1, reps + 1):
+        draw(sampler, seed=8, replicate_id=r)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert faults / reps < 500, faults / reps
 
 
 def test_white_noise_sampler_is_iid():

@@ -1,14 +1,21 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import fourth_cumulant, variance_hermite
-from latfield.covariance import SEPARABLE, CompositeCovariance, FactorCovariance
-from latfield.fieldsim import LatticeSpec
+from latfield.covariance import (
+    ADDITIVE,
+    SEPARABLE,
+    CompositeCovariance,
+    FactorCovariance,
+)
+from latfield.fieldsim import FULL_CIRCULANT, KRONECKER_CIRCULANT, LatticeSpec, build_sampler
 from latfield.harness import (
     ExperimentConfig,
+    _draw_values,
     config_fingerprint,
     is_gaussian,
     normality_report,
@@ -197,6 +204,26 @@ def test_results_are_deterministic_and_schedule_independent():
     c = run_experiment(config, threads=4)
     assert a == b == c
     assert a.config_hash == config_fingerprint(config)
+
+
+@pytest.mark.parametrize("structure", [SEPARABLE, ADDITIVE])
+def test_draw_values_do_not_depend_on_the_thread_count(structure):
+    # each worker thread draws in its own workspace: 1 thread and 3 threads
+    # switching often give bit-identical functional values
+    factors = (FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
+    weights = (0.3, 0.7) if structure == ADDITIVE else None
+    cov = CompositeCovariance(structure, factors, weights=weights)
+    config = ExperimentConfig(cov, pure(2), (lattice(24, 17),), 120, 13)
+    sampler = build_sampler(cov, config.ladder[0])
+    assert sampler.method == (FULL_CIRCULANT if structure == ADDITIVE else KRONECKER_CIRCULANT)
+    one = _draw_values(config, sampler, 0, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        three = _draw_values(config, sampler, 0, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one, three)
 
 
 def test_rungs_use_distinct_replicate_streams():
