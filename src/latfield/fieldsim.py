@@ -2,18 +2,22 @@
 
 Separable covariances sample through per-factor circulant embeddings (the
 joint embedding spectrum is the outer product of per-factor spectra, so
-nonnegativity per factor certifies the joint sampler).  Other composites
-embed the full covariance into one multidimensional circulant.  If an
-embedding spectrum stays negative after bounded doubling, small lattices
-fall back to a dense Cholesky factor; larger ones fail loudly.
+nonnegativity per factor certifies the joint sampler).  An additive
+covariance w1*C1(x1) + w2*C2(x2) is the law of sqrt(w1)*U(x1) +
+sqrt(w2)*V(x2) for independent stationary U and V, so it samples each
+block through its own embedding and broadcasts the sum over the lattice.
+Only Gneiting and isotropic models embed the full covariance into one
+multidimensional circulant.  If an embedding spectrum stays negative after
+bounded doubling, small lattices fall back to a dense Cholesky factor;
+larger ones fail loudly.
 
 Draws are counter-based: the stream is a pure function of
 (seed, replicate_id), independent of thread schedule.  A circulant draw
 reuses one workspace per thread (the normals and the spectrum product at
 embedding size) and inverts the transform one axis at a time, cropping
 each axis to the lattice as soon as it is transformed; its values are
-bit-identical to the one-shot ``ifftn`` of the whole embedding, whatever
-the thread count.
+bit-identical to the one-shot ``ifftn`` of each embedding, whatever the
+thread count.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import numpy as np
 
 from ._errors import ModelError, NumericalError
 from .covariance import (
+    ADDITIVE,
     SEPARABLE,
     CompositeCovariance,
     _grid_vectors,
@@ -37,6 +42,7 @@ from .covariance import (
 )
 
 KRONECKER_CIRCULANT = "kronecker_circulant"
+ADDITIVE_CIRCULANT = "additive_circulant"
 FULL_CIRCULANT = "full_circulant"
 DENSE_CHOLESKY = "dense_cholesky"
 
@@ -104,7 +110,9 @@ class Sampler:
     lattice: LatticeSpec
     min_eigenvalue: float                          # least over embeddings, or dense matrix
     embeddings: tuple = ()                         # circulant methods: Embedding records
-    sqrt_spectrum: Optional[np.ndarray] = None     # circulant methods
+    # circulant methods; additive: the blocks' roots times sqrt(w_i), raveled
+    # and laid end to end
+    sqrt_spectrum: Optional[np.ndarray] = None
     chol_factor: Optional[np.ndarray] = None       # dense fallback
 
 
@@ -162,8 +170,8 @@ def _embed(spectrum_at):
 def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
     """Choose and precompute an exact sampling method for (cov, lattice)."""
     _check_blocks(cov, lattice)
-    if cov.structure == SEPARABLE:  # C = C1 (x) ... (x) Cp: one embedding per factor
-        method = KRONECKER_CIRCULANT
+    if cov.structure in (SEPARABLE, ADDITIVE):  # one embedding per factor
+        method = KRONECKER_CIRCULANT if cov.structure == SEPARABLE else ADDITIVE_CIRCULANT
         spectra = [lambda d, f=f, s=s: embedding_spectrum(f, s, d).eigenvalues
                    for f, s in zip(cov.factors, lattice.blocks)]
     else:
@@ -179,11 +187,16 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
             ) from None
         factor, mn = _dense_factor(cov, lattice)
         return Sampler(DENSE_CHOLESKY, lattice, min_eigenvalue=mn, chol_factor=factor)
+    if method == ADDITIVE_CIRCULANT:
+        sqrt_spectrum = np.concatenate(
+            [np.sqrt(w) * r.ravel() for w, r in zip(cov.weights, roots)])
+    else:
+        sqrt_spectrum = functools.reduce(np.multiply.outer, roots)
     return Sampler(
         method, lattice,
         min_eigenvalue=min(e.min_eigenvalue for e in records),
         embeddings=records,
-        sqrt_spectrum=functools.reduce(np.multiply.outer, roots),
+        sqrt_spectrum=sqrt_spectrum,
     )
 
 
@@ -220,6 +233,18 @@ def _ifft_in_place(v: np.ndarray, axis: int):
         v[slab] = np.fft.ifft(v[slab], axis=axis)
 
 
+def _cropped_field(w: np.ndarray, sizes) -> np.ndarray:
+    """ifftn(w).real * sqrt(w.size), cropped to ``sizes``.  The inverse runs
+    one axis at a time, last axis first as ifftn does, and each axis is
+    cropped right after its transform, so every kept value gets ifftn's
+    arithmetic.  Overwrites w; returns a fresh array, not a view of it."""
+    m = w.size
+    for axis in reversed(range(w.ndim)):
+        _ifft_in_place(w, axis)
+        w = w[(slice(None),) * axis + (slice(0, sizes[axis]),)]
+    return w.real * np.sqrt(m)
+
+
 def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
     """One field realization; a pure function of (seed, replicate_id)."""
     rng = _replicate_rng(seed, replicate_id)
@@ -227,19 +252,23 @@ def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
     if sampler.method == DENSE_CHOLESKY:
         z = rng.standard_normal(lattice.n_total)
         values = (sampler.chol_factor @ z).reshape(lattice.all_sizes)
+        return FieldSample(values=values, lattice=lattice, seed=int(seed),
+                           replicate_id=int(replicate_id))
+    # w = sqrt_spectrum * (z[:m] + 1j*z[m:]) for z = standard_normal(2m)
+    shape = sampler.sqrt_spectrum.shape
+    z, w = _workspace(shape)
+    w.real = rng.standard_normal(out=z).reshape(shape)
+    w.imag = rng.standard_normal(out=z).reshape(shape)
+    np.multiply(w, sampler.sqrt_spectrum, out=w)
+    if sampler.method == ADDITIVE_CIRCULANT:
+        # sqrt(w1) U (+) sqrt(w2) V: one field per block from its stretch of
+        # w, broadcast over the other block
+        (a, b), (n1, n2) = sampler.embeddings, lattice.blocks
+        m1 = math.prod(a.shape)
+        u = _cropped_field(w[:m1].reshape(a.shape), n1)
+        v = _cropped_field(w[m1:].reshape(b.shape), n2)
+        values = u.reshape(n1 + (1,) * len(n2)) + v
     else:
-        # ifftn(sqrt_spectrum * (z[:m] + 1j*z[m:])).real * sqrt(m), cropped to
-        # the lattice, for z = standard_normal(2m).  The inverse runs one axis
-        # at a time, last axis first as ifftn does, and each axis is cropped
-        # right after its transform, so every kept value gets ifftn's arithmetic.
-        shape = sampler.sqrt_spectrum.shape
-        z, w = _workspace(shape)
-        w.real = rng.standard_normal(out=z).reshape(shape)
-        w.imag = rng.standard_normal(out=z).reshape(shape)
-        np.multiply(w, sampler.sqrt_spectrum, out=w)
-        for axis in reversed(range(w.ndim)):
-            _ifft_in_place(w, axis)
-            w = w[(slice(None),) * axis + (slice(0, lattice.all_sizes[axis]),)]
-        values = w.real * np.sqrt(z.size)  # a fresh array, not a view of w
+        values = _cropped_field(w, lattice.all_sizes)
     return FieldSample(values=values, lattice=lattice, seed=int(seed),
                        replicate_id=int(replicate_id))

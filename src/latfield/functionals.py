@@ -51,7 +51,3 @@ def marginal_evaluate(sample: FieldSample, phi: HermiteSpec, block: int,
             index.append(c)
     return float(np.sum(phi(sample.values[tuple(index)])))
 
-
-def excursion_volume(sample: FieldSample, level: float) -> float:
-    """Number of lattice points with field value >= level."""
-    return float(np.count_nonzero(sample.values >= level))

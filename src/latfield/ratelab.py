@@ -1,5 +1,5 @@
-"""Closed-form limit theory: asymptotic variance constants, rate tables,
-regime classification, and Fourier transforms of indicator domains.
+"""Closed-form limit theory: asymptotic variance constants, rate tables
+and regime classification.
 
 The classifier answers one question from declared model metadata: which
 limit regime applies to the normalized functional when the observation
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import jv
 
 from ._errors import ModelError
 from .chaoscalc import gamma_quotient
@@ -467,54 +466,3 @@ def classify(cov: CompositeCovariance, rank: int, growth=None) -> RegimeVerdict:
             "is not",
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# Fourier transforms of indicator domains
-
-RECTANGLE = "rectangle"
-BALL = "ball"
-
-
-@dataclass(frozen=True)
-class IndicatorDomain:
-    kind: str
-    sides: Optional[tuple] = None    # rectangle [0, u_1] x ... x [0, u_k]
-    radius: Optional[float] = None   # ball
-    dim: Optional[int] = None        # ball
-
-    def __post_init__(self):
-        if self.kind == RECTANGLE:
-            if not self.sides or any(u <= 0 for u in self.sides):
-                raise ModelError("rectangle sides must be positive")
-            object.__setattr__(self, "sides",
-                               tuple(float(u) for u in self.sides))
-        elif self.kind == BALL:
-            if self.radius is None or self.radius <= 0:
-                raise ModelError("ball radius must be positive")
-            if self.dim is None or self.dim < 1:
-                raise ModelError("ball dimension must be a positive integer")
-        else:
-            raise ModelError(f"unknown domain kind {self.kind!r}")
-
-
-def fourier_indicator(domain: IndicatorDomain, lam) -> complex:
-    """F[1_D](lambda) = integral over D of exp(i lambda . x) dx."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if domain.kind == RECTANGLE:
-        if lam.size != len(domain.sides):
-            raise ModelError("frequency length does not match the rectangle")
-        out = complex(1.0)
-        for u, l in zip(domain.sides, lam):
-            # (e^{i l u} - 1) / (i l), stable at l = 0 via the sinc form
-            out *= u * np.sinc(l * u / (2.0 * np.pi)) * np.exp(0.5j * l * u)
-        return complex(out)
-    if lam.size != domain.dim:
-        raise ModelError("frequency length does not match the ball dimension")
-    d, u = domain.dim, domain.radius
-    r = float(np.linalg.norm(lam))
-    volume = math.pi ** (d / 2.0) * u**d / math.gamma(d / 2.0 + 1.0)
-    if r < 1e-8 / u:
-        return complex(volume)
-    return complex((2.0 * math.pi) ** (d / 2.0) * jv(d / 2.0, u * r)
-                   * (u / r) ** (d / 2.0))

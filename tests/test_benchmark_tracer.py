@@ -87,16 +87,19 @@ def test_tracer_wraps_every_layer(tmp_path):
                  "harness.normality_report", "harness.exact_moments",
                  "chaoscalc.chaos_report", "cli.parse_config", "cli.persist_result"):
         assert name in names, name
-    # the separable sampler embeds each factor, the additive one the joint grid
+    # both samplers embed each factor on its own: 14 and 10 points on 8x6
     points = [span[5]["points"] for span in tracer.spans
               if span[0] == "covariance.embedding"]
-    assert points == [14, 10, 14 * 10]
+    assert points == [14, 10, 14, 10]
 
     trace = tmp_path / "trace.json"
     tracer.write(trace)
     metrics = tracing.layer_metrics([json.loads(trace.read_text())])
     assert metrics["fieldsim.draw_samples"] == 200
-    assert metrics["fieldsim.normals_per_replicate"] == pytest.approx(2 * 14 * 10)
-    assert metrics["fieldsim.kept_fraction"] == pytest.approx(48 / (2 * 14 * 10))
+    # 100 draws each: the separable one takes two normals per point of its
+    # 14x10 product embedding, the additive one per point of 14 + 10
+    normals = 100 * 2 * 14 * 10 + 100 * 2 * (14 + 10)
+    assert metrics["fieldsim.normals_per_replicate"] == pytest.approx(normals / 200)
+    assert metrics["fieldsim.kept_fraction"] == pytest.approx(200 * 48 / normals)
     assert metrics["fieldsim.sampler_mb"] == pytest.approx(14 * 10 * 8 / 1e6)
     assert metrics["chaoscalc.chaos_report_s"] > 0.0

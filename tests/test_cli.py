@@ -226,6 +226,18 @@ def test_validate_reports_the_embedding_the_sampler_uses(tmp_path, capsys):
     assert first["shape"] == [60, 60] and first["doublings"] == 1
     assert first["min_eigenvalue"] >= -1e-10
     assert f"min eigenvalue {first['min_eigenvalue']:.3e}" in "\n".join(lines)
+    # an additive model embeds each block on its own: one line per block
+    cfg.write_text(ADDITIVE)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("rung 0 sizes [8, 8]: method additive_circulant,")
+               for line in lines)
+    embedding_lines = [line for line in lines if line.startswith("  embedding ")]
+    assert [line.split(",")[0] for line in embedding_lines] == [
+        "  embedding 0: shape [14]", "  embedding 1: shape [14]"]
+    (rung,) = json.loads((tmp_path / "additive-sample-spectrum.json").read_text())["spectra"]
+    assert rung["method"] == "additive_circulant"
+    assert [e["shape"] for e in rung["embeddings"]] == [[14], [14]]
 
 
 def test_validate_rejects_bad_configs_with_exit_2(tmp_path, capsys):

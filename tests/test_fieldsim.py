@@ -25,6 +25,7 @@ from latfield.covariance import (
 )
 from latfield import fieldsim
 from latfield.fieldsim import (
+    ADDITIVE_CIRCULANT,
     DENSE_CHOLESKY,
     FULL_CIRCULANT,
     KRONECKER_CIRCULANT,
@@ -81,13 +82,31 @@ def test_replicate_streams_look_independent():
     assert abs(rho) < 5.0 / np.sqrt(x.size)
 
 
+def _one_shot_field(w, sizes):
+    field = np.fft.ifftn(w).real * np.sqrt(w.size)
+    return field[tuple(slice(0, n) for n in sizes)]
+
+
 def _one_shot_draw(sampler, seed, replicate_id):
-    """The circulant draw as one ifftn over the whole embedding, cropped."""
+    """The circulant draw as one ifftn over each whole embedding, cropped;
+    an additive draw is the broadcast sum of its two block fields."""
     m = sampler.sqrt_spectrum.size
     z = _replicate_rng(seed, replicate_id).standard_normal(2 * m)
-    w = (z[:m] + 1j * z[m:]).reshape(sampler.sqrt_spectrum.shape)
-    field = np.fft.ifftn(sampler.sqrt_spectrum * w).real * np.sqrt(m)
-    return field[tuple(slice(0, n) for n in sampler.lattice.all_sizes)]
+    w = sampler.sqrt_spectrum * (z[:m] + 1j * z[m:]).reshape(sampler.sqrt_spectrum.shape)
+    if sampler.method != ADDITIVE_CIRCULANT:
+        return _one_shot_field(w, sampler.lattice.all_sizes)
+    (a, b), (n1, n2) = sampler.embeddings, sampler.lattice.blocks
+    m1 = int(np.prod(a.shape))
+    u = _one_shot_field(w[:m1].reshape(a.shape), n1)
+    v = _one_shot_field(w[m1:].reshape(b.shape), n2)
+    return u[(...,) + (None,) * v.ndim] + v
+
+
+_ADDITIVE_2D = CompositeCovariance(
+    ADDITIVE,
+    (FactorCovariance(CAUCHY, dim=2, exponent=1.0), FactorCovariance(FGN, hurst=0.7)),
+    weights=(0.4, 0.6),
+)
 
 
 _CIRCULANT_CASES = {
@@ -116,6 +135,7 @@ _CIRCULANT_CASES = {
         ),
         ((40,), (13,)),
     ),
+    "additive 2-D block": (_ADDITIVE_2D, ((5, 4), (6,))),
     "gneiting": (
         CompositeCovariance(
             GNEITING, (FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=1.0))
@@ -154,8 +174,10 @@ def test_draws_never_alias_the_workspace():
         _separable(FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4)),
         LatticeSpec(((20,), (30,))),
     )
-    assert small.sqrt_spectrum.shape != large.sqrt_spectrum.shape
-    plan = list(enumerate([small, large, large, small, small, large] * 2))
+    additive = build_sampler(_ADDITIVE_2D, LatticeSpec(((5, 4), (6,))))
+    assert additive.method == ADDITIVE_CIRCULANT
+    assert len({s.sqrt_spectrum.shape for s in (small, large, additive)}) == 3
+    plan = list(enumerate([small, large, additive, large, small, additive, small, large] * 2))
     samples, copies = [], []
     for r, sampler in plan:
         samples.append(draw(sampler, seed=5, replicate_id=r))
@@ -234,16 +256,29 @@ def test_sampler_records_the_embeddings_it_uses():
     assert sampler.sqrt_spectrum.shape == (60, 60, 14)
     assert min(cauchy.min_eigenvalue, fgn.min_eigenvalue) >= -1e-10
     assert sampler.min_eigenvalue == cauchy.min_eigenvalue
-    # the full circulant keeps one record for the joint embedding
+    # the additive sampler keeps one record per block, and its spectrum
+    # holds both blocks' roots end to end
     additive = CompositeCovariance(
         ADDITIVE,
         (FactorCovariance(CAUCHY, exponent=1.0), FactorCovariance(CAUCHY, exponent=2.0)),
         weights=(0.3, 0.7),
     )
     sampler = build_sampler(additive, LatticeSpec(((8,), (6,))))
+    assert sampler.method == ADDITIVE_CIRCULANT
+    first, second = sampler.embeddings
+    assert (first.shape, first.doublings) == ((14,), 0)
+    assert (second.shape, second.doublings) == ((10,), 0)
+    assert min(first.min_eigenvalue, second.min_eigenvalue) >= -1e-10
+    assert sampler.min_eigenvalue == min(first.min_eigenvalue, second.min_eigenvalue)
+    assert sampler.sqrt_spectrum.shape == (14 + 10,)
+    # gneiting and isotropic models keep one record for the joint embedding
+    gneiting = CompositeCovariance(
+        GNEITING, (FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=1.0))
+    )
+    sampler = build_sampler(gneiting, LatticeSpec(((8,), (6,))))
     assert sampler.method == FULL_CIRCULANT
     (joint,) = sampler.embeddings
-    assert joint == Embedding((14, 10), 0, sampler.min_eigenvalue)
+    assert joint == Embedding((28, 20), 1, sampler.min_eigenvalue)
     assert sampler.sqrt_spectrum.shape == joint.shape
 
 
@@ -275,7 +310,7 @@ def test_additive_field_covariance():
     )
     lat = LatticeSpec(((8,), (8,)))
     sampler = build_sampler(cov, lat)
-    assert sampler.method in (FULL_CIRCULANT, DENSE_CHOLESKY)
+    assert sampler.method == ADDITIVE_CIRCULANT
     k1, k2 = 2.0 ** (-0.5), 0.5  # cauchy lag-1 values for exponents 1 and 2
     targets = {
         (1, 0): 0.3 * k1 + 0.7,
@@ -295,6 +330,27 @@ def test_additive_field_covariance():
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - target) < 5.0 * se, (lag, vals.mean(), target, se)
         assert se < 0.02
+
+
+def test_additive_2d_block_matches_dense_covariance():
+    # every entry of the 120x120 covariance matrix of a 2-D block (+) 1-D
+    # block field, within 5 standard errors of its Monte Carlo estimate
+    lat = LatticeSpec(((5, 4), (6,)))
+    sampler = build_sampler(_ADDITIVE_2D, lat)
+    assert sampler.method == ADDITIVE_CIRCULANT
+    target = dense_covariance_matrix(_ADDITIVE_2D, lat)
+    reps, chunk = 40000, 500
+    total = np.zeros_like(target)
+    squares = np.zeros_like(target)
+    for start in range(0, reps, chunk):
+        x = np.stack([draw(sampler, seed=2718, replicate_id=r).values.ravel()
+                      for r in range(start, start + chunk)])
+        total += x.T @ x
+        squares += (x * x).T @ (x * x)  # sums of (x_i x_j)^2
+    mean = total / reps
+    se = np.sqrt((squares / reps - mean**2) / (reps - 1))
+    assert np.all(np.abs(mean - target) < 5.0 * se), np.max(np.abs(mean - target) / se)
+    assert se.max() < 0.02
 
 
 def test_dense_fallback_on_unembeddable_tabulated():

@@ -1,4 +1,4 @@
-"""Functional evaluation: exact sums, marginals, linearity, excursions."""
+"""Functional evaluation: exact sums, marginals, linearity."""
 import itertools
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from latfield._errors import ModelError
 from latfield.fieldsim import FieldSample, LatticeSpec
-from latfield.functionals import evaluate, excursion_volume, marginal_evaluate
+from latfield.functionals import evaluate, marginal_evaluate
 from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_eval
 
 
@@ -77,14 +77,3 @@ def test_linearity_via_custom():
     )
     assert evaluate(s, combo) == pytest.approx(expected, rel=1e-14)
 
-
-def test_excursion_volume():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((10, 10))
-    s = _sample(x, ((10,), (10,)))
-    assert excursion_volume(s, -1e9) == 100.0
-    assert excursion_volume(s, 1e9) == 0.0
-    for level in (-0.5, 0.0, 0.7):
-        assert excursion_volume(s, level) == evaluate(
-            s, HermiteSpec(INDICATOR, level=level)
-        )

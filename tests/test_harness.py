@@ -12,7 +12,7 @@ from latfield.covariance import (
     CompositeCovariance,
     FactorCovariance,
 )
-from latfield.fieldsim import FULL_CIRCULANT, KRONECKER_CIRCULANT, LatticeSpec, build_sampler
+from latfield.fieldsim import ADDITIVE_CIRCULANT, KRONECKER_CIRCULANT, LatticeSpec, build_sampler
 from latfield.harness import (
     ExperimentConfig,
     _draw_values,
@@ -215,7 +215,7 @@ def test_draw_values_do_not_depend_on_the_thread_count(structure):
     cov = CompositeCovariance(structure, factors, weights=weights)
     config = ExperimentConfig(cov, pure(2), (lattice(24, 17),), 120, 13)
     sampler = build_sampler(cov, config.ladder[0])
-    assert sampler.method == (FULL_CIRCULANT if structure == ADDITIVE else KRONECKER_CIRCULANT)
+    assert sampler.method == (ADDITIVE_CIRCULANT if structure == ADDITIVE else KRONECKER_CIRCULANT)
     one = _draw_values(config, sampler, 0, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -14,16 +14,12 @@ from latfield.covariance import (
 )
 from latfield.ratelab import (
     ADDITIVE_CONDITIONAL,
-    BALL,
     CENTRAL,
     NONCENTRAL,
     NOT_COVERED,
-    RECTANGLE,
-    IndicatorDomain,
     breuer_major_sigma2,
     classify,
     fbs_regime,
-    fourier_indicator,
     rate_g,
 )
 
@@ -302,67 +298,3 @@ def test_classify_additive_ties_and_signs():
     assert any("negative" in note for note in out.notes)
     with pytest.raises(ModelError):
         classify(tied, 2, growth=(1.0,))
-
-
-# ---------------------------------------------------------------------------
-# indicator transforms
-
-
-def test_rectangle_transform_values():
-    box = IndicatorDomain(RECTANGLE, sides=(1.0,))
-    assert fourier_indicator(box, 0.0) == pytest.approx(1.0)
-    assert abs(fourier_indicator(box, math.pi)) == pytest.approx(2.0 / math.pi)
-    # tiny frequencies approach the volume smoothly
-    assert fourier_indicator(box, 1e-14) == pytest.approx(1.0, rel=1e-9)
-    cube = IndicatorDomain(RECTANGLE, sides=(1.0, 2.0, 3.0))
-    assert fourier_indicator(cube, (0.0, 0.0, 0.0)) == pytest.approx(6.0)
-
-
-def test_rectangle_transform_matches_quadrature():
-    box = IndicatorDomain(RECTANGLE, sides=(1.7,))
-    lam = 2.3
-    xs = np.linspace(0.0, 1.7, 20001)
-    direct = np.trapezoid(np.exp(1j * lam * xs), xs)
-    assert fourier_indicator(box, lam) == pytest.approx(direct, rel=1e-6)
-
-
-def test_transform_conjugate_symmetry():
-    rng = np.random.default_rng(7)
-    cube = IndicatorDomain(RECTANGLE, sides=(1.0, 2.0))
-    ball = IndicatorDomain(BALL, radius=1.3, dim=2)
-    for _ in range(5):
-        lam = rng.normal(size=2)
-        for dom in (cube, ball):
-            left = fourier_indicator(dom, -lam)
-            right = np.conj(fourier_indicator(dom, lam))
-            assert left == pytest.approx(right)
-
-
-def test_ball_transform_values():
-    interval = IndicatorDomain(BALL, radius=1.0, dim=1)
-    # a 1-D ball is an interval: same magnitude as a rectangle of side 2
-    box = IndicatorDomain(RECTANGLE, sides=(2.0,))
-    for lam in (0.3, 1.0, 2.7):
-        assert abs(fourier_indicator(interval, lam)) == pytest.approx(
-            abs(fourier_indicator(box, lam))
-        )
-    ball3 = IndicatorDomain(BALL, radius=1.0, dim=3)
-    vol = 4.0 * math.pi / 3.0
-    assert fourier_indicator(ball3, (0.0, 0.0, 0.0)) == pytest.approx(vol)
-    # closed form in 3-D: 4 pi (sin r - r cos r) / r^3
-    lam = np.array([0.4, -0.2, 0.9])
-    r = float(np.linalg.norm(lam))
-    expected = 4.0 * math.pi * (math.sin(r) - r * math.cos(r)) / r**3
-    assert fourier_indicator(ball3, lam) == pytest.approx(expected)
-
-
-def test_domain_validation():
-    with pytest.raises(ModelError):
-        IndicatorDomain(RECTANGLE, sides=(1.0, -1.0))
-    with pytest.raises(ModelError):
-        IndicatorDomain(BALL, radius=1.0)
-    with pytest.raises(ModelError):
-        IndicatorDomain("triangle", sides=(1.0,))
-    box = IndicatorDomain(RECTANGLE, sides=(1.0, 2.0))
-    with pytest.raises(ModelError):
-        fourier_indicator(box, (0.1,))
