@@ -11,13 +11,20 @@ multidimensional circulant.  If an embedding spectrum stays negative after
 bounded doubling, small lattices fall back to a dense Cholesky factor;
 larger ones fail loudly.
 
-Draws are counter-based: the stream is a pure function of
-(seed, replicate_id), independent of thread schedule.  A circulant draw
-reuses one workspace per thread (the normals and the spectrum product at
-embedding size) and inverts the transform one axis at a time, cropping
-each axis to the lattice as soon as it is transformed; its values are
+Draws are counter-based: each field is a pure function of
+(seed, replicate_id), independent of thread schedule.  Circulant draws come
+in replicate pairs: the real and imaginary parts of one complex transform
+are two independent exact fields (Wood & Chan 1994; Dietrich & Newsam
+1997), so replicates 2k and 2k+1 are the real and imaginary halves of the
+transform of pair k's normals, drawn from the Philox window keyed by
+(seed, k).  A circulant draw reuses one workspace per thread (the normals
+and the spectrum product at embedding size) and inverts the transform one
+axis at a time, cropping each axis to the lattice as soon as it is
+transformed; the workspace remembers which pair it holds, so the second
+half of a pair costs no normals and no transform.  Values are
 bit-identical to the one-shot ``ifftn`` of each embedding, whatever the
-thread count.
+thread count and whichever half is drawn first.  Dense-Cholesky draws take
+their normals from the window keyed by (seed, replicate_id).
 """
 from __future__ import annotations
 
@@ -200,10 +207,11 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
     )
 
 
-def _replicate_rng(seed: int, replicate_id: int) -> np.random.Generator:
+def _replicate_rng(seed: int, window: int) -> np.random.Generator:
     # one disjoint 2^64-counter window of the Philox stream per replicate
+    # pair (circulant draws) or per replicate (dense draws)
     bits = np.random.Philox(key=int(seed) & (2**128 - 1),
-                            counter=int(replicate_id) << 64)
+                            counter=int(window) << 64)
     return np.random.Generator(bits)
 
 
@@ -233,42 +241,67 @@ def _ifft_in_place(v: np.ndarray, axis: int):
         v[slab] = np.fft.ifft(v[slab], axis=axis)
 
 
-def _cropped_field(w: np.ndarray, sizes) -> np.ndarray:
-    """ifftn(w).real * sqrt(w.size), cropped to ``sizes``.  The inverse runs
-    one axis at a time, last axis first as ifftn does, and each axis is
-    cropped right after its transform, so every kept value gets ifftn's
-    arithmetic.  Overwrites w; returns a fresh array, not a view of it."""
-    m = w.size
+def _cropped_inverse(w: np.ndarray, sizes) -> tuple:
+    """ifftn(w) cropped to ``sizes``, as a view into w, and sqrt(w.size).
+    The inverse runs one axis at a time, last axis first as ifftn does, and
+    each axis is cropped right after its transform, so every kept value
+    gets ifftn's arithmetic.  Overwrites w."""
+    scale = np.sqrt(w.size)
     for axis in reversed(range(w.ndim)):
         _ifft_in_place(w, axis)
         w = w[(slice(None),) * axis + (slice(0, sizes[axis]),)]
-    return w.real * np.sqrt(m)
+    return w, scale
 
 
-def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
-    """One field realization; a pure function of (seed, replicate_id)."""
-    rng = _replicate_rng(seed, replicate_id)
-    lattice = sampler.lattice
-    if sampler.method == DENSE_CHOLESKY:
-        z = rng.standard_normal(lattice.n_total)
-        values = (sampler.chol_factor @ z).reshape(lattice.all_sizes)
-        return FieldSample(values=values, lattice=lattice, seed=int(seed),
-                           replicate_id=int(replicate_id))
-    # w = sqrt_spectrum * (z[:m] + 1j*z[m:]) for z = standard_normal(2m)
+def _pair_transforms(sampler: Sampler, seed: int, pair: int) -> tuple:
+    """The cropped complex transforms of replicate pair ``pair``, one per
+    block for additive samplers and one in all, as (view into this thread's
+    workspace, sqrt(m)) tuples.  w = sqrt_spectrum * (z[:m] + 1j*z[m:]) for
+    z = standard_normal(2m) from the pair's window; the workspace is filled
+    only when it does not already hold this (sampler, seed, pair)."""
+    held = getattr(_local, "pair", None)
+    if held is not None and held[0] is sampler and held[1:3] == (seed, pair):
+        return held[3]
+    _local.pair = None  # drop the views before the workspace may be replaced
+    rng = _replicate_rng(seed, pair)
     shape = sampler.sqrt_spectrum.shape
     z, w = _workspace(shape)
     w.real = rng.standard_normal(out=z).reshape(shape)
     w.imag = rng.standard_normal(out=z).reshape(shape)
     np.multiply(w, sampler.sqrt_spectrum, out=w)
     if sampler.method == ADDITIVE_CIRCULANT:
-        # sqrt(w1) U (+) sqrt(w2) V: one field per block from its stretch of
-        # w, broadcast over the other block
-        (a, b), (n1, n2) = sampler.embeddings, lattice.blocks
+        # sqrt(w1) U (+) sqrt(w2) V: one field per block from its stretch of w
+        (a, b), (n1, n2) = sampler.embeddings, sampler.lattice.blocks
         m1 = math.prod(a.shape)
-        u = _cropped_field(w[:m1].reshape(a.shape), n1)
-        v = _cropped_field(w[m1:].reshape(b.shape), n2)
-        values = u.reshape(n1 + (1,) * len(n2)) + v
+        transforms = (_cropped_inverse(w[:m1].reshape(a.shape), n1),
+                      _cropped_inverse(w[m1:].reshape(b.shape), n2))
     else:
-        values = _cropped_field(w, lattice.all_sizes)
-    return FieldSample(values=values, lattice=lattice, seed=int(seed),
-                       replicate_id=int(replicate_id))
+        transforms = (_cropped_inverse(w, sampler.lattice.all_sizes),)
+    _local.pair = (sampler, seed, pair, transforms)
+    return transforms
+
+
+def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
+    """One field realization; a pure function of (seed, replicate_id).
+
+    A circulant replicate r is the real (r even) or imaginary (r odd) half
+    of the transform of pair r // 2, times sqrt(m); drawing both halves of
+    a pair one after the other on a thread draws and transforms once."""
+    seed, replicate_id = int(seed), int(replicate_id)
+    lattice = sampler.lattice
+    if sampler.method == DENSE_CHOLESKY:
+        z = _replicate_rng(seed, replicate_id).standard_normal(lattice.n_total)
+        values = (sampler.chol_factor @ z).reshape(lattice.all_sizes)
+        return FieldSample(values=values, lattice=lattice, seed=seed,
+                           replicate_id=replicate_id)
+    pair, part = divmod(replicate_id, 2)
+    fields = [(t.imag if part else t.real) * scale
+              for t, scale in _pair_transforms(sampler, seed, pair)]
+    if sampler.method == ADDITIVE_CIRCULANT:
+        # each block's field broadcast over the other block
+        u, v = fields
+        values = u.reshape(u.shape + (1,) * v.ndim) + v
+    else:
+        (values,) = fields
+    return FieldSample(values=values, lattice=lattice, seed=seed,
+                       replicate_id=replicate_id)

@@ -287,30 +287,35 @@ def _exact_moments(cov, lattice, coeffs, phi):
 
 def _draw_values(config, sampler, rung_index, threads) -> np.ndarray:
     reps = config.replicates
+    pairs = (reps + 1) // 2
     values = np.empty(reps)
-    base = rung_index * reps
+    base = rung_index * 2 * pairs  # even, so no replicate pair spans two rungs
 
-    def work(r):
-        sample = draw(sampler, config.seed, base + r)
-        values[r] = evaluate(sample, config.phi)
+    def work(k):
+        # one replicate pair per unit, both halves on one thread: the second
+        # draw is served from the transform the first one left in the
+        # thread's workspace
+        for r in range(2 * k, min(2 * k + 2, reps)):
+            values[r] = evaluate(draw(sampler, config.seed, base + r), config.phi)
 
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads <= 1:
-        for r in range(reps):
-            work(r)
+        for k in range(pairs):
+            work(k)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(reps)))
+            list(pool.map(work, range(pairs)))
     return values
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Walk the ladder, draw, standardize, and report.
 
-    Deterministic given the config: each replicate draws from a stream
-    keyed by its global index, and every reduction reads slots in a fixed
-    order regardless of the thread count.
+    Deterministic given the config: each replicate's field is a pure
+    function of the seed and its global index (circulant replicates 2k and
+    2k+1 share the stream of pair k), and every reduction reads slots in a
+    fixed order regardless of the thread count.
     """
     cov = config.covariance
     coeffs = hermite_coefficients(config.phi)

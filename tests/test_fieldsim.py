@@ -1,4 +1,5 @@
 """Sampling: method selection, exactness certificates, and MC covariance checks."""
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -82,23 +83,27 @@ def test_replicate_streams_look_independent():
     assert abs(rho) < 5.0 / np.sqrt(x.size)
 
 
-def _one_shot_field(w, sizes):
-    field = np.fft.ifftn(w).real * np.sqrt(w.size)
+def _one_shot_field(w, sizes, part):
+    full = np.fft.ifftn(w)
+    field = (full.imag if part else full.real) * np.sqrt(w.size)
     return field[tuple(slice(0, n) for n in sizes)]
 
 
 def _one_shot_draw(sampler, seed, replicate_id):
-    """The circulant draw as one ifftn over each whole embedding, cropped;
-    an additive draw is the broadcast sum of its two block fields."""
+    """The circulant draw as one ifftn over each whole embedding, cropped:
+    replicates 2k and 2k+1 are the real and imaginary parts of the
+    transform of pair k's normals.  An additive draw is the broadcast sum of
+    its two block fields, each taken this way."""
+    pair, part = divmod(replicate_id, 2)
     m = sampler.sqrt_spectrum.size
-    z = _replicate_rng(seed, replicate_id).standard_normal(2 * m)
+    z = _replicate_rng(seed, pair).standard_normal(2 * m)
     w = sampler.sqrt_spectrum * (z[:m] + 1j * z[m:]).reshape(sampler.sqrt_spectrum.shape)
     if sampler.method != ADDITIVE_CIRCULANT:
-        return _one_shot_field(w, sampler.lattice.all_sizes)
+        return _one_shot_field(w, sampler.lattice.all_sizes, part)
     (a, b), (n1, n2) = sampler.embeddings, sampler.lattice.blocks
     m1 = int(np.prod(a.shape))
-    u = _one_shot_field(w[:m1].reshape(a.shape), n1)
-    v = _one_shot_field(w[m1:].reshape(b.shape), n2)
+    u = _one_shot_field(w[:m1].reshape(a.shape), n1, part)
+    v = _one_shot_field(w[m1:].reshape(b.shape), n2, part)
     return u[(...,) + (None,) * v.ndim] + v
 
 
@@ -153,13 +158,14 @@ _CIRCULANT_CASES = {
 @pytest.mark.parametrize("case", list(_CIRCULANT_CASES))
 def test_draw_matches_one_shot_inverse_fft(case, slab, monkeypatch):
     # the per-axis, crop-as-you-go inverse gives the one-shot ifftn values
-    # bit for bit, however the lanes are cut into slabs
+    # bit for bit, however the lanes are cut into slabs: the real part for
+    # even replicates and the imaginary part for odd ones, over two pairs
     if slab is not None:
         monkeypatch.setattr(fieldsim, "_SLAB", slab)
     cov, blocks = _CIRCULANT_CASES[case]
     sampler = build_sampler(cov, LatticeSpec(blocks))
     assert sampler.method != DENSE_CHOLESKY
-    for r in range(3):
+    for r in range(4):
         sample = draw(sampler, seed=31, replicate_id=r)
         assert sample.values.shape == sampler.lattice.all_sizes
         assert np.array_equal(sample.values, _one_shot_draw(sampler, 31, r))
@@ -188,6 +194,40 @@ def test_draws_never_alias_the_workspace():
         with ThreadPoolExecutor(max_workers=1) as pool:
             alone = pool.submit(draw, sampler, 5, r).result()
         assert np.array_equal(sample.values, alone.values)
+
+
+def _cold_draw(sampler, seed, replicate_id):
+    """The draw taken alone on a fresh thread, whose workspace is new."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(draw, sampler, seed, replicate_id).result().values
+
+
+@pytest.mark.parametrize("case", ["two factors", "additive 2-D block", "gneiting"])
+def test_second_half_of_a_pair_comes_from_the_workspace(case, monkeypatch):
+    cov, blocks = _CIRCULANT_CASES[case]
+    sampler = build_sampler(cov, LatticeSpec(blocks))
+    # same embedding shape, another spectrum: only identity tells them apart
+    twin = dataclasses.replace(sampler, sqrt_spectrum=2.0 * sampler.sqrt_spectrum)
+    windows = []
+    counted = fieldsim._replicate_rng
+    monkeypatch.setattr(fieldsim, "_replicate_rng",
+                        lambda seed, window: windows.append(window) or counted(seed, window))
+    odd = _cold_draw(sampler, 7, 5)
+    assert windows == [2]
+    assert np.array_equal(odd, _one_shot_draw(sampler, 7, 5))
+    # right after replicate 4, replicate 5 draws no normals and equals the
+    # cold draw bit for bit
+    windows.clear()
+    assert np.array_equal(draw(sampler, 7, 4).values, _cold_draw(sampler, 7, 4))
+    assert np.array_equal(draw(sampler, 7, 5).values, odd)
+    assert windows == [2, 2]  # the warm draw of 4 and the cold one, not 5
+    # another sampler, seed or pair in between refills the workspace
+    for between in [(twin, 7, 4), (sampler, 8, 4), (sampler, 7, 2)]:
+        draw(sampler, 7, 4)
+        other = draw(*between).values
+        assert np.array_equal(draw(sampler, 7, 5).values, odd), between
+        assert np.array_equal(other, _cold_draw(*between)), between
+    assert np.array_equal(draw(twin, 7, 5).values, _one_shot_draw(twin, 7, 5))
 
 
 @pytest.mark.skipif(
@@ -353,6 +393,36 @@ def test_additive_2d_block_matches_dense_covariance():
     assert se.max() < 0.02
 
 
+@pytest.mark.parametrize("cov, blocks", [
+    (_separable(FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4)),
+     ((8,), (6,))),
+    (_ADDITIVE_2D, ((5, 4), (6,))),
+], ids=["two factors", "additive 2-D block"])
+def test_imaginary_halves_are_exact_and_independent_of_the_real_halves(cov, blocks):
+    # the odd replicates alone have the dense covariance matrix, and the
+    # fields of replicates 2k and 2k+1 are uncorrelated, entry by entry
+    # within 5 standard errors
+    lat = LatticeSpec(blocks)
+    sampler = build_sampler(cov, lat)
+    assert sampler.method in (KRONECKER_CIRCULANT, ADDITIVE_CIRCULANT)
+    target = dense_covariance_matrix(cov, lat)
+    pairs, chunk = 10000, 500
+    sums = {"odd": np.zeros_like(target), "cross": np.zeros_like(target)}
+    squares = {key: np.zeros_like(target) for key in sums}
+    for start in range(0, pairs, chunk):
+        real, imag = (np.stack([draw(sampler, seed=1618, replicate_id=2 * k + part).values.ravel()
+                                for k in range(start, start + chunk)])
+                      for part in (0, 1))
+        for key, x in (("odd", imag), ("cross", real)):
+            sums[key] += x.T @ imag
+            squares[key] += (x * x).T @ (imag * imag)
+    for key, want in (("odd", target), ("cross", 0.0)):
+        mean = sums[key] / pairs
+        se = np.sqrt((squares[key] / pairs - mean**2) / (pairs - 1))
+        assert np.all(np.abs(mean - want) < 5.0 * se), (key, np.max(np.abs(mean - want) / se))
+        assert se.max() < 0.02
+
+
 def test_dense_fallback_on_unembeddable_tabulated():
     # 3x3 Toeplitz PSD, but its 4-point circulant embedding has eigenvalue -0.1
     # and a tabulated model cannot extend to doubled embeddings.
@@ -366,8 +436,12 @@ def test_dense_fallback_on_unembeddable_tabulated():
     assert sampler.embeddings == ()
     matrix = dense_covariance_matrix(cov, lat)
     assert np.allclose(sampler.chol_factor @ sampler.chol_factor.T, matrix)
-    sample = draw(sampler, seed=3, replicate_id=0)
-    assert sample.values.shape == (3,)
+    # dense draws are not paired: each replicate has its own window
+    for r in range(4):
+        sample = draw(sampler, seed=3, replicate_id=r)
+        assert sample.values.shape == (3,)
+        z = _replicate_rng(3, r).standard_normal(3)
+        assert np.array_equal(sample.values, sampler.chol_factor @ z)
 
 
 def test_unembeddable_large_lattice_fails_loudly():

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from latfield import fieldsim
 from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import fourth_cumulant, variance_hermite
 from latfield.covariance import (
@@ -224,6 +225,32 @@ def test_draw_values_do_not_depend_on_the_thread_count(structure):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(one, three)
+
+
+def test_draws_come_in_replicate_pairs(monkeypatch):
+    # 101 replicates per rung: 51 transforms each, the last pair's second
+    # half unused; rung 1 starts at the even base 102, at pair 51; the
+    # values are the same at 1 and 3 threads
+    cov = separable(FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
+    config = ExperimentConfig(cov, pure(2), (lattice(24, 17), lattice(20, 30)), 101, 13)
+    samplers = [build_sampler(cov, lat) for lat in config.ladder]
+    windows = []
+    counted = fieldsim._replicate_rng
+    monkeypatch.setattr(fieldsim, "_replicate_rng",
+                        lambda seed, window: windows.append(window) or counted(seed, window))
+    values = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 3):
+            for idx, sampler in enumerate(samplers):
+                windows.clear()
+                values[threads, idx] = _draw_values(config, sampler, idx, threads).tobytes()
+                assert sorted(windows) == list(range(51 * idx, 51 * idx + 51)), (threads, idx)
+    finally:
+        sys.setswitchinterval(interval)
+    for idx in range(2):
+        assert values[1, idx] == values[3, idx]
 
 
 def test_rungs_use_distinct_replicate_streams():
