@@ -34,7 +34,7 @@ from .covariance import (
     composite_values,
 )
 from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks, dense_covariance_matrix
-from .hermite import PURE, hermite_rank, phi_second_moment
+from .hermite import INDICATOR, hermite_rank, phi_second_moment
 
 MAX_CHAOS_ORDER = 30
 #: largest per-factor point count for the exact q=3 clique sum (cost n^4)
@@ -71,9 +71,9 @@ def _factor_pair_sum(factor: FactorCovariance, sizes, k: int) -> float:
     return float(np.sum(weights * vals**k))
 
 
-def _window_values(cov: CompositeCovariance, lattice: LatticeSpec):
-    """The covariance at every window lag, and the lags' pair weights;
-    ModelError past _DIRECT_LAG_LIMIT lags."""
+def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g) -> float:
+    """sum_z W(z) g(C(z)) over every window lag z, g acting elementwise on
+    the covariance values; ModelError past _DIRECT_LAG_LIMIT lags."""
     sizes = lattice.all_sizes
     count = math.prod(2 * n - 1 for n in sizes)
     if count > _DIRECT_LAG_LIMIT:
@@ -82,12 +82,7 @@ def _window_values(cov: CompositeCovariance, lattice: LatticeSpec):
             "use a factorized structure or a smaller window"
         )
     lags, weights = _lag_grid(sizes)
-    return composite_values(cov, lags), weights
-
-
-def _direct_pair_sum(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
-    vals, weights = _window_values(cov, lattice)
-    return float(np.sum(weights * vals**q))
+    return float(np.sum(weights * g(composite_values(cov, lags))))
 
 
 # ---------------------------------------------------------------------------
@@ -101,40 +96,43 @@ def variance_hermite(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> 
 
 @dataclass(frozen=True)
 class PhiVariance:
-    """Var of the phi functional through its chaos decomposition.
+    """Var of the phi functional, and what its chaos sum may have dropped.
 
-    ``tail_bound`` caps what the truncation at qmax dropped, via |C| <= 1:
-    each missing chaos contributes at most q! a_q^2 N_tot^2, and the
-    missing Parseval mass sum_{q > qmax} q! a_q^2 is E[phi^2] minus the
-    retained mass.  None when phi was not supplied.
+    ``tail_bound`` is 0 for an indicator phi, whose variance is the exact
+    orthant lag sum, and for a pure phi, a single chaos.  For any other
+    phi it caps what the truncated chaos sum dropped, via |C| <= 1: each
+    missing chaos contributes at most q! a_q^2 N_tot^2, and the missing
+    Parseval mass sum_{q > qmax} q! a_q^2 is E[phi^2] minus the retained
+    mass.  None when phi was not supplied.
     """
 
     value: float
     rank: int
-    qmax: int
     tail_bound: Optional[float] = None
 
 
 def variance_phi(cov, lattice, coefficients, phi=None) -> PhiVariance:
-    """Var(Y) = sum_q a_q^2 Var(Y[q]) over the retained chaoses."""
+    """Var(Y) for Y = sum_t phi(B_t), for every phi and structure.
+
+    An indicator phi takes variance_indicator.  Otherwise Var(Y) =
+    sum_q a_q^2 Var(Y[q]) over the retained chaoses, each chaos
+    factorized for separable and additive models.
+    """
     coeffs = np.asarray(coefficients, dtype=float)
     rank = hermite_rank(coeffs)
-    qmax = len(coeffs) - 1
+    if phi is not None and phi.kind == INDICATOR:
+        return PhiVariance(value=variance_indicator(cov, lattice, phi.level),
+                           rank=rank, tail_bound=0.0)
     value = 0.0
-    for q in range(rank, qmax + 1):
+    for q in range(rank, len(coeffs)):
         if coeffs[q] != 0.0:
             value += coeffs[q] ** 2 * variance_hermite(cov, lattice, q)
     tail = None
-    if phi is not None:
-        if phi.kind == PURE:
-            tail = 0.0
-        else:
-            retained = sum(
-                math.factorial(q) * coeffs[q] ** 2 for q in range(qmax + 1)
-            )
-            gap = max(0.0, phi_second_moment(phi) - retained)
-            tail = gap * float(lattice.n_total) ** 2
-    return PhiVariance(value=value, rank=rank, qmax=qmax, tail_bound=tail)
+    if phi is not None:  # a pure phi has no Parseval gap
+        retained = sum(math.factorial(q) * coeffs[q] ** 2 for q in range(len(coeffs)))
+        gap = max(0.0, phi_second_moment(phi) - retained)
+        tail = gap * float(lattice.n_total) ** 2
+    return PhiVariance(value=float(value), rank=rank, tail_bound=tail)
 
 
 def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
@@ -143,11 +141,14 @@ def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
     P(X >= a, Y >= a) - Phibar(a)^2 = Phibar(a) - 2 T(a, sqrt((1-rho)/(1+rho)))
     - Phibar(a)^2 for a pair with correlation rho = C(z), T being Owen's T."""
     _check_blocks(cov, lattice)
-    rho, weights = _window_values(cov, lattice)
     tail = float(norm.sf(level))
-    with np.errstate(divide="ignore"):
-        joint = tail - 2.0 * owens_t(level, np.sqrt((1.0 - rho) / (1.0 + rho)))
-    return float(np.sum(weights * (joint - tail**2)))
+
+    def excess(rho):
+        with np.errstate(divide="ignore"):
+            joint = tail - 2.0 * owens_t(level, np.sqrt((1.0 - rho) / (1.0 + rho)))
+        return joint - tail**2
+
+    return _lag_sum(cov, lattice, excess)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,10 @@ def _model_terms(cov, lattice, q: int, orders, tv: bool):
     _check_q(q)
     _check_blocks(cov, lattice)
     if cov.structure != SEPARABLE:
-        variance = math.factorial(q) * _direct_pair_sum(cov, lattice, q)
+        if cov.structure == ADDITIVE:
+            variance = additive_variance(cov, lattice, q).total
+        else:
+            variance = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
         norms = _symmetric_norms(q, orders, lambda r: contraction_norm(cov, lattice, q, r))
         small = q == 3 and len(orders) > 0 and lattice.n_total <= CLIQUE_LIMIT
         clique = _clique_sum(dense_covariance_matrix(cov, lattice)) if small else None
@@ -244,7 +248,7 @@ def _model_terms(cov, lattice, q: int, orders, tv: bool):
     variances, norms, cliques = zip(*factors)
     variance = math.prod(variances) / math.factorial(q) ** (len(factors) - 1)
     if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
-        direct = math.factorial(q) * _direct_pair_sum(cov, lattice, q)
+        direct = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
         if abs(variance - direct) > 1e-9 * max(abs(direct), 1.0):
             raise NumericalError(
                 f"factorized variance {variance!r} disagrees with the "
@@ -353,7 +357,7 @@ def additive_variance(cov: CompositeCovariance, lattice: LatticeSpec,
     terms = {k: math.comb(q, k) ** 2 * v1[k] * v2[q - k] for k in range(q + 1)}
     total = float(sum(terms.values()))
     if all(math.prod(sizes) <= 16 for sizes in lattice.blocks):
-        direct = math.factorial(q) * _direct_pair_sum(cov, lattice, q)
+        direct = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
         if abs(total - direct) > 1e-12 * max(abs(direct), 1.0):
             raise NumericalError(
                 f"additive decomposition total {total!r} disagrees with the "

@@ -91,6 +91,9 @@ def _check_number(check, value, path, kind=float, positive=False, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         check.fail(path, f"expected a number, got {type(value).__name__}")
         return None
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        check.fail(path, f"must be an integer, got {value}")
+        return None
     value = kind(value)
     if positive and value <= 0:
         check.fail(path, f"must be positive, got {value}")

@@ -23,24 +23,19 @@ from scipy.stats import kstest, norm
 
 from . import __version__
 from ._errors import ModelError, NumericalError
-from .chaoscalc import (
-    ChaosReport,
-    additive_variance,
-    chaos_report,
-    fourth_cumulant,
-    variance_indicator,
-    variance_phi,
-)
-from .covariance import ADDITIVE, SEPARABLE, CompositeCovariance
+from .chaoscalc import ChaosReport, chaos_report, fourth_cumulant, variance_phi
+# unused here; perfbench/tracing.py wraps harness.additive_variance by name
+from .chaoscalc import additive_variance  # noqa: F401
+from .covariance import SEPARABLE, CompositeCovariance
 from .fieldsim import LatticeSpec, build_sampler, draw
 from .functionals import evaluate
-from .hermite import INDICATOR, HermiteSpec, hermite_coefficients, hermite_rank
+from .hermite import HermiteSpec, hermite_coefficients, hermite_rank
 
 OUTPUTS = ("normality", "kurtosis_series", "rate_fit", "chaos_reports")
 
-#: indicator and non-separable exact variances walk the full lag grid; past
-#: this many lags the harness standardizes empirically instead of stalling
-_EXACT_LAG_LIMIT = 2**18
+#: a variance is used as exact only when its truncation bound is at most
+#: this fraction of it; otherwise the rung is standardized empirically
+EXACT_RTOL = 1e-9
 
 #: two-sided level of the kurtosis confidence interval and the KS test
 VERDICT_ALPHA = 0.01
@@ -263,26 +258,19 @@ class ExperimentResult:
 
 
 def _exact_moments(cov, lattice, coeffs, phi):
-    """(exact mean, exact variance or None, variance source)."""
+    """(exact mean, exact variance or None, the note saying why it is None)."""
     mean = float(lattice.n_total) * float(coeffs[0])
-    full_grid = phi.kind == INDICATOR or cov.structure not in (SEPARABLE, ADDITIVE)
-    if full_grid and math.prod(2 * n - 1 for n in lattice.all_sizes) > _EXACT_LAG_LIMIT:
-        return mean, None, "empirical"
+    empirical = "standardized by the empirical spread"
     try:
-        if phi.kind == INDICATOR:
-            var = variance_indicator(cov, lattice, phi.level)
-        elif cov.structure == ADDITIVE:
-            rank = hermite_rank(coeffs)
-            var = sum(
-                coeffs[q] ** 2 * additive_variance(cov, lattice, q).total
-                for q in range(rank, len(coeffs))
-                if coeffs[q] != 0.0
-            )
-        else:
-            var = variance_phi(cov, lattice, coeffs, phi=phi).value
+        var = variance_phi(cov, lattice, coeffs, phi=phi)
     except (ModelError, NumericalError):
-        return mean, None, "empirical"
-    return mean, float(var), "exact"
+        return mean, None, f"no closed-form variance for this structure/size: {empirical}"
+    if var.tail_bound > EXACT_RTOL * var.value:
+        return mean, None, (
+            f"chaos sum truncated at q = {len(coeffs) - 1} may miss up to "
+            f"{var.tail_bound:.3g} of its variance {var.value:.6g}: {empirical}"
+        )
+    return mean, var.value, None
 
 
 def _draw_values(config, sampler, rung_index, threads) -> np.ndarray:
@@ -329,16 +317,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             values = _draw_values(config, sampler, idx, threads)
         except (ModelError, NumericalError) as exc:
             raise type(exc)(f"rung {idx} ({tag}): {exc}") from exc
-        exact_mean, exact_var, source = _exact_moments(cov, lattice, coeffs, config.phi)
+        exact_mean, exact_var, why = _exact_moments(cov, lattice, coeffs, config.phi)
         rung_notes = []
-        if source == "exact":
+        if exact_var is not None:
             scale = math.sqrt(exact_var)
         else:
             scale = float(np.std(values, ddof=1))
-            rung_notes.append(
-                "no closed-form variance for this structure/size: "
-                "standardized by the empirical spread"
-            )
+            rung_notes.append(why)
         if not scale > 0.0:
             raise NumericalError(f"rung {idx} ({tag}): degenerate variance")
         stats = normality_report((values - exact_mean) / scale)
@@ -358,7 +343,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                 raw_variance=float(np.var(values, ddof=1)),
                 exact_mean=exact_mean,
                 exact_variance=exact_var,
-                variance_source=source,
+                variance_source="exact" if exact_var is not None else "empirical",
                 gaussian=is_gaussian(stats),
                 chaos=chaos,
                 notes=tuple(rung_notes),

@@ -103,3 +103,22 @@ def test_tracer_wraps_every_layer(tmp_path):
     assert metrics["fieldsim.kept_fraction"] == pytest.approx(200 * 48 / normals)
     assert metrics["fieldsim.sampler_mb"] == pytest.approx(14 * 10 * 8 / 1e6)
     assert metrics["chaoscalc.chaos_report_s"] > 0.0
+
+
+def test_tracer_times_the_indicator_variance(tmp_path):
+    # the harness takes every exact variance through variance_phi, so an
+    # indicator rung records its exact-moments span too
+    tracing = _load_tracing()
+    doc = json.loads(_config("ind", {"structure": "separable",
+                                     "factors": [{"family": "white_noise"}]}, [[16]]))
+    doc["phi"] = {"kind": "indicator", "level": 0.0}
+    path = tmp_path / "ind.yaml"
+    path.write_text(json.dumps(doc))
+    tracer = tracing.Tracer(MODULES)
+    tracer.install()
+    try:
+        argv = ["experiment", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert latfield.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert "harness.exact_moments" in {span[0] for span in tracer.spans}

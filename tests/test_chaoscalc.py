@@ -44,7 +44,7 @@ from latfield.covariance import (
     eval_factor,
 )
 from latfield.fieldsim import LatticeSpec
-from latfield.hermite import INDICATOR, PURE, HermiteSpec, hermite_coefficients
+from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_coefficients
 from latfield.oracle import (
     WickProblem,
     lattice_covariance_matrix,
@@ -296,14 +296,14 @@ def test_variance_phi():
     assert result.value == pytest.approx(variance_hermite(cov, lat, 2), rel=1e-14)
     assert result.tail_bound == 0.0 and result.rank == 2
 
-    # single point, indicator at zero: Parseval sum approaches Var = 1/4
+    # single point, indicator at zero: Var = 1/4 exactly, no truncation
     ind = HermiteSpec(INDICATOR, level=0.0)
     one = LatticeSpec(((1,),))
     unit = _sep(FactorCovariance(FGN, hurst=0.7))
     got = variance_phi(unit, one, hermite_coefficients(ind), phi=ind)
     assert got.rank == 1
-    assert got.tail_bound is not None and 0.0 < got.tail_bound < 0.05
-    assert abs(got.value - 0.25) <= got.tail_bound + 1e-12
+    assert got.tail_bound == 0.0
+    assert abs(got.value - 0.25) <= 1e-12
 
     # a_1 = a_3 = 1 on white noise: n * 1! + n * 3! = 7n
     wn = _sep(FactorCovariance(WHITE_NOISE))
@@ -311,6 +311,39 @@ def test_variance_phi():
     got = variance_phi(wn, LatticeSpec(((11,),)), coeffs)
     assert got.value == pytest.approx(77.0)
     assert got.tail_bound is None
+
+    # tanh has chaoses past qmax = 20: the bound is positive and caps the
+    # distance to a longer chaos sum
+    fgn = _sep(FactorCovariance(FGN, hurst=0.7))
+    lat = LatticeSpec(((50,),))
+    th = HermiteSpec(CUSTOM, func=np.tanh)
+    got = variance_phi(fgn, lat, hermite_coefficients(th), phi=th)
+    longer = variance_phi(fgn, lat, hermite_coefficients(th, qmax=29), phi=th)
+    assert 0.0 < longer.tail_bound < got.tail_bound
+    assert abs(longer.value - got.value) <= got.tail_bound
+
+
+def test_variance_phi_takes_the_exact_indicator_lag_sum():
+    cov = _sep(FactorCovariance(FGN, hurst=0.7), FactorCovariance(CAUCHY, exponent=1.5))
+    lat = LatticeSpec(((40,), (30,)))
+    for level in (0.0, 0.8):
+        ind = HermiteSpec(INDICATOR, level=level)
+        got = variance_phi(cov, lat, hermite_coefficients(ind), phi=ind)
+        assert got.value == variance_indicator(cov, lat, level)
+        assert got.tail_bound == 0.0
+
+
+def test_additive_chaos_variance_is_the_binomial_decomposition():
+    cov = CompositeCovariance(
+        ADDITIVE,
+        (FactorCovariance(CAUCHY, exponent=0.48), FactorCovariance(CAUCHY, exponent=3.0)),
+        weights=(0.1, 0.9),
+    )
+    lat = LatticeSpec(((64,), (23,)))
+    for q in (1, 2, 3):
+        total = additive_variance(cov, lat, q).total
+        assert variance_hermite(cov, lat, q) == total
+        assert chaos_report(cov, lat, q).variance == total
 
 
 def test_reduction_ratio():

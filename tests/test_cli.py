@@ -103,6 +103,34 @@ def test_all_violations_are_collected():
     assert len(err.value.violations) == 3
 
 
+def test_integer_keys_reject_fractional_numbers():
+    bad = (MINIMAL.replace("q: 2", "q: 2.7")
+           .replace("replicates: 120", "replicates: 200.9")
+           .replace("seed: 7", "seed: 11.5")
+           .replace("- [16]", "- [[64.5]]")
+           .replace("family: white_noise", "family: white_noise\n      dim: 1.5"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert sorted(err.value.violations) == sorted([
+        "covariance.factors[0].dim: must be an integer, got 1.5",
+        "phi.q: must be an integer, got 2.7",
+        "lattice.ladder[0][0][0]: must be an integer, got 64.5",
+        "replicates: must be an integer, got 200.9",
+        "seed: must be an integer, got 11.5",
+    ])
+    iso = MINIMAL.replace(
+        "  structure: separable\n  factors:\n    - family: white_noise\n",
+        "  structure: isotropic\n  factors:\n    - family: cauchy\n"
+        "      exponent: 0.5\n      dim: 2\n  block_dims: [1.5, 1]\n",
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(iso)
+    assert err.value.violations == ["covariance.block_dims[0]: must be an integer, got 1.5"]
+    # integral floats are still read as integers
+    config = parse_config(MINIMAL.replace("seed: 7", "seed: 7.0"))
+    assert config.seed == 7 and isinstance(config.seed, int)
+
+
 def test_tabulated_factor_round_trips():
     text = MINIMAL.replace(
         "    - family: white_noise",

@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from latfield import fieldsim
+from latfield import chaoscalc, fieldsim
 from latfield._errors import ModelError, NumericalError
-from latfield.chaoscalc import fourth_cumulant, variance_hermite
+from latfield.chaoscalc import fourth_cumulant, variance_hermite, variance_phi
 from latfield.covariance import (
     ADDITIVE,
     SEPARABLE,
@@ -23,7 +23,7 @@ from latfield.harness import (
     rate_fit,
     run_experiment,
 )
-from latfield.hermite import HermiteSpec
+from latfield.hermite import HermiteSpec, hermite_coefficients
 
 
 def pure(q):
@@ -320,9 +320,10 @@ def test_indicator_variance_is_exact():
     assert abs(rung.stats.variance - 1.0) < 5 * rung.stats.variance_se
 
 
-def test_empirical_fallback_is_flagged():
-    # isotropic models have no factorized variance, and past the lag-grid
-    # budget the harness standardizes by the empirical spread instead
+def test_empirical_fallback_is_flagged(monkeypatch):
+    # isotropic models have no factorized variance, and past the lag-sum
+    # budget the harness standardizes by the empirical spread instead; the
+    # 300x300 rung has 599^2 = 358 801 lags
     cov = CompositeCovariance(
         "isotropic",
         (FactorCovariance("cauchy", exponent=1.5, dim=2),),
@@ -337,6 +338,11 @@ def test_empirical_fallback_is_flagged():
         replicates=150,
         seed=6,
     )
+    unlimited = run_experiment(config).rungs[1]
+    assert unlimited.variance_source == "exact"
+    assert unlimited.exact_variance == variance_hermite(cov, big, 2)
+
+    monkeypatch.setattr(chaoscalc, "_DIRECT_LAG_LIMIT", 2**18)
     result = run_experiment(config)
     exact_rung, empirical_rung = result.rungs
     assert exact_rung.variance_source == "exact"
@@ -345,6 +351,29 @@ def test_empirical_fallback_is_flagged():
     assert empirical_rung.exact_variance is None
     assert any("empirical" in note for note in empirical_rung.notes)
     assert empirical_rung.stats.variance == pytest.approx(1.0, rel=1e-9)
+
+
+def test_custom_phi_is_exact_only_when_its_chaos_sum_is_complete():
+    cov = separable(FactorCovariance("fgn", hurst=0.7))
+    # H_3 written as a callable: a complete chaos sum, so exact
+    h3 = HermiteSpec("custom", func=lambda x: x**3 - 3.0 * x)
+    config = ExperimentConfig(covariance=cov, phi=h3, ladder=(lattice(200),),
+                              replicates=200, seed=3)
+    rung = run_experiment(config).rungs[0]
+    assert rung.variance_source == "exact"
+    assert rung.exact_variance == pytest.approx(variance_hermite(cov, lattice(200), 3),
+                                                rel=1e-12)
+    # tanh's chaos sum stops at q = 20 with a tail bound of 3.29 against a
+    # variance of 5844: too loose to call exact
+    tanh = HermiteSpec("custom", func=np.tanh)
+    config = ExperimentConfig(covariance=cov, phi=tanh, ladder=(lattice(1000),),
+                              replicates=200, seed=3)
+    rung = run_experiment(config).rungs[0]
+    bound = variance_phi(cov, lattice(1000), hermite_coefficients(tanh), phi=tanh).tail_bound
+    assert bound > 1e-9 * 5844.0
+    assert rung.variance_source == "empirical"
+    assert rung.exact_variance is None
+    assert any(f"{bound:.3g}" in note for note in rung.notes)
 
 
 def test_variance_bridge_on_a_correlated_model():
