@@ -6,11 +6,14 @@ contraction norms of its kernel, the fourth cumulant of the normalized
 functional, the total-variation bound against the Gaussian, the additive
 variance decomposition, gamma quotients, and the rank-reduction ratio.
 
-The workhorse identity: pair sums over a rectangular window of sizes n_j
-collapse to lag sums, sum_z W(z) C(z)^q with weight W(z) = prod_j (n_j -
-|z_j|).  Contraction norms collapse to traces of Hadamard-power matrix
-products: with A = M^(.r) and B = M^(.(q-r)) elementwise,
-||f (x)_r f||^2 = trace((A B)^2).
+Two kernels give every exact value.  The lag window (_lag_window): pair
+sums over a window of sizes n_j collapse to lag sums sum_z W(z) g(C(z))
+with W(z) = prod_j (n_j - |z_j|), which factor over separable blocks and
+split binomially over additive ones.  One covariance matrix M per block
+(_matrix_terms): with A = M^(.r) and B = M^(.(q-r)) elementwise,
+||f (x)_r f||^2 = trace((A B)^2), and the q = 3 fourth cumulant adds the
+4-clique diagram sum of M (Peccati & Taqqu 2011, Wiener Chaos: Moments,
+Cumulants and Diagrams).
 """
 from __future__ import annotations
 
@@ -39,7 +42,8 @@ from .hermite import INDICATOR, hermite_rank, phi_second_moment
 MAX_CHAOS_ORDER = 30
 #: largest per-factor point count for the exact q=3 clique sum (cost n^4)
 CLIQUE_LIMIT = 256
-#: factorized results self-check against the direct lag sum below this size
+#: factorized variances self-check against the direct lag sum on windows
+#: of at most this many lags
 _VAR_CHECK_LAGS = 20_000
 _DIRECT_LAG_LIMIT = 2**24
 
@@ -53,22 +57,18 @@ def _check_q(q: int):
         )
 
 
-def _lag_grid(sizes):
-    """All window lags (rows) with their pair weights prod_j (n_j - |z_j|)."""
+def _lag_window(model, sizes):
+    """(C(z), W(z)) over every lag z of a window of sizes n_j, in axis-major
+    order: the covariance of ``model`` (a factor or a composite), evaluated
+    once, and the pair weight W(z) = prod_j (n_j - |z_j|)."""
     axes = [np.arange(-(n - 1), n) for n in sizes]
     lags = _grid_vectors(axes).reshape(-1, len(sizes))
     weights = None
     for n, ax in zip(sizes, axes):
         wa = (n - np.abs(ax)).astype(float)
         weights = wa if weights is None else np.multiply.outer(weights, wa)
-    return lags, weights.ravel()
-
-
-def _factor_pair_sum(factor: FactorCovariance, sizes, k: int) -> float:
-    """S(k) = sum_z W(z) K(z)^k over the lag window of one block."""
-    lags, weights = _lag_grid(sizes)
-    vals = _lag_values(factor, lags)
-    return float(np.sum(weights * vals**k))
+    evaluate = _lag_values if isinstance(model, FactorCovariance) else composite_values
+    return evaluate(model, lags), weights.ravel()
 
 
 def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g) -> float:
@@ -81,8 +81,24 @@ def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g) -> float:
             f"direct lag sum over {count} lags is too large; "
             "use a factorized structure or a smaller window"
         )
-    lags, weights = _lag_grid(sizes)
-    return float(np.sum(weights * g(composite_values(cov, lags))))
+    values, weights = _lag_window(cov, sizes)
+    return float(np.sum(weights * g(values)))
+
+
+def _checked_variance(cov, lattice, q: int, variance: float) -> float:
+    """A factorized Var(Y[q]), checked against the direct lag sum on windows
+    of at most _VAR_CHECK_LAGS lags, to 1e-12 relative to the sum of the
+    terms' magnitudes, q! sum_z W(z) |C(z)|^q: the scale of the rounding in
+    either sum, and the sum itself unless odd q meets negative C."""
+    if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
+        direct = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
+        scale = math.factorial(q) * _lag_sum(cov, lattice, lambda c: np.abs(c) ** q)
+        if abs(variance - direct) > 1e-12 * scale:
+            raise NumericalError(
+                f"factorized variance {variance!r} disagrees with the "
+                f"direct lag sum {direct!r}"
+            )
+    return variance
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +107,7 @@ def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g) -> float:
 
 def variance_hermite(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
     """Var(Y[q]) = q! sum over lattice pairs of C^q, exactly."""
-    return _model_terms(cov, lattice, q, (), tv=False)[0][0]
+    return _model_terms(cov, lattice, q, ())[0][0]
 
 
 @dataclass(frozen=True)
@@ -171,41 +187,6 @@ def _trace_abab(m: np.ndarray, q: int, r: int) -> float:
     return float(np.einsum("ij,ji->", ab, ab))
 
 
-def _factor_contraction(factor, sizes, q, r) -> float:
-    n = int(math.prod(sizes))
-    if n > DENSE_LIMIT:
-        raise ModelError(
-            f"contraction norms are capped at {DENSE_LIMIT} points per factor "
-            f"({n} requested)"
-        )
-    return _trace_abab(_factor_matrix(factor, sizes), q, r)
-
-
-def _symmetric_norms(q: int, orders, norm_at) -> dict:
-    """{r: norm_at(r)}, r > q/2 reusing q - r: trace((AB)^2) = trace((BA)^2)."""
-    norms = {}
-    for r in orders:
-        norms[r] = norms[q - r] if q - r in norms else norm_at(r)
-    return norms
-
-
-def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
-                     q: int, r: int) -> float:
-    """||f (x)_r f||^2 for the kernel of Y[q]; factorizes over blocks."""
-    _check_q(q)
-    if not 1 <= r <= q - 1:
-        raise ModelError("contraction order r must satisfy 1 <= r <= q-1")
-    _check_blocks(cov, lattice)
-    if cov.structure == SEPARABLE:
-        return math.prod(
-            _factor_contraction(f, s, q, r) for f, s in zip(cov.factors, lattice.blocks))
-    return _trace_abab(dense_covariance_matrix(cov, lattice), q, r)
-
-
-# ---------------------------------------------------------------------------
-# fourth cumulant and the TV bound
-
-
 def _clique_sum(matrix: np.ndarray) -> float:
     """Sum over point 4-tuples of the product of all six pair covariances."""
     total = 0.0
@@ -215,48 +196,84 @@ def _clique_sum(matrix: np.ndarray) -> float:
     return total
 
 
-def _factor_terms(factor, sizes, q: int, orders, with_clique: bool):
-    """One factor's (variance q! S(q), {r: ||f (x)_r f||^2 for r in orders},
-    clique sum) on its own block window; the clique sum is None unless asked
-    for and the window has at most CLIQUE_LIMIT points."""
-    small = with_clique and math.prod(sizes) <= CLIQUE_LIMIT
-    clique = _clique_sum(_factor_matrix(factor, sizes)) if small else None
-    norms = _symmetric_norms(q, orders, lambda r: _factor_contraction(factor, sizes, q, r))
-    return math.factorial(q) * _factor_pair_sum(factor, sizes, q), norms, clique
+def _matrix_terms(m: np.ndarray, q: int, orders, clique: bool):
+    """({r: trace((AB)^2) for r in orders}, clique sum of M if asked, else
+    None) from one covariance matrix M; r > q/2 reuses q - r, as
+    trace((AB)^2) = trace((BA)^2)."""
+    norms = {}
+    for r in orders:
+        norms[r] = norms[q - r] if q - r in norms else _trace_abab(m, q, r)
+    return norms, (_clique_sum(m) if clique else None)
 
 
-def _model_terms(cov, lattice, q: int, orders, tv: bool):
-    """The model's (variance, norms, clique sum) as in _factor_terms, plus the
-    factor terms of a separable model (else None), whose products make the
-    model's terms.  The model's clique sum needs every factor's; ``tv`` asks
-    for each factor's own too, for the per-factor kappa_4 of the TV bound."""
+def _contraction_terms(cov, lattice, q: int, orders, cliques):
+    """The model's _matrix_terms, plus each factor's for a separable model
+    (else None), whose products make the model's.  Each block's matrix is
+    built once, if ``orders`` is non-empty: a separable model's factor
+    matrices (DENSE_LIMIT points each), else the full-lattice one.
+    ``cliques`` asks for the q = 3 clique sums of blocks of at most
+    CLIQUE_LIMIT points: "model" for the model's, which needs every
+    factor's; "factors" for each factor's own too (the TV bound); None."""
+    separable = cov.structure == SEPARABLE
+    if not orders:
+        return ({}, None), ([({}, None)] * len(cov.factors) if separable else None)
+    want = q == 3 and cliques is not None
+    if not separable:
+        matrix = dense_covariance_matrix(cov, lattice)
+        return _matrix_terms(matrix, q, orders, want and lattice.n_total <= CLIQUE_LIMIT), None
+    points = [math.prod(sizes) for sizes in lattice.blocks]
+    if cliques == "model" and max(points) > CLIQUE_LIMIT:
+        want = False  # the model's clique sum needs every factor's
+    factors = []
+    for factor, sizes, n in zip(cov.factors, lattice.blocks, points):
+        if n > DENSE_LIMIT:
+            raise ModelError(
+                f"contraction norms are capped at {DENSE_LIMIT} points per factor "
+                f"({n} requested)"
+            )
+        matrix = _factor_matrix(factor, sizes)
+        factors.append(_matrix_terms(matrix, q, orders, want and n <= CLIQUE_LIMIT))
+    norms, sums = zip(*factors)
+    model = ({r: math.prod(n[r] for n in norms) for r in orders},
+             None if None in sums else math.prod(sums))
+    return model, factors
+
+
+def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
+                     q: int, r: int) -> float:
+    """||f (x)_r f||^2 for the kernel of Y[q]; factorizes over blocks."""
+    _check_q(q)
+    if not 1 <= r <= q - 1:
+        raise ModelError("contraction order r must satisfy 1 <= r <= q-1")
+    _check_blocks(cov, lattice)
+    return _contraction_terms(cov, lattice, q, (r,), None)[0][0][r]
+
+
+# ---------------------------------------------------------------------------
+# fourth cumulant and the TV bound
+
+
+def _model_terms(cov, lattice, q: int, orders, cliques=None):
+    """The model's (variance, norms, clique sum), plus each factor's on its
+    own block window for a separable model (else None); ``orders`` and
+    ``cliques`` as in _contraction_terms.  Factorized variances, separable
+    and additive, are checked against the direct lag sum."""
     _check_q(q)
     _check_blocks(cov, lattice)
-    if cov.structure != SEPARABLE:
-        if cov.structure == ADDITIVE:
-            variance = additive_variance(cov, lattice, q).total
-        else:
-            variance = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
-        norms = _symmetric_norms(q, orders, lambda r: contraction_norm(cov, lattice, q, r))
-        small = q == 3 and len(orders) > 0 and lattice.n_total <= CLIQUE_LIMIT
-        clique = _clique_sum(dense_covariance_matrix(cov, lattice)) if small else None
-        return (variance, norms, clique), None
-    with_cliques = q == 3 and len(orders) > 0 and (
-        tv or all(math.prod(s) <= CLIQUE_LIMIT for s in lattice.blocks))
-    factors = [_factor_terms(f, s, q, orders, with_cliques)
-               for f, s in zip(cov.factors, lattice.blocks)]
-    variances, norms, cliques = zip(*factors)
-    variance = math.prod(variances) / math.factorial(q) ** (len(factors) - 1)
-    if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
-        direct = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
-        if abs(variance - direct) > 1e-9 * max(abs(direct), 1.0):
-            raise NumericalError(
-                f"factorized variance {variance!r} disagrees with the "
-                f"direct lag sum {direct!r}"
-            )
-    norms = {r: math.prod(n[r] for n in norms) for r in orders}
-    clique = None if None in cliques else math.prod(cliques)
-    return (variance, norms, clique), factors
+    if cov.structure == SEPARABLE:
+        model, blocks = _contraction_terms(cov, lattice, q, orders, cliques)
+        variances = []
+        for factor, sizes in zip(cov.factors, lattice.blocks):
+            values, weights = _lag_window(factor, sizes)
+            variances.append(math.factorial(q) * float(np.sum(weights * values**q)))
+        variance = math.prod(variances) / math.factorial(q) ** (len(variances) - 1)
+        variance = _checked_variance(cov, lattice, q, variance)
+        return (variance, *model), [(v, *b) for v, b in zip(variances, blocks)]
+    if cov.structure == ADDITIVE:
+        variance = additive_variance(cov, lattice, q).total
+    else:
+        variance = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
+    return (variance, *_contraction_terms(cov, lattice, q, orders, cliques)[0]), None
 
 
 def _kappa4(q: int, variance: float, norms: dict, clique: Optional[float]):
@@ -291,7 +308,7 @@ def fourth_cumulant(cov: CompositeCovariance, lattice: LatticeSpec, q: int):
     """kappa_4 of Y[q]/sqrt(Var) and its exact flag; see _kappa4."""
     if q == 1:
         return 0.0, True
-    terms, _ = _model_terms(cov, lattice, q, range(1, 2 if q <= 3 else q), tv=False)
+    terms, _ = _model_terms(cov, lattice, q, range(1, 2 if q <= 3 else q), "model")
     return _kappa4(q, *terms)
 
 
@@ -322,7 +339,7 @@ def tv_bound(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
         raise ModelError("the TV bound applies to separable covariances only")
     if q < 2:
         raise ModelError("the TV bound needs q >= 2")
-    _, factors = _model_terms(cov, lattice, q, range(1, 2 if q <= 3 else q), tv=True)
+    _, factors = _model_terms(cov, lattice, q, range(1, 2 if q <= 3 else q), "factors")
     return _tv(q, factors)
 
 
@@ -338,31 +355,20 @@ class AdditiveVariance:
     total: float
 
 
-def _block_moment(factor, sizes, weight, k: int) -> float:
-    """V(k) = k! sum over block pairs of (w K)^k; V(0) = volume^2."""
-    if k == 0:
-        return float(math.prod(sizes)) ** 2
-    return math.factorial(k) * weight**k * _factor_pair_sum(factor, sizes, k)
-
-
 def additive_variance(cov: CompositeCovariance, lattice: LatticeSpec,
                       q: int) -> AdditiveVariance:
     if cov.structure != ADDITIVE:
         raise ModelError("additive_variance requires an additive covariance")
     _check_q(q)
     _check_blocks(cov, lattice)
-    (f1, f2), (w1, w2) = cov.factors, cov.weights
-    v1 = [_block_moment(f1, lattice.blocks[0], w1, k) for k in range(q + 1)]
-    v2 = [_block_moment(f2, lattice.blocks[1], w2, k) for k in range(q + 1)]
+    v1, v2 = [], []  # V(k) = k! sum over block pairs of (w K)^k; V(0) = volume^2
+    for v, factor, sizes, weight in zip((v1, v2), cov.factors, lattice.blocks, cov.weights):
+        values, weights = _lag_window(factor, sizes)
+        v.append(float(math.prod(sizes)) ** 2)
+        v.extend(math.factorial(k) * weight**k * float(np.sum(weights * values**k))
+                 for k in range(1, q + 1))
     terms = {k: math.comb(q, k) ** 2 * v1[k] * v2[q - k] for k in range(q + 1)}
-    total = float(sum(terms.values()))
-    if all(math.prod(sizes) <= 16 for sizes in lattice.blocks):
-        direct = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
-        if abs(total - direct) > 1e-12 * max(abs(direct), 1.0):
-            raise NumericalError(
-                f"additive decomposition total {total!r} disagrees with the "
-                f"direct lag sum {direct!r}"
-            )
+    total = _checked_variance(cov, lattice, q, float(sum(terms.values())))
     return AdditiveVariance(terms=terms, total=total)
 
 
@@ -383,9 +389,9 @@ def gamma_quotient(factor: FactorCovariance, sizes, q: int,
     _check_q(q)
     sizes = tuple(int(n) for n in sizes)
     vol = float(math.prod(sizes))
-    exact = weight**q * _factor_pair_sum(factor, sizes, q) / vol**2
-    lags, _ = _lag_grid(sizes)
-    plain = float(np.sum(_lag_values(factor, lags) ** q))
+    values, weights = _lag_window(factor, sizes)
+    exact = weight**q * float(np.sum(weights * values**q)) / vol**2
+    plain = float(np.sum(values**q))
     return GammaQuotient(exact=exact, surrogate=weight**q * plain / vol)
 
 
@@ -415,7 +421,7 @@ class ChaosReport:
 def chaos_report(cov: CompositeCovariance, lattice: LatticeSpec,
                  q: int) -> ChaosReport:
     """All diagnostics for one chaos order, ready for serialization."""
-    terms, factors = _model_terms(cov, lattice, q, range(1, q), tv=True)
+    terms, factors = _model_terms(cov, lattice, q, range(1, q), "factors")
     k4, exact = _kappa4(q, *terms)
     notes = []
     if not exact:

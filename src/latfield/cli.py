@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -100,6 +101,9 @@ def _check_number(check, value, path, kind=float, positive=False, minimum=None):
         return None
     if minimum is not None and value < minimum:
         check.fail(path, f"must be at least {minimum}, got {value}")
+        return None
+    if isinstance(value, float) and not math.isfinite(value):
+        check.fail(path, f"must be a finite number, got {value}")
         return None
     return value
 
@@ -403,7 +407,10 @@ def _factor_doc(factor: FactorCovariance) -> dict:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """YAML text that parses back to an equivalent config."""
+    """YAML text that parses back to an equivalent config; ModelError for a
+    custom phi, which has no config form."""
+    if config.phi.kind not in (PURE, INDICATOR):
+        raise ModelError(f"a {config.phi.kind} phi has no config form")
     cov = config.covariance
     cov_doc = {
         "structure": cov.structure,
@@ -489,13 +496,13 @@ _CSV_COLUMNS = (
 def persist_result(result, out_dir, config: Optional[ExperimentConfig] = None,
                    started: Optional[str] = None) -> RunManifest:
     """Write the result JSON, the rung CSV, and the manifest; append-only."""
+    doc = _doc(result)
+    if config is not None:  # before any write: a custom phi cannot be stored
+        doc["config"] = yaml.safe_load(serialize_config(config))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = result.label or "run"
     paths = _reserve(out_dir, stem, (".json", ".csv", ".manifest.json"))
-    doc = _doc(result)
-    if config is not None:
-        doc["config"] = yaml.safe_load(serialize_config(config))
     paths[".json"].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     with paths[".csv"].open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -15,6 +15,7 @@ taken as granted for the family.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +39,11 @@ _STRUCTURES = (SEPARABLE, GNEITING, ADDITIVE, ISOTROPIC)
 
 #: relative slack on an exact nonnegative embedding spectrum
 SPECTRUM_TOL = 1e-10
+
+
+def _require_finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise ModelError(f"{name} must be a finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +70,11 @@ class FactorCovariance:
         elif self.family == CAUCHY:
             if self.exponent is None or self.exponent <= 0.0:
                 raise ModelError("cauchy requires exponent > 0")
+            _require_finite("cauchy exponent", self.exponent)
         elif self.family == EXPONENTIAL:
             if self.scale is None or self.scale <= 0.0:
                 raise ModelError("exponential requires scale > 0")
+            _require_finite("exponential scale", self.scale)
         elif self.family == TABULATED:
             if not self.table:
                 raise ModelError("tabulated requires a nonempty lag table")
@@ -79,6 +87,7 @@ class FactorCovariance:
                         f"tabulated lag {key} has length {len(key)}, expected {self.dim}"
                     )
                 frozen[key] = float(value)
+                _require_finite(f"tabulated value at lag {key}", frozen[key])
             object.__setattr__(self, "table", frozen)
 
 
@@ -120,7 +129,7 @@ class CompositeCovariance:
             if self.weights is None or len(self.weights) != 2:
                 raise ModelError("additive requires weights (w1, w2)")
             w = tuple(float(x) for x in self.weights)
-            if min(w) <= 0.0 or abs(sum(w) - 1.0) > 1e-12:
+            if not (min(w) > 0.0 and abs(sum(w) - 1.0) <= 1e-12):  # NaN fails
                 raise ModelError("additive weights must be positive and sum to 1")
             object.__setattr__(self, "weights", w)
         if self.structure == ISOTROPIC:

@@ -65,6 +65,8 @@ class HermiteSpec:
         elif self.kind == INDICATOR:
             if self.level is None:
                 raise ModelError("indicator spec requires a level")
+            if not math.isfinite(self.level):
+                raise ModelError(f"indicator level must be a finite number, got {self.level}")
         elif self.kind == CUSTOM:
             if self.func is None:
                 raise ModelError("custom spec requires a callable")

@@ -16,14 +16,13 @@ from typing import Optional
 import numpy as np
 
 from ._errors import ModelError
-from .chaoscalc import gamma_quotient
+from .chaoscalc import _DIRECT_LAG_LIMIT, _lag_window, gamma_quotient
 from .covariance import (
     ADDITIVE,
     GNEITING,
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
-    _grid_vectors,
     _lag_values,
     decay_exponent,
     is_nonnegative,
@@ -36,8 +35,6 @@ CENTRAL = "central"
 NONCENTRAL = "noncentral"
 ADDITIVE_CONDITIONAL = "additive_conditional"
 NOT_COVERED = "not_covered"
-
-_BOX_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -70,20 +67,6 @@ class Sigma2:
     value: float
     tail_estimate: float
     radius: int
-
-
-def _box_lags(dim: int, radius: int) -> np.ndarray:
-    count = (2 * radius + 1) ** dim
-    if count > _BOX_LIMIT:
-        raise ModelError(
-            f"lag box with {count} points is too large; reduce the radius"
-        )
-    return _grid_vectors([np.arange(-radius, radius + 1)] * dim).reshape(-1, dim)
-
-
-def _lag_power_sum(factor: FactorCovariance, radius: int, q: int) -> float:
-    lags = _box_lags(factor.dim, radius)
-    return float(np.sum(_lag_values(factor, lags) ** q))
 
 
 def _tail_estimate(factor: FactorCovariance, radius: int, q: int) -> float:
@@ -122,12 +105,20 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
                 f"factor {i} ({factor.family}) is not summable at power "
                 f"{rank}: the limiting variance diverges"
             )
+    boxes = []  # C(z) for |z_j| <= radius: the lags of a (radius + 1)-point window
+    for factor in factors:
+        count = (2 * radius + 1) ** factor.dim
+        if count > _DIRECT_LAG_LIMIT:
+            raise ModelError(
+                f"lag box with {count} points is too large; reduce the radius"
+            )
+        boxes.append(_lag_window(factor, (radius + 1,) * factor.dim)[0])
     value = 0.0
     tail = 0.0
     for q in range(rank, len(coeffs)):
         if coeffs[q] == 0.0:
             continue
-        sums = [_lag_power_sum(f, radius, q) for f in factors]
+        sums = [float(np.sum(box**q)) for box in boxes]
         tails = [_tail_estimate(f, radius, q) for f in factors]
         prod = math.prod(sums)
         value += coeffs[q] ** 2 * math.factorial(q) * prod

@@ -15,7 +15,7 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from latfield import chaoscalc
-from latfield._errors import ModelError
+from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import (
     AdditiveVariance,
     ChaosReport,
@@ -459,18 +459,57 @@ def test_chaos_report(monkeypatch):
 
     # each factor's contraction is computed once per report
     calls = []
-    original = chaoscalc._factor_contraction
+    original = chaoscalc._trace_abab
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(chaoscalc, "_factor_contraction", counted)
+    monkeypatch.setattr(chaoscalc, "_trace_abab", counted)
     # r and q - r share one norm, so only r <= q/2 is computed per factor
     for q, want in ((2, 2), (3, 2), (4, 4)):
         calls.clear()
         chaos_report(long_short, LatticeSpec(((64,), (16,))), q)
         assert len(calls) == want, q
+
+
+def test_non_separable_report_builds_one_dense_matrix(monkeypatch):
+    # contraction norms and the clique sum come from one full-lattice matrix
+    calls = []
+    original = chaoscalc.dense_covariance_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(chaoscalc, "dense_covariance_matrix", counted)
+    gneiting = CompositeCovariance(
+        GNEITING, (FactorCovariance(CAUCHY, exponent=1.0), FactorCovariance(CAUCHY, exponent=0.7)))
+    additive = CompositeCovariance(
+        ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.5), FactorCovariance(FGN, hurst=0.7)),
+        weights=(0.4, 0.6))
+    for cov in (gneiting, additive):
+        for q in (3, 4, 6):
+            calls.clear()
+            chaos_report(cov, LatticeSpec(((6,), (5,))), q)
+            assert len(calls) == 1, (cov.structure, q)
+
+
+def test_factorized_variances_are_checked_against_the_lag_sum(monkeypatch):
+    lat = LatticeSpec(((64,), (23,)))
+    sep = _sep(FactorCovariance(FGN, hurst=0.7), FactorCovariance(CAUCHY, exponent=0.5))
+    add = CompositeCovariance(
+        ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.48), FactorCovariance(CAUCHY, exponent=3.0)),
+        weights=(0.1, 0.9))
+    variance_hermite(sep, lat, 2)
+    additive_variance(add, lat, 2)
+    # a direct lag sum off by 1e-10 relative is caught for both structures
+    original = chaoscalc._lag_sum
+    monkeypatch.setattr(chaoscalc, "_lag_sum", lambda *args: original(*args) * (1.0 + 1e-10))
+    with pytest.raises(NumericalError, match="direct lag sum"):
+        variance_hermite(sep, lat, 2)
+    with pytest.raises(NumericalError, match="direct lag sum"):
+        additive_variance(add, lat, 2)
 
 
 def test_variance_indicator():

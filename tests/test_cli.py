@@ -1,8 +1,11 @@
+import dataclasses
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from latfield._errors import ConfigError
+from latfield._errors import ConfigError, ModelError
 from latfield.cli import (
     main,
     parse_config,
@@ -10,6 +13,7 @@ from latfield.cli import (
     serialize_config,
 )
 from latfield.harness import config_fingerprint, run_experiment
+from latfield.hermite import HermiteSpec
 
 MINIMAL = """\
 schema: 1
@@ -131,6 +135,35 @@ def test_integer_keys_reject_fractional_numbers():
     assert config.seed == 7 and isinstance(config.seed, int)
 
 
+def test_float_keys_reject_non_finite_numbers():
+    # every violation is reported in one pass, each with its path
+    bad = (ADDITIVE.replace("exponent: 0.48", "exponent: .nan")
+           .replace("exponent: 3.0", "exponent: .inf")
+           .replace("growth: [1.0, 0.75]", "growth: [.nan, .inf]"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert sorted(err.value.violations) == sorted([
+        "covariance.factors[0].exponent: must be a finite number, got nan",
+        "covariance.factors[1].exponent: must be a finite number, got inf",
+        "growth[0]: must be a finite number, got nan",
+        "growth[1]: must be a finite number, got inf",
+    ])
+    with pytest.raises(ConfigError) as err:
+        parse_config(ADDITIVE.replace("weights: [0.1, 0.9]", "weights: [.nan, 0.9]"))
+    assert err.value.violations == ["covariance.weights[0]: must be a finite number, got nan"]
+    for factor, path in (("family: exponential\n      scale: .nan", "scale"),
+                         ("family: tabulated\n      table:\n        - {lag: 0, value: .inf}",
+                          "table[0].value")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("family: white_noise", factor))
+        assert err.value.violations[0].startswith(f"covariance.factors[0].{path}: "
+                                                  "must be a finite number")
+    for level, shown in ((".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("kind: pure\n  q: 2", f"kind: indicator\n  level: {level}"))
+        assert err.value.violations == [f"phi.level: must be a finite number, got {shown}"]
+
+
 def test_tabulated_factor_round_trips():
     text = MINIMAL.replace(
         "    - family: white_noise",
@@ -153,10 +186,10 @@ def test_persist_is_append_only(tmp_path):
     assert first.result_path != second.result_path
     assert second.result_path.endswith("smoke-2.json")
     for manifest in (first, second):
-        doc = json.loads(open(manifest.result_path).read())
+        doc = json.loads(Path(manifest.result_path).read_text())
         assert doc["config_hash"] == manifest.config_hash
         # CSV: header plus one row per rung
-        lines = open(manifest.csv_path).read().strip().splitlines()
+        lines = Path(manifest.csv_path).read_text().strip().splitlines()
         assert len(lines) == 1 + len(config.ladder)
         assert lines[0].startswith("n,mean,variance,skewness,kurtosis")
 
@@ -165,7 +198,7 @@ def test_manifest_hash_recomputes_from_the_stored_config(tmp_path):
     config = parse_config(MINIMAL)
     result = run_experiment(config)
     manifest = persist_result(result, tmp_path, config=config)
-    doc = json.loads(open(manifest.result_path).read())
+    doc = json.loads(Path(manifest.result_path).read_text())
     import yaml
 
     rebuilt = parse_config(yaml.safe_dump(doc["config"]))
@@ -176,10 +209,24 @@ def test_result_json_has_no_timestamps(tmp_path):
     config = parse_config(MINIMAL)
     result = run_experiment(config)
     manifest = persist_result(result, tmp_path, config=config)
-    text = open(manifest.result_path).read()
+    text = Path(manifest.result_path).read_text()
     assert "started" not in text and "finished" not in text
-    mdoc = json.loads(open(manifest.manifest_path).read())
+    mdoc = json.loads(Path(manifest.manifest_path).read_text())
     assert mdoc["started"] and mdoc["finished"]
+
+
+def test_a_custom_phi_config_is_not_stored(tmp_path):
+    # a custom phi has no config form, so its result would carry a config
+    # that cannot be parsed back: refused before anything is written
+    config = dataclasses.replace(parse_config(MINIMAL),
+                                 phi=HermiteSpec("custom", func=np.tanh))
+    with pytest.raises(ModelError, match="custom phi has no config form"):
+        serialize_config(config)
+    result = run_experiment(config)
+    out = tmp_path / "out"
+    with pytest.raises(ModelError, match="custom phi"):
+        persist_result(result, out, config=config)
+    assert not out.exists()
 
 
 def test_experiment_command_end_to_end(tmp_path, capsys):

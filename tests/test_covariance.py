@@ -66,6 +66,19 @@ def test_factor_input_validation():
         eval_factor(tab, (2,))  # missing lag
 
 
+def test_constructors_reject_non_finite_parameters():
+    nan, inf = float("nan"), float("inf")
+    for kwargs in ({"family": "cauchy", "exponent": nan}, {"family": "cauchy", "exponent": inf},
+                   {"family": "exponential", "scale": nan},
+                   {"family": "exponential", "scale": inf},
+                   {"family": "tabulated", "table": {(0,): 1.0, (1,): nan}}):
+        with pytest.raises(ModelError, match="finite"):
+            FactorCovariance(**kwargs)
+    for weights in ((nan, 0.9), (0.1, nan), (nan, nan)):
+        with pytest.raises(ModelError, match="weights"):
+            CompositeCovariance(ADDITIVE, (_cauchy(1.0), _fgn(0.6)), weights=weights)
+
+
 def test_separable_product_law():
     f1, f2 = _fgn(0.7), _cauchy(1.2, dim=2)
     cov = CompositeCovariance(SEPARABLE, (f1, f2))

@@ -119,5 +119,8 @@ def test_spec_validation():
         HermiteSpec("pure", q=25)
     with pytest.raises(ModelError):
         HermiteSpec("indicator")
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelError, match="finite"):
+            HermiteSpec("indicator", level=level)
     with pytest.raises(ModelError):
         HermiteSpec("sine")

@@ -11,6 +11,7 @@ from latfield.covariance import (
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
+    eval_factor,
 )
 from latfield.ratelab import (
     ADDITIVE_CONDITIONAL,
@@ -168,6 +169,21 @@ def test_sigma2_matches_direct_sum():
 
     direct = 2.0 * np.sum(_lag_values(factor, lags) ** 2)
     assert out.value == pytest.approx(direct)
+
+
+def test_sigma2_matches_direct_sum_on_a_2d_factor():
+    # the box |z_j| <= radius of a 2-D factor, alone and times a 1-D factor
+    plane, line = cauchy(5.0, dim=2), fgn(0.3)
+    radius, coeffs = 12, [0.0, 0.0, 1.0, 0.5]
+    box = range(-radius, radius + 1)
+    plane_vals = np.array([eval_factor(plane, (a, b)) for a in box for b in box])
+    line_vals = np.array([eval_factor(line, (a,)) for a in box])
+    for factors, sums in (((plane,), lambda q: np.sum(plane_vals**q)),
+                          ((plane, line), lambda q: np.sum(plane_vals**q) * np.sum(line_vals**q))):
+        want = sum(a**2 * math.factorial(q) * sums(q) for q, a in enumerate(coeffs) if a)
+        out = breuer_major_sigma2(factors, coeffs, radius=radius)
+        assert out.value == pytest.approx(want, rel=1e-12)
+        assert out.radius == radius
 
 
 def test_sigma2_radius_stability():
