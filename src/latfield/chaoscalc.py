@@ -9,11 +9,15 @@ variance decomposition, gamma quotients, and the rank-reduction ratio.
 Two kernels give every exact value.  The lag window (_lag_window): pair
 sums over a window of sizes n_j collapse to lag sums sum_z W(z) g(C(z))
 with W(z) = prod_j (n_j - |z_j|), which factor over separable blocks and
-split binomially over additive ones.  One covariance matrix M per block
-(_matrix_terms): with A = M^(.r) and B = M^(.(q-r)) elementwise,
+split binomially over additive ones.  One covariance block per factor
+(_block_terms): with A = M^(.r) and B = M^(.(q-r)) elementwise,
 ||f (x)_r f||^2 = trace((A B)^2), and the q = 3 fourth cumulant adds the
 4-clique diagram sum of M (Peccati & Taqqu 2011, Wiener Chaos: Moments,
-Cumulants and Diagrams).
+Cumulants and Diagrams).  A 1-D factor's M is symmetric Toeplitz, so its
+norms come from its first column alone, row by row through the
+displacement recurrence of A B (Kailath & Sayed 1995), in O(n^2) time
+and O(n) memory; multi-D factors and the full-lattice matrix of a
+non-separable model take dense products.
 """
 from __future__ import annotations
 
@@ -171,10 +175,17 @@ def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
 # contraction norms
 
 
-def _factor_matrix(factor: FactorCovariance, sizes) -> np.ndarray:
+def _factor_block(factor: FactorCovariance, sizes) -> np.ndarray:
+    """A factor's covariance over its block window: the first column of its
+    Toeplitz matrix in 1-D, else the dense matrix (DENSE_LIMIT points)."""
     if len(sizes) == 1:
-        col = _lag_values(factor, np.arange(sizes[0], dtype=float)[:, None])
-        return toeplitz(col)
+        return _lag_values(factor, np.arange(sizes[0], dtype=float)[:, None])
+    n = math.prod(sizes)
+    if n > DENSE_LIMIT:
+        raise ModelError(
+            f"contraction norms are capped at {DENSE_LIMIT} points per factor "
+            f"({n} requested)"
+        )
     comp = CompositeCovariance(SEPARABLE, (factor,))
     return dense_covariance_matrix(comp, LatticeSpec((tuple(sizes),)))
 
@@ -187,6 +198,36 @@ def _trace_abab(m: np.ndarray, q: int, r: int) -> float:
     return float(np.einsum("ij,ji->", ab, ab))
 
 
+def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the symmetric Toeplitz T with first column ``col``."""
+    return np.convolve(np.concatenate((col[:0:-1], col)), x, "valid")
+
+
+def _displacement_rows(a: np.ndarray, b: np.ndarray, first_row, first_col):
+    """The rows of P = A B, for symmetric Toeplitz A and B with first columns
+    a and b, from P's first row and column by the displacement recurrence
+    P[i, j] = P[i-1, j-1] + a(i) b(j) - a(n-i) b(n-j)."""
+    n = len(a)
+    row, tail = first_row, b[:0:-1]
+    yield row
+    for i in range(1, n):
+        row = np.concatenate(((first_col[i],), row[:-1] + a[i] * b[1:] - a[n - i] * tail))
+        yield row
+
+
+def _toeplitz_trace_abab(col: np.ndarray, q: int, r: int) -> float:
+    """_trace_abab of the symmetric Toeplitz M with first column ``col``:
+    trace((AB)^2) = sum_ij P_ij Q_ij with P = AB and Q = BA = P^T, whose
+    first rows and columns are B a and A b; Q is P when r = q - r."""
+    a = col**r
+    b = a if q == 2 * r else col ** (q - r)
+    ba, ab = _toeplitz_matvec(b, a), _toeplitz_matvec(a, b)
+    rows = _displacement_rows(a, b, ba, ab)
+    if q == 2 * r:
+        return float(sum(p @ p for p in rows))
+    return float(sum(p @ t for p, t in zip(rows, _displacement_rows(b, a, ab, ba))))
+
+
 def _clique_sum(matrix: np.ndarray) -> float:
     """Sum over point 4-tuples of the product of all six pair covariances."""
     total = 0.0
@@ -196,43 +237,42 @@ def _clique_sum(matrix: np.ndarray) -> float:
     return total
 
 
-def _matrix_terms(m: np.ndarray, q: int, orders, clique: bool):
+def _block_terms(block: np.ndarray, q: int, orders, clique: bool):
     """({r: trace((AB)^2) for r in orders}, clique sum of M if asked, else
-    None) from one covariance matrix M; r > q/2 reuses q - r, as
-    trace((AB)^2) = trace((BA)^2)."""
+    None) from one covariance block: a dense matrix M, or the first column
+    of a symmetric Toeplitz M; r > q/2 reuses q - r, as trace((AB)^2) =
+    trace((BA)^2)."""
+    trace = _trace_abab if block.ndim == 2 else _toeplitz_trace_abab
     norms = {}
     for r in orders:
-        norms[r] = norms[q - r] if q - r in norms else _trace_abab(m, q, r)
-    return norms, (_clique_sum(m) if clique else None)
+        norms[r] = norms[q - r] if q - r in norms else trace(block, q, r)
+    if not clique:
+        return norms, None
+    return norms, _clique_sum(block if block.ndim == 2 else toeplitz(block))
 
 
 def _contraction_terms(cov, lattice, q: int, orders, cliques):
-    """The model's _matrix_terms, plus each factor's for a separable model
-    (else None), whose products make the model's.  Each block's matrix is
-    built once, if ``orders`` is non-empty: a separable model's factor
-    matrices (DENSE_LIMIT points each), else the full-lattice one.
-    ``cliques`` asks for the q = 3 clique sums of blocks of at most
-    CLIQUE_LIMIT points: "model" for the model's, which needs every
-    factor's; "factors" for each factor's own too (the TV bound); None."""
+    """The model's _block_terms, plus each factor's for a separable model
+    (else None), whose products make the model's.  Each block is built
+    once, if ``orders`` is non-empty: a separable model's factor blocks
+    (see _factor_block), else the full-lattice matrix.  ``cliques`` asks
+    for the q = 3 clique sums of blocks of at most CLIQUE_LIMIT points:
+    "model" for the model's, which needs every factor's; "factors" for
+    each factor's own too (the TV bound); None."""
     separable = cov.structure == SEPARABLE
     if not orders:
         return ({}, None), ([({}, None)] * len(cov.factors) if separable else None)
     want = q == 3 and cliques is not None
     if not separable:
         matrix = dense_covariance_matrix(cov, lattice)
-        return _matrix_terms(matrix, q, orders, want and lattice.n_total <= CLIQUE_LIMIT), None
+        return _block_terms(matrix, q, orders, want and lattice.n_total <= CLIQUE_LIMIT), None
     points = [math.prod(sizes) for sizes in lattice.blocks]
     if cliques == "model" and max(points) > CLIQUE_LIMIT:
         want = False  # the model's clique sum needs every factor's
-    factors = []
-    for factor, sizes, n in zip(cov.factors, lattice.blocks, points):
-        if n > DENSE_LIMIT:
-            raise ModelError(
-                f"contraction norms are capped at {DENSE_LIMIT} points per factor "
-                f"({n} requested)"
-            )
-        matrix = _factor_matrix(factor, sizes)
-        factors.append(_matrix_terms(matrix, q, orders, want and n <= CLIQUE_LIMIT))
+    factors = [
+        _block_terms(_factor_block(factor, sizes), q, orders, want and n <= CLIQUE_LIMIT)
+        for factor, sizes, n in zip(cov.factors, lattice.blocks, points)
+    ]
     norms, sums = zip(*factors)
     model = ({r: math.prod(n[r] for n in norms) for r in orders},
              None if None in sums else math.prod(sums))

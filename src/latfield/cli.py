@@ -202,39 +202,40 @@ def _parse_covariance(check, doc, path="covariance"):
     factors = [
         _parse_factor(check, f, f"{path}.factors[{i}]") for i, f in enumerate(raw)
     ]
-    if any(f is None for f in factors):
-        return None
     kwargs = {"structure": structure, "factors": tuple(factors)}
+    valid = None not in factors  # parse on, so one pass reports every violation
     if structure == ADDITIVE:
         weights = check.require(doc, "weights", path)
+        parsed = [None]
         if not isinstance(weights, list) or len(weights) != 2:
             if weights is not None:
                 check.fail(f"{path}.weights", "must be a list of two numbers")
-            return None
-        parsed = [
-            _check_number(check, w, f"{path}.weights[{i}]", positive=True)
-            for i, w in enumerate(weights)
-        ]
-        if any(w is None for w in parsed):
-            return None
+        else:
+            parsed = [
+                _check_number(check, w, f"{path}.weights[{i}]", positive=True)
+                for i, w in enumerate(weights)
+            ]
+        valid = valid and None not in parsed
         kwargs["weights"] = tuple(parsed)
     elif "weights" in doc:
         check.fail(f"{path}.weights", "only additive structures take weights")
     if structure == ISOTROPIC:
         dims = check.require(doc, "block_dims", path)
+        parsed = [None]
         if not isinstance(dims, list) or not dims:
             if dims is not None:
                 check.fail(f"{path}.block_dims", "must be a nonempty list")
-            return None
-        parsed = [
-            _check_number(check, d, f"{path}.block_dims[{i}]", kind=int, minimum=1)
-            for i, d in enumerate(dims)
-        ]
-        if any(d is None for d in parsed):
-            return None
+        else:
+            parsed = [
+                _check_number(check, d, f"{path}.block_dims[{i}]", kind=int, minimum=1)
+                for i, d in enumerate(dims)
+            ]
+        valid = valid and None not in parsed
         kwargs["block_dims"] = tuple(parsed)
     elif "block_dims" in doc:
         check.fail(f"{path}.block_dims", "only isotropic structures declare block dims")
+    if not valid:
+        return None
     try:
         return CompositeCovariance(**kwargs)
     except ModelError as exc:

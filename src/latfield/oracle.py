@@ -1,17 +1,24 @@
 """Brute-force Gaussian moment oracle.
 
 Computes exact expectations of products of Hermite polynomials of jointly
-Gaussian variables by enumerating pairings (Isserlis/Wick).  Each Hermite
+Gaussian variables by summing over pairings (Isserlis/Wick).  Each Hermite
 factor H_q contributes q half-edges at its vertex; a pairing contributes
 the product of covariances over its edges, and pairings with an edge
 inside a single Hermite factor contribute nothing (the diagram rule).
 
-Intentionally small and obviously correct: this module certifies the fast
-chaos-calculus code on tiny lattices and is capped so the enumeration
-stays around a million pairings.
+The half-edges at one vertex are interchangeable, so the pairings are
+summed by the Isserlis recursion on the vector d of half-edges left at
+each vertex: the first half-edge of the first vertex v1 with any left
+pairs with one of the d[v2] half-edges of a later vertex v2, giving
+
+    f(d) = sum_{v2 > v1, d[v2] > 0} d[v2] rho(v1, v2) f(d - e_v1 - e_v2),
+
+memoized on d.  Intentionally small and obviously correct: this module
+certifies the fast chaos-calculus code on tiny lattices.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -55,42 +62,32 @@ class WickProblem:
 
 
 def wick_moment(problem: WickProblem) -> float:
-    """Exact E[prod_j H_{q_j}(B_{k_j})] by pairing enumeration."""
+    """Exact E[prod_j H_{q_j}(B_{k_j})] by the memoized Isserlis recursion."""
     if problem.total_degree > MAX_TOTAL_DEGREE:
         raise ModelError(
             f"total degree {problem.total_degree} exceeds the "
-            f"enumeration cap {MAX_TOTAL_DEGREE}"
+            f"oracle cap {MAX_TOTAL_DEGREE}"
         )
     if problem.total_degree % 2 == 1:
         return 0.0
-    cov = problem.covariance
-    # half-edge list: vertex id per half-edge; vertices are Hermite factors
-    vertex_point = []
-    halfedge_vertex = []
-    for v, (point, order) in enumerate(problem.monomial):
-        vertex_point.append(point)
-        halfedge_vertex.extend([v] * order)
+    points = [point for point, _ in problem.monomial]
+    rho = problem.covariance[np.ix_(points, points)]
 
-    n = len(halfedge_vertex)
-    if n == 0:
-        return 1.0
-
-    def match(remaining, acc):
-        if not remaining:
-            return acc
-        first, rest = remaining[0], remaining[1:]
-        v1 = halfedge_vertex[first]
+    @functools.cache
+    def pairings(left):
+        v1 = next((v for v, d in enumerate(left) if d), None)
+        if v1 is None:
+            return 1.0
         total = 0.0
-        for i, other in enumerate(rest):
-            v2 = halfedge_vertex[other]
-            if v1 == v2:
-                continue  # no pairing inside one Hermite factor
-            rho = cov[vertex_point[v1], vertex_point[v2]]
-            if rho != 0.0:
-                total += match(rest[:i] + rest[i + 1 :], acc * rho)
+        for v2 in range(v1 + 1, len(left)):
+            if left[v2] and rho[v1, v2] != 0.0:
+                rest = list(left)
+                rest[v1] -= 1
+                rest[v2] -= 1
+                total += left[v2] * rho[v1, v2] * pairings(tuple(rest))
         return total
 
-    return match(tuple(range(n)), 1.0)
+    return pairings(tuple(order for _, order in problem.monomial))
 
 
 def _lattice_points(lattice) -> np.ndarray:

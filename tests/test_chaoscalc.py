@@ -43,7 +43,7 @@ from latfield.covariance import (
     FactorCovariance,
     eval_factor,
 )
-from latfield.fieldsim import LatticeSpec
+from latfield.fieldsim import DENSE_LIMIT, LatticeSpec
 from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_coefficients
 from latfield.oracle import (
     WickProblem,
@@ -177,6 +177,44 @@ def test_contraction_matches_dense_trace_past_512_points():
         ab = (m**r) @ (m ** (q - r))
         want = float(np.einsum("ij,ji->", ab, ab))
         assert contraction_norm(cov, lat, q, r) == pytest.approx(want, rel=1e-10)
+
+
+def _dense_trace_abab(col, q, r):
+    m = toeplitz(col)
+    ab = (m**r) @ (m ** (q - r))
+    return float(np.einsum("ij,ji->", ab, ab))
+
+
+def test_toeplitz_contraction_matches_dense_trace():
+    # the displacement recurrence on the Toeplitz column against the dense
+    # product, for r = q - r (P = Q) and r != q - r (P and Q = P^T)
+    n = 600
+    for hurst in (0.3, 0.7, 0.99):
+        factor = FactorCovariance(FGN, hurst=hurst)
+        lat = LatticeSpec(((n,),))
+        col = np.array([eval_factor(factor, (k,)) for k in range(n)])
+        for q, r in ((3, 1), (4, 1), (4, 2)):
+            want = _dense_trace_abab(col, q, r)
+            assert contraction_norm(_sep(factor), lat, q, r) == pytest.approx(
+                want, rel=1e-12), (hurst, q, r)
+
+
+def test_dense_limit_binds_multi_d_factors_only():
+    # a 1-D factor past DENSE_LIMIT takes the Toeplitz column; the dense
+    # reference trace((M M)^2) = ||M M||_F^2 is summed over row blocks of M M
+    factor = FactorCovariance(FGN, hurst=0.7)
+    n = 4100
+    assert n > DENSE_LIMIT
+    m = toeplitz(np.array([eval_factor(factor, (k,)) for k in range(n)]))
+    want = sum(float(np.sum((m[i:i + 512] @ m) ** 2)) for i in range(0, n, 512))
+    got = contraction_norm(_sep(factor), LatticeSpec(((n,),)), 2, 1)
+    assert got == pytest.approx(want, rel=1e-12)
+    # a 2-D factor past it is still refused before any matrix is built
+    square = _sep(FactorCovariance(CAUCHY, exponent=0.8, dim=2))
+    with pytest.raises(ModelError, match=(
+            rf"contraction norms are capped at {DENSE_LIMIT} points per factor "
+            r"\(4160 requested\)")):
+        contraction_norm(square, LatticeSpec(((65, 64),)), 2, 1)
 
 
 ORACLE_MODELS = [
@@ -459,13 +497,13 @@ def test_chaos_report(monkeypatch):
 
     # each factor's contraction is computed once per report
     calls = []
-    original = chaoscalc._trace_abab
+    original = chaoscalc._toeplitz_trace_abab
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(chaoscalc, "_trace_abab", counted)
+    monkeypatch.setattr(chaoscalc, "_toeplitz_trace_abab", counted)
     # r and q - r share one norm, so only r <= q/2 is computed per factor
     for q, want in ((2, 2), (3, 2), (4, 4)):
         calls.clear()

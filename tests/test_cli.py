@@ -151,6 +151,14 @@ def test_float_keys_reject_non_finite_numbers():
     with pytest.raises(ConfigError) as err:
         parse_config(ADDITIVE.replace("weights: [0.1, 0.9]", "weights: [.nan, 0.9]"))
     assert err.value.violations == ["covariance.weights[0]: must be a finite number, got nan"]
+    # a bad factor does not hide a bad weight
+    with pytest.raises(ConfigError) as err:
+        parse_config(ADDITIVE.replace("exponent: 0.48", "exponent: .nan")
+                     .replace("weights: [0.1, 0.9]", "weights: [.nan, 0.9]"))
+    assert sorted(err.value.violations) == [
+        "covariance.factors[0].exponent: must be a finite number, got nan",
+        "covariance.weights[0]: must be a finite number, got nan",
+    ]
     for factor, path in (("family: exponential\n      scale: .nan", "scale"),
                          ("family: tabulated\n      table:\n        - {lag: 0, value: .inf}",
                           "table[0].value")):

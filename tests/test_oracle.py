@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from latfield import oracle
 from latfield._errors import ModelError
 from latfield.covariance import (
     FGN,
@@ -160,3 +161,74 @@ def test_functional_moment_matches_ordered_tuple_sum():
             )
             got = oracle_functional_moment(cov, lattice, q, order)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def _enumerated_moment(corr, monomial):
+    """E[prod H_q(B_k)] by enumerating every half-edge pairing: the first
+    remaining half-edge pairs with each other one not at its own vertex."""
+    vertex_point = [point for point, _ in monomial]
+    halfedge_vertex = [v for v, (_, order) in enumerate(monomial) for _ in range(order)]
+    if len(halfedge_vertex) % 2 == 1:
+        return 0.0
+
+    def match(remaining, acc):
+        if not remaining:
+            return acc
+        first, rest = remaining[0], remaining[1:]
+        v1 = halfedge_vertex[first]
+        total = 0.0
+        for i, other in enumerate(rest):
+            v2 = halfedge_vertex[other]
+            if v1 == v2:
+                continue
+            rho = corr[vertex_point[v1], vertex_point[v2]]
+            if rho != 0.0:
+                total += match(rest[:i] + rest[i + 1:], acc * rho)
+        return total
+
+    return match(tuple(range(len(halfedge_vertex))), 1.0)
+
+
+def _random_correlation(rng, m):
+    a = rng.standard_normal((m, m))
+    raw = a @ a.T + 0.5 * np.eye(m)
+    d = np.sqrt(np.diag(raw))
+    return raw / np.outer(d, d)
+
+
+def test_wick_recursion_matches_pairing_enumeration(monkeypatch):
+    rng = np.random.default_rng(11)
+    monomials = [
+        ((0, 2), (0, 2)),                        # repeated point
+        ((0, 3), (1, 3), (0, 3), (1, 3)),        # q = 3 fourth moment
+        ((0, 8), (1, 4), (2, 4)),                # total degree 16, the cap
+        ((0, 2), (1, 3), (2, 2), (3, 1)),        # mixed orders
+        ((0, 4), (0, 4), (1, 2), (2, 2)),
+        ((3, 1), (1, 1), (1, 1), (2, 1)),
+        ((0, 0), (1, 2), (2, 2)),                # order 0
+        ((0, 1), (1, 2)),                        # odd total degree
+        ((0, 3), (1, 4), (2, 4), (3, 4)),        # odd, 15
+    ]
+    for m in (1, 2, 3, 4):
+        corr = _random_correlation(rng, m) if m > 1 else ONE
+        for monomial in monomials:
+            monomial = tuple((k % m, q) for k, q in monomial)
+            got = wick_moment(WickProblem(corr, monomial))
+            want = _enumerated_moment(corr, monomial)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (m, monomial)
+    # sixteen half-edges on four distinct points, at the cap
+    corr = _random_correlation(rng, 4)
+    monomial = ((0, 4), (1, 4), (2, 4), (3, 4))
+    assert wick_moment(WickProblem(corr, monomial)) == pytest.approx(
+        _enumerated_moment(corr, monomial), rel=1e-12)
+    # one wick_moment call per multiset of points: C(4 + 4 - 1, 4) = 35
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return wick_moment(problem)
+
+    monkeypatch.setattr(oracle, "wick_moment", counted)
+    wn = CompositeCovariance(SEPARABLE, (FactorCovariance(WHITE_NOISE),))
+    oracle_functional_moment(wn, LatticeSpec(((4,),)), q=2, order=4)
+    assert len(calls) == 35
