@@ -10,25 +10,27 @@ Two kernels give every exact value.  The lag window (_lag_window): pair
 sums over a window of sizes n_j collapse to lag sums sum_z W(z) g(C(z))
 with W(z) = prod_j (n_j - |z_j|), which factor over separable blocks and
 split binomially over additive ones.  One covariance block per factor
-(_block_terms): with A = M^(.r) and B = M^(.(q-r)) elementwise,
-||f (x)_r f||^2 = trace((A B)^2), and the q = 3 fourth cumulant adds the
-4-clique diagram sum of M (Peccati & Taqqu 2011, Wiener Chaos: Moments,
-Cumulants and Diagrams).  A 1-D factor's M is symmetric Toeplitz, so its
-norms come from its first column alone, row by row through the
-displacement recurrence of A B (Kailath & Sayed 1995), in O(n^2) time
-and O(n) memory; multi-D factors and the full-lattice matrix of a
-non-separable model take dense products.
+(_block_terms) gives the diagram sums S(a, b, c) of the fourth cumulant
+(Peccati & Taqqu 2011, Wiener Chaos: Moments, Cumulants and Diagrams):
+kappa_4 Var^2 sums them over the connected 4-vertex diagrams, edge
+multiplicities a, b, c with a + b + c = q.  A diagram with c = 0 is a
+4-cycle, ||f (x)_a f||^2 = trace((A B)^2) with A = M^(.a), B = M^(.b)
+elementwise; one with a, b, c > 0 is a generalized 4-clique.  A 1-D
+factor's M is symmetric Toeplitz, so its 4-cycles come from its first
+column alone, row by row through the displacement recurrence of A B
+(Kailath & Sayed 1995), in O(n^2) time and O(n) memory; its cliques, the
+4-cycles of multi-D factors and everything of a non-separable model's
+full-lattice matrix take dense products.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import owens_t
-from scipy.stats import norm
+from scipy.special import ndtr, owens_t
 
 from ._errors import ModelError, NumericalError
 from .covariance import (
@@ -44,8 +46,11 @@ from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks, dense_covariance_
 from .hermite import INDICATOR, hermite_rank, phi_second_moment
 
 MAX_CHAOS_ORDER = 30
-#: largest per-factor point count for the exact q=3 clique sum (cost n^4)
+#: clique budget: a block of n points takes its t(q) clique diagrams,
+#: n^4 each, when t(q) n^4 <= CLIQUE_LIMIT^4 (n <= 256 at q = 3 and 4)
 CLIQUE_LIMIT = 256
+#: largest 1-D factor whose 4-cycles are summed, O(n^2) each
+_TOEPLITZ_LIMIT = 2**15
 #: factorized variances self-check against the direct lag sum on windows
 #: of at most this many lags
 _VAR_CHECK_LAGS = 20_000
@@ -161,7 +166,7 @@ def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
     P(X >= a, Y >= a) - Phibar(a)^2 = Phibar(a) - 2 T(a, sqrt((1-rho)/(1+rho)))
     - Phibar(a)^2 for a pair with correlation rho = C(z), T being Owen's T."""
     _check_blocks(cov, lattice)
-    tail = float(norm.sf(level))
+    tail = float(ndtr(-level))
 
     def excess(rho):
         with np.errstate(divide="ignore"):
@@ -177,15 +182,17 @@ def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
 
 def _factor_block(factor: FactorCovariance, sizes) -> np.ndarray:
     """A factor's covariance over its block window: the first column of its
-    Toeplitz matrix in 1-D, else the dense matrix (DENSE_LIMIT points)."""
-    if len(sizes) == 1:
-        return _lag_values(factor, np.arange(sizes[0], dtype=float)[:, None])
+    Toeplitz matrix in 1-D (_TOEPLITZ_LIMIT points), else the dense matrix
+    (DENSE_LIMIT points)."""
     n = math.prod(sizes)
-    if n > DENSE_LIMIT:
+    limit = _TOEPLITZ_LIMIT if len(sizes) == 1 else DENSE_LIMIT
+    if n > limit:
         raise ModelError(
-            f"contraction norms are capped at {DENSE_LIMIT} points per factor "
+            f"contraction norms are capped at {limit} points per factor "
             f"({n} requested)"
         )
+    if len(sizes) == 1:
+        return _lag_values(factor, np.arange(n, dtype=float)[:, None])
     comp = CompositeCovariance(SEPARABLE, (factor,))
     return dense_covariance_matrix(comp, LatticeSpec((tuple(sizes),)))
 
@@ -228,27 +235,43 @@ def _toeplitz_trace_abab(col: np.ndarray, q: int, r: int) -> float:
     return float(sum(p @ t for p, t in zip(rows, _displacement_rows(b, a, ab, ba))))
 
 
-def _clique_sum(matrix: np.ndarray) -> float:
-    """Sum over point 4-tuples of the product of all six pair covariances."""
-    total = 0.0
+def _clique_triples(q: int):
+    """The clique diagrams of order q: a >= b >= c >= 1 with a + b + c = q."""
+    return [(a, b, q - a - b) for a in range(1, q) for b in range(1, a + 1)
+            if 1 <= q - a - b <= b]
+
+
+def _clique_sum(matrix: np.ndarray, triple) -> float:
+    """S(a, b, c) = sum over point 4-tuples (i, j, k, l) of A_ij A_kl B_ik
+    B_jl C_il C_jk with A, B, C = M^(.a), M^(.b), M^(.c): sum_i trace(P Q R)
+    with P = diag(A_i.) C, Q = diag(B_i.) A, R = diag(C_i.) B (one matrix at
+    a = b = c), in buffers reused for every i, as fresh temporaries fault
+    their pages in again whenever the allocator returns them to the OS."""
+    a, b, c = triple
+    power = {k: matrix if k == 1 else matrix**k for k in triple}
+    scaled = {key: np.empty_like(matrix) for key in {(a, c), (b, a), (c, b)}}
+    pq, total = np.empty_like(matrix), 0.0
     for u in range(len(matrix)):
-        dm = matrix[:, u, None] * matrix  # diag(M[:, u]) @ M
-        total += float(np.einsum("ij,ji->", dm @ dm, dm))
+        for (x, y), out in scaled.items():
+            np.multiply(power[x][:, u, None], power[y], out=out)
+        total += float(np.einsum("ij,ji->", np.matmul(scaled[a, c], scaled[b, a], out=pq),
+                                 scaled[c, b]))
     return total
 
 
-def _block_terms(block: np.ndarray, q: int, orders, clique: bool):
-    """({r: trace((AB)^2) for r in orders}, clique sum of M if asked, else
-    None) from one covariance block: a dense matrix M, or the first column
-    of a symmetric Toeplitz M; r > q/2 reuses q - r, as trace((AB)^2) =
-    trace((BA)^2)."""
+def _block_terms(block: np.ndarray, q: int, orders, triples):
+    """({r: trace((AB)^2) for r in orders}, {t: S(t) for t in triples}, or
+    None when ``triples`` is None) from one covariance block: a dense matrix
+    M, or the first column of a symmetric Toeplitz M; r > q/2 reuses q - r,
+    as trace((AB)^2) = trace((BA)^2)."""
     trace = _trace_abab if block.ndim == 2 else _toeplitz_trace_abab
     norms = {}
     for r in orders:
         norms[r] = norms[q - r] if q - r in norms else trace(block, q, r)
-    if not clique:
-        return norms, None
-    return norms, _clique_sum(block if block.ndim == 2 else toeplitz(block))
+    if block.ndim == 1 and triples:  # the dense Toeplitz matrix M_ij = col(|i - j|)
+        index = np.arange(len(block))
+        block = block[np.abs(index[:, None] - index)]
+    return norms, None if triples is None else {t: _clique_sum(block, t) for t in triples}
 
 
 def _contraction_terms(cov, lattice, q: int, orders, cliques):
@@ -256,26 +279,31 @@ def _contraction_terms(cov, lattice, q: int, orders, cliques):
     (else None), whose products make the model's.  Each block is built
     once, if ``orders`` is non-empty: a separable model's factor blocks
     (see _factor_block), else the full-lattice matrix.  ``cliques`` asks
-    for the q = 3 clique sums of blocks of at most CLIQUE_LIMIT points:
-    "model" for the model's, which needs every factor's; "factors" for
-    each factor's own too (the TV bound); None."""
+    for the clique sums of blocks within the CLIQUE_LIMIT budget: "model"
+    for the model's, which needs every factor's; "factors" for each
+    factor's own too (the TV bound); None."""
     separable = cov.structure == SEPARABLE
-    if not orders:
-        return ({}, None), ([({}, None)] * len(cov.factors) if separable else None)
-    want = q == 3 and cliques is not None
+    triples = _clique_triples(q)
+    if not orders:  # a variance alone, or q = 1, which has no diagram
+        empty = ({}, None if cliques is None or triples else {})
+        return empty, ([empty] * len(cov.factors) if separable else None)
+
+    def fits(n):
+        return cliques is not None and len(triples) * n**4 <= CLIQUE_LIMIT**4
+
     if not separable:
         matrix = dense_covariance_matrix(cov, lattice)
-        return _block_terms(matrix, q, orders, want and lattice.n_total <= CLIQUE_LIMIT), None
+        return _block_terms(matrix, q, orders, triples if fits(lattice.n_total) else None), None
     points = [math.prod(sizes) for sizes in lattice.blocks]
-    if cliques == "model" and max(points) > CLIQUE_LIMIT:
-        want = False  # the model's clique sum needs every factor's
+    whole = cliques != "model" or all(map(fits, points))  # the model's needs every factor's
     factors = [
-        _block_terms(_factor_block(factor, sizes), q, orders, want and n <= CLIQUE_LIMIT)
+        _block_terms(_factor_block(factor, sizes), q, orders,
+                     triples if whole and fits(n) else None)
         for factor, sizes, n in zip(cov.factors, lattice.blocks, points)
     ]
     norms, sums = zip(*factors)
     model = ({r: math.prod(n[r] for n in norms) for r in orders},
-             None if None in sums else math.prod(sums))
+             None if None in sums else {t: math.prod(s[t] for s in sums) for t in triples})
     return model, factors
 
 
@@ -294,7 +322,7 @@ def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
 
 
 def _model_terms(cov, lattice, q: int, orders, cliques=None):
-    """The model's (variance, norms, clique sum), plus each factor's on its
+    """The model's (variance, norms, clique sums), plus each factor's on its
     own block window for a separable model (else None); ``orders`` and
     ``cliques`` as in _contraction_terms.  Factorized variances, separable
     and additive, are checked against the direct lag sum."""
@@ -316,39 +344,30 @@ def _model_terms(cov, lattice, q: int, orders, cliques=None):
     return (variance, *_contraction_terms(cov, lattice, q, orders, cliques)[0]), None
 
 
-def _kappa4(q: int, variance: float, norms: dict, clique: Optional[float]):
-    """kappa_4 of Y[q]/sqrt(Var) from its terms; returns (value, exact flag).
-
-    q = 1 is Gaussian (0, exact).  q = 2 and q = 3 use the exact
-    fourth-moment identities; the q = 3 one needs the 4-clique sum, which
-    is replaced by its contraction-norm majorant (flag cleared) past
-    CLIQUE_LIMIT points.  q >= 4 always reports the upper bound
-    sum_r q!^2 binom(q,r)^2 (1 + binom(2q-2r, q-r)) ||f (x)_r f||^2 / Var^2.
-    """
-    if q == 1:
-        return 0.0, True
-    p1 = norms[1]
-    if q == 2:
-        return 48.0 * p1 / variance**2, True
-    if q == 3:
-        if clique is not None:
-            return (1944.0 * p1 + 1296.0 * clique) / variance**2, True
-        return 3240.0 * p1 / variance**2, False  # clique sum <= p1
-    total = sum(
-        math.factorial(q) ** 2
-        * math.comb(q, r) ** 2
-        * (1 + math.comb(2 * q - 2 * r, q - r))
-        * pr
-        for r, pr in norms.items()
-    )
+def _kappa4(q: int, variance: float, norms: dict, cliques: Optional[dict]):
+    """kappa_4 of Y[q]/sqrt(Var) and its exact flag: kappa_4 Var^2 is the sum
+    over unordered {a, b, c}, a + b + c = q with at most one zero, of
+    perms(a,b,c) (q!/(a!b!c!))^2 q!^2 S(a,b,c), 4-cycles S(r, q-r, 0) =
+    norms[r] first, then the cliques.  Past the clique budget (``cliques``
+    None) it is the flagged majorant sum_{r <= q/2} q!^2 binom(q,r)^2 (2 +
+    binom(2q-2r, q-r) + binom(2r, r)) norms[r], 1 + binom(q, q/2) in the
+    bracket at 2r = q."""
+    fq, half = math.factorial(q), range(1, q // 2 + 1)
+    if cliques is not None:
+        terms = {**{(r, q - r, 0): norms[r] for r in half}, **cliques}
+        total = sum(len(set(itertools.permutations(t)))
+                    * (fq // math.prod(map(math.factorial, t))) ** 2 * fq**2 * s
+                    for t, s in terms.items())
+        return total / variance**2, True
+    total = sum(fq**2 * math.comb(q, r) ** 2
+                * (1 + math.comb(2 * q - 2 * r, q - r) + (2 * r != q) * (1 + math.comb(2 * r, r)))
+                * norms[r] for r in half)
     return total / variance**2, False
 
 
 def fourth_cumulant(cov: CompositeCovariance, lattice: LatticeSpec, q: int):
     """kappa_4 of Y[q]/sqrt(Var) and its exact flag; see _kappa4."""
-    if q == 1:
-        return 0.0, True
-    terms, _ = _model_terms(cov, lattice, q, range(1, 2 if q <= 3 else q), "model")
+    terms, _ = _model_terms(cov, lattice, q, range(1, q), "model")
     return _kappa4(q, *terms)
 
 
@@ -379,7 +398,7 @@ def tv_bound(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
         raise ModelError("the TV bound applies to separable covariances only")
     if q < 2:
         raise ModelError("the TV bound needs q >= 2")
-    _, factors = _model_terms(cov, lattice, q, range(1, 2 if q <= 3 else q), "factors")
+    _, factors = _model_terms(cov, lattice, q, range(1, q), "factors")
     return _tv(q, factors)
 
 

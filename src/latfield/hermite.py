@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ._errors import ModelError, NumericalError
 
@@ -118,8 +118,8 @@ def hermite_coefficients(phi: HermiteSpec, qmax: Optional[int] = None) -> np.nda
     if phi.kind == INDICATOR:
         a = phi.level
         coeffs = np.empty(qmax + 1)
-        coeffs[0] = norm.sf(a)
-        pdf = norm.pdf(a)
+        coeffs[0] = ndtr(-a)
+        pdf = np.exp(-a * a / 2.0) / np.sqrt(2.0 * np.pi)
         fact = 1.0
         for q in range(1, qmax + 1):
             fact *= q
@@ -150,7 +150,7 @@ def phi_second_moment(phi: HermiteSpec) -> float:
     if phi.kind == PURE:
         return float(math.factorial(phi.q))
     if phi.kind == INDICATOR:
-        return float(norm.sf(phi.level))
+        return float(ndtr(-phi.level))
     x, w = np.polynomial.hermite_e.hermegauss(2 * _GH_NODES)
     w = w / np.sqrt(2.0 * np.pi)
     return float(np.sum(w * phi(x) ** 2))

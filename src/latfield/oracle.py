@@ -29,8 +29,8 @@ import numpy as np
 from ._errors import ModelError
 from .covariance import CompositeCovariance, eval_composite
 
-MAX_TOTAL_DEGREE = 16
-MAX_ORACLE_POINTS = 4
+MAX_TOTAL_DEGREE = 24
+MAX_ORACLE_POINTS = 9
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,6 @@ def oracle_functional_moment(cov, lattice, q: int, order: int) -> float:
     n = lattice.n_total
     if n > MAX_ORACLE_POINTS:
         raise ModelError(f"oracle lattices are capped at {MAX_ORACLE_POINTS} points")
-    if order == 4 and q > 3:
-        raise ModelError("fourth moments are capped at q <= 3")
     matrix = lattice_covariance_matrix(cov, lattice)
     total = 0.0
     for points in combinations_with_replacement(range(n), order):

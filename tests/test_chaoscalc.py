@@ -217,6 +217,21 @@ def test_dense_limit_binds_multi_d_factors_only():
         contraction_norm(square, LatticeSpec(((65, 64),)), 2, 1)
 
 
+def test_toeplitz_limit_refuses_before_any_row(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(chaoscalc, "_toeplitz_trace_abab", fail)
+    cov = _sep(FactorCovariance(FGN, hurst=0.7))
+    n = chaoscalc._TOEPLITZ_LIMIT + 1
+    assert n == 32_769
+    with pytest.raises(ModelError, match=(
+            r"contraction norms are capped at 32768 points per factor \(32769 requested\)")):
+        contraction_norm(cov, LatticeSpec(((n,),)), 2, 1)
+    with pytest.raises(ModelError, match="capped at 32768 points"):
+        chaos_report(cov, LatticeSpec(((n,),)), 2)
+
+
 ORACLE_MODELS = [
     (_sep(FactorCovariance(FGN, hurst=0.7)), LatticeSpec(((1,),))),
     (
@@ -232,12 +247,25 @@ ORACLE_MODELS = [
         _sep(FactorCovariance(TABULATED, table={(0,): 1.0, (1,): 0.9, (2,): 0.7})),
         LatticeSpec(((3,),)),
     ),
+    (
+        _sep(FactorCovariance(FGN, hurst=0.8), FactorCovariance(FGN, hurst=0.3)),
+        LatticeSpec(((3,), (3,))),
+    ),
+    (_sep(FactorCovariance(CAUCHY, exponent=0.8, dim=2)), LatticeSpec(((3, 3),))),
+    (
+        CompositeCovariance(
+            GNEITING,
+            (FactorCovariance(CAUCHY, exponent=1.0), FactorCovariance(CAUCHY, exponent=0.7)),
+        ),
+        LatticeSpec(((3,), (2,))),
+    ),
 ]
 
 
 def test_variance_and_cumulant_match_pairing_oracle():
+    # the diagram sum is exact at every order: 4-cycles and cliques alike
     for cov, lattice in ORACLE_MODELS:
-        for q in (1, 2, 3):
+        for q in range(1, 7):
             e2 = oracle_functional_moment(cov, lattice, q, order=2)
             assert variance_hermite(cov, lattice, q) == pytest.approx(
                 e2, rel=1e-10
@@ -247,8 +275,8 @@ def test_variance_and_cumulant_match_pairing_oracle():
             e4 = oracle_functional_moment(cov, lattice, q, order=4)
             want = (e4 - 3.0 * e2**2) / e2**2
             got, exact = fourth_cumulant(cov, lattice, q)
-            assert exact
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+            assert exact, (cov.structure, lattice.all_sizes, q)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10), (lattice.all_sizes, q)
 
 
 def test_fourth_cumulant_closed_cases():
@@ -261,16 +289,46 @@ def test_fourth_cumulant_closed_cases():
     assert exact3 and k3 == pytest.approx(90.0)
 
 
-def test_fourth_cumulant_upper_bound_q4():
+def test_fourth_cumulant_exact_q4():
     one = LatticeSpec(((1,),))
     unit = _sep(FactorCovariance(FGN, hurst=0.7))
-    bound, exact = fourth_cumulant(unit, one, 4)
-    assert not exact
-    assert bound == pytest.approx(636.0)  # sum_r binom^2 (1 + binom) at one point
-    # the true kappa_4 of H_4(N), by pairing enumeration (degree 16)
+    value, exact = fourth_cumulant(unit, one, 4)
+    assert exact
+    # the kappa_4 of H_4(N), by the pairing oracle (degree 16)
     e4 = wick_moment(WickProblem(np.eye(1), ((0, 4),) * 4))
-    true = (e4 - 3.0 * 24.0**2) / 24.0**2
-    assert 0.0 <= true <= bound
+    assert value == pytest.approx((e4 - 3.0 * 24.0**2) / 24.0**2, rel=1e-12)
+
+
+def test_fourth_cumulant_checks_its_inputs_at_q1():
+    two = _sep(FactorCovariance(FGN, hurst=0.7), FactorCovariance(FGN, hurst=0.3))
+    for q in (1, 2):
+        with pytest.raises(ModelError):
+            fourth_cumulant(two, LatticeSpec(((5,),)), q)
+
+
+def test_clique_sum_matches_brute_force():
+    # S(a, b, c) against the 4-index sum of A_ij A_kl B_ik B_jl C_il C_jk
+    m = lattice_covariance_matrix(*SMALL_MODELS[1])
+    for triple in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (3, 2, 1), (2, 2, 2)):
+        a, b, c = (m**k for k in triple)
+        want = float(np.einsum("ij,kl,ik,jl,il,jk->", a, a, b, b, c, c))
+        assert chaoscalc._clique_sum(m, triple) == pytest.approx(want, rel=1e-12), triple
+
+
+def test_clique_budget_scales_with_the_diagram_count(monkeypatch):
+    # t(q) n^4 <= CLIQUE_LIMIT^4 with t = 1, 1, 2, 3 at q = 3..6: at a
+    # limit of 16, 16 points fit at q = 3 and 4, 13 at q = 5, 12 at q = 6
+    monkeypatch.setattr(chaoscalc, "CLIQUE_LIMIT", 16)
+    factor = FactorCovariance(FGN, hurst=0.8)
+    for q, largest in ((3, 16), (4, 16), (5, 13), (6, 12)):
+        exact = fourth_cumulant(_sep(factor), LatticeSpec(((largest,),)), q)
+        bound = fourth_cumulant(_sep(factor), LatticeSpec(((largest + 1,),)), q)
+        assert exact[1] and not bound[1], q
+        # past the budget the majorant bounds the exact value from above
+        monkeypatch.setattr(chaoscalc, "CLIQUE_LIMIT", 256)
+        true = fourth_cumulant(_sep(factor), LatticeSpec(((largest + 1,),)), q)
+        monkeypatch.setattr(chaoscalc, "CLIQUE_LIMIT", 16)
+        assert true[1] and 0.0 < true[0] <= bound[0], q
 
 
 def test_fourth_cumulant_nonnegative():
@@ -478,7 +536,7 @@ def test_chaos_report(monkeypatch):
         (long_short, LatticeSpec(((40,), (12,))), 3, True),    # under CLIQUE_LIMIT
         (long_short, LatticeSpec(((300,), (12,))), 3, False),  # over CLIQUE_LIMIT
         (_sep(FactorCovariance(FGN, hurst=0.6), FactorCovariance(CAUCHY, exponent=0.8, dim=2)),
-         LatticeSpec(((20,), (4, 3))), 4, False),
+         LatticeSpec(((20,), (4, 3))), 4, True),
         (gneiting, LatticeSpec(((6,), (5,))), 3, True),
     ]
     for cov, lat, q, want_exact in cases:

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -377,3 +380,14 @@ def test_rates_command(tmp_path, capsys):
     assert "case 4" in capsys.readouterr().out
     assert main(["rates", "--q", "2", "--alpha", "0.3"]) == 2
     assert main(["rates", "--q", "2"]) == 2
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_linalg():
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, latfield.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

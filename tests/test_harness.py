@@ -59,6 +59,17 @@ def test_normality_report_on_the_null():
     assert rep.mean_se == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=1e-6)
 
 
+def test_ks_statistic_is_scipys():
+    # scipy.stats is the independent reference for the statistic the
+    # harness computes with scipy.special.ndtr alone
+    from scipy.stats import kstest
+
+    rng = np.random.default_rng(5)
+    for n in (100, 1001, 4096):
+        x = rng.standard_t(4, size=n) * 1.3
+        assert normality_report(x).ks_stat == float(kstest(x, "norm").statistic)
+
+
 def test_normality_report_detects_a_squared_transform():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(200_000)

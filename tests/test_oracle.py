@@ -83,7 +83,7 @@ def test_first_order_is_isserlis():
 
 def test_wick_validation_and_caps():
     with pytest.raises(ModelError):
-        wick_moment(WickProblem(ONE, ((0, 9), (0, 9))))  # degree 18 > cap
+        wick_moment(WickProblem(ONE, ((0, 13), (0, 13))))  # degree 26 > cap
     with pytest.raises(ModelError):
         WickProblem(np.array([[1.0, 0.5], [0.4, 1.0]]), ((0, 1),))
     with pytest.raises(ModelError):
@@ -139,11 +139,14 @@ def test_functional_moment_separable_grid():
 def test_functional_moment_caps():
     wn = CompositeCovariance(SEPARABLE, (FactorCovariance(WHITE_NOISE),))
     with pytest.raises(ModelError):
-        oracle_functional_moment(wn, LatticeSpec(((5,),)), q=2, order=2)
-    with pytest.raises(ModelError):
-        oracle_functional_moment(wn, LatticeSpec(((1,),)), q=4, order=4)
+        oracle_functional_moment(wn, LatticeSpec(((10,),)), q=2, order=2)
+    with pytest.raises(ModelError):  # degree 28 > 24
+        oracle_functional_moment(wn, LatticeSpec(((1,),)), q=7, order=4)
     with pytest.raises(ModelError):
         oracle_functional_moment(wn, LatticeSpec(((1,),)), q=2, order=3)
+    # at both caps, 9 points and degree 24: E[Y^2] = 9 * 12! for white noise
+    assert oracle_functional_moment(wn, LatticeSpec(((9,),)), q=12, order=2) == pytest.approx(
+        9.0 * math.factorial(12))
 
 
 def test_functional_moment_matches_ordered_tuple_sum():
