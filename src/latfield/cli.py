@@ -708,7 +708,7 @@ def _build_parser() -> argparse.ArgumentParser:
               "run the Monte Carlo experiment and persist results",
               needs_out_dir=True)
     exp.add_argument("--threads", type=int, default=1,
-                     help="worker threads (0 = auto)")
+                     help="worker threads (0 = one per CPU this process may use)")
     rates = add("rates", _cmd_rates,
                 "rate tables and two-parameter regime rows",
                 needs_config=False)

@@ -5,7 +5,10 @@ joint embedding spectrum is the outer product of per-factor spectra, so
 nonnegativity per factor certifies the joint sampler).  An additive
 covariance w1*C1(x1) + w2*C2(x2) is the law of sqrt(w1)*U(x1) +
 sqrt(w2)*V(x2) for independent stationary U and V, so it samples each
-block through its own embedding and broadcasts the sum over the lattice.
+block through its own embedding; the sample carries the two block fields
+and builds their broadcast sum over the lattice only when its values are
+first read (functionals sums a pure Hermite functional from the block
+fields alone).
 Only Gneiting and isotropic models embed the full covariance into one
 multidimensional circulant.  If an embedding spectrum stays negative after
 bounded doubling, small lattices fall back to a dense Cholesky factor;
@@ -92,12 +95,38 @@ class LatticeSpec:
         return tuple(range(start, start + len(self.blocks[i])))
 
 
-@dataclass(frozen=True)
 class FieldSample:
-    values: np.ndarray
-    lattice: LatticeSpec
-    seed: int
-    replicate_id: int
+    """One field realization on ``lattice``, drawn as replicate
+    ``replicate_id`` of ``seed``.
+
+    ``values`` is the field at every lattice point, shaped
+    ``lattice.all_sizes``.  An additive draw carries ``blocks``, its two
+    block fields sqrt(w1)*U and sqrt(w2)*V, each shaped like its block,
+    and ``weights`` (w1, w2); it builds ``values`` from them by
+    broadcasting on first read, so a functional that needs only the block
+    fields never builds the lattice field.  Every other draw, and any
+    sample built from ``values``, has ``blocks`` None.
+    """
+
+    __slots__ = ("_values", "lattice", "seed", "replicate_id", "blocks", "weights")
+
+    def __init__(self, values, lattice, seed, replicate_id, blocks=None, weights=None):
+        if (values is None) == (blocks is None):
+            raise ModelError("a field sample takes either values or block fields")
+        self._values = values
+        self.lattice = lattice
+        self.seed = seed
+        self.replicate_id = replicate_id
+        self.blocks = blocks
+        self.weights = weights
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            # each block's field broadcast over the other block
+            u, v = self.blocks
+            self._values = u.reshape(u.shape + (1,) * v.ndim) + v
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -121,6 +150,7 @@ class Sampler:
     # and laid end to end
     sqrt_spectrum: Optional[np.ndarray] = None
     chol_factor: Optional[np.ndarray] = None       # dense fallback
+    weights: Optional[tuple] = None                # additive: (w1, w2)
 
 
 def _check_blocks(cov: CompositeCovariance, lattice: LatticeSpec):
@@ -204,6 +234,7 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
         min_eigenvalue=min(e.min_eigenvalue for e in records),
         embeddings=records,
         sqrt_spectrum=sqrt_spectrum,
+        weights=cov.weights,
     )
 
 
@@ -295,13 +326,13 @@ def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
         return FieldSample(values=values, lattice=lattice, seed=seed,
                            replicate_id=replicate_id)
     pair, part = divmod(replicate_id, 2)
-    fields = [(t.imag if part else t.real) * scale
-              for t, scale in _pair_transforms(sampler, seed, pair)]
+    # each product is a new array, so no sample aliases the workspace
+    fields = tuple((t.imag if part else t.real) * scale
+                   for t, scale in _pair_transforms(sampler, seed, pair))
     if sampler.method == ADDITIVE_CIRCULANT:
-        # each block's field broadcast over the other block
-        u, v = fields
-        values = u.reshape(u.shape + (1,) * v.ndim) + v
-    else:
-        (values,) = fields
+        return FieldSample(values=None, lattice=lattice, seed=seed,
+                           replicate_id=replicate_id, blocks=fields,
+                           weights=sampler.weights)
+    (values,) = fields
     return FieldSample(values=values, lattice=lattice, seed=seed,
                        replicate_id=replicate_id)

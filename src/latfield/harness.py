@@ -298,14 +298,29 @@ def _draw_values(config, sampler, rung_index, threads) -> np.ndarray:
     return values
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Walk the ladder, draw, standardize, and report.
+
+    ``threads`` worker threads draw the replicates; 0 means one per CPU
+    this process may run on, and a negative count is refused.
 
     Deterministic given the config: each replicate's field is a pure
     function of the seed and its global index (circulant replicates 2k and
     2k+1 share the stream of pair k), and every reduction reads slots in a
     fixed order regardless of the thread count.
     """
+    if threads < 0:
+        raise ModelError(f"threads must be 0 (auto) or positive, got {threads}")
+    if threads == 0:
+        threads = _usable_cpus()
     cov = config.covariance
     coeffs = hermite_coefficients(config.phi)
     rank = hermite_rank(coeffs)
@@ -378,19 +393,26 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 def _fit_rate(cov, ladder, rank, rungs):
     """Fit the fourth-cumulant decay: exact values when the model admits
-    them, otherwise the magnitude of the empirical excess kurtosis."""
+    them at every rung, otherwise the magnitude of the empirical excess
+    kurtosis."""
     notes = []
     series = None
     if cov.structure == SEPARABLE and rank >= 2:
         try:
-            series = [
-                (lattice.n_total, fourth_cumulant(cov, lattice, rank)[0])
-                for lattice in ladder
-            ]
-            source = "exact-fourth-cumulant"
+            cumulants = [fourth_cumulant(cov, lattice, rank) for lattice in ladder]
         except (ModelError, NumericalError) as exc:
             notes.append(f"exact cumulant series unavailable: {exc}")
-            series = None
+        else:
+            bounds = [f"rung {idx} ({'x'.join(map(str, lattice.all_sizes))})"
+                      for idx, (lattice, (_, exact)) in enumerate(zip(ladder, cumulants))
+                      if not exact]
+            if bounds:
+                notes.append("exact cumulant series unavailable: kappa_4 is only "
+                             f"an upper bound at {', '.join(bounds)}")
+            else:
+                series = [(lattice.n_total, kappa4)
+                          for lattice, (kappa4, _) in zip(ladder, cumulants)]
+                source = "exact-fourth-cumulant"
     if series is None:
         series = [(r.n_total, abs(r.stats.kurtosis)) for r in rungs]
         source = "empirical-kurtosis"

@@ -391,3 +391,27 @@ def test_import_loads_neither_scipy_stats_nor_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_additive_results_are_thread_count_invariant(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(ADDITIVE.replace("    - [8, 8]", "    - [8, 8]\n    - [64, 23]")
+                   .replace("growth:", "outputs: [normality, kurtosis_series]\ngrowth:"))
+    outs = []
+    for threads, sub in (("1", "a"), ("4", "b")):
+        out = tmp_path / sub
+        assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        outs.append([(out / f"additive-sample.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0][0])["rungs"]) == 2
+
+
+def test_negative_thread_count_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                 "--threads", "-3"]) == 2
+    assert "threads must be 0 (auto) or positive, got -3" in capsys.readouterr().err
+    assert not out.exists()

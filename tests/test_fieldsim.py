@@ -196,6 +196,33 @@ def test_draws_never_alias_the_workspace():
         assert np.array_equal(sample.values, alone.values)
 
 
+def test_additive_samples_carry_their_block_fields():
+    # an additive sample holds sqrt(w1) U and sqrt(w2) V as arrays of its
+    # own, and builds the lattice field from them on first read, bit for
+    # bit the broadcast sum, even after later draws refill the workspace
+    cov, blocks = _CIRCULANT_CASES["additive 2-D block"]
+    sampler = build_sampler(cov, LatticeSpec(blocks))
+    early = [draw(sampler, seed=41, replicate_id=r) for r in range(2)]
+    for r in range(2, 6):
+        draw(sampler, seed=41, replicate_id=r)
+    workspace = fieldsim._local.buffers[1]
+    for r, sample in enumerate(early):
+        u, v = sample.blocks
+        assert u.shape == blocks[0] and v.shape == blocks[1]
+        assert sample.weights == cov.weights
+        assert not any(np.shares_memory(b, workspace) for b in sample.blocks)
+        assert sample._values is None
+        assert np.array_equal(sample.values, u[:, :, None] + v)
+        assert np.array_equal(sample.values, _one_shot_draw(sampler, 41, r))
+    separable, separable_blocks = _CIRCULANT_CASES["two factors"]
+    assert draw(build_sampler(separable, LatticeSpec(separable_blocks)), 41, 0).blocks is None
+    with pytest.raises(ModelError):
+        FieldSample(values=None, lattice=sampler.lattice, seed=0, replicate_id=0)
+    with pytest.raises(ModelError):
+        FieldSample(values=u[:, :, None] + v, lattice=sampler.lattice, seed=0,
+                    replicate_id=0, blocks=(u, v), weights=cov.weights)
+
+
 def _cold_draw(sampler, seed, replicate_id):
     """The draw taken alone on a fresh thread, whose workspace is new."""
     with ThreadPoolExecutor(max_workers=1) as pool:

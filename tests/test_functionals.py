@@ -1,11 +1,13 @@
-"""Functional evaluation: exact sums, marginals, linearity."""
+"""Functional evaluation: exact sums, marginals, linearity, additive block sums."""
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from latfield._errors import ModelError
-from latfield.fieldsim import FieldSample, LatticeSpec
+from latfield.covariance import ADDITIVE, CAUCHY, FGN, CompositeCovariance, FactorCovariance
+from latfield.fieldsim import ADDITIVE_CIRCULANT, FieldSample, LatticeSpec, build_sampler, draw
 from latfield.functionals import evaluate, marginal_evaluate
 from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_eval
 
@@ -77,3 +79,66 @@ def test_linearity_via_custom():
     )
     assert evaluate(s, combo) == pytest.approx(expected, rel=1e-14)
 
+
+_ADDITIVE_CASES = {
+    "1-D blocks": (
+        CompositeCovariance(
+            ADDITIVE,
+            (FactorCovariance(CAUCHY, exponent=0.48), FactorCovariance(CAUCHY, exponent=3.0)),
+            weights=(0.1, 0.9),
+        ),
+        ((64,), (23,)),
+    ),
+    "2-D block": (
+        CompositeCovariance(
+            ADDITIVE,
+            (FactorCovariance(CAUCHY, dim=2, exponent=1.0), FactorCovariance(FGN, hurst=0.7)),
+            weights=(0.4, 0.6),
+        ),
+        ((5, 4), (6,)),
+    ),
+}
+
+
+def _additive_sampler(case):
+    cov, blocks = _ADDITIVE_CASES[case]
+    sampler = build_sampler(cov, LatticeSpec(blocks))
+    assert sampler.method == ADDITIVE_CIRCULANT
+    return sampler
+
+
+@pytest.mark.parametrize("case", list(_ADDITIVE_CASES))
+def test_additive_pure_functional_comes_from_the_block_sums(case):
+    # the addition theorem over the per-block Hermite sums gives the sum of
+    # H_q over the broadcast lattice field, for both halves of two pairs,
+    # without building that field
+    sampler = _additive_sampler(case)
+    n = sampler.lattice.n_total
+    for q in range(1, 7):
+        phi = HermiteSpec(PURE, q=q)
+        for r in range(4):
+            sample = draw(sampler, seed=17, replicate_id=r)
+            y = evaluate(sample, phi)
+            assert sample._values is None  # the lattice field was never built
+            direct = float(np.sum(phi(sample.values)))
+            scale = max(abs(direct), math.sqrt(math.factorial(q) * n))
+            assert abs(y - direct) <= 1e-12 * scale, (q, r, y, direct)
+
+
+@pytest.mark.parametrize("case", list(_ADDITIVE_CASES))
+def test_other_functionals_read_the_additive_lattice_field(case):
+    sampler = _additive_sampler(case)
+    lattice = sampler.lattice
+    sample = draw(sampler, seed=23, replicate_id=3)
+    field = _sample(sample.values, lattice.blocks)
+    above = HermiteSpec(INDICATOR, level=0.3)
+    assert evaluate(sample, above) == float(np.sum(sample.values >= 0.3))
+    cube = HermiteSpec(CUSTOM, func=lambda v: v**3)
+    assert evaluate(sample, cube) == evaluate(field, cube)
+    h2 = HermiteSpec(PURE, q=2)
+    frozen = tuple(size - 1 for size in lattice.blocks[1])
+    assert marginal_evaluate(sample, h2, block=0, frozen=frozen) == \
+        marginal_evaluate(field, h2, block=0, frozen=frozen)
+    corner = (0,) * len(lattice.blocks[0])
+    assert marginal_evaluate(sample, above, block=1, frozen=corner) == \
+        marginal_evaluate(field, above, block=1, frozen=corner)

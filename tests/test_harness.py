@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from latfield import chaoscalc, fieldsim
+from latfield import chaoscalc, fieldsim, harness
 from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import fourth_cumulant, variance_hermite, variance_phi
 from latfield.covariance import (
@@ -406,3 +406,32 @@ def test_variance_bridge_on_a_correlated_model():
         variance_hermite(cov, latt, 2)
     )
     assert abs(rung.stats.variance - 1.0) < 5 * rung.stats.variance_se
+
+
+def test_rate_fit_falls_back_when_a_kappa4_is_only_a_bound():
+    # fGn(0.8) at q = 3: kappa_4 is exact up to 256 points and a majorant at
+    # 512, past the clique budget, so the exact series is refused as a whole
+    cov = separable(FactorCovariance("fgn", hurst=0.8))
+    ladder = tuple(lattice(n) for n in (64, 128, 256, 512))
+    assert [fourth_cumulant(cov, latt, 3)[1] for latt in ladder] == [True, True, True, False]
+    config = ExperimentConfig(cov, pure(3), ladder, 100, 7, outputs=("rate_fit",))
+    result = run_experiment(config)
+    assert result.rate_source == "empirical-kurtosis"
+    assert result.rate is not None
+    assert result.notes == (
+        "exact cumulant series unavailable: kappa_4 is only an upper bound at rung 3 (512)",)
+
+
+def test_thread_count_is_checked_and_auto_counts_usable_cpus(monkeypatch):
+    config = ExperimentConfig(WHITE, pure(2), (lattice(16),), 100, 5)
+    with pytest.raises(ModelError, match="threads"):
+        run_experiment(config, threads=-3)
+    seen = []
+    drawn = harness._draw_values
+    monkeypatch.setattr(harness, "_draw_values",
+                        lambda c, s, i, threads: seen.append(threads) or drawn(c, s, i, threads))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    auto = run_experiment(config, threads=0)
+    assert seen == [3]
+    assert auto == run_experiment(config, threads=1)
