@@ -32,8 +32,9 @@ def _additive_hermite_sum(sample: FieldSample, q: int) -> float:
     rounding, whatever the slack the configured weights were allowed."""
     total = sum(sample.weights)
     scales = [math.sqrt(w / total) for w in sample.weights]
-    sums = [[float(np.sum(hermite_eval(k, x / s))) for k in range(q + 1)]
-            for x, s in zip(sample.blocks, scales)]
+    normed = [x / s for x, s in zip(sample.blocks, scales)]
+    sums = [[float(np.sum(hermite_eval(k, u))) for k in range(q + 1)]
+            for u in normed]
     return math.fsum(math.comb(q, k) * scales[0] ** k * scales[1] ** (q - k)
                      * sums[0][k] * sums[1][q - k] for k in range(q + 1))
 

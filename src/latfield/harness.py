@@ -287,8 +287,6 @@ def _draw_values(config, sampler, rung_index, threads) -> np.ndarray:
         for r in range(2 * k, min(2 * k + 2, reps)):
             values[r] = evaluate(draw(sampler, config.seed, base + r), config.phi)
 
-    if threads == 0:
-        threads = os.cpu_count() or 1
     if threads <= 1:
         for k in range(pairs):
             work(k)
