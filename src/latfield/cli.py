@@ -39,6 +39,7 @@ from .fieldsim import LatticeSpec, build_sampler
 from .harness import (
     OUTPUTS,
     ExperimentConfig,
+    _label_problem,
     config_fingerprint,
     run_experiment,
 )
@@ -323,6 +324,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(label, str):
         check.fail("label", "must be a string")
         label = ""
+    problem = _label_problem(label)
+    if problem:
+        check.fail("label", problem)
     cov = phi = None
     raw_cov = check.require(doc, "covariance", "")
     if raw_cov is not None:
@@ -494,12 +498,12 @@ _CSV_COLUMNS = (
 )
 
 
-def persist_result(result, out_dir, config: Optional[ExperimentConfig] = None,
+def persist_result(result, out_dir, config: ExperimentConfig,
                    started: Optional[str] = None) -> RunManifest:
     """Write the result JSON, the rung CSV, and the manifest; append-only."""
     doc = _doc(result)
-    if config is not None:  # before any write: a custom phi cannot be stored
-        doc["config"] = yaml.safe_load(serialize_config(config))
+    # before any write: a custom phi cannot be stored
+    doc["config"] = yaml.safe_load(serialize_config(config))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = result.label or "run"
@@ -519,7 +523,7 @@ def persist_result(result, out_dir, config: Optional[ExperimentConfig] = None,
     manifest = RunManifest(
         config_hash=result.config_hash,
         version=result.version,
-        seed=config.seed if config is not None else -1,
+        seed=config.seed,
         started=started or now,
         finished=now,
         result_path=str(paths[".json"]),
@@ -642,10 +646,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [10**4]
+    sizes = args.sizes or [10**4]
     doc = {"q": args.q, "rows": []}
     if args.hurst:
-        for h in (float(x) for x in args.hurst.split(",")):
+        for h in args.hurst:
             row = {"hurst": h,
                    "rates": {str(n): rate_g(args.q, h, n) for n in sizes}}
             doc["rows"].append(row)
@@ -674,6 +678,19 @@ def _cmd_rates(args) -> int:
         path = _write_json(args.out, "rates", doc)
         print(f"wrote {path}")
     return 0
+
+
+def _comma_list(kind):
+    """argparse type: a comma-separated list of ``kind`` values, so a bad
+    value is a usage error (exit 2)."""
+    def parse(text):
+        try:
+            return [kind(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -713,9 +730,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "rate tables and two-parameter regime rows",
                 needs_config=False)
     rates.add_argument("--q", type=int, required=True)
-    rates.add_argument("--hurst", default=None,
+    rates.add_argument("--hurst", type=_comma_list(float), default=None,
                        help="comma-separated H values")
-    rates.add_argument("--sizes", default=None,
+    rates.add_argument("--sizes", type=_comma_list(int), default=None,
                        help="comma-separated window sizes")
     rates.add_argument("--alpha", type=float, default=None)
     rates.add_argument("--beta", type=float, default=None)

@@ -21,8 +21,8 @@ are two independent exact fields (Wood & Chan 1994; Dietrich & Newsam
 1997), so replicates 2k and 2k+1 are the real and imaginary halves of the
 transform of pair k's normals, drawn from the Philox window keyed by
 (seed, k).  A circulant draw reuses one workspace per thread (the normals
-and the spectrum product at embedding size) and inverts the transform one
-axis at a time, cropping each axis to the lattice as soon as it is
+and the spectrum product at embedding size) and inverts the transform in
+place, one axis at a time, cropping each axis to the lattice as soon as it is
 transformed; the workspace remembers which pair it holds, so the second
 half of a pair costs no normals and no transform.  Values are
 bit-identical to the one-shot ``ifftn`` of each embedding, whatever the
@@ -59,7 +59,6 @@ DENSE_CHOLESKY = "dense_cholesky"
 MAX_DOUBLINGS = 3
 DENSE_LIMIT = 4096
 
-_SLAB = 1 << 16   # complex points per inverse-FFT temporary in draw (1 MB)
 _local = threading.local()  # this thread's draw buffers, see _workspace
 
 
@@ -257,29 +256,15 @@ def _workspace(shape) -> tuple:
     return ws
 
 
-def _ifft_in_place(v: np.ndarray, axis: int):
-    """v[...] = np.fft.ifft(v, axis=axis).  A multi-axis v goes through
-    slabs of about _SLAB points, so no temporary of v's size is allocated;
-    each lane is transformed by itself, so the values do not depend on the
-    slabs.  A 1-D v is a single lane and is transformed whole."""
-    if v.ndim == 1:
-        v[...] = np.fft.ifft(v)
-        return
-    cut = 1 if axis == 0 else 0
-    step = max(1, _SLAB * v.shape[cut] // v.size)
-    for start in range(0, v.shape[cut], step):
-        slab = (slice(None),) * cut + (slice(start, start + step),)
-        v[slab] = np.fft.ifft(v[slab], axis=axis)
-
-
 def _cropped_inverse(w: np.ndarray, sizes) -> tuple:
     """ifftn(w) cropped to ``sizes``, as a view into w, and sqrt(w.size).
     The inverse runs one axis at a time, last axis first as ifftn does, and
     each axis is cropped right after its transform, so every kept value
-    gets ifftn's arithmetic.  Overwrites w."""
+    gets ifftn's arithmetic.  Each axis is transformed into w itself, so
+    no temporary of w's size is allocated.  Overwrites w."""
     scale = np.sqrt(w.size)
     for axis in reversed(range(w.ndim)):
-        _ifft_in_place(w, axis)
+        np.fft.ifft(w, axis=axis, out=w)
         w = w[(slice(None),) * axis + (slice(0, sizes[axis]),)]
     return w, scale
 

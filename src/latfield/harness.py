@@ -42,6 +42,17 @@ VERDICT_ALPHA = 0.01
 _STATISTICAL = ("normality", "kurtosis_series", "rate_fit")
 
 
+def _label_problem(label: str) -> Optional[str]:
+    """Why ``label`` cannot stem result file names, or None.  It must be
+    one plain file-name component (or empty, for the default stem), so
+    results land inside the output directory."""
+    if label in (".", "..") or any(c and c in label
+                                   for c in ("/", os.sep, os.altsep, "\0")):
+        return ("must be a plain file name, without path separators, "
+                f"'.', '..' or NUL; got {label!r}")
+    return None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     covariance: CompositeCovariance
@@ -74,6 +85,9 @@ class ExperimentConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ModelError("seed must fit in 64 bits")
+        problem = _label_problem(self.label)
+        if problem:
+            raise ModelError(f"label {problem}")
         if self.growth is not None:
             growth = tuple(float(g) for g in self.growth)
             object.__setattr__(self, "growth", growth)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._errors import ModelError
-from .chaoscalc import _DIRECT_LAG_LIMIT, _lag_window, gamma_quotient
+from .chaoscalc import _DIRECT_LAG_LIMIT, _lag_window
 from .covariance import (
     ADDITIVE,
     GNEITING,
@@ -72,8 +72,6 @@ class Sigma2:
 def _tail_estimate(factor: FactorCovariance, radius: int, q: int) -> float:
     """Order-of-magnitude estimate of the lag sum dropped beyond the box."""
     s = decay_exponent(factor)
-    if s is None:
-        raise ModelError("tabulated factors carry no decay metadata")
     if not math.isfinite(s):
         return 0.0
     d = factor.dim
@@ -214,19 +212,9 @@ def fbs_regime(alpha: float, beta: float, q: int) -> RegimeVerdict:
 # regime classification from model metadata
 
 
-def _require_decay(factor: FactorCovariance, role: str) -> float:
-    s = decay_exponent(factor)
-    if s is None:
-        raise ModelError(
-            f"{role} has no decay metadata (tabulated): model is incomplete "
-            "for classification"
-        )
-    return s
-
-
 def _variance_growth(factor: FactorCovariance, rank: int) -> dict:
     """Growth exponent of the block's own Hermite-variance, with log flag."""
-    s = _require_decay(factor, f"factor {factor.family}")
+    s = decay_exponent(factor)
     d = factor.dim
     x = s * rank
     if x > d:
@@ -262,8 +250,7 @@ def _classify_separable(cov, rank) -> RegimeVerdict:
             ),
         )
     strictly_long = all(
-        _require_decay(f, f"factor {i}") * rank < f.dim
-        for i, f in enumerate(cov.factors)
+        decay_exponent(f) * rank < f.dim for f in cov.factors
     )
     if not strictly_long:
         return RegimeVerdict(
@@ -357,19 +344,7 @@ def _classify_gneiting(cov, rank, growth) -> RegimeVerdict:
 
 def _gamma_decay(factor, rank) -> float:
     """Decay exponent of the gamma quotient in the block's own scale."""
-    s = decay_exponent(factor)
-    if s is not None:
-        return min(s * rank, float(factor.dim))
-    # no closed form: fit the exact quotient on a dyadic ladder
-    if factor.dim != 1:
-        raise ModelError("numeric gamma fit is implemented for 1-D factors")
-    ns = np.array([16, 32, 64, 128], dtype=float)
-    gs = np.array(
-        [gamma_quotient(factor, (int(n),), rank).exact for n in ns]
-    )
-    if np.any(gs <= 0):
-        raise ModelError("gamma quotient is not positive: cannot fit decay")
-    return float(-np.polyfit(np.log(ns), np.log(gs), 1)[0])
+    return min(decay_exponent(factor) * rank, float(factor.dim))
 
 
 def _classify_additive(cov, rank, growth) -> RegimeVerdict:

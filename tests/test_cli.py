@@ -240,6 +240,28 @@ def test_a_custom_phi_config_is_not_stored(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", ["../escaped", "a/b", "..", ".", "a\0b"])
+def test_a_label_must_be_a_plain_file_name(tmp_path, capsys, label):
+    # the label stems the result file names, so anything but one plain
+    # file-name component would write outside --out, or fail only after
+    # the whole run: refused in the usual single pass, before any output
+    text = MINIMAL.replace("label: smoke", f"label: {json.dumps(label)}")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text.replace("replicates: 120", "replicates: 0"))
+    assert [v.split(":")[0] for v in info.value.violations] == ["label", "replicates"]
+    with pytest.raises(ModelError, match="label must be a plain file name"):
+        dataclasses.replace(parse_config(MINIMAL), label=label)
+    work = tmp_path / "work"
+    work.mkdir()
+    cfg = work / "cfg.yaml"
+    cfg.write_text(text)
+    for command in ("experiment", "validate"):
+        assert main([command, "--config", str(cfg), "--out", str(work / "out")]) == 2
+        assert "  label: must be a plain file name" in capsys.readouterr().err
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert written == ["work", "work/cfg.yaml"]
+
+
 def test_experiment_command_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINIMAL)
@@ -380,6 +402,17 @@ def test_rates_command(tmp_path, capsys):
     assert "case 4" in capsys.readouterr().out
     assert main(["rates", "--q", "2", "--alpha", "0.3"]) == 2
     assert main(["rates", "--q", "2"]) == 2
+
+
+@pytest.mark.parametrize("args", [["--hurst", "x"], ["--hurst", "0.3", "--sizes", "10,abc"]],
+                         ids=["hurst", "sizes"])
+def test_rates_refuses_a_bad_list_value(capsys, args):
+    # an unparseable list value is a usage error, not a traceback
+    with pytest.raises(SystemExit) as info:
+        main(["rates", "--q", "2", *args])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: latfield rates" in err and "expected comma-separated" in err
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_linalg():

@@ -1,5 +1,6 @@
 """Sampling: method selection, exactness certificates, and MC covariance checks."""
 import dataclasses
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -154,14 +155,11 @@ _CIRCULANT_CASES = {
 }
 
 
-@pytest.mark.parametrize("slab", [None, 7], ids=["default slab", "7-point slabs"])
 @pytest.mark.parametrize("case", list(_CIRCULANT_CASES))
-def test_draw_matches_one_shot_inverse_fft(case, slab, monkeypatch):
-    # the per-axis, crop-as-you-go inverse gives the one-shot ifftn values
-    # bit for bit, however the lanes are cut into slabs: the real part for
-    # even replicates and the imaginary part for odd ones, over two pairs
-    if slab is not None:
-        monkeypatch.setattr(fieldsim, "_SLAB", slab)
+def test_draw_matches_one_shot_inverse_fft(case):
+    # the per-axis, crop-as-you-go, in-place inverse gives the one-shot
+    # ifftn values bit for bit: the real part for even replicates and the
+    # imaginary part for odd ones, over two pairs
     cov, blocks = _CIRCULANT_CASES[case]
     sampler = build_sampler(cov, LatticeSpec(blocks))
     assert sampler.method != DENSE_CHOLESKY
@@ -276,6 +274,24 @@ def test_draw_reuses_its_buffers():
         draw(sampler, seed=8, replicate_id=r)
     faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
     assert faults / reps < 500, faults / reps
+
+
+def test_draw_inverts_in_place():
+    # a warm draw that starts a new pair allocates its sample and little
+    # else: each axis is transformed into the workspace, with no temporary
+    # of the 254x254 embedding's size (1 MB)
+    cov = _separable(FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4))
+    sampler = build_sampler(cov, LatticeSpec(((128,), (128,))))
+    assert sampler.sqrt_spectrum.shape == (254, 254)
+    draw(sampler, seed=8, replicate_id=0)  # warm-up: allocates the workspace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample = draw(sampler, seed=8, replicate_id=2)  # pair 1: new normals and transform
+        extra = tracemalloc.get_traced_memory()[1] - base - sample.values.nbytes
+    finally:
+        tracemalloc.stop()
+    assert extra <= 128 * 1024, extra
 
 
 def test_white_noise_sampler_is_iid():
