@@ -21,6 +21,11 @@ column alone, row by row through the displacement recurrence of A B
 (Kailath & Sayed 1995), in O(n^2) time and O(n) memory; its cliques, the
 4-cycles of multi-D factors and everything of a non-separable model's
 full-lattice matrix take dense products.
+
+The excursion indicator 1{x >= a} has every chaos, so its variance is not
+summed by chaos: it is the lag sum of the bivariate normal orthant excess
+P(X >= a, Y >= a) - Phibar(a)^2, by Genz's quadrature (Genz 2004,
+Statistics and Computing 14; latfield._gauss).
 """
 from __future__ import annotations
 
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
 from ._errors import ModelError, NumericalError
+from ._gauss import orthant_excess
 from .covariance import (
     ADDITIVE,
     SEPARABLE,
@@ -82,7 +87,9 @@ def _lag_window(model, sizes):
 
 def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g) -> float:
     """sum_z W(z) g(C(z)) over every window lag z, g acting elementwise on
-    the covariance values; ModelError past _DIRECT_LAG_LIMIT lags."""
+    the covariance values; ModelError past _DIRECT_LAG_LIMIT lags.  C is
+    even and the window's lags run symmetrically about z = 0, its middle
+    entry, so g is evaluated up to z = 0 and mirrored."""
     sizes = lattice.all_sizes
     count = math.prod(2 * n - 1 for n in sizes)
     if count > _DIRECT_LAG_LIMIT:
@@ -91,7 +98,8 @@ def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g) -> float:
             "use a factorized structure or a smaller window"
         )
     values, weights = _lag_window(cov, sizes)
-    return float(np.sum(weights * g(values)))
+    half = g(values[:count // 2 + 1])
+    return float(np.sum(weights * np.concatenate((half, half[-2::-1]))))
 
 
 def _checked_variance(cov, lattice, q: int, variance: float) -> float:
@@ -163,17 +171,13 @@ def variance_phi(cov, lattice, coefficients, phi=None) -> PhiVariance:
 def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
                        level: float) -> float:
     """Var(sum_t 1{B_t >= a}) for any structure: the lag sum of W(z) times
-    P(X >= a, Y >= a) - Phibar(a)^2 = Phibar(a) - 2 T(a, sqrt((1-rho)/(1+rho)))
-    - Phibar(a)^2 for a pair with correlation rho = C(z), T being Owen's T."""
+    the orthant excess P(X >= a, Y >= a) - Phibar(a)^2 of a pair with
+    correlation rho = C(z), to double precision by Genz's bivariate normal
+    quadrature (Genz 2004, Statistics and Computing 14), which sums the
+    excess itself instead of subtracting Phibar(a)^2 from the joint
+    probability.  At a = 0 it is Sheppard's asin(rho) / 2 pi."""
     _check_blocks(cov, lattice)
-    tail = float(ndtr(-level))
-
-    def excess(rho):
-        with np.errstate(divide="ignore"):
-            joint = tail - 2.0 * owens_t(level, np.sqrt((1.0 - rho) / (1.0 + rho)))
-        return joint - tail**2
-
-    return _lag_sum(cov, lattice, excess)
+    return _lag_sum(cov, lattice, lambda rho: orthant_excess(level, rho))
 
 
 # ---------------------------------------------------------------------------

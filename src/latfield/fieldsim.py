@@ -38,6 +38,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+# numpy loads these on first use; load them with the package so the first
+# sampler build and draw of a run do not pay for it
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from ._errors import ModelError, NumericalError
 from .covariance import (

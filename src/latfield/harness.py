@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import kolmogi, ndtr, ndtri
 
 from . import __version__
 from ._errors import ModelError, NumericalError
+from ._gauss import kolmogorov_quantile, normal_cdf, normal_quantile
 from .chaoscalc import ChaosReport, chaos_report, fourth_cumulant, variance_phi
 # unused here; perfbench/tracing.py wraps harness.additive_variance by name
 from .chaoscalc import additive_variance  # noqa: F401
@@ -194,7 +194,7 @@ def normality_report(samples) -> NormalityReport:
                 "jackknife produced non-finite replicates: sample too degenerate"
             )
         ses.append(float(np.sqrt((n - 1.0) / n * np.sum((values - values.mean()) ** 2))))
-    cdf = ndtr(np.sort(x))  # one-sample KS statistic: max of D+ and D-
+    cdf = normal_cdf(np.sort(x))  # one-sample KS statistic: max of D+ and D-
     ks = max(float(np.max(np.arange(1.0, n + 1) / n - cdf)),
              float(np.max(cdf - np.arange(0.0, n) / n)))
     return NormalityReport(
@@ -215,8 +215,8 @@ def is_gaussian(report: NormalityReport, alpha: float = VERDICT_ALPHA) -> bool:
     """The declared finite-n decision rule: the (1-alpha) confidence
     interval of the excess kurtosis contains 0 AND the KS statistic stays
     below the level-alpha critical value."""
-    z = float(ndtri(1.0 - alpha / 2.0))
-    ks_critical = float(kolmogi(alpha)) / math.sqrt(report.n)
+    z = normal_quantile(1.0 - alpha / 2.0)
+    ks_critical = kolmogorov_quantile(alpha) / math.sqrt(report.n)
     return (
         abs(report.kurtosis) <= z * report.kurtosis_se
         and report.ks_stat < ks_critical

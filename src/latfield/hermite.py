@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._errors import ModelError, NumericalError
+from ._gauss import normal_cdf
 
 PURE = "pure"
 INDICATOR = "indicator"
@@ -118,7 +118,7 @@ def hermite_coefficients(phi: HermiteSpec, qmax: Optional[int] = None) -> np.nda
     if phi.kind == INDICATOR:
         a = phi.level
         coeffs = np.empty(qmax + 1)
-        coeffs[0] = ndtr(-a)
+        coeffs[0] = normal_cdf(-a)
         pdf = np.exp(-a * a / 2.0) / np.sqrt(2.0 * np.pi)
         fact = 1.0
         for q in range(1, qmax + 1):
@@ -150,7 +150,7 @@ def phi_second_moment(phi: HermiteSpec) -> float:
     if phi.kind == PURE:
         return float(math.factorial(phi.q))
     if phi.kind == INDICATOR:
-        return float(ndtr(-phi.level))
+        return normal_cdf(-phi.level)
     x, w = np.polynomial.hermite_e.hermegauss(2 * _GH_NODES)
     w = w / np.sqrt(2.0 * np.pi)
     return float(np.sum(w * phi(x) ** 2))

@@ -34,6 +34,7 @@ from latfield.chaoscalc import (
 from latfield.covariance import (
     ADDITIVE,
     CAUCHY,
+    EXPONENTIAL,
     FGN,
     GNEITING,
     SEPARABLE,
@@ -606,6 +607,17 @@ def test_factorized_variances_are_checked_against_the_lag_sum(monkeypatch):
         variance_hermite(sep, lat, 2)
     with pytest.raises(NumericalError, match="direct lag sum"):
         additive_variance(add, lat, 2)
+
+
+def test_level_zero_indicator_variance_is_sheppards_sum():
+    # at level 0 the orthant excess is asin(rho) / 2 pi: the lag sum must
+    # match its correctly rounded sum, with no Phibar(0)^2 cancelled
+    cov = _sep(FactorCovariance(EXPONENTIAL, scale=2.0), FactorCovariance(FGN, hurst=0.3))
+    lat = LatticeSpec(((256,), (256,)))
+    values, weights = chaoscalc._lag_window(cov, lat.all_sizes)
+    want = math.fsum((weights * np.arcsin(values) / (2.0 * np.pi)).tolist())
+    got = variance_indicator(cov, lat, 0.0)
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_variance_indicator():

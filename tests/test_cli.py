@@ -415,15 +415,28 @@ def test_rates_refuses_a_bad_list_value(capsys, args):
     assert "usage: latfield rates" in err and "expected comma-separated" in err
 
 
-def test_import_loads_neither_scipy_stats_nor_scipy_linalg():
+def test_no_scipy_module_is_loaded(tmp_path):
+    # neither by the import nor by an experiment whose indicator phi takes
+    # the normal CDF, the critical values and the exact orthant lag sum
+    cfg = tmp_path / "indicator.yaml"
+    cfg.write_text(MINIMAL.replace("kind: pure\n  q: 2", "kind: indicator\n  level: 0.7"))
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, latfield.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+    code = "\n".join((
+        "import sys, latfield.cli",
+        "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "print('loaded', scipy())",
+        f"code = latfield.cli.main(['experiment', '--config', {str(cfg)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])",
+        "print('loaded', scipy(), code)",
+    ))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    lines = [line for line in out.stdout.splitlines() if line.startswith("loaded")]
+    assert lines == ["loaded []", "loaded [] 0"]
+    result = json.loads((tmp_path / "out" / "smoke.json").read_text())
+    assert [r["variance_source"] for r in result["rungs"]] == ["exact", "exact"]
 
 
 def test_additive_results_are_thread_count_invariant(tmp_path):

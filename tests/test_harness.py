@@ -61,13 +61,26 @@ def test_normality_report_on_the_null():
 
 def test_ks_statistic_is_scipys():
     # scipy.stats is the independent reference for the statistic the
-    # harness computes with scipy.special.ndtr alone
+    # harness computes from the standard library's erf and erfc; scipy's
+    # own Phi differs from theirs by a few ulp on about a third of values
     from scipy.stats import kstest
 
     rng = np.random.default_rng(5)
     for n in (100, 1001, 4096):
         x = rng.standard_t(4, size=n) * 1.3
-        assert normality_report(x).ks_stat == float(kstest(x, "norm").statistic)
+        assert abs(normality_report(x).ks_stat - float(kstest(x, "norm").statistic)) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05])
+def test_critical_values_are_scipys(alpha):
+    # is_gaussian's kurtosis z and KS critical value, without scipy
+    from scipy.special import kolmogi, ndtri
+
+    from latfield._gauss import kolmogorov_quantile, normal_quantile
+
+    for got, want in ((normal_quantile(1.0 - alpha / 2.0), float(ndtri(1.0 - alpha / 2.0))),
+                      (kolmogorov_quantile(alpha), float(kolmogi(alpha)))):
+        assert abs(got - want) <= 4 * math.ulp(want)
 
 
 def test_normality_report_detects_a_squared_transform():
