@@ -20,7 +20,12 @@ factor's M is symmetric Toeplitz, so its 4-cycles come from its first
 column alone, row by row through the displacement recurrence of A B
 (Kailath & Sayed 1995), in O(n^2) time and O(n) memory; its cliques, the
 4-cycles of multi-D factors and everything of a non-separable model's
-full-lattice matrix take dense products.
+full-lattice matrix take dense products.  Every block is persymmetric: C
+is even, C(z) = C(-z), and reversing the point order (J, in axis-major
+order) negates every lag, so J M J = M, and J A J = A for every
+elementwise power A of M.  So the rows of A B mirror each other and the
+clique sum's per-point terms pair up, and both kernels sum over the first
+half of the points only (_mirror_sum).
 
 The excursion indicator 1{x >= a} has every chaos, so its variance is not
 summed by chaos: it is the lag sum of the bivariate normal orthant excess
@@ -29,6 +34,7 @@ Statistics and Computing 14; latfield._gauss).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,7 +80,14 @@ def _check_q(q: int):
 def _lag_window(model, sizes):
     """(C(z), W(z)) over every lag z of a window of sizes n_j, in axis-major
     order: the covariance of ``model`` (a factor or a composite), evaluated
-    once, and the pair weight W(z) = prod_j (n_j - |z_j|)."""
+    once, and the pair weight W(z) = prod_j (n_j - |z_j|).  A separable
+    model's C and W are the outer products of its factors' own windows,
+    the same bits as composite_values on the whole lag grid."""
+    if isinstance(model, CompositeCovariance) and model.structure == SEPARABLE:
+        ends = itertools.accumulate(f.dim for f in model.factors)
+        parts = [_lag_window(f, sizes[end - f.dim:end]) for f, end in zip(model.factors, ends)]
+        return tuple(functools.reduce(np.multiply.outer, window).ravel()
+                     for window in zip(*parts))
     axes = [np.arange(-(n - 1), n) for n in sizes]
     lags = _grid_vectors(axes).reshape(-1, len(sizes))
     weights = None
@@ -214,14 +227,21 @@ def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.convolve(np.concatenate((col[:0:-1], col)), x, "valid")
 
 
-def _displacement_rows(a: np.ndarray, b: np.ndarray, first_row, first_col):
-    """The rows of P = A B, for symmetric Toeplitz A and B with first columns
-    a and b, from P's first row and column by the displacement recurrence
-    P[i, j] = P[i-1, j-1] + a(i) b(j) - a(n-i) b(n-j)."""
+def _mirror_sum(terms, n: int) -> float:
+    """sum_{i < n} T(i) for T(i) = T(n-1-i), from its first ceil(n/2) terms:
+    twice those below the middle, plus the middle term when n is odd."""
+    half = n // 2
+    return float(2 * sum(terms[:half]) + sum(terms[half:]))
+
+
+def _displacement_rows(a: np.ndarray, b: np.ndarray, first_row, first_col, stop: int):
+    """Rows 0 .. stop-1 of P = A B, for symmetric Toeplitz A and B with first
+    columns a and b, from P's first row and column by the displacement
+    recurrence P[i, j] = P[i-1, j-1] + a(i) b(j) - a(n-i) b(n-j)."""
     n = len(a)
     row, tail = first_row, b[:0:-1]
     yield row
-    for i in range(1, n):
+    for i in range(1, stop):
         row = np.concatenate(((first_col[i],), row[:-1] + a[i] * b[1:] - a[n - i] * tail))
         yield row
 
@@ -229,14 +249,18 @@ def _displacement_rows(a: np.ndarray, b: np.ndarray, first_row, first_col):
 def _toeplitz_trace_abab(col: np.ndarray, q: int, r: int) -> float:
     """_trace_abab of the symmetric Toeplitz M with first column ``col``:
     trace((AB)^2) = sum_ij P_ij Q_ij with P = AB and Q = BA = P^T, whose
-    first rows and columns are B a and A b; Q is P when r = q - r."""
+    first rows and columns are B a and A b; Q is P when r = q - r.  A and B
+    are persymmetric, so P and Q are (J P J = J A J J B J = P): row n-1-i is
+    row i reversed, and only the rows up to the middle are drawn."""
     a = col**r
     b = a if q == 2 * r else col ** (q - r)
     ba, ab = _toeplitz_matvec(b, a), _toeplitz_matvec(a, b)
-    rows = _displacement_rows(a, b, ba, ab)
+    n = len(col)
+    rows = _displacement_rows(a, b, ba, ab, (n + 1) // 2)
     if q == 2 * r:
-        return float(sum(p @ p for p in rows))
-    return float(sum(p @ t for p, t in zip(rows, _displacement_rows(b, a, ab, ba))))
+        return _mirror_sum([p @ p for p in rows], n)
+    others = _displacement_rows(b, a, ab, ba, (n + 1) // 2)
+    return _mirror_sum([p @ t for p, t in zip(rows, others)], n)
 
 
 def _clique_triples(q: int):
@@ -247,20 +271,24 @@ def _clique_triples(q: int):
 
 def _clique_sum(matrix: np.ndarray, triple) -> float:
     """S(a, b, c) = sum over point 4-tuples (i, j, k, l) of A_ij A_kl B_ik
-    B_jl C_il C_jk with A, B, C = M^(.a), M^(.b), M^(.c): sum_i trace(P Q R)
-    with P = diag(A_i.) C, Q = diag(B_i.) A, R = diag(C_i.) B (one matrix at
-    a = b = c), in buffers reused for every i, as fresh temporaries fault
-    their pages in again whenever the allocator returns them to the OS."""
+    B_jl C_il C_jk with A, B, C = M^(.a), M^(.b), M^(.c): sum_u T(u), T(u) =
+    trace(P Q R) with P = diag(A_u.) C, Q = diag(B_u.) A, R = diag(C_u.) B
+    (one matrix at a = b = c), in buffers reused for every u, as fresh
+    temporaries fault their pages in again whenever the allocator returns
+    them to the OS.  M is persymmetric (J M J = M, as C is even), so
+    relabelling every point i as N-1-i gives T(u) = T(N-1-u), and u runs
+    over the first ceil(N/2) points only."""
     a, b, c = triple
+    n = len(matrix)
     power = {k: matrix if k == 1 else matrix**k for k in triple}
     scaled = {key: np.empty_like(matrix) for key in {(a, c), (b, a), (c, b)}}
-    pq, total = np.empty_like(matrix), 0.0
-    for u in range(len(matrix)):
+    pq, terms = np.empty_like(matrix), []
+    for u in range((n + 1) // 2):
         for (x, y), out in scaled.items():
             np.multiply(power[x][:, u, None], power[y], out=out)
-        total += float(np.einsum("ij,ji->", np.matmul(scaled[a, c], scaled[b, a], out=pq),
-                                 scaled[c, b]))
-    return total
+        terms.append(float(np.einsum("ij,ji->", np.matmul(scaled[a, c], scaled[b, a], out=pq),
+                                     scaled[c, b])))
+    return _mirror_sum(terms, n)
 
 
 def _block_terms(block: np.ndarray, q: int, orders, triples):

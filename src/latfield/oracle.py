@@ -13,8 +13,12 @@ pairs with one of the d[v2] half-edges of a later vertex v2, giving
 
     f(d) = sum_{v2 > v1, d[v2] > 0} d[v2] rho(v1, v2) f(d - e_v1 - e_v2),
 
-memoized on d.  Intentionally small and obviously correct: this module
-certifies the fast chaos-calculus code on tiny lattices.
+memoized on d, on Python floats.  Intentionally small and obviously
+correct: this module certifies the fast chaos-calculus code on tiny
+lattices.  WickProblem refuses a matrix with a NaN or infinite entry, and
+checks symmetry and the unit diagonal by np.allclose's rule, |x - y| <=
+1e-12 + 1e-5 |y|, written as direct comparisons: oracle_functional_moment
+builds one per multiset of points, on the same matrix.
 """
 from __future__ import annotations
 
@@ -31,6 +35,8 @@ from .covariance import CompositeCovariance, eval_composite
 
 MAX_TOTAL_DEGREE = 24
 MAX_ORACLE_POINTS = 9
+#: the symmetry and unit-diagonal tolerances: np.allclose's rtol, atol 1e-12
+_ATOL, _RTOL = 1e-12, 1e-5
 
 
 @dataclass(frozen=True)
@@ -44,9 +50,11 @@ class WickProblem:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ModelError("covariance must be a square matrix")
-        if not np.allclose(cov, cov.T, atol=1e-12):
+        if not np.all(np.isfinite(cov)):
+            raise ModelError("covariance entries must be finite")
+        if not np.all(np.abs(cov - cov.T) <= _ATOL + _RTOL * np.abs(cov.T)):
             raise ModelError("covariance must be symmetric")
-        if not np.allclose(np.diag(cov), 1.0, atol=1e-12):
+        if not np.all(np.abs(np.diag(cov) - 1.0) <= _ATOL + _RTOL):
             raise ModelError("covariance must have unit diagonal")
         object.__setattr__(self, "covariance", cov)
         mono = tuple((int(k), int(q)) for k, q in self.monomial)
@@ -71,7 +79,7 @@ def wick_moment(problem: WickProblem) -> float:
     if problem.total_degree % 2 == 1:
         return 0.0
     points = [point for point, _ in problem.monomial]
-    rho = problem.covariance[np.ix_(points, points)]
+    rho = problem.covariance[np.ix_(points, points)].tolist()
 
     @functools.cache
     def pairings(left):
@@ -80,11 +88,11 @@ def wick_moment(problem: WickProblem) -> float:
             return 1.0
         total = 0.0
         for v2 in range(v1 + 1, len(left)):
-            if left[v2] and rho[v1, v2] != 0.0:
+            if left[v2] and rho[v1][v2] != 0.0:
                 rest = list(left)
                 rest[v1] -= 1
                 rest[v2] -= 1
-                total += left[v2] * rho[v1, v2] * pairings(tuple(rest))
+                total += left[v2] * rho[v1][v2] * pairings(tuple(rest))
         return total
 
     return pairings(tuple(order for _, order in problem.monomial))

@@ -37,14 +37,17 @@ from latfield.covariance import (
     EXPONENTIAL,
     FGN,
     GNEITING,
+    ISOTROPIC,
     SEPARABLE,
     TABULATED,
     WHITE_NOISE,
     CompositeCovariance,
     FactorCovariance,
+    _grid_vectors,
+    composite_values,
     eval_factor,
 )
-from latfield.fieldsim import DENSE_LIMIT, LatticeSpec
+from latfield.fieldsim import DENSE_LIMIT, LatticeSpec, dense_covariance_matrix
 from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_coefficients
 from latfield.oracle import (
     WickProblem,
@@ -314,6 +317,83 @@ def test_clique_sum_matches_brute_force():
         a, b, c = (m**k for k in triple)
         want = float(np.einsum("ij,kl,ik,jl,il,jk->", a, a, b, b, c, c))
         assert chaoscalc._clique_sum(m, triple) == pytest.approx(want, rel=1e-12), triple
+
+
+# the halved kernels against full, unhalved references, on blocks of odd
+# and even point counts: both rely on persymmetry, J M J = M for the point
+# reversal J, which holds because C(z) = C(-z)
+PERSYMMETRY_SIZES = (1, 2, 3, 4, 7, 8)
+PERSYMMETRY_SHAPES = ((1, 1), (2, 1), (3, 1), (2, 2), (7, 1), (4, 2))
+ABAB_ORDERS = [(q, r) for q in (2, 3, 4) for r in range(1, q)]
+CLIQUE_ORDERS = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]  # q <= 4, every order
+
+
+def _full_clique_sum(matrix, triple):
+    """S(a, b, c) as sum_u trace(P Q R) over every point u."""
+    a, b, c = (matrix**k for k in triple)
+    return sum(float(np.trace((a[:, u, None] * c) @ (b[:, u, None] * a) @ (c[:, u, None] * b)))
+               for u in range(len(matrix)))
+
+
+def _skew_table_factor():
+    """A 2-D tabulated factor even under z -> -z but not under z1 -> -z1:
+    C(1, 1) = 0.36, C(1, -1) = 0.18."""
+    table = {(z1, z2): 0.6 ** (abs(z1) + abs(z2)) * (1.0 if z2 >= 0 else 0.5)
+             for z1 in range(0, 7) for z2 in range(-3, 4) if (z1, z2) >= (0, 0)}
+    return FactorCovariance(TABULATED, dim=2, table=table)
+
+
+def _persymmetric_blocks():
+    """(label, dense matrix) for every kind of block _block_terms receives."""
+    for hurst in (0.3, 0.7):
+        factor = FactorCovariance(FGN, hurst=hurst)
+        for n in PERSYMMETRY_SIZES:
+            yield f"fgn({hurst}) n={n}", toeplitz(chaoscalc._factor_block(factor, (n,)))
+    cauchy = FactorCovariance(CAUCHY, exponent=0.8, dim=2)
+    yield "cauchy 3x2", chaoscalc._factor_block(cauchy, (3, 2))
+    skew = _skew_table_factor()
+    models = [
+        CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=1.0),
+                                       FactorCovariance(CAUCHY, exponent=0.7))),
+        CompositeCovariance(ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.5),
+                                       FactorCovariance(FGN, hurst=0.7)), weights=(0.4, 0.6)),
+        CompositeCovariance(ISOTROPIC, (FactorCovariance(CAUCHY, exponent=0.8, dim=2),),
+                            block_dims=(1, 1)),
+    ]
+    for shape in PERSYMMETRY_SHAPES:
+        yield f"tabulated {shape}", chaoscalc._factor_block(skew, shape)
+        for cov in models:
+            lattice = LatticeSpec(tuple((n,) for n in shape))
+            yield f"{cov.structure} {shape}", dense_covariance_matrix(cov, lattice)
+
+
+def test_blocks_are_persymmetric():
+    # the premise of both halvings: reversing the point order fixes M
+    skew = chaoscalc._factor_block(_skew_table_factor(), (3, 2))
+    assert skew[0, 3] != skew[1, 2]  # lags (1, 1) and (1, -1): not even per coordinate
+    for label, m in _persymmetric_blocks():
+        np.testing.assert_array_equal(m[::-1, ::-1], m, err_msg=label)
+
+
+def test_halved_toeplitz_trace_matches_dense_products():
+    for hurst in (0.3, 0.7):
+        factor = FactorCovariance(FGN, hurst=hurst)
+        for n in PERSYMMETRY_SIZES:
+            col = chaoscalc._factor_block(factor, (n,))
+            m = toeplitz(col)
+            for q, r in ABAB_ORDERS:
+                a, b = m**r, m ** (q - r)
+                want = float(np.einsum("ij,jk,kl,li->", a, b, a, b))
+                got = chaoscalc._toeplitz_trace_abab(col, q, r)
+                assert got == pytest.approx(want, rel=1e-13), (hurst, n, q, r)
+
+
+def test_halved_clique_sum_matches_the_full_point_loop():
+    for label, m in _persymmetric_blocks():
+        for triple in CLIQUE_ORDERS:
+            want = _full_clique_sum(m, triple)
+            assert chaoscalc._clique_sum(m, triple) == pytest.approx(want, rel=1e-13), (
+                label, triple)
 
 
 def test_clique_budget_scales_with_the_diagram_count(monkeypatch):
@@ -607,6 +687,28 @@ def test_factorized_variances_are_checked_against_the_lag_sum(monkeypatch):
         variance_hermite(sep, lat, 2)
     with pytest.raises(NumericalError, match="direct lag sum"):
         additive_variance(add, lat, 2)
+
+
+def test_separable_lag_window_is_the_full_grid_evaluation():
+    # per-factor windows, multiplied out, against composite_values on the
+    # whole lag grid: the same bits for C and W
+    exp2, fgn3 = FactorCovariance(EXPONENTIAL, scale=2.0), FactorCovariance(FGN, hurst=0.3)
+    cauchy2 = FactorCovariance(CAUCHY, exponent=0.8, dim=2)
+    cases = [
+        (_sep(exp2, fgn3), (7, 5)),
+        (_sep(cauchy2, fgn3), (3, 4, 5)),
+        (_sep(fgn3, cauchy2), (5, 3, 4)),
+        (_sep(fgn3, exp2, FactorCovariance(FGN, hurst=0.8)), (4, 3, 6)),
+    ]
+    for cov, sizes in cases:
+        axes = [np.arange(-(n - 1), n) for n in sizes]
+        lags = _grid_vectors(axes).reshape(-1, len(sizes))
+        weights = np.ones(())
+        for n, ax in zip(sizes, axes):
+            weights = np.multiply.outer(weights, (n - np.abs(ax)).astype(float))
+        values, got_weights = chaoscalc._lag_window(cov, sizes)
+        np.testing.assert_array_equal(values, composite_values(cov, lags), err_msg=str(sizes))
+        np.testing.assert_array_equal(got_weights, weights.ravel(), err_msg=str(sizes))
 
 
 def test_level_zero_indicator_variance_is_sheppards_sum():

@@ -92,6 +92,54 @@ def test_wick_validation_and_caps():
         WickProblem(ONE, ((3, 1),))
 
 
+def _allclose_accepts(m):
+    return bool(np.allclose(m, m.T, atol=1e-12) and np.allclose(np.diag(m), 1.0, atol=1e-12))
+
+
+def _accepts(m):
+    try:
+        WickProblem(m, ((0, 1),))
+    except ModelError:
+        return False
+    return True
+
+
+def test_wick_validation_is_allclose_rule():
+    # |x - y| <= 1e-12 + 1e-5 |y| on both sides of each boundary
+    unit = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+
+    def perturbed(base, *changes):
+        m = base.copy()
+        for i, j, delta in changes:
+            m[i, j] += delta
+        return m
+
+    cases = [
+        (perturbed(unit, (0, 2, 1e-13)), True),          # asymmetry 1e-13
+        (perturbed(unit, (2, 0, -1e-13)), True),
+        (perturbed(unit, (0, 1, 1e-4)), False),          # 1e-4 on a unit entry
+        (perturbed(unit, (1, 0, -2e-5)), False),
+        (perturbed(unit, (0, 1, 9e-6)), True),           # within rtol of a unit entry
+        (perturbed(np.eye(3), (0, 2, 2e-12)), False),    # past atol where |y| = 0
+        (perturbed(np.eye(3), (0, 2, 5e-13)), True),
+        (perturbed(unit, (2, 2, 2e-5)), False),          # diagonal 1 + 2e-5
+        (perturbed(unit, (2, 2, -2e-5)), False),         # diagonal 1 - 2e-5
+        (perturbed(unit, (2, 2, 9e-6)), True),
+        (perturbed(unit, (2, 2, -9e-6)), True),
+        (perturbed(unit, (0, 2, np.nan)), False),        # a NaN entry
+        (perturbed(unit, (0, 2, np.nan), (2, 0, np.nan)), False),
+        (perturbed(unit, (1, 1, np.nan)), False),
+    ]
+    for m, accepted in cases:
+        assert _allclose_accepts(m) == accepted, m
+        assert _accepts(m) == accepted, m
+    # np.allclose takes equal infinities as close; the oracle refuses them
+    inf = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    assert _allclose_accepts(inf)
+    with pytest.raises(ModelError, match="finite"):
+        WickProblem(inf, ((0, 1),))
+
+
 def test_lattice_covariance_matrix_values():
     table = FactorCovariance(TABULATED, table={(0,): 1.0, (1,): 0.5})
     cov = CompositeCovariance(SEPARABLE, (table,))
