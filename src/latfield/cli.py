@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import sys
@@ -411,9 +412,9 @@ def _factor_doc(factor: FactorCovariance) -> dict:
     return doc
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """YAML text that parses back to an equivalent config; ModelError for a
-    custom phi, which has no config form."""
+def _config_doc(config: ExperimentConfig) -> dict:
+    """The config as the plain document its YAML form holds; ModelError
+    for a custom phi, which has no config form."""
     if config.phi.kind not in (PURE, INDICATOR):
         raise ModelError(f"a {config.phi.kind} phi has no config form")
     cov = config.covariance
@@ -444,7 +445,13 @@ def serialize_config(config: ExperimentConfig) -> str:
     }
     if config.growth is not None:
         doc["growth"] = list(config.growth)
-    return yaml.safe_dump(doc, sort_keys=False)
+    return doc
+
+
+def serialize_config(config: ExperimentConfig) -> str:
+    """YAML text that parses back to an equivalent config; ModelError for a
+    custom phi, which has no config form."""
+    return yaml.safe_dump(_config_doc(config), sort_keys=False)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +510,7 @@ def persist_result(result, out_dir, config: ExperimentConfig,
     """Write the result JSON, the rung CSV, and the manifest; append-only."""
     doc = _doc(result)
     # before any write: a custom phi cannot be stored
-    doc["config"] = yaml.safe_load(serialize_config(config))
+    doc["config"] = _config_doc(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = result.label or "run"
@@ -739,8 +746,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: parsing does
+    not change it."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -20,14 +20,18 @@ in replicate pairs: the real and imaginary parts of one complex transform
 are two independent exact fields (Wood & Chan 1994; Dietrich & Newsam
 1997), so replicates 2k and 2k+1 are the real and imaginary halves of the
 transform of pair k's normals, drawn from the Philox window keyed by
-(seed, k).  A circulant draw reuses one workspace per thread (the normals
-and the spectrum product at embedding size) and inverts the transform in
-place, one axis at a time, cropping each axis to the lattice as soon as it is
-transformed; the workspace remembers which pair it holds, so the second
-half of a pair costs no normals and no transform.  Values are
-bit-identical to the one-shot ``ifftn`` of each embedding, whatever the
-thread count and whichever half is drawn first.  Dense-Cholesky draws take
-their normals from the window keyed by (seed, replicate_id).
+(seed, k).  Each thread reuses one workspace: the normals of one pair and
+a stack of spectrum products at embedding size, one plane per pair of a
+block of consecutive pairs.  ``draw_pairs`` fills the stack from each
+pair's own window, multiplies it by the spectrum root once and inverts it
+in place, one axis at a time over all planes, cropping each axis to the
+lattice as soon as it is transformed; the workspace remembers which
+pairs it holds, so ``draw`` serves every replicate of the block with no
+normals and no transform.  A draw of a pair the workspace does not hold
+is the block of one.  Values are bit-identical to the one-shot ``ifftn``
+of each embedding, whatever the block, the thread count and the order in
+which halves are drawn.  Dense-Cholesky draws take their normals from the
+window keyed by (seed, replicate_id).
 """
 from __future__ import annotations
 
@@ -249,64 +253,93 @@ def _replicate_rng(seed: int, window: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _workspace(shape) -> tuple:
-    """This thread's draw buffers for an embedding of the given shape: m
-    reals for one half of the normals and the m-point complex product.
-    Replaced when the shape changes."""
+def _workspace(shape, count) -> tuple:
+    """This thread's draw buffers for ``count`` pairs on an embedding of
+    the given shape: m reals for one half of one pair's normals and the
+    first ``count`` planes of a stack of m-point complex products.  Kept
+    while the shape matches and the stack holds ``count`` planes;
+    otherwise dropped before the new buffers are allocated, so a thread
+    never holds two."""
     ws = getattr(_local, "buffers", None)
-    if ws is None or ws[1].shape != shape:
-        ws = (np.empty(math.prod(shape)), np.empty(shape, dtype=complex))
-        _local.buffers = ws
-    return ws
+    if ws is None or ws[1].shape[1:] != shape or len(ws[1]) < count:
+        _local.buffers = ws = None
+        ws = _local.buffers = (np.empty(math.prod(shape)),
+                               np.empty((count,) + shape, dtype=complex))
+    return ws[0], ws[1][:count]
 
 
 def _cropped_inverse(w: np.ndarray, sizes) -> tuple:
-    """ifftn(w) cropped to ``sizes``, as a view into w, and sqrt(w.size).
-    The inverse runs one axis at a time, last axis first as ifftn does, and
-    each axis is cropped right after its transform, so every kept value
-    gets ifftn's arithmetic.  Each axis is transformed into w itself, so
-    no temporary of w's size is allocated.  Overwrites w."""
-    scale = np.sqrt(w.size)
-    for axis in reversed(range(w.ndim)):
+    """ifftn of each plane w[i] cropped to ``sizes``, as a view into w, and
+    sqrt of a plane's size.  The inverse runs one axis at a time, last
+    axis first as ifftn does, and each axis is cropped right after its
+    transform, so every kept value gets ifftn's arithmetic.  Each axis is
+    transformed into w itself, so no temporary of w's size is allocated.
+    Overwrites w."""
+    scale = np.sqrt(w[0].size)
+    for axis in reversed(range(1, w.ndim)):
         np.fft.ifft(w, axis=axis, out=w)
-        w = w[(slice(None),) * axis + (slice(0, sizes[axis]),)]
+        w = w[(slice(None),) * axis + (slice(0, sizes[axis - 1]),)]
     return w, scale
 
 
-def _pair_transforms(sampler: Sampler, seed: int, pair: int) -> tuple:
-    """The cropped complex transforms of replicate pair ``pair``, one per
-    block for additive samplers and one in all, as (view into this thread's
-    workspace, sqrt(m)) tuples.  w = sqrt_spectrum * (z[:m] + 1j*z[m:]) for
-    z = standard_normal(2m) from the pair's window; the workspace is filled
-    only when it does not already hold this (sampler, seed, pair)."""
-    held = getattr(_local, "pair", None)
-    if held is not None and held[0] is sampler and held[1:3] == (seed, pair):
-        return held[3]
-    _local.pair = None  # drop the views before the workspace may be replaced
-    rng = _replicate_rng(seed, pair)
+def draw_pairs(sampler: Sampler, seed: int, first_pair: int, count: int) -> None:
+    """Draw and transform replicate pairs first_pair .. first_pair+count-1
+    into this thread's workspace, so that ``draw`` serves both halves of
+    each of them with no further normals or transforms.
+
+    Pair k's plane is w = sqrt_spectrum * (z[:m] + 1j*z[m:]) for
+    z = standard_normal(2m) from the pair's own window; the stack is
+    multiplied and inverted once for all planes (an additive sampler
+    inverts each block's stretch of the stack once).  The per-thread
+    record of what the workspace holds is replaced.  Dense-Cholesky draws
+    are not paired, so there is nothing to prepare for them."""
+    if count < 1:
+        raise ModelError(f"a block needs at least one pair, got {count}")
+    if sampler.method == DENSE_CHOLESKY:
+        return
+    seed, first_pair = int(seed), int(first_pair)
+    _local.pairs = None  # drop the views before the workspace may be replaced
     shape = sampler.sqrt_spectrum.shape
-    z, w = _workspace(shape)
-    w.real = rng.standard_normal(out=z).reshape(shape)
-    w.imag = rng.standard_normal(out=z).reshape(shape)
+    z, w = _workspace(shape, count)
+    for plane, pair in zip(w, range(first_pair, first_pair + count)):
+        rng = _replicate_rng(seed, pair)
+        plane.real = rng.standard_normal(out=z).reshape(shape)
+        plane.imag = rng.standard_normal(out=z).reshape(shape)
     np.multiply(w, sampler.sqrt_spectrum, out=w)
     if sampler.method == ADDITIVE_CIRCULANT:
         # sqrt(w1) U (+) sqrt(w2) V: one field per block from its stretch of w
         (a, b), (n1, n2) = sampler.embeddings, sampler.lattice.blocks
         m1 = math.prod(a.shape)
-        transforms = (_cropped_inverse(w[:m1].reshape(a.shape), n1),
-                      _cropped_inverse(w[m1:].reshape(b.shape), n2))
+        transforms = (_cropped_inverse(w[:, :m1].reshape((count,) + a.shape), n1),
+                      _cropped_inverse(w[:, m1:].reshape((count,) + b.shape), n2))
     else:
         transforms = (_cropped_inverse(w, sampler.lattice.all_sizes),)
-    _local.pair = (sampler, seed, pair, transforms)
-    return transforms
+    _local.pairs = (sampler, seed, first_pair, count, transforms)
+
+
+def _pair_transforms(sampler: Sampler, seed: int, pair: int) -> list:
+    """The cropped complex transforms of replicate pair ``pair``, one per
+    block for additive samplers and one in all, as (view into this thread's
+    workspace, sqrt(m)) tuples.  The workspace is filled, as a block of
+    one pair, only when it does not already hold this (sampler, seed,
+    pair)."""
+    held = getattr(_local, "pairs", None)
+    if (held is None or held[0] is not sampler or held[1] != seed
+            or not 0 <= pair - held[2] < held[3]):
+        draw_pairs(sampler, seed, pair, 1)
+        held = _local.pairs
+    plane = pair - held[2]
+    return [(t[plane], scale) for t, scale in held[4]]
 
 
 def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
     """One field realization; a pure function of (seed, replicate_id).
 
     A circulant replicate r is the real (r even) or imaginary (r odd) half
-    of the transform of pair r // 2, times sqrt(m); drawing both halves of
-    a pair one after the other on a thread draws and transforms once."""
+    of the transform of pair r // 2, times sqrt(m).  It is served from this
+    thread's workspace when the workspace holds that pair (after
+    ``draw_pairs``, or after a draw of the pair's other half); otherwise
+    the pair is drawn and transformed as a block of one."""
     seed, replicate_id = int(seed), int(replicate_id)
     lattice = sampler.lattice
     if sampler.method == DENSE_CHOLESKY:

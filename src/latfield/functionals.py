@@ -22,28 +22,31 @@ import numpy as np
 
 from ._errors import ModelError
 from .fieldsim import FieldSample
-from .hermite import PURE, HermiteSpec, hermite_eval
+from .hermite import INDICATOR, PURE, HermiteSpec, hermite_terms
 
 
 def _additive_hermite_sum(sample: FieldSample, q: int) -> float:
     """sum of H_q over the lattice of an additive sample, from its block
     fields by the addition theorem.  The theorem is an identity for any
     positive w1 + w2 = 1, so the weights are rescaled to sum to 1 to
-    rounding, whatever the slack the configured weights were allowed."""
+    rounding, whatever the slack the configured weights were allowed.
+    One pass of the recurrence per block gives every per-block sum."""
     total = sum(sample.weights)
     scales = [math.sqrt(w / total) for w in sample.weights]
-    normed = [x / s for x, s in zip(sample.blocks, scales)]
-    sums = [[float(np.sum(hermite_eval(k, u))) for k in range(q + 1)]
-            for u in normed]
+    sums = [[float(h.sum()) for h in hermite_terms(q, x / s)]
+            for x, s in zip(sample.blocks, scales)]
     return math.fsum(math.comb(q, k) * scales[0] ** k * scales[1] ** (q - k)
                      * sums[0][k] * sums[1][q - k] for k in range(q + 1))
 
 
 def evaluate(sample: FieldSample, phi: HermiteSpec) -> float:
     """phi summed over the field values at every lattice point; a pure
-    phi on an additive sample is summed from its block fields."""
+    phi on an additive sample is summed from its block fields, and an
+    indicator is a count."""
     if phi.kind == PURE and sample.blocks is not None:
         return _additive_hermite_sum(sample, phi.q)
+    if phi.kind == INDICATOR:
+        return float(np.count_nonzero(sample.values >= phi.level))
     return float(np.sum(phi(sample.values)))
 
 

@@ -9,10 +9,12 @@ scheduling cannot change a single bit of the output.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +28,7 @@ from .chaoscalc import ChaosReport, chaos_report, fourth_cumulant, variance_phi
 # unused here; perfbench/tracing.py wraps harness.additive_variance by name
 from .chaoscalc import additive_variance  # noqa: F401
 from .covariance import SEPARABLE, CompositeCovariance
-from .fieldsim import LatticeSpec, build_sampler, draw
+from .fieldsim import LatticeSpec, build_sampler, draw, draw_pairs
 from .functionals import evaluate
 from .hermite import HermiteSpec, hermite_coefficients, hermite_rank
 
@@ -288,25 +290,54 @@ def _exact_moments(cov, lattice, coeffs, phi):
     return mean, var.value, None
 
 
+#: complex embedding points one block of replicate pairs may hold in a
+#: thread's workspace (512 KiB); a pair larger than this is a block alone
+_BLOCK_POINTS = 2**15
+
+_experiment = threading.local()  # .pool: the worker pool of the running experiment
+
+
+@contextlib.contextmanager
+def _workers(threads):
+    """The worker pool of the experiment running on this thread, or, when
+    there is none, a pool of ``threads`` threads that lasts as long as the
+    context and serves as that pool meanwhile."""
+    pool = getattr(_experiment, "pool", None)
+    if pool is not None:
+        yield pool
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        _experiment.pool = pool
+        try:
+            yield pool
+        finally:
+            _experiment.pool = None
+
+
 def _draw_values(config, sampler, rung_index, threads) -> np.ndarray:
     reps = config.replicates
     pairs = (reps + 1) // 2
     values = np.empty(reps)
-    base = rung_index * 2 * pairs  # even, so no replicate pair spans two rungs
+    base = rung_index * pairs  # first pair; no replicate pair spans two rungs
+    pair_points = (sampler.sqrt_spectrum.size if sampler.sqrt_spectrum is not None
+                   else sampler.lattice.n_total)
+    size = max(1, _BLOCK_POINTS // pair_points)
 
-    def work(k):
-        # one replicate pair per unit, both halves on one thread: the second
-        # draw is served from the transform the first one left in the
-        # thread's workspace
-        for r in range(2 * k, min(2 * k + 2, reps)):
-            values[r] = evaluate(draw(sampler, config.seed, base + r), config.phi)
+    def work(first):
+        # one block of pairs per unit, on one thread: one transform for the
+        # block, then every replicate of it is served from the workspace
+        count = min(size, pairs - first)
+        draw_pairs(sampler, config.seed, base + first, count)
+        for r in range(2 * first, min(2 * (first + count), reps)):
+            values[r] = evaluate(draw(sampler, config.seed, 2 * base + r), config.phi)
 
-    if threads <= 1:
-        for k in range(pairs):
-            work(k)
+    blocks = range(0, pairs, size)
+    if threads <= 1 or len(blocks) == 1:
+        for first in blocks:
+            work(first)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(pairs)))
+        with _workers(threads) as pool:
+            list(pool.map(work, blocks))
     return values
 
 
@@ -338,45 +369,46 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     rank = hermite_rank(coeffs)
     rungs = []
     notes = []
-    for idx, lattice in enumerate(config.ladder):
-        tag = "x".join(str(n) for n in lattice.all_sizes)
-        try:
-            sampler = build_sampler(cov, lattice)
-            values = _draw_values(config, sampler, idx, threads)
-        except (ModelError, NumericalError) as exc:
-            raise type(exc)(f"rung {idx} ({tag}): {exc}") from exc
-        exact_mean, exact_var, why = _exact_moments(cov, lattice, coeffs, config.phi)
-        rung_notes = []
-        if exact_var is not None:
-            scale = math.sqrt(exact_var)
-        else:
-            scale = float(np.std(values, ddof=1))
-            rung_notes.append(why)
-        if not scale > 0.0:
-            raise NumericalError(f"rung {idx} ({tag}): degenerate variance")
-        stats = normality_report((values - exact_mean) / scale)
-        chaos = None
-        if "chaos_reports" in config.outputs:
+    with _workers(threads):
+        for idx, lattice in enumerate(config.ladder):
+            tag = "x".join(str(n) for n in lattice.all_sizes)
             try:
-                chaos = chaos_report(cov, lattice, rank)
+                sampler = build_sampler(cov, lattice)
+                values = _draw_values(config, sampler, idx, threads)
             except (ModelError, NumericalError) as exc:
-                rung_notes.append(f"chaos report unavailable: {exc}")
-        rungs.append(
-            RungResult(
-                sizes=lattice.all_sizes,
-                n_total=lattice.n_total,
-                replicates=config.replicates,
-                stats=stats,
-                raw_mean=float(np.mean(values)),
-                raw_variance=float(np.var(values, ddof=1)),
-                exact_mean=exact_mean,
-                exact_variance=exact_var,
-                variance_source="exact" if exact_var is not None else "empirical",
-                gaussian=is_gaussian(stats),
-                chaos=chaos,
-                notes=tuple(rung_notes),
+                raise type(exc)(f"rung {idx} ({tag}): {exc}") from exc
+            exact_mean, exact_var, why = _exact_moments(cov, lattice, coeffs, config.phi)
+            rung_notes = []
+            if exact_var is not None:
+                scale = math.sqrt(exact_var)
+            else:
+                scale = float(np.std(values, ddof=1))
+                rung_notes.append(why)
+            if not scale > 0.0:
+                raise NumericalError(f"rung {idx} ({tag}): degenerate variance")
+            stats = normality_report((values - exact_mean) / scale)
+            chaos = None
+            if "chaos_reports" in config.outputs:
+                try:
+                    chaos = chaos_report(cov, lattice, rank)
+                except (ModelError, NumericalError) as exc:
+                    rung_notes.append(f"chaos report unavailable: {exc}")
+            rungs.append(
+                RungResult(
+                    sizes=lattice.all_sizes,
+                    n_total=lattice.n_total,
+                    replicates=config.replicates,
+                    stats=stats,
+                    raw_mean=float(np.mean(values)),
+                    raw_variance=float(np.var(values, ddof=1)),
+                    exact_mean=exact_mean,
+                    exact_variance=exact_var,
+                    variance_source="exact" if exact_var is not None else "empirical",
+                    gaussian=is_gaussian(stats),
+                    chaos=chaos,
+                    notes=tuple(rung_notes),
+                )
             )
-        )
     verdict = None
     if "normality" in config.outputs:
         verdict = "gaussian" if rungs[-1].gaussian else "non_gaussian"

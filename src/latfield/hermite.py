@@ -28,18 +28,34 @@ _GH_NODES = 2 * DEFAULT_QMAX + 32
 _GH_RTOL = 1e-8
 
 
-def hermite_eval(q: int, x):
-    """H_q(x) by the three-term recurrence H_{q+1} = x H_q - q H_{q-1}."""
+def hermite_terms(q: int, x):
+    """H_0(x), H_1(x), ..., H_q(x) by one pass of the three-term recurrence
+    H_{k+1} = x H_k - k H_{k-1}, run in place on three buffers of x's
+    shape.  Each yielded array is a buffer that the step after next
+    overwrites: read it (or copy it) before advancing twice.  Each step
+    rounds as ``x * H_k - k * H_{k-1}`` does."""
     if q < 0:
         raise ModelError("hermite order must be nonnegative")
     x = np.asarray(x, dtype=float)
-    if q == 0:
-        return np.ones_like(x) if x.ndim else 1.0
     prev = np.ones_like(x)
-    cur = x.copy()
+    yield prev
+    if q == 0:
+        return
+    cur, spare = x.copy(), np.empty_like(x)
+    yield cur
     for k in range(1, q):
-        prev, cur = cur, x * cur - k * prev
-    return cur if x.ndim else float(cur)
+        np.multiply(x, cur, out=spare)
+        np.multiply(prev, k, out=prev)
+        np.subtract(spare, prev, out=prev)
+        prev, cur = cur, prev
+        yield cur
+
+
+def hermite_eval(q: int, x):
+    """H_q(x) by the three-term recurrence H_{q+1} = x H_q - q H_{q-1}."""
+    for cur in hermite_terms(q, x):
+        pass
+    return cur if cur.ndim else float(cur)
 
 
 @dataclass(frozen=True)

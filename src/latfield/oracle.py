@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from ._errors import ModelError
-from .covariance import CompositeCovariance, eval_composite
+from .covariance import CompositeCovariance, composite_values
 
 MAX_TOTAL_DEGREE = 24
 MAX_ORACLE_POINTS = 9
@@ -106,14 +106,10 @@ def _lattice_points(lattice) -> np.ndarray:
 
 
 def lattice_covariance_matrix(cov: CompositeCovariance, lattice) -> np.ndarray:
-    """Dense covariance matrix over all lattice points (small lattices)."""
+    """Dense covariance matrix over all lattice points (small lattices),
+    from one evaluation of the covariance at every lag pts[i] - pts[j]."""
     pts = _lattice_points(lattice)
-    n = len(pts)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = eval_composite(cov, pts[i] - pts[j])
-    return out
+    return composite_values(cov, pts[:, None, :] - pts[None, :, :])
 
 
 def oracle_functional_moment(cov, lattice, q: int, order: int) -> float:

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from latfield._errors import ConfigError, ModelError
+from latfield import cli
 from latfield.cli import (
     main,
     parse_config,
     persist_result,
     serialize_config,
 )
-from latfield.harness import config_fingerprint, run_experiment
+from latfield.harness import ExperimentResult, config_fingerprint, run_experiment
 from latfield.hermite import HermiteSpec
 
 MINIMAL = """\
@@ -224,6 +225,39 @@ def test_result_json_has_no_timestamps(tmp_path):
     assert "started" not in text and "finished" not in text
     mdoc = json.loads(Path(manifest.manifest_path).read_text())
     assert mdoc["started"] and mdoc["finished"]
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_result_json_stores_the_config_as_its_yaml_form_reads(tmp_path, path):
+    # the stored config is built as a document, not read back from its YAML
+    # text; the result JSON is byte for byte what the YAML round trip gave
+    import yaml
+
+    config = parse_config(path.read_text())
+    result = ExperimentResult(label=config.label, config_hash=config_fingerprint(config),
+                              version="0", rungs=())
+    manifest = persist_result(result, tmp_path, config=config)
+    doc = cli._doc(result)
+    doc["config"] = yaml.safe_load(serialize_config(config))
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert Path(manifest.result_path).read_text() == want
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["rates", "--q", "2", "--hurst", "0.3", "--sizes", "100"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert capsys.readouterr().out.count("H=0.3") == 3
 
 
 def test_a_custom_phi_config_is_not_stored(tmp_path):

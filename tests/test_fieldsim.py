@@ -39,6 +39,7 @@ from latfield.fieldsim import (
     _replicate_rng,
     dense_covariance_matrix,
     draw,
+    draw_pairs,
 )
 
 FGN_075_LAG1 = 0.41421356237309515  # sqrt(2) - 1
@@ -253,6 +254,66 @@ def test_second_half_of_a_pair_comes_from_the_workspace(case, monkeypatch):
         assert np.array_equal(draw(sampler, 7, 5).values, odd), between
         assert np.array_equal(other, _cold_draw(*between)), between
     assert np.array_equal(draw(twin, 7, 5).values, _one_shot_draw(twin, 7, 5))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_CIRCULANT_CASES))
+def test_block_draws_match_one_shot_inverse_fft(case, count, monkeypatch):
+    # a block of pairs is drawn and transformed as one stack; every
+    # replicate of it is then served from the workspace, with no further
+    # normals, bit for bit the one-shot ifftn of its own pair, including
+    # blocks that start past a rung offset of 51 pairs
+    cov, blocks = _CIRCULANT_CASES[case]
+    sampler = build_sampler(cov, LatticeSpec(blocks))
+    windows = []
+    counted = fieldsim._replicate_rng
+    monkeypatch.setattr(fieldsim, "_replicate_rng",
+                        lambda seed, window: windows.append(window) or counted(seed, window))
+    for first in (0, count, 51, 51 + count):
+        windows.clear()
+        draw_pairs(sampler, 31, first, count)
+        assert windows == list(range(first, first + count))
+        for r in range(2 * first + 2 * count - 1, 2 * first - 1, -1):
+            sample = draw(sampler, seed=31, replicate_id=r)
+            assert np.array_equal(sample.values, _one_shot_draw(sampler, 31, r)), r
+        assert windows == list(range(first, first + count))
+
+
+def test_a_block_is_refilled_for_another_sampler_seed_or_pair():
+    # the workspace serves only the (sampler, seed, pairs) it holds; any
+    # other draw is a fresh block of one, and a block of zero is refused
+    cov, blocks = _CIRCULANT_CASES["two factors"]
+    sampler = build_sampler(cov, LatticeSpec(blocks))
+    twin = dataclasses.replace(sampler, sqrt_spectrum=2.0 * sampler.sqrt_spectrum)
+    for between in [(twin, 7, 4), (sampler, 8, 4), (sampler, 7, 9)]:
+        draw_pairs(sampler, 7, 2, 2)
+        assert np.array_equal(draw(*between).values, _one_shot_draw(*between)), between
+        assert np.array_equal(draw(sampler, 7, 7).values, _one_shot_draw(sampler, 7, 7))
+    with pytest.raises(ModelError):
+        draw_pairs(sampler, 7, 0, 0)
+
+
+def test_a_warm_block_draw_allocates_little():
+    # a block of three pairs on a 254x254 embedding holds a 3 MB stack; a
+    # warm block reuses it and transforms in place, and a later block of
+    # one uses its first plane, so neither allocates more than the FFT's
+    # own line buffer (about 130 kB), against 1 MB per plane
+    cov = _separable(FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4))
+    sampler = build_sampler(cov, LatticeSpec(((128,), (128,))))
+    assert sampler.sqrt_spectrum.shape == (254, 254)
+    draw_pairs(sampler, 8, 0, 3)  # warm-up: allocates the workspace
+    stack = fieldsim._local.buffers[1]
+    assert stack.shape == (3, 254, 254)
+    for first, count in ((3, 3), (6, 1), (7, 2)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            draw_pairs(sampler, 8, first, count)
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra <= 192 * 1024, (first, count, extra)
+        assert fieldsim._local.buffers[1] is stack
 
 
 @pytest.mark.skipif(

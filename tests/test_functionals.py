@@ -142,3 +142,45 @@ def test_other_functionals_read_the_additive_lattice_field(case):
     corner = (0,) * len(lattice.blocks[0])
     assert marginal_evaluate(sample, above, block=1, frozen=corner) == \
         marginal_evaluate(field, above, block=1, frozen=corner)
+
+
+def _recurrence(q, x):
+    """H_q(x) by the textbook recurrence, each step a new array."""
+    prev, cur = np.ones_like(x), x.copy()
+    if q == 0:
+        return prev
+    for k in range(1, q):
+        prev, cur = cur, x * cur - k * prev
+    return cur
+
+
+def _per_k_additive_sum(sample, q):
+    """The addition-theorem sum with each H_k recomputed from H_0."""
+    total = sum(sample.weights)
+    scales = [math.sqrt(w / total) for w in sample.weights]
+    sums = [[float(np.sum(_recurrence(k, x / s))) for k in range(q + 1)]
+            for x, s in zip(sample.blocks, scales)]
+    return math.fsum(math.comb(q, k) * scales[0] ** k * scales[1] ** (q - k)
+                     * sums[0][k] * sums[1][q - k] for k in range(q + 1))
+
+
+@pytest.mark.parametrize("case", list(_ADDITIVE_CASES))
+def test_the_fused_recurrence_keeps_the_bits(case):
+    # one in-place pass of the recurrence gives the same sums, bit for bit,
+    # as a new array per step and per order: on the lattice field, where
+    # evaluate equals np.sum(phi(values)), and from the block fields of an
+    # additive sample; the indicator's count equals its float sum
+    sampler = _additive_sampler(case)
+    for r in range(2):
+        sample = draw(sampler, seed=29, replicate_id=r)
+        field = _sample(sample.values, sampler.lattice.blocks)
+        for q in range(1, 7):
+            phi = HermiteSpec(PURE, q=q)
+            assert evaluate(field, phi) == float(np.sum(phi(field.values))), (q, r)
+            assert evaluate(field, phi) == float(np.sum(_recurrence(q, field.values))), (q, r)
+            assert evaluate(sample, phi) == _per_k_additive_sum(sample, q), (q, r)
+            assert np.array_equal(hermite_eval(q, field.values), _recurrence(q, field.values))
+        for level in (0.0, 0.3, -1.0):
+            above = HermiteSpec(INDICATOR, level=level)
+            assert evaluate(field, above) == float(np.sum(above(field.values)))
+    assert hermite_eval(0, 2.0) == 1.0 and hermite_eval(3, 2.0) == 2.0

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -275,6 +276,36 @@ def test_draws_come_in_replicate_pairs(monkeypatch):
         sys.setswitchinterval(interval)
     for idx in range(2):
         assert values[1, idx] == values[3, idx]
+
+
+def test_one_pool_serves_the_experiment_and_one_block_runs_inline(monkeypatch):
+    # the 4x3 rung fits in one block of pairs and is drawn on the calling
+    # thread; the 24x17 rung takes several blocks, spread over the pool that
+    # the whole experiment shares; the values match one thread's
+    cov = separable(FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
+    config = ExperimentConfig(cov, pure(2), (lattice(4, 3), lattice(24, 17)), 120, 13)
+    points = [build_sampler(cov, lat).sqrt_spectrum.size for lat in config.ladder]
+    assert 60 * points[0] <= harness._BLOCK_POINTS < 60 * points[1]
+    pools, threads_seen = [], {}
+    executor = harness.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(1)
+        return executor(*args, **kwargs)
+
+    evaluate = harness.evaluate
+
+    def recorded(sample, phi):
+        threads_seen.setdefault(sample.lattice.n_total, set()).add(threading.get_ident())
+        return evaluate(sample, phi)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", counted_pool)
+    monkeypatch.setattr(harness, "evaluate", recorded)
+    many = run_experiment(config, threads=3)
+    assert pools == [1]
+    assert threads_seen[12] == {threading.get_ident()}
+    assert threading.get_ident() not in threads_seen[24 * 17]
+    assert run_experiment(config, threads=1) == many
 
 
 def test_rungs_use_distinct_replicate_streams():

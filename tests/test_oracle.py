@@ -8,12 +8,16 @@ import pytest
 from latfield import oracle
 from latfield._errors import ModelError
 from latfield.covariance import (
+    ADDITIVE,
+    CAUCHY,
     FGN,
+    GNEITING,
     SEPARABLE,
     TABULATED,
     WHITE_NOISE,
     CompositeCovariance,
     FactorCovariance,
+    eval_composite,
 )
 from latfield.fieldsim import LatticeSpec
 from latfield.oracle import (
@@ -152,6 +156,39 @@ def test_lattice_covariance_matrix_values():
     assert np.allclose(
         lattice_covariance_matrix(wn2, LatticeSpec(((2,), (2,)))), np.eye(4)
     )
+
+
+def _sep(*factors):
+    return CompositeCovariance(SEPARABLE, factors)
+
+
+@pytest.mark.parametrize("cov, blocks", [
+    (_sep(FactorCovariance(WHITE_NOISE)), ((4,),)),
+    (_sep(FactorCovariance(FGN, hurst=0.75)), ((4,),)),
+    (_sep(FactorCovariance(CAUCHY, exponent=0.55)), ((9,),)),
+    (_sep(FactorCovariance(CAUCHY, exponent=0.6)), ((9,),)),
+    (_sep(FactorCovariance(CAUCHY, exponent=0.65)), ((9,),)),
+    (_sep(FactorCovariance(TABULATED, table={(0,): 1.0, (1,): 0.5, (2,): 0.25, (3,): 0.1})),
+     ((4,),)),
+    (_sep(FactorCovariance(FGN, hurst=0.3), FactorCovariance(FGN, hurst=0.9)), ((4,), (2,))),
+    (_sep(FactorCovariance(CAUCHY, dim=2, exponent=0.5)), ((3, 3),)),
+    (CompositeCovariance(ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.48),
+                                    FactorCovariance(FGN, hurst=0.7)), weights=(0.3, 0.7)),
+     ((3,), (3,))),
+    (CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=0.3),
+                                    FactorCovariance(CAUCHY, exponent=1.0))), ((3,), (3,))),
+], ids=["white", "fgn", "cauchy-0.55", "cauchy-0.6", "cauchy-0.65", "tabulated",
+        "fgn-x-fgn", "cauchy-2d", "additive", "gneiting"])
+def test_lattice_covariance_matrix_is_the_pointwise_covariance(cov, blocks):
+    # one vectorized evaluation over every lag: symmetric, and each entry
+    # within 4 ulp of the covariance evaluated at that lag alone (vectorized
+    # powers may round differently in the last place)
+    lattice = LatticeSpec(blocks)
+    got = lattice_covariance_matrix(cov, lattice)
+    points = oracle._lattice_points(lattice)
+    want = np.array([[eval_composite(cov, p - r) for r in points] for p in points])
+    assert np.array_equal(got, got.T)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
 
 def test_functional_moment_single_point():
