@@ -20,12 +20,14 @@ in replicate pairs: the real and imaginary parts of one complex transform
 are two independent exact fields (Wood & Chan 1994; Dietrich & Newsam
 1997), so replicates 2k and 2k+1 are the real and imaginary halves of the
 transform of pair k's normals, drawn from the Philox window keyed by
-(seed, k).  Each thread reuses one workspace: the normals of one pair and
-a stack of spectrum products at embedding size, one plane per pair of a
-block of consecutive pairs.  ``draw_pairs`` fills the stack from each
-pair's own window, multiplies it by the spectrum root once and inverts it
-in place, one axis at a time over all planes, cropping each axis to the
-lattice as soon as it is transformed; the workspace remembers which
+(seed, k).  Each thread reuses one generator, reset to each window it
+reads, and one workspace: a cache-sized chunk of normals and a stack of
+spectrum products at embedding size, one plane per pair of a block of
+consecutive pairs.  ``draw_pairs`` streams each pair's window through the
+chunk, scaling each chunk by its stretch of the spectrum root straight
+into the plane's real part and then its imaginary part, and inverts the
+stack in place, one axis at a time over all planes, cropping each axis to
+the lattice as soon as it is transformed; the workspace remembers which
 pairs it holds, so ``draw`` serves every replicate of the block with no
 normals and no transform.  A draw of a pair the workspace does not hold
 is the block of one.  Values are bit-identical to the one-shot ``ifftn``
@@ -67,7 +69,13 @@ DENSE_CHOLESKY = "dense_cholesky"
 MAX_DOUBLINGS = 3
 DENSE_LIMIT = 4096
 
-_local = threading.local()  # this thread's draw buffers, see _workspace
+#: normals per chunk of a pair's stream: the chunk stays in cache while it
+#: is scaled into the stack
+_CHUNK = 2**13
+
+_MASK64 = 2**64 - 1
+
+_local = threading.local()  # this thread's generator and draw buffers
 
 
 @dataclass(frozen=True)
@@ -246,24 +254,46 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
 
 
 def _replicate_rng(seed: int, window: int) -> np.random.Generator:
-    # one disjoint 2^64-counter window of the Philox stream per replicate
-    # pair (circulant draws) or per replicate (dense draws)
-    bits = np.random.Philox(key=int(seed) & (2**128 - 1),
-                            counter=int(window) << 64)
-    return np.random.Generator(bits)
+    """This thread's generator, set to the start of window ``window`` of the
+    Philox stream keyed by ``seed``: one disjoint 2^64-counter window per
+    replicate pair (circulant draws) or per replicate (dense draws).  Its
+    whole state is reset (key, counter, buffered words and the spare 32-bit
+    half), so it gives the stream of a new Philox(key=seed,
+    counter=window << 64) whatever it read before.  It is valid until the
+    thread's next call."""
+    key, counter = int(seed) & (2**128 - 1), int(window) << 64
+    if not 0 <= counter < 2**256:
+        raise ModelError(f"replicate window {window} is outside the Philox counter")
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([(counter >> s) & _MASK64 for s in (0, 64, 128, 192)],
+                                dtype=np.uint64),
+            "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _workspace(shape, count) -> tuple:
     """This thread's draw buffers for ``count`` pairs on an embedding of
-    the given shape: m reals for one half of one pair's normals and the
-    first ``count`` planes of a stack of m-point complex products.  Kept
+    the given shape: a chunk of _CHUNK reals that normals pass through on
+    their way into the stack, and the first ``count`` planes of a stack of
+    m-point complex products, the only buffer of embedding size.  Kept
     while the shape matches and the stack holds ``count`` planes;
     otherwise dropped before the new buffers are allocated, so a thread
-    never holds two."""
+    never holds two stacks."""
     ws = getattr(_local, "buffers", None)
     if ws is None or ws[1].shape[1:] != shape or len(ws[1]) < count:
         _local.buffers = ws = None
-        ws = _local.buffers = (np.empty(math.prod(shape)),
+        ws = _local.buffers = (np.empty(_CHUNK),
                                np.empty((count,) + shape, dtype=complex))
     return ws[0], ws[1][:count]
 
@@ -288,11 +318,15 @@ def draw_pairs(sampler: Sampler, seed: int, first_pair: int, count: int) -> None
     each of them with no further normals or transforms.
 
     Pair k's plane is w = sqrt_spectrum * (z[:m] + 1j*z[m:]) for
-    z = standard_normal(2m) from the pair's own window; the stack is
-    multiplied and inverted once for all planes (an additive sampler
-    inverts each block's stretch of the stack once).  The per-thread
-    record of what the workspace holds is replaced.  Dense-Cholesky draws
-    are not paired, so there is nothing to prepare for them."""
+    z = standard_normal(2m) from the pair's own window.  The window is read
+    in order, _CHUNK normals at a time, and each chunk is multiplied by its
+    stretch of the raveled root straight into the plane's real part (the
+    first m normals) or imaginary part (the rest), so no buffer of m
+    normals is needed.  The stack is then inverted once for all planes (an
+    additive sampler inverts each block's stretch of the stack once).  The
+    per-thread record of what the workspace holds is replaced.
+    Dense-Cholesky draws are not paired, so there is nothing to prepare
+    for them."""
     if count < 1:
         raise ModelError(f"a block needs at least one pair, got {count}")
     if sampler.method == DENSE_CHOLESKY:
@@ -300,12 +334,16 @@ def draw_pairs(sampler: Sampler, seed: int, first_pair: int, count: int) -> None
     seed, first_pair = int(seed), int(first_pair)
     _local.pairs = None  # drop the views before the workspace may be replaced
     shape = sampler.sqrt_spectrum.shape
-    z, w = _workspace(shape, count)
-    for plane, pair in zip(w, range(first_pair, first_pair + count)):
+    chunk, w = _workspace(shape, count)
+    root = sampler.sqrt_spectrum.reshape(-1)
+    m = root.size
+    for plane, pair in zip(w.reshape(count, m), range(first_pair, first_pair + count)):
         rng = _replicate_rng(seed, pair)
-        plane.real = rng.standard_normal(out=z).reshape(shape)
-        plane.imag = rng.standard_normal(out=z).reshape(shape)
-    np.multiply(w, sampler.sqrt_spectrum, out=w)
+        for half in (plane.real, plane.imag):
+            for lo in range(0, m, _CHUNK):
+                hi = min(lo + _CHUNK, m)
+                z = rng.standard_normal(out=chunk[:hi - lo])
+                np.multiply(z, root[lo:hi], out=half[lo:hi])
     if sampler.method == ADDITIVE_CIRCULANT:
         # sqrt(w1) U (+) sqrt(w2) V: one field per block from its stretch of w
         (a, b), (n1, n2) = sampler.embeddings, sampler.lattice.blocks

@@ -12,17 +12,33 @@ H_k(u) H_(q-k)(v) for w1 + w2 = 1, gives
 Y = sum_k C(q,k) w1^(k/2) w2^((q-k)/2) A_k B_(q-k) from the per-block
 sums A_k = sum H_k(U) and B_k = sum H_k(V), in O(n1 + n2) work instead of
 O(n1 n2) and without building the lattice field.  Every other phi, and
-the marginal functional, reads the lattice field.
+the marginal functional, reads the lattice field.  A pure phi on the
+lattice field runs the Hermite recurrence in buffers that each thread
+keeps, so a replicate loop allocates none.
 """
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from ._errors import ModelError
 from .fieldsim import FieldSample
 from .hermite import INDICATOR, PURE, HermiteSpec, hermite_terms
+
+_local = threading.local()  # this thread's Hermite buffers, see _hermite_buffers
+
+
+def _hermite_buffers(shape) -> list:
+    """This thread's list of ``hermite_terms`` buffers for fields of the
+    given shape (the recurrence adds the buffers it needs).  Kept while the
+    shape matches; otherwise replaced by an empty list, so a thread never
+    holds buffers of two shapes."""
+    held = getattr(_local, "hermite", None)
+    if held is None or held[0] != shape:
+        held = _local.hermite = (shape, [])
+    return held[1]
 
 
 def _additive_hermite_sum(sample: FieldSample, q: int) -> float:
@@ -41,10 +57,16 @@ def _additive_hermite_sum(sample: FieldSample, q: int) -> float:
 
 def evaluate(sample: FieldSample, phi: HermiteSpec) -> float:
     """phi summed over the field values at every lattice point; a pure
-    phi on an additive sample is summed from its block fields, and an
-    indicator is a count."""
-    if phi.kind == PURE and sample.blocks is not None:
-        return _additive_hermite_sum(sample, phi.q)
+    phi on an additive sample is summed from its block fields, on any
+    other sample from H_q computed in this thread's buffers, with
+    ``hermite_eval``'s arithmetic; an indicator is a count."""
+    if phi.kind == PURE:
+        if sample.blocks is not None:
+            return _additive_hermite_sum(sample, phi.q)
+        values = sample.values
+        for h in hermite_terms(phi.q, values, _hermite_buffers(values.shape)):
+            pass
+        return float(np.sum(h))
     if phi.kind == INDICATOR:
         return float(np.count_nonzero(sample.values >= phi.level))
     return float(np.sum(phi(sample.values)))

@@ -27,34 +27,59 @@ DEFAULT_TOL = 1e-12
 _GH_NODES = 2 * DEFAULT_QMAX + 32
 _GH_RTOL = 1e-8
 
+#: the 1.0 that H_0 views with zero strides (read-only, so no caller can
+#: change it); np.broadcast_to builds the same view several times slower
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
-def hermite_terms(q: int, x):
+
+def hermite_terms(q: int, x, buffers=None):
     """H_0(x), H_1(x), ..., H_q(x) by one pass of the three-term recurrence
-    H_{k+1} = x H_k - k H_{k-1}, run in place on three buffers of x's
-    shape.  Each yielded array is a buffer that the step after next
-    overwrites: read it (or copy it) before advancing twice.  Each step
-    rounds as ``x * H_k - k * H_{k-1}`` does."""
+    H_{k+1} = x H_k - k H_{k-1}.
+
+    H_0 is yielded as a read-only zero-stride view of 1.0 with x's shape
+    and H_1 as x itself (as a float array); neither is a copy.  H_2 on are computed in
+    place in float buffers of x's shape: one for q = 2, three for q >= 3.
+    Each yielded H_k (k >= 2) is a buffer that the step after next
+    overwrites: read it (or copy it) before advancing twice.  ``buffers``
+    is a list of such buffers to compute in; the pass appends new ones
+    when it holds fewer than it needs, so a caller that keeps the list
+    reuses them on its next call.  Without it every buffer is new.  Each
+    step rounds as ``x * H_k - k * H_{k-1}`` does."""
     if q < 0:
         raise ModelError("hermite order must be nonnegative")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    yield prev
+    yield np.ndarray(x.shape, float, _ONE, 0, (0,) * x.ndim)
     if q == 0:
         return
-    cur, spare = x.copy(), np.empty_like(x)
+    yield x
+    if q == 1:
+        return
+    buffers = [] if buffers is None else buffers
+    while len(buffers) < (1 if q == 2 else 3):
+        buffers.append(np.empty(x.shape))
+    cur = np.multiply(x, x, out=buffers[0])
+    np.subtract(cur, 1.0, out=cur)  # x H_1 - 1 H_0
     yield cur
-    for k in range(1, q):
-        np.multiply(x, cur, out=spare)
-        np.multiply(prev, k, out=prev)
-        np.subtract(spare, prev, out=prev)
-        prev, cur = cur, prev
+    prev = x
+    for k in range(2, q):
+        # x H_k goes to the spare buffer; k H_{k-1} overwrites H_{k-1},
+        # except H_1, which is x
+        out = prev if k > 2 else buffers[2]
+        spare = np.multiply(x, cur, out=buffers[1])
+        np.multiply(prev, k, out=out)
+        np.subtract(spare, out, out=out)
+        prev, cur = cur, out
         yield cur
 
 
 def hermite_eval(q: int, x):
-    """H_q(x) by the three-term recurrence H_{q+1} = x H_q - q H_{q-1}."""
+    """H_q(x) by the three-term recurrence H_{q+1} = x H_q - q H_{q-1}, as
+    a new array (a float for scalar x)."""
     for cur in hermite_terms(q, x):
         pass
+    if q < 2:  # H_0 and H_1 are yielded as views, not new buffers
+        cur = cur.copy()
     return cur if cur.ndim else float(cur)
 
 

@@ -153,7 +153,39 @@ _CIRCULANT_CASES = {
         _separable(FactorCovariance(FGN, hurst=0.7), FactorCovariance(CAUCHY, exponent=1.5)),
         ((1,), (16,)),
     ),
+    # each half of a pair's window spans several chunks of normals, the
+    # last one ragged (see test_chunked_cases_cross_chunk_boundaries)
+    "510x510 embedding": (
+        _separable(FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4)),
+        ((256,), (256,)),
+    ),
+    # a chunk straddles the end of the first block's stretch of the root
+    "additive across a chunk": (
+        CompositeCovariance(
+            ADDITIVE,
+            (FactorCovariance(CAUCHY, exponent=0.48), FactorCovariance(CAUCHY, exponent=3.0)),
+            weights=(0.1, 0.9),
+        ),
+        ((3000,), (2500,)),
+    ),
 }
+
+
+def test_chunked_cases_cross_chunk_boundaries():
+    # normals reach the stack _CHUNK at a time; these cases put chunk
+    # boundaries inside each half of a pair's window, a ragged chunk at its
+    # end, and a chunk across the additive blocks' boundary
+    chunk = fieldsim._CHUNK
+    cov, blocks = _CIRCULANT_CASES["510x510 embedding"]
+    square = build_sampler(cov, LatticeSpec(blocks))
+    assert square.sqrt_spectrum.shape == (510, 510)
+    m = square.sqrt_spectrum.size
+    assert m > 4 * chunk and m % chunk
+    cov, blocks = _CIRCULANT_CASES["additive across a chunk"]
+    additive = build_sampler(cov, LatticeSpec(blocks))
+    assert additive.method == ADDITIVE_CIRCULANT
+    m1, m = additive.embeddings[0].shape[0], additive.sqrt_spectrum.size
+    assert m > chunk and m1 % chunk and m % chunk  # chunk 0 holds both blocks
 
 
 @pytest.mark.parametrize("case", list(_CIRCULANT_CASES))
@@ -314,6 +346,57 @@ def test_a_warm_block_draw_allocates_little():
             tracemalloc.stop()
         assert extra <= 192 * 1024, (first, count, extra)
         assert fieldsim._local.buffers[1] is stack
+
+
+def test_the_stack_is_the_only_embedding_sized_buffer():
+    # normals stream through a chunk of _CHUNK reals into the stack, so
+    # after a block the workspace holds no m-point buffer beside the stack
+    cov, blocks = _CIRCULANT_CASES["510x510 embedding"]
+    sampler = build_sampler(cov, LatticeSpec(blocks))
+    m = sampler.sqrt_spectrum.size
+    for count in (1, 2):
+        draw_pairs(sampler, 8, 0, count)
+        stack = fieldsim._local.buffers[1]
+        assert stack.shape == (count, 510, 510)
+        others = [b for b in fieldsim._local.buffers if b is not stack]
+        assert others and all(b.size < m for b in others), [b.size for b in others]
+
+
+def _stream(rng):
+    """Enough of a generator's stream to tell two states apart: raw
+    words, normals, and 32-bit integers (which read a spare half word)."""
+    return (rng.bit_generator.random_raw(5).tobytes() + rng.standard_normal(7).tobytes()
+            + rng.integers(2**32, size=5, dtype=np.uint32).tobytes())
+
+
+def _fresh_stream(seed, window):
+    return _stream(np.random.Generator(np.random.Philox(key=seed, counter=window << 64)))
+
+
+def test_replicate_rng_resets_the_whole_stream():
+    # one generator per thread, fully reset per window, reads the stream
+    # of a new Philox(key=seed, counter=window << 64): for windows out of
+    # order, after a stream left partly read (a spare 32-bit half and a
+    # part-used word buffer included), and on another thread
+    seed = 2**64 - 3
+    for window in (5, 2, 2**40, 0, 5, 3):
+        assert _stream(_replicate_rng(seed, window)) == _fresh_stream(seed, window), window
+    rng = _replicate_rng(seed, 9)
+    rng.standard_normal(3)
+    rng.integers(2**32, dtype=np.uint32)
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+    assert _replicate_rng(seed, 9) is rng
+    assert _stream(rng) == _fresh_stream(seed, 9)
+    _replicate_rng(seed, 4).random(3)
+    assert _stream(_replicate_rng(7, 4)) == _fresh_stream(7, 4)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other, stream = pool.submit(lambda: (_replicate_rng(seed, 6),
+                                             _stream(_replicate_rng(seed, 6)))).result()
+    assert other is not rng and stream == _fresh_stream(seed, 6)
+    assert _stream(_replicate_rng(seed, 6)) == _fresh_stream(seed, 6)
+    with pytest.raises(ModelError):
+        _replicate_rng(seed, -1)
 
 
 @pytest.mark.skipif(

@@ -1,12 +1,22 @@
 """Functional evaluation: exact sums, marginals, linearity, additive block sums."""
 import itertools
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from latfield._errors import ModelError
-from latfield.covariance import ADDITIVE, CAUCHY, FGN, CompositeCovariance, FactorCovariance
+from latfield import functionals
+from latfield.covariance import (
+    ADDITIVE,
+    CAUCHY,
+    FGN,
+    SEPARABLE,
+    CompositeCovariance,
+    FactorCovariance,
+)
 from latfield.fieldsim import ADDITIVE_CIRCULANT, FieldSample, LatticeSpec, build_sampler, draw
 from latfield.functionals import evaluate, marginal_evaluate
 from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_eval
@@ -184,3 +194,34 @@ def test_the_fused_recurrence_keeps_the_bits(case):
             above = HermiteSpec(INDICATOR, level=level)
             assert evaluate(field, above) == float(np.sum(above(field.values)))
     assert hermite_eval(0, 2.0) == 1.0 and hermite_eval(3, 2.0) == 2.0
+
+
+def test_a_warm_pure_evaluate_allocates_little():
+    # H_2 and H_3 on a 256x256 field (512 kB) are summed in buffers the
+    # thread keeps, so a warm evaluate allocates next to nothing; another
+    # shape replaces the buffers, and another thread has its own
+    cov = CompositeCovariance(
+        SEPARABLE, (FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=0.4)))
+    sampler = build_sampler(cov, LatticeSpec(((256,), (256,))))
+    sample = draw(sampler, seed=3, replicate_id=0)
+    for q, held in ((2, 1), (3, 3)):
+        phi = HermiteSpec(PURE, q=q)
+        want = evaluate(sample, phi)  # warm-up: allocates the buffers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = evaluate(sample, phi)
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra < 64 * 1024, (q, extra)
+        assert got == want == float(np.sum(phi(sample.values)))
+        shape, buffers = functionals._local.hermite
+        assert shape == (256, 256) and len(buffers) >= held
+    small = _sample(np.arange(12.0).reshape(4, 3) / 7, ((4,), (3,)))
+    phi = HermiteSpec(PURE, q=3)
+    assert evaluate(small, phi) == float(np.sum(phi(small.values)))
+    assert functionals._local.hermite[0] == (4, 3)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(evaluate, sample, phi).result() == float(np.sum(phi(sample.values)))
+    assert functionals._local.hermite[0] == (4, 3)

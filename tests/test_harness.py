@@ -5,6 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # not a POSIX platform
+    resource = None
+
 from latfield import chaoscalc, fieldsim, harness
 from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import fourth_cumulant, variance_hermite, variance_phi
@@ -250,6 +255,29 @@ def test_draw_values_do_not_depend_on_the_thread_count(structure):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(one, three)
+
+
+@pytest.mark.skipif(
+    not hasattr(resource, "RUSAGE_THREAD"),
+    reason="needs resource.RUSAGE_THREAD (per-thread page-fault counts), "
+    "which this platform does not provide",
+)
+def test_a_warm_rung_takes_few_page_faults():
+    # a warm 256x256 H2 rung on one thread allocates only each replicate's
+    # sample: the normals stream into the thread's stack and H2 is summed
+    # in the thread's own buffer, so the allocator need not hand pages back
+    # and map them again (480 faults per replicate when each replicate
+    # allocated and freed about 2 MB)
+    cov = separable(FactorCovariance("cauchy", exponent=0.3), FactorCovariance("cauchy", exponent=0.4))
+    config = ExperimentConfig(cov, pure(2), (lattice(256, 256),), 100, 17)
+    sampler = build_sampler(cov, config.ladder[0])
+    assert sampler.sqrt_spectrum.shape == (510, 510)
+    warm = _draw_values(config, sampler, 0, 1)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    values = _draw_values(config, sampler, 0, 1)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert faults / config.replicates < 16, faults / config.replicates
+    assert values.tobytes() == warm.tobytes()
 
 
 def test_draws_come_in_replicate_pairs(monkeypatch):

@@ -11,6 +11,7 @@ from latfield.hermite import (
     hermite_coefficients,
     hermite_eval,
     hermite_rank,
+    hermite_terms,
     phi_second_moment,
 )
 
@@ -33,6 +34,30 @@ def test_hermite_eval_small_orders():
     }
     for q, want in explicit.items():
         assert np.allclose(hermite_eval(q, xs), want, atol=1e-12)
+
+
+def test_hermite_terms_reuse_the_callers_buffers():
+    # H_0 and H_1 are no copies; H_2 on are computed in the caller's list
+    # of buffers (one for q = 2, three for q >= 3), which the pass fills
+    # only as it needs, with the values of a pass in new buffers; and
+    # hermite_eval still returns a new array for every order
+    x = np.linspace(-3.0, 3.0, 29).reshape(29, 1) * np.ones(3)
+    buffers = []
+    for q, held in ((0, 0), (1, 0), (2, 1), (3, 3), (6, 3), (2, 3)):
+        ids = [id(b) for b in buffers]
+        fresh = [t.copy() for t in hermite_terms(q, x)]
+        for k, term in enumerate(hermite_terms(q, x, buffers)):
+            assert np.array_equal(term, fresh[k]), (q, k)
+            if k >= 2:
+                assert any(term is b for b in buffers), (q, k)
+        assert len(buffers) == held and [id(b) for b in buffers[:len(ids)]] == ids
+    first, second = hermite_terms(1, x)
+    assert first.shape == x.shape and not first.flags.writeable and second is x
+    for q in range(5):
+        value = hermite_eval(q, x)
+        assert value.flags.writeable and not np.shares_memory(value, x), q
+        assert not np.shares_memory(value, hermite_eval(q, x)), q
+    assert not np.shares_memory(HermiteSpec("pure", q=1)(x), x)
 
 
 def test_orthogonality_under_gaussian_quadrature():
