@@ -1,9 +1,15 @@
 """Config parsing, subcommand dispatch, and result persistence.
 
-Configs are YAML documents with a versioned schema.  Parsing collects
-every violation (each tagged with its key path) before failing, so a bad
-config is fixed in one pass.  Persistence is append-only: existing files
-are never overwritten, collisions get a numeric suffix.
+Configs are YAML documents with a versioned schema.  Each covariance
+family's and each phi kind's parameters are declared once, with their
+checks, in ``_FAMILY_PARAMS`` and ``_PHI_PARAMS``: parsing walks these
+tables to check a factor or a phi, and ``_config_doc`` walks them to
+serialize one.  Parsing collects every violation (each tagged with its
+key path) before failing, so a bad config is fixed in one pass: only a
+missing or unknown ``structure``, ``family`` or ``kind``, which decides
+the keys its mapping takes, ends the walk of that mapping.  Booleans are
+not numbers.  Persistence is append-only: existing files are never
+overwritten, collisions get a numeric suffix.
 """
 from __future__ import annotations
 
@@ -49,20 +55,34 @@ from .ratelab import classify, fbs_regime, rate_g
 
 SCHEMA_VERSION = 1
 
+#: Each covariance family's and each phi kind's parameters, with the
+#: ``_check_number`` rule of each (None: the lag table of a tabulated
+#: factor).  Parsing and serialization both read these tables.
+_FAMILY_PARAMS = {
+    FGN: {"hurst": {"between": (0.0, 1.0)}},
+    CAUCHY: {"exponent": {"positive": True}},
+    EXPONENTIAL: {"scale": {"positive": True}},
+    WHITE_NOISE: {},
+    TABULATED: {"table": None},
+}
+_PHI_PARAMS = {
+    PURE: {"q": {"kind": int, "minimum": 1}},
+    INDICATOR: {"level": {}},
+}
+
+
+def _names(table) -> tuple:
+    """Every parameter name in ``table``, in table order."""
+    return tuple(dict.fromkeys(name for params in table.values() for name in params))
+
+
 _TOP_KEYS = {
     "schema", "label", "covariance", "phi", "lattice",
     "replicates", "seed", "outputs", "growth",
 }
 _COV_KEYS = {"structure", "factors", "weights", "block_dims"}
-_FACTOR_KEYS = {"family", "dim", "hurst", "exponent", "scale", "table"}
-_PHI_KEYS = {"kind", "q", "level"}
-_FAMILY_PARAMS = {
-    FGN: {"hurst"},
-    CAUCHY: {"exponent"},
-    EXPONENTIAL: {"scale"},
-    WHITE_NOISE: set(),
-    TABULATED: {"table"},
-}
+_FACTOR_KEYS = {"family", "dim", *_names(_FAMILY_PARAMS)}
+_PHI_KEYS = {"kind", *_names(_PHI_PARAMS)}
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +98,16 @@ class _Check:
     def fail(self, path, message):
         self.violations.append(f"{path}: {message}")
 
-    def known_keys(self, doc, allowed, path):
+    def mapping(self, doc, allowed, path, message="must be a mapping") -> bool:
+        """Whether ``doc`` is a mapping, reporting its unknown keys; else
+        ``message``."""
+        if not isinstance(doc, dict):
+            self.fail(path, message)
+            return False
         for key in doc:
             if key not in allowed:
                 self.fail(f"{path}.{key}" if path else str(key), "unknown key")
+        return True
 
     def require(self, doc, key, path):
         if key not in doc or doc[key] is None:
@@ -89,8 +115,17 @@ class _Check:
             return None
         return doc[key]
 
+    def choice(self, doc, key, path, options, what):
+        """The required string ``doc[key]`` when it is one of ``options``."""
+        value = self.require(doc, key, path)
+        if value is not None and (not isinstance(value, str) or value not in options):
+            self.fail(f"{path}.{key}", f"unknown {what} {value!r}")
+            return None
+        return value
 
-def _check_number(check, value, path, kind=float, positive=False, minimum=None):
+
+def _check_number(check, value, path, kind=float, positive=False, minimum=None,
+                  between=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         check.fail(path, f"expected a number, got {type(value).__name__}")
         return None
@@ -107,178 +142,131 @@ def _check_number(check, value, path, kind=float, positive=False, minimum=None):
     if isinstance(value, float) and not math.isfinite(value):
         check.fail(path, f"must be a finite number, got {value}")
         return None
+    if between is not None and not between[0] < value < between[1]:
+        check.fail(path, f"must lie in ({between[0]:g}, {between[1]:g}), got {value}")
+        return None
     return value
 
 
-def _parse_factor(check, doc, path):
-    if not isinstance(doc, dict):
-        check.fail(path, "factor must be a mapping")
+def _numbers(check, value, path, message, fits=bool, **rule):
+    """``value`` as a tuple of numbers that each pass ``_check_number`` with
+    ``rule``, or None once every violation is recorded: ``message`` when it
+    is not a list or ``fits(value)`` is false (by default: it is empty)."""
+    if not isinstance(value, list) or not fits(value):
+        check.fail(path, message)
         return None
-    check.known_keys(doc, _FACTOR_KEYS, path)
-    family = check.require(doc, "family", path)
-    if family is None:
-        return None
-    if family not in _FAMILY_PARAMS:
-        check.fail(f"{path}.family", f"unknown family {family!r}")
-        return None
-    kwargs = {"family": family}
-    dim = doc.get("dim", 1)
-    dim = _check_number(check, dim, f"{path}.dim", kind=int, minimum=1)
-    if dim is None:
-        return None
-    kwargs["dim"] = dim
-    needed = _FAMILY_PARAMS[family]
-    for key in ("hurst", "exponent", "scale", "table"):
-        if key in doc and key not in needed:
-            check.fail(f"{path}.{key}", f"not a parameter of family {family!r}")
-    if family == FGN:
-        h = check.require(doc, "hurst", path)
-        if h is not None:
-            h = _check_number(check, h, f"{path}.hurst")
-            if h is not None and not 0.0 < h < 1.0:
-                check.fail(f"{path}.hurst", f"must lie in (0, 1), got {h}")
-                h = None
-        if h is None:
-            return None
-        kwargs["hurst"] = h
-    elif family == CAUCHY:
-        b = check.require(doc, "exponent", path)
-        if b is not None:
-            b = _check_number(check, b, f"{path}.exponent", positive=True)
-        if b is None:
-            return None
-        kwargs["exponent"] = b
-    elif family == EXPONENTIAL:
-        s = check.require(doc, "scale", path)
-        if s is not None:
-            s = _check_number(check, s, f"{path}.scale", positive=True)
-        if s is None:
-            return None
-        kwargs["scale"] = s
-    elif family == TABULATED:
-        entries = check.require(doc, "table", path)
-        if not isinstance(entries, list) or not entries:
-            check.fail(f"{path}.table", "must be a nonempty list of {lag, value}")
-            return None
-        table = {}
-        for j, entry in enumerate(entries):
-            epath = f"{path}.table[{j}]"
-            if not isinstance(entry, dict) or set(entry) != {"lag", "value"}:
-                check.fail(epath, "entry must map exactly {lag, value}")
-                continue
-            lag = entry["lag"]
-            if isinstance(lag, int):
-                lag = [lag]
-            if not isinstance(lag, list) or not all(isinstance(c, int) for c in lag):
-                check.fail(f"{epath}.lag", "lag must be an integer or list of integers")
-                continue
-            value = _check_number(check, entry["value"], f"{epath}.value")
-            if value is None:
-                continue
-            table[tuple(lag)] = value
-        if not table:
-            return None
-        kwargs["table"] = table
+    parsed = [_check_number(check, v, f"{path}[{i}]", **rule) for i, v in enumerate(value)]
+    return None if None in parsed else tuple(parsed)
+
+
+def _construct(check, path, make, **kwargs):
+    """make(**kwargs), or None once its ModelError is recorded at ``path``."""
     try:
-        return FactorCovariance(**kwargs)
+        return make(**kwargs)
     except ModelError as exc:
         check.fail(path, str(exc))
         return None
 
 
-def _parse_covariance(check, doc, path="covariance"):
-    if not isinstance(doc, dict):
-        check.fail(path, "must be a mapping")
+def _parse_table(check, entries, path):
+    """A tabulated factor's {lag tuple: value} from its list of entries;
+    None when no entry is valid."""
+    if not isinstance(entries, list) or not entries:
+        check.fail(path, "must be a nonempty list of {lag, value}")
         return None
-    check.known_keys(doc, _COV_KEYS, path)
-    structure = check.require(doc, "structure", path)
-    if structure not in (SEPARABLE, GNEITING, ADDITIVE, ISOTROPIC):
-        if structure is not None:
-            check.fail(f"{path}.structure", f"unknown structure {structure!r}")
+    table = {}
+    for j, entry in enumerate(entries):
+        epath = f"{path}[{j}]"
+        if not isinstance(entry, dict) or set(entry) != {"lag", "value"}:
+            check.fail(epath, "entry must map exactly {lag, value}")
+            continue
+        lag = entry["lag"]
+        lag = lag if isinstance(lag, list) else [lag]
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in lag):
+            check.fail(f"{epath}.lag", "lag must be an integer or list of integers")
+            continue
+        value = _check_number(check, entry["value"], f"{epath}.value")
+        if value is not None:
+            table[tuple(lag)] = value
+    return table or None
+
+
+def _parse_params(check, doc, path, table, kind, what):
+    """The parameters ``table`` gives ``kind``, each required and checked by
+    its rule, as constructor keywords; None once a violation is recorded.
+    Every other parameter of the table is not one of ``what``."""
+    params = table[kind]
+    kwargs = {}
+    for key, rule in params.items():
+        value = check.require(doc, key, path)
+        if value is not None:
+            value = (_parse_table(check, value, f"{path}.{key}") if rule is None
+                     else _check_number(check, value, f"{path}.{key}", **rule))
+        kwargs[key] = value
+    for key in _names(table):
+        if key in doc and key not in params:
+            check.fail(f"{path}.{key}", f"not a parameter of {what}")
+    return None if None in kwargs.values() else kwargs
+
+
+def _parse_factor(check, doc, path):
+    if not check.mapping(doc, _FACTOR_KEYS, path, "factor must be a mapping"):
+        return None
+    family = check.choice(doc, "family", path, _FAMILY_PARAMS, "family")
+    if family is None:
+        return None
+    dim = _check_number(check, doc.get("dim", 1), f"{path}.dim", kind=int, minimum=1)
+    kwargs = _parse_params(check, doc, path, _FAMILY_PARAMS, family, f"family {family!r}")
+    if dim is None or kwargs is None:
+        return None
+    return _construct(check, path, FactorCovariance, family=family, dim=dim, **kwargs)
+
+
+def _parse_covariance(check, doc, path="covariance"):
+    if not check.mapping(doc, _COV_KEYS, path):
+        return None
+    structure = check.choice(doc, "structure", path,
+                             (SEPARABLE, GNEITING, ADDITIVE, ISOTROPIC), "structure")
+    if structure is None:
         return None
     raw = check.require(doc, "factors", path)
-    if not isinstance(raw, list) or not raw:
+    if isinstance(raw, list) and raw:
+        # parse on past a bad factor, so one pass reports every violation
+        factors = tuple(_parse_factor(check, f, f"{path}.factors[{i}]")
+                        for i, f in enumerate(raw))
+    else:
+        factors = (None,)
         if raw is not None:
             check.fail(f"{path}.factors", "must be a nonempty list")
-        return None
-    factors = [
-        _parse_factor(check, f, f"{path}.factors[{i}]") for i, f in enumerate(raw)
-    ]
-    kwargs = {"structure": structure, "factors": tuple(factors)}
-    valid = None not in factors  # parse on, so one pass reports every violation
+    kwargs = {"structure": structure, "factors": factors}
     if structure == ADDITIVE:
         weights = check.require(doc, "weights", path)
-        parsed = [None]
-        if not isinstance(weights, list) or len(weights) != 2:
-            if weights is not None:
-                check.fail(f"{path}.weights", "must be a list of two numbers")
-        else:
-            parsed = [
-                _check_number(check, w, f"{path}.weights[{i}]", positive=True)
-                for i, w in enumerate(weights)
-            ]
-        valid = valid and None not in parsed
-        kwargs["weights"] = tuple(parsed)
+        kwargs["weights"] = weights if weights is None else _numbers(
+            check, weights, f"{path}.weights", "must be a list of two numbers",
+            fits=lambda v: len(v) == 2, positive=True)
     elif "weights" in doc:
         check.fail(f"{path}.weights", "only additive structures take weights")
     if structure == ISOTROPIC:
         dims = check.require(doc, "block_dims", path)
-        parsed = [None]
-        if not isinstance(dims, list) or not dims:
-            if dims is not None:
-                check.fail(f"{path}.block_dims", "must be a nonempty list")
-        else:
-            parsed = [
-                _check_number(check, d, f"{path}.block_dims[{i}]", kind=int, minimum=1)
-                for i, d in enumerate(dims)
-            ]
-        valid = valid and None not in parsed
-        kwargs["block_dims"] = tuple(parsed)
+        kwargs["block_dims"] = dims if dims is None else _numbers(
+            check, dims, f"{path}.block_dims", "must be a nonempty list", kind=int, minimum=1)
     elif "block_dims" in doc:
         check.fail(f"{path}.block_dims", "only isotropic structures declare block dims")
-    if not valid:
+    if None in factors or None in kwargs.values():
         return None
-    try:
-        return CompositeCovariance(**kwargs)
-    except ModelError as exc:
-        check.fail(path, str(exc))
-        return None
+    return _construct(check, path, CompositeCovariance, **kwargs)
 
 
 def _parse_phi(check, doc, path="phi"):
-    if not isinstance(doc, dict):
-        check.fail(path, "must be a mapping")
+    if not check.mapping(doc, _PHI_KEYS, path):
         return None
-    check.known_keys(doc, _PHI_KEYS, path)
-    kind = check.require(doc, "kind", path)
-    if kind not in (PURE, INDICATOR):
-        if kind is not None:
-            check.fail(f"{path}.kind", f"unknown phi kind {kind!r}")
+    kind = check.choice(doc, "kind", path, _PHI_PARAMS, "phi kind")
+    if kind is None:
         return None
-    kwargs = {"kind": kind}
-    if kind == PURE:
-        q = check.require(doc, "q", path)
-        if q is not None:
-            q = _check_number(check, q, f"{path}.q", kind=int, minimum=1)
-        if q is None:
-            return None
-        kwargs["q"] = q
-        if "level" in doc:
-            check.fail(f"{path}.level", "not a parameter of pure phi")
-    else:
-        level = check.require(doc, "level", path)
-        if level is not None:
-            level = _check_number(check, level, f"{path}.level")
-        if level is None:
-            return None
-        kwargs["level"] = level
-        if "q" in doc:
-            check.fail(f"{path}.q", "not a parameter of indicator phi")
-    try:
-        return HermiteSpec(**kwargs)
-    except ModelError as exc:
-        check.fail(path, str(exc))
+    kwargs = _parse_params(check, doc, path, _PHI_PARAMS, kind, f"{kind} phi")
+    if kwargs is None:
         return None
+    return _construct(check, path, HermiteSpec, kind=kind, **kwargs)
 
 
 def _parse_rung(check, doc, path):
@@ -288,24 +276,14 @@ def _parse_rung(check, doc, path):
         return None
     blocks = []
     for i, entry in enumerate(doc):
-        bpath = f"{path}[{i}]"
         if isinstance(entry, int) and not isinstance(entry, bool):
             entry = [entry]
-        if not isinstance(entry, list) or not entry:
-            check.fail(bpath, "block sizes must be an integer or list of integers")
-            return None
-        sizes = [
-            _check_number(check, n, f"{bpath}[{j}]", kind=int, minimum=1)
-            for j, n in enumerate(entry)
-        ]
-        if any(n is None for n in sizes):
-            return None
-        blocks.append(tuple(sizes))
-    try:
-        return LatticeSpec(tuple(blocks))
-    except ModelError as exc:
-        check.fail(path, str(exc))
+        blocks.append(_numbers(check, entry, f"{path}[{i}]",
+                               "block sizes must be an integer or list of integers",
+                               kind=int, minimum=1))
+    if None in blocks:
         return None
+    return _construct(check, path, LatticeSpec, blocks=tuple(blocks))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -317,9 +295,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"(document): not valid YAML: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["(document): top level must be a mapping"])
-    check.known_keys(doc, _TOP_KEYS, "")
+    check.mapping(doc, _TOP_KEYS, "")
     schema = check.require(doc, "schema", "")
-    if schema is not None and schema != SCHEMA_VERSION:
+    if schema is not None and (isinstance(schema, bool) or schema != SCHEMA_VERSION):
         check.fail("schema", f"unsupported schema version {schema!r}")
     label = doc.get("label", "")
     if not isinstance(label, str):
@@ -328,31 +306,24 @@ def parse_config(text: str) -> ExperimentConfig:
     problem = _label_problem(label)
     if problem:
         check.fail("label", problem)
-    cov = phi = None
+    cov = phi = ladder = None
     raw_cov = check.require(doc, "covariance", "")
     if raw_cov is not None:
         cov = _parse_covariance(check, raw_cov)
     raw_phi = check.require(doc, "phi", "")
     if raw_phi is not None:
         phi = _parse_phi(check, raw_phi)
-    ladder = None
     raw_lattice = check.require(doc, "lattice", "")
-    if raw_lattice is not None:
-        if not isinstance(raw_lattice, dict):
-            check.fail("lattice", "must be a mapping")
-        else:
-            check.known_keys(raw_lattice, {"ladder"}, "lattice")
-            raw_ladder = check.require(raw_lattice, "ladder", "lattice")
-            if raw_ladder is not None:
-                if not isinstance(raw_ladder, list) or not raw_ladder:
-                    check.fail("lattice.ladder", "must be a nonempty list of rungs")
-                else:
-                    ladder = [
-                        _parse_rung(check, rung, f"lattice.ladder[{i}]")
-                        for i, rung in enumerate(raw_ladder)
-                    ]
-                    if any(r is None for r in ladder):
-                        ladder = None
+    if raw_lattice is not None and check.mapping(raw_lattice, {"ladder"}, "lattice"):
+        raw_ladder = check.require(raw_lattice, "ladder", "lattice")
+        if raw_ladder is not None:
+            if not isinstance(raw_ladder, list) or not raw_ladder:
+                check.fail("lattice.ladder", "must be a nonempty list of rungs")
+            else:
+                ladder = [
+                    _parse_rung(check, rung, f"lattice.ladder[{i}]")
+                    for i, rung in enumerate(raw_ladder)
+                ]
     replicates = _check_number(
         check, doc.get("replicates", 200), "replicates", kind=int, minimum=1
     )
@@ -360,23 +331,14 @@ def parse_config(text: str) -> ExperimentConfig:
     outputs = doc.get("outputs", ["normality"])
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         check.fail("outputs", "must be a list of output names")
-        outputs = None
     else:
         for i, name in enumerate(outputs):
             if name not in OUTPUTS:
                 check.fail(f"outputs[{i}]", f"unknown output {name!r}")
-                outputs = None
     growth = doc.get("growth")
     if growth is not None:
-        if not isinstance(growth, list):
-            check.fail("growth", "must be a list of per-block exponents")
-            growth = None
-        else:
-            parsed = [
-                _check_number(check, g, f"growth[{i}]", minimum=0.0)
-                for i, g in enumerate(growth)
-            ]
-            growth = None if any(g is None for g in parsed) else tuple(parsed)
+        growth = _numbers(check, growth, "growth", "must be a list of per-block exponents",
+                          fits=lambda v: True, minimum=0.0)
     if check.violations:
         raise ConfigError(check.violations)
     try:
@@ -394,48 +356,40 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"(config): {exc}"]) from exc
 
 
-def _factor_doc(factor: FactorCovariance) -> dict:
-    doc = {"family": factor.family}
-    if factor.dim != 1:
-        doc["dim"] = factor.dim
-    if factor.hurst is not None:
-        doc["hurst"] = factor.hurst
-    if factor.exponent is not None:
-        doc["exponent"] = factor.exponent
-    if factor.scale is not None:
-        doc["scale"] = factor.scale
-    if factor.table is not None:
-        doc["table"] = [
+def _params_doc(obj, params) -> dict:
+    """``obj``'s values of ``params``, as its config document holds them."""
+    return {
+        key: getattr(obj, key) if rule is not None else [
             {"lag": list(lag), "value": value}
-            for lag, value in sorted(factor.table.items())
+            for lag, value in sorted(getattr(obj, key).items())
         ]
-    return doc
+        for key, rule in params.items()
+    }
 
 
 def _config_doc(config: ExperimentConfig) -> dict:
     """The config as the plain document its YAML form holds; ModelError
     for a custom phi, which has no config form."""
-    if config.phi.kind not in (PURE, INDICATOR):
-        raise ModelError(f"a {config.phi.kind} phi has no config form")
-    cov = config.covariance
+    phi, cov = config.phi, config.covariance
+    if phi.kind not in _PHI_PARAMS:
+        raise ModelError(f"a {phi.kind} phi has no config form")
     cov_doc = {
         "structure": cov.structure,
-        "factors": [_factor_doc(f) for f in cov.factors],
+        "factors": [
+            {"family": f.family, **({"dim": f.dim} if f.dim != 1 else {}),
+             **_params_doc(f, _FAMILY_PARAMS[f.family])}
+            for f in cov.factors
+        ],
     }
     if cov.weights is not None:
         cov_doc["weights"] = list(cov.weights)
     if cov.structure == ISOTROPIC:
         cov_doc["block_dims"] = list(cov.block_dims)
-    phi_doc = {"kind": config.phi.kind}
-    if config.phi.kind == PURE:
-        phi_doc["q"] = config.phi.q
-    else:
-        phi_doc["level"] = config.phi.level
     doc = {
         "schema": SCHEMA_VERSION,
         "label": config.label,
         "covariance": cov_doc,
-        "phi": phi_doc,
+        "phi": {"kind": phi.kind, **_params_doc(phi, _PHI_PARAMS[phi.kind])},
         "lattice": {
             "ladder": [[list(block) for block in l.blocks] for l in config.ladder]
         },

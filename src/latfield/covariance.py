@@ -8,7 +8,10 @@ Gneiting-type coupling of two blocks, an additive two-block mixture, or a
 single isotropic profile spanning several declared blocks.
 
 All builtin families are normalized to value 1 at lag 0 (unit-variance
-fields) and are even in the lag.  Each factor also carries the metadata
+fields) and are even in the lag; a tabulated factor must be even too.  The
+builtin families are also even in each lag coordinate, as the circulant
+embedding grid assumes; a table of dim >= 2 need not be, and then has no
+circulant embedding.  Each factor also carries the metadata
 the regime classifier needs: the power-law decay exponent of the tail, a
 nonnegativity flag, and whether the long-memory spectral hypothesis is
 taken as granted for the family.
@@ -21,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError
+from ._errors import ModelError, NumericalError
 
 FGN = "fgn"
 CAUCHY = "cauchy"
@@ -88,6 +91,13 @@ class FactorCovariance:
                     )
                 frozen[key] = float(value)
                 _require_finite(f"tabulated value at lag {key}", frozen[key])
+            for key, value in frozen.items():
+                mirror = tuple(-c for c in key)
+                if frozen.get(mirror, value) != value:
+                    raise ModelError(
+                        f"a tabulated covariance must be even, but it holds "
+                        f"{value} at lag {key} and {frozen[mirror]} at lag {mirror}"
+                    )
             object.__setattr__(self, "table", frozen)
 
 
@@ -287,9 +297,39 @@ def embedded_sizes(sizes, doublings: int = 0) -> tuple:
     return tuple(1 if int(n) <= 1 else 2 * (int(n) - 1) * 2**doublings for n in sizes)
 
 
+def _even_per_axis(model: FactorCovariance) -> bool:
+    """Whether the factor's value stays the same when any one lag
+    coordinate changes sign.  Every closed-form family depends on the lag
+    norm alone, and an even 1-D table is even in its one coordinate; a
+    table of dim >= 2 must hold each entry's value at the entry's
+    reflection in each coordinate (a missing reflection fails)."""
+    if model.family != TABULATED or model.dim == 1:
+        return True
+    table = model.table
+
+    def at(lag):
+        return table.get(lag, table.get(tuple(-c for c in lag)))
+
+    return all(at(lag[:j] + (-lag[j],) + lag[j + 1:]) == value
+               for lag, value in table.items() for j in range(model.dim))
+
+
+def _require_even_per_axis(factors):
+    """NumericalError unless every factor is even in each lag coordinate,
+    as the wrapped embedding grid assumes."""
+    for f in factors:
+        if not _even_per_axis(f):
+            raise NumericalError(
+                f"a dim-{f.dim} tabulated factor that is not even in each lag "
+                "coordinate has no circulant embedding: the embedding grid "
+                "evaluates each axis at |z_j|"
+            )
+
+
 def _wrapped_lag_grid(sizes, doublings: int):
     """Lag vectors of a circulant embedding grid, each axis wrapped to
-    |z| = min(k, m-k)."""
+    |z| = min(k, m-k): right only for covariances even in each lag
+    coordinate."""
     return _grid_vectors([np.minimum(np.arange(m), m - np.arange(m))
                           for m in embedded_sizes(sizes, doublings)])
 
@@ -317,12 +357,14 @@ def embedding_spectrum(model: FactorCovariance, sizes, doublings: int = 0) -> Sp
 
     A nonnegative minimum eigenvalue certifies that FFT sampling of this
     factor on the given grid is exact.  A negative minimum is an outcome,
-    not an error.
+    not an error.  NumericalError for a factor that is not even in each lag
+    coordinate, which has no such embedding.
     """
     if any(int(n) < 1 for n in sizes):
         raise ModelError("sizes must be positive")
     if len(sizes) != model.dim:
         raise ModelError(f"got {len(sizes)} sizes for a dim-{model.dim} factor")
+    _require_even_per_axis((model,))
     eig = np.fft.fftn(_lag_values(model, _wrapped_lag_grid(sizes, doublings))).real
     return SpectrumReport(
         eigenvalues=eig,
@@ -332,7 +374,9 @@ def embedding_spectrum(model: FactorCovariance, sizes, doublings: int = 0) -> Sp
 
 
 def composite_embedding_values(cov: CompositeCovariance, sizes, doublings: int = 0):
-    """Composite covariance on the wrapped embedding grid of all axes."""
+    """Composite covariance on the wrapped embedding grid of all axes;
+    NumericalError for a factor that is not even in each lag coordinate."""
+    _require_even_per_axis(cov.factors)
     return composite_values(cov, _wrapped_lag_grid(sizes, doublings))
 
 

@@ -190,6 +190,98 @@ def test_tabulated_factor_round_trips():
     assert parse_config(serialize_config(config)) == config
 
 
+def _config(covariance, phi="{kind: pure, q: 2}", ladder="[[4, 4], [8, 8]]"):
+    return (f"schema: 1\nlabel: rt\ncovariance: {covariance}\nphi: {phi}\n"
+            f"lattice: {{ladder: {ladder}}}\nreplicates: 100\nseed: 5\n")
+
+
+_ROUND_TRIPS = {
+    "separable fgn (x) exponential 2-D": _config(
+        "{structure: separable, factors: [{family: fgn, hurst: 0.3},"
+        " {family: exponential, scale: 2.5, dim: 2}]}", ladder="[[4, [3, 3]]]"),
+    "gneiting cauchy, white noise": _config(
+        "{structure: gneiting, factors: [{family: cauchy, exponent: 0.3},"
+        " {family: white_noise}]}", phi="{kind: pure, q: 3}"),
+    "additive fgn, tabulated": _config(
+        "{structure: additive, factors: [{family: fgn, hurst: 0.7},"
+        " {family: tabulated, table: [{lag: 0, value: 1.0}, {lag: [-1], value: 0.25}]}],"
+        " weights: [0.25, 0.75]}", ladder="[[4, 2]]"),
+    "isotropic cauchy": _config(
+        "{structure: isotropic, factors: [{family: cauchy, exponent: 0.8, dim: 2}],"
+        " block_dims: [1, 1]}"),
+    "indicator, tabulated 2-D": _config(
+        "{structure: separable, factors: [{family: tabulated, dim: 2, table: ["
+        "{lag: [0, 0], value: 1.0}, {lag: [1, -1], value: 0.1}, {lag: [1, 1], value: 0.1},"
+        " {lag: [1, 0], value: 0.2}, {lag: [0, 1], value: 0.3}]}]}",
+        phi="{kind: indicator, level: -0.5}", ladder="[[[2, 2]]]"),
+}
+
+
+@pytest.mark.parametrize("text", list(_ROUND_TRIPS.values()), ids=list(_ROUND_TRIPS))
+def test_every_family_kind_and_structure_round_trips(text):
+    # every family, phi kind and structure: serialized from the tables
+    # the parser reads, and parsed back to an equal config and the same text
+    config = parse_config(text)
+    again = parse_config(serialize_config(config))
+    assert again == config
+    assert serialize_config(again) == serialize_config(config)
+    assert config_fingerprint(again) == config_fingerprint(config)
+
+
+_FACTOR = "    - family: white_noise"
+_TABLE = _FACTOR.replace("white_noise", "tabulated\n      table:\n        - {lag: 0, value: 1.0}")
+
+
+@pytest.mark.parametrize("old, new, want", [
+    (_FACTOR, "    - family: [fgn]", "covariance.factors[0].family: unknown family ['fgn']"),
+    (_FACTOR, "    - family: {fgn: 1}", "covariance.factors[0].family: unknown family {'fgn': 1}"),
+    ("schema: 1", "schema: true", "schema: unsupported schema version True"),
+    (_FACTOR, _TABLE + "\n        - {lag: true, value: 0.5}",
+     "covariance.factors[0].table[1].lag: lag must be an integer or list of integers"),
+    (_FACTOR, _TABLE + "\n        - {lag: [false], value: 0.5}",
+     "covariance.factors[0].table[1].lag: lag must be an integer or list of integers"),
+    (_FACTOR, _TABLE + "\n        - {lag: 1, value: 0.5}\n        - {lag: -1, value: 0.1}",
+     "covariance.factors[0]: a tabulated covariance must be even, "
+     "but it holds 0.5 at lag (1,) and 0.1 at lag (-1,)"),
+], ids=["family list", "family mapping", "schema true", "lag true", "lag [false]",
+        "uneven table"])
+def test_malformed_input_is_a_violation(tmp_path, capsys, old, new, want):
+    # input that crashed the parser, or that a boolean read as a number
+    # let through, is reported at its path (exit 2)
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == [want]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert f"  {want}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, want", [
+    (_FACTOR, "    - family: fgn\n      dim: 0\n      hurst: 1.5",
+     ["covariance.factors[0].dim: must be at least 1, got 0",
+      "covariance.factors[0].hurst: must lie in (0, 1), got 1.5"]),
+    ("q: 2", "q: 0\n  level: 0.5",
+     ["phi.q: must be at least 1, got 0", "phi.level: not a parameter of pure phi"]),
+    (_FACTOR, "    - family: tabulated", ["covariance.factors[0].table: missing required key"]),
+    (_FACTOR, "    - family: cauchy\n      scale: 2.0",
+     ["covariance.factors[0].exponent: missing required key",
+      "covariance.factors[0].scale: not a parameter of family 'cauchy'"]),
+    ("    - [16]", "    - [x, 0]",
+     ["lattice.ladder[0][0]: block sizes must be an integer or list of integers",
+      "lattice.ladder[0][1][0]: must be at least 1, got 0"]),
+    ("  factors:\n" + _FACTOR, "  factors: []\n  weights: [0.5, 0.5]",
+     ["covariance.factors: must be a nonempty list",
+      "covariance.weights: only additive structures take weights"]),
+], ids=["bad dim and hurst", "bad q and stray level", "missing table", "stray parameter",
+        "two bad blocks", "no factors and stray weights"])
+def test_every_violation_of_a_mapping_is_reported_once(old, new, want):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace(old, new))
+    assert err.value.violations == want
+
+
 def test_persist_is_append_only(tmp_path):
     config = parse_config(MINIMAL)
     result = run_experiment(config)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latfield._errors import ModelError
+from latfield._errors import ModelError, NumericalError
 from latfield.covariance import (
     ADDITIVE,
     GNEITING,
@@ -9,6 +9,7 @@ from latfield.covariance import (
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
+    composite_embedding_values,
     decay_exponent,
     embedding_spectrum,
     eval_composite,
@@ -64,6 +65,34 @@ def test_factor_input_validation():
     assert eval_factor(tab, (-1,)) == pytest.approx(0.25)  # even extension
     with pytest.raises(ModelError):
         eval_factor(tab, (2,))  # missing lag
+
+
+def test_a_tabulated_covariance_must_be_even():
+    # C(1) = 0.5 but C(-1) = 0.1: no covariance, and the sampler and the
+    # chaos sums would each read a different half of it
+    with pytest.raises(ModelError, match=r"must be even, but it holds 0.5 at lag \(1,\) "
+                                         r"and 0.1 at lag \(-1,\)"):
+        FactorCovariance("tabulated", table={(0,): 1.0, (1,): 0.5, (-1,): 0.1})
+    with pytest.raises(ModelError, match="must be even"):
+        FactorCovariance("tabulated", dim=2, table={(0, 0): 1.0, (1, -1): 0.2, (-1, 1): 0.3})
+    # both halves may be given when they agree
+    tab = FactorCovariance("tabulated", table={(0,): 1.0, (1,): 0.5, (-1,): 0.5})
+    assert eval_factor(tab, (-1,)) == 0.5
+
+
+def test_no_circulant_embedding_for_a_table_uneven_in_a_coordinate():
+    # C(1, 1) = 0.3 but C(1, -1) = 0: even under z -> -z, so a valid
+    # covariance, but the embedding grid evaluates each axis at |z_j|
+    skew = FactorCovariance("tabulated", dim=2, table={
+        (0, 0): 1.0, (1, 1): 0.3, (1, -1): 0.0, (1, 0): 0.0, (0, 1): 0.0})
+    with pytest.raises(NumericalError, match="not even in each lag coordinate"):
+        embedding_spectrum(skew, (2, 2))
+    with pytest.raises(NumericalError, match="not even in each lag coordinate"):
+        composite_embedding_values(CompositeCovariance(GNEITING, (_cauchy(1.0), skew)),
+                                   (2, 2, 2))
+    even = FactorCovariance("tabulated", dim=2, table={
+        (0, 0): 1.0, (1, 1): 0.3, (1, -1): 0.3, (1, 0): 0.0, (0, 1): 0.0})
+    assert embedding_spectrum(even, (2, 2)).embedded_shape == (2, 2)
 
 
 def test_constructors_reject_non_finite_parameters():

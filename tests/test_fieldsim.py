@@ -1,5 +1,6 @@
 """Sampling: method selection, exactness certificates, and MC covariance checks."""
 import dataclasses
+import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,6 +19,7 @@ from latfield.covariance import (
     EXPONENTIAL,
     FGN,
     GNEITING,
+    ISOTROPIC,
     SEPARABLE,
     TABULATED,
     WHITE_NOISE,
@@ -467,6 +469,92 @@ def test_kronecker_embedding_matches_full_embedding():
     joint = np.fft.ifftn(sampler.sqrt_spectrum.astype(complex) ** 2).real
     expected = composite_embedding_values(cov, lat.all_sizes, 0)
     assert np.allclose(joint, expected, atol=1e-10)
+
+
+def _diagonal_moving_average(a=0.2, c=0.05):
+    """The unit-variance covariance of W(z) + a W(z + (1, 1)) + c W(z + (1, -1))
+    for white noise W, tabulated for lags up to 7: positive semidefinite
+    on every lattice and even, but with C(1, 1) != C(1, -1) when a != c,
+    so not even in each coordinate."""
+    kernel = {(0, 0): 1.0, (1, 1): a, (1, -1): c}
+    norm = sum(h * h for h in kernel.values())
+    table = {(z1, z2): 0.0 for z1 in range(8) for z2 in range(-7, 8)}
+    for (k1, k2), h in kernel.items():
+        for (l1, l2), g in kernel.items():
+            if (l1 - k1, l2 - k2) in table:
+                table[(l1 - k1, l2 - k2)] += h * g / norm
+    return FactorCovariance(TABULATED, dim=2, table=table)
+
+
+def _sampler_covariance(sampler):
+    """The exact covariance matrix of the sampler's fields over the lattice
+    points in axis-major order: L L^T for a dense factor; for a circulant
+    method, the first row ifftn(root**2) of each embedding's circulant
+    at the wrapped differences of the points (summed over the blocks of an
+    additive sampler, whose roots carry sqrt(w_i))."""
+    if sampler.method == DENSE_CHOLESKY:
+        return sampler.chol_factor @ sampler.chol_factor.T
+    lattice = sampler.lattice
+    points = np.indices(lattice.all_sizes).reshape(len(lattice.all_sizes), -1)
+    if sampler.method == ADDITIVE_CIRCULANT:
+        shapes = [e.shape for e in sampler.embeddings]
+        axes = [lattice.block_axes(i) for i in range(2)]
+    else:
+        shapes, axes = [sampler.sqrt_spectrum.shape], [range(len(points))]
+    root, start, out = sampler.sqrt_spectrum.ravel(), 0, 0.0
+    for shape, ax in zip(shapes, axes):
+        m = math.prod(shape)
+        row = np.fft.ifftn(root[start:start + m].reshape(shape) ** 2).real
+        start += m
+        sub = points[list(ax)]
+        out = out + row[tuple((sub[:, :, None] - sub[:, None, :])
+                              % np.array(shape)[:, None, None])]
+    return out
+
+
+_EXACT_CASES = {
+    "separable": (_separable(FactorCovariance(FGN, hurst=0.3),
+                             FactorCovariance(CAUCHY, exponent=1.5)), ((9,), (7,)),
+                  KRONECKER_CIRCULANT),
+    "separable doubled": (_separable(FactorCovariance(CAUCHY, dim=2, exponent=0.5),
+                                     FactorCovariance(FGN, hurst=0.3)), ((7, 6), (4,)),
+                          KRONECKER_CIRCULANT),
+    "even 2-D table": (_separable(FactorCovariance(TABULATED, dim=2, table={
+        (z1, z2): 0.6 ** (z1 + abs(z2)) for z1 in range(5) for z2 in range(-4, 5)})),
+        ((5, 4),), KRONECKER_CIRCULANT),
+    "additive": (_ADDITIVE_2D, ((5, 4), (6,)), ADDITIVE_CIRCULANT),
+    "gneiting": (CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=0.3),
+                                                FactorCovariance(CAUCHY, exponent=1.0))),
+                 ((8,), (6,)), FULL_CIRCULANT),
+    "isotropic": (CompositeCovariance(ISOTROPIC, (FactorCovariance(CAUCHY, dim=2, exponent=0.8),),
+                                      block_dims=(1, 1)), ((7,), (5,)), FULL_CIRCULANT),
+    "dense": (_separable(FactorCovariance(TABULATED, table={(0,): 1.0, (1,): 0.9, (2,): 0.7})),
+              ((3,),), DENSE_CHOLESKY),
+    "skew table 3x2": (_separable(_diagonal_moving_average()), ((3, 2),), DENSE_CHOLESKY),
+    "skew table 4x4": (_separable(_diagonal_moving_average()), ((4, 4),), DENSE_CHOLESKY),
+    "skew table 7x4": (_separable(_diagonal_moving_average()), ((7, 4),), DENSE_CHOLESKY),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXACT_CASES))
+def test_each_sampler_method_has_the_exact_covariance(case):
+    # what the sampler draws, not just what it certifies: a table that is
+    # not even in each coordinate has no circulant embedding, since the
+    # embedding grid reads each axis at |z_j|, so it takes the dense route
+    cov, blocks, method = _EXACT_CASES[case]
+    lattice = LatticeSpec(blocks)
+    sampler = build_sampler(cov, lattice)
+    assert sampler.method == method
+    np.testing.assert_allclose(_sampler_covariance(sampler),
+                               dense_covariance_matrix(cov, lattice), rtol=0, atol=1e-12)
+
+
+def test_a_skew_table_past_the_dense_limit_fails_loudly():
+    # refused before any lag is looked up, so the table's reach is moot
+    cov = _separable(_diagonal_moving_average())
+    with pytest.raises(NumericalError, match="not even in each lag coordinate.*"
+                                             "exceeds the dense fallback limit"):
+        build_sampler(cov, LatticeSpec(((65, 65),)))
 
 
 def test_sampler_records_the_embeddings_it_uses():
