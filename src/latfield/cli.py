@@ -1,15 +1,15 @@
 """Config parsing, subcommand dispatch, and result persistence.
 
-Configs are YAML documents with a versioned schema.  Each covariance
-family's and each phi kind's parameters are declared once, with their
-checks, in ``_FAMILY_PARAMS`` and ``_PHI_PARAMS``: parsing walks these
-tables to check a factor or a phi, and ``_config_doc`` walks them to
-serialize one.  Parsing collects every violation (each tagged with its
-key path) before failing, so a bad config is fixed in one pass: only a
-missing or unknown ``structure``, ``family`` or ``kind``, which decides
-the keys its mapping takes, ends the walk of that mapping.  Booleans are
-not numbers.  Persistence is append-only: existing files are never
-overwritten, collisions get a numeric suffix.
+Configs are YAML documents with a versioned schema.  Parsing walks the
+parameter tables of ``covariance.FAMILY_PARAMS`` and
+``hermite.KIND_PARAMS`` to check a factor or a phi, applies
+``harness.check_config_fields`` to the top-level fields, and writes a
+config back as ``harness.config_document``.  Parsing collects every
+violation (each tagged with its key path) before failing, so a bad config
+is fixed in one pass: only a missing or unknown ``structure``, ``family``
+or ``kind``, which decides the keys its mapping takes, ends the walk of
+that mapping.  Booleans are not numbers.  Persistence is append-only:
+existing files are never overwritten, collisions get a numeric suffix.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import dataclasses
 import datetime
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -27,62 +26,47 @@ from typing import Optional
 import yaml
 
 from . import __version__
-from ._errors import ConfigError, ModelError, NumericalError
+from ._errors import (
+    ConfigError,
+    ModelError,
+    NumericalError,
+    check_number,
+    check_params,
+    param_names,
+)
 from .chaoscalc import chaos_report
 from .covariance import (
     ADDITIVE,
-    CAUCHY,
-    EXPONENTIAL,
-    FGN,
+    DIM_RULE,
+    FAMILY_PARAMS,
     GNEITING,
     ISOTROPIC,
     SEPARABLE,
-    TABULATED,
-    WHITE_NOISE,
     CompositeCovariance,
     FactorCovariance,
 )
 from .fieldsim import LatticeSpec, build_sampler
 from .harness import (
-    OUTPUTS,
+    SCHEMA_VERSION,
     ExperimentConfig,
-    _label_problem,
+    check_config_fields,
+    config_document,
     config_fingerprint,
     run_experiment,
 )
-from .hermite import INDICATOR, PURE, HermiteSpec, hermite_coefficients, hermite_rank
+from .hermite import CUSTOM, KIND_PARAMS, HermiteSpec, hermite_coefficients, hermite_rank
 from .ratelab import classify, fbs_regime, rate_g
 
-SCHEMA_VERSION = 1
-
-#: Each covariance family's and each phi kind's parameters, with the
-#: ``_check_number`` rule of each (None: the lag table of a tabulated
-#: factor).  Parsing and serialization both read these tables.
-_FAMILY_PARAMS = {
-    FGN: {"hurst": {"between": (0.0, 1.0)}},
-    CAUCHY: {"exponent": {"positive": True}},
-    EXPONENTIAL: {"scale": {"positive": True}},
-    WHITE_NOISE: {},
-    TABULATED: {"table": None},
-}
-_PHI_PARAMS = {
-    PURE: {"q": {"kind": int, "minimum": 1}},
-    INDICATOR: {"level": {}},
-}
-
-
-def _names(table) -> tuple:
-    """Every parameter name in ``table``, in table order."""
-    return tuple(dict.fromkeys(name for params in table.values() for name in params))
-
+#: the phi kinds a config can hold: a custom phi's callable has no YAML form
+_PHI_KINDS = {kind: params for kind, params in KIND_PARAMS.items() if kind != CUSTOM}
 
 _TOP_KEYS = {
     "schema", "label", "covariance", "phi", "lattice",
     "replicates", "seed", "outputs", "growth",
 }
 _COV_KEYS = {"structure", "factors", "weights", "block_dims"}
-_FACTOR_KEYS = {"family", "dim", *_names(_FAMILY_PARAMS)}
-_PHI_KEYS = {"kind", *_names(_PHI_PARAMS)}
+_FACTOR_KEYS = {"family", "dim", *param_names(FAMILY_PARAMS)}
+_PHI_KEYS = {"kind", *param_names(_PHI_KINDS)}
 
 
 # ---------------------------------------------------------------------------
@@ -123,49 +107,26 @@ class _Check:
             return None
         return value
 
-
-def _check_number(check, value, path, kind=float, positive=False, minimum=None,
-                  between=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        check.fail(path, f"expected a number, got {type(value).__name__}")
-        return None
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        check.fail(path, f"must be an integer, got {value}")
-        return None
-    value = kind(value)
-    if positive and value <= 0:
-        check.fail(path, f"must be positive, got {value}")
-        return None
-    if minimum is not None and value < minimum:
-        check.fail(path, f"must be at least {minimum}, got {value}")
-        return None
-    if isinstance(value, float) and not math.isfinite(value):
-        check.fail(path, f"must be a finite number, got {value}")
-        return None
-    if between is not None and not between[0] < value < between[1]:
-        check.fail(path, f"must lie in ({between[0]:g}, {between[1]:g}), got {value}")
-        return None
-    return value
+    def attempt(self, path, make, *args, **kwargs):
+        """make(*args, **kwargs), or None once its ModelError is recorded
+        at ``path``."""
+        try:
+            return make(*args, **kwargs)
+        except ModelError as exc:
+            self.fail(path, str(exc))
+            return None
 
 
 def _numbers(check, value, path, message, fits=bool, **rule):
-    """``value`` as a tuple of numbers that each pass ``_check_number`` with
+    """``value`` as a tuple of numbers that each pass ``check_number`` with
     ``rule``, or None once every violation is recorded: ``message`` when it
     is not a list or ``fits(value)`` is false (by default: it is empty)."""
     if not isinstance(value, list) or not fits(value):
         check.fail(path, message)
         return None
-    parsed = [_check_number(check, v, f"{path}[{i}]", **rule) for i, v in enumerate(value)]
+    parsed = [check.attempt(f"{path}[{i}]", check_number, v, **rule)
+              for i, v in enumerate(value)]
     return None if None in parsed else tuple(parsed)
-
-
-def _construct(check, path, make, **kwargs):
-    """make(**kwargs), or None once its ModelError is recorded at ``path``."""
-    try:
-        return make(**kwargs)
-    except ModelError as exc:
-        check.fail(path, str(exc))
-        return None
 
 
 def _parse_table(check, entries, path):
@@ -185,41 +146,36 @@ def _parse_table(check, entries, path):
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in lag):
             check.fail(f"{epath}.lag", "lag must be an integer or list of integers")
             continue
-        value = _check_number(check, entry["value"], f"{epath}.value")
+        value = check.attempt(f"{epath}.value", check_number, entry["value"])
         if value is not None:
             table[tuple(lag)] = value
     return table or None
 
 
 def _parse_params(check, doc, path, table, kind, what):
-    """The parameters ``table`` gives ``kind``, each required and checked by
-    its rule, as constructor keywords; None once a violation is recorded.
-    Every other parameter of the table is not one of ``what``."""
-    params = table[kind]
-    kwargs = {}
-    for key, rule in params.items():
-        value = check.require(doc, key, path)
-        if value is not None:
-            value = (_parse_table(check, value, f"{path}.{key}") if rule is None
-                     else _check_number(check, value, f"{path}.{key}", **rule))
-        kwargs[key] = value
-    for key in _names(table):
-        if key in doc and key not in params:
-            check.fail(f"{path}.{key}", f"not a parameter of {what}")
-    return None if None in kwargs.values() else kwargs
+    """The parameters ``table`` gives ``kind``, checked by ``check_params``
+    with their violations recorded at their key paths, as constructor
+    keywords (a lag table parsed from its entries); None once a violation
+    is recorded."""
+    kwargs, violations = check_params(table, kind, doc, what)
+    for name, message in violations:
+        check.fail(f"{path}.{name}", message)
+    if "table" in kwargs:
+        kwargs["table"] = _parse_table(check, kwargs["table"], f"{path}.table")
+    return None if violations or None in kwargs.values() else kwargs
 
 
 def _parse_factor(check, doc, path):
     if not check.mapping(doc, _FACTOR_KEYS, path, "factor must be a mapping"):
         return None
-    family = check.choice(doc, "family", path, _FAMILY_PARAMS, "family")
+    family = check.choice(doc, "family", path, FAMILY_PARAMS, "family")
     if family is None:
         return None
-    dim = _check_number(check, doc.get("dim", 1), f"{path}.dim", kind=int, minimum=1)
-    kwargs = _parse_params(check, doc, path, _FAMILY_PARAMS, family, f"family {family!r}")
+    dim = check.attempt(f"{path}.dim", check_number, doc.get("dim", 1), **DIM_RULE)
+    kwargs = _parse_params(check, doc, path, FAMILY_PARAMS, family, f"family {family!r}")
     if dim is None or kwargs is None:
         return None
-    return _construct(check, path, FactorCovariance, family=family, dim=dim, **kwargs)
+    return check.attempt(path, FactorCovariance, family=family, dim=dim, **kwargs)
 
 
 def _parse_covariance(check, doc, path="covariance"):
@@ -254,19 +210,19 @@ def _parse_covariance(check, doc, path="covariance"):
         check.fail(f"{path}.block_dims", "only isotropic structures declare block dims")
     if None in factors or None in kwargs.values():
         return None
-    return _construct(check, path, CompositeCovariance, **kwargs)
+    return check.attempt(path, CompositeCovariance, **kwargs)
 
 
 def _parse_phi(check, doc, path="phi"):
     if not check.mapping(doc, _PHI_KEYS, path):
         return None
-    kind = check.choice(doc, "kind", path, _PHI_PARAMS, "phi kind")
+    kind = check.choice(doc, "kind", path, _PHI_KINDS, "phi kind")
     if kind is None:
         return None
-    kwargs = _parse_params(check, doc, path, _PHI_PARAMS, kind, f"{kind} phi")
+    kwargs = _parse_params(check, doc, path, _PHI_KINDS, kind, f"{kind} phi")
     if kwargs is None:
         return None
-    return _construct(check, path, HermiteSpec, kind=kind, **kwargs)
+    return check.attempt(path, HermiteSpec, kind=kind, **kwargs)
 
 
 def _parse_rung(check, doc, path):
@@ -283,7 +239,7 @@ def _parse_rung(check, doc, path):
                                kind=int, minimum=1))
     if None in blocks:
         return None
-    return _construct(check, path, LatticeSpec, blocks=tuple(blocks))
+    return check.attempt(path, LatticeSpec, blocks=tuple(blocks))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -299,107 +255,43 @@ def parse_config(text: str) -> ExperimentConfig:
     schema = check.require(doc, "schema", "")
     if schema is not None and (isinstance(schema, bool) or schema != SCHEMA_VERSION):
         check.fail("schema", f"unsupported schema version {schema!r}")
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        check.fail("label", "must be a string")
-        label = ""
-    problem = _label_problem(label)
-    if problem:
-        check.fail("label", problem)
-    cov = phi = ladder = None
+    fields = {
+        "label": doc.get("label", ""),
+        "replicates": doc.get("replicates", 200),
+        "seed": doc.get("seed", 0),
+        "outputs": doc.get("outputs", ["normality"]),
+        "growth": doc.get("growth"),
+    }
+    # a covariance or a ladder that did not parse is left out of the fields
     raw_cov = check.require(doc, "covariance", "")
-    if raw_cov is not None:
-        cov = _parse_covariance(check, raw_cov)
+    cov = None if raw_cov is None else _parse_covariance(check, raw_cov)
+    if cov is not None:
+        fields["covariance"] = cov
     raw_phi = check.require(doc, "phi", "")
-    if raw_phi is not None:
-        phi = _parse_phi(check, raw_phi)
+    phi = None if raw_phi is None else _parse_phi(check, raw_phi)
     raw_lattice = check.require(doc, "lattice", "")
     if raw_lattice is not None and check.mapping(raw_lattice, {"ladder"}, "lattice"):
-        raw_ladder = check.require(raw_lattice, "ladder", "lattice")
-        if raw_ladder is not None:
-            if not isinstance(raw_ladder, list) or not raw_ladder:
-                check.fail("lattice.ladder", "must be a nonempty list of rungs")
-            else:
-                ladder = [
-                    _parse_rung(check, rung, f"lattice.ladder[{i}]")
-                    for i, rung in enumerate(raw_ladder)
-                ]
-    replicates = _check_number(
-        check, doc.get("replicates", 200), "replicates", kind=int, minimum=1
-    )
-    seed = _check_number(check, doc.get("seed", 0), "seed", kind=int, minimum=0)
-    outputs = doc.get("outputs", ["normality"])
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        check.fail("outputs", "must be a list of output names")
-    else:
-        for i, name in enumerate(outputs):
-            if name not in OUTPUTS:
-                check.fail(f"outputs[{i}]", f"unknown output {name!r}")
-    growth = doc.get("growth")
-    if growth is not None:
-        growth = _numbers(check, growth, "growth", "must be a list of per-block exponents",
-                          fits=lambda v: True, minimum=0.0)
+        ladder = check.require(raw_lattice, "ladder", "lattice")
+        if isinstance(ladder, list) and ladder:
+            rungs = [_parse_rung(check, rung, f"lattice.ladder[{i}]")
+                     for i, rung in enumerate(ladder)]
+            ladder = None if None in rungs else rungs
+        if ladder is not None:
+            fields["ladder"] = ladder
+    fields, violations = check_config_fields(fields)
+    for path, message in violations:
+        check.fail(path, message)
     if check.violations:
         raise ConfigError(check.violations)
-    try:
-        return ExperimentConfig(
-            covariance=cov,
-            phi=phi,
-            ladder=tuple(ladder),
-            replicates=replicates,
-            seed=seed,
-            outputs=tuple(outputs),
-            label=label,
-            growth=growth,
-        )
-    except ModelError as exc:
-        raise ConfigError([f"(config): {exc}"]) from exc
-
-
-def _params_doc(obj, params) -> dict:
-    """``obj``'s values of ``params``, as its config document holds them."""
-    return {
-        key: getattr(obj, key) if rule is not None else [
-            {"lag": list(lag), "value": value}
-            for lag, value in sorted(getattr(obj, key).items())
-        ]
-        for key, rule in params.items()
-    }
+    return ExperimentConfig(phi=phi, **fields)
 
 
 def _config_doc(config: ExperimentConfig) -> dict:
-    """The config as the plain document its YAML form holds; ModelError
-    for a custom phi, which has no config form."""
-    phi, cov = config.phi, config.covariance
-    if phi.kind not in _PHI_PARAMS:
-        raise ModelError(f"a {phi.kind} phi has no config form")
-    cov_doc = {
-        "structure": cov.structure,
-        "factors": [
-            {"family": f.family, **({"dim": f.dim} if f.dim != 1 else {}),
-             **_params_doc(f, _FAMILY_PARAMS[f.family])}
-            for f in cov.factors
-        ],
-    }
-    if cov.weights is not None:
-        cov_doc["weights"] = list(cov.weights)
-    if cov.structure == ISOTROPIC:
-        cov_doc["block_dims"] = list(cov.block_dims)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "label": config.label,
-        "covariance": cov_doc,
-        "phi": {"kind": phi.kind, **_params_doc(phi, _PHI_PARAMS[phi.kind])},
-        "lattice": {
-            "ladder": [[list(block) for block in l.blocks] for l in config.ladder]
-        },
-        "replicates": config.replicates,
-        "seed": config.seed,
-        "outputs": list(config.outputs),
-    }
-    if config.growth is not None:
-        doc["growth"] = list(config.growth)
-    return doc
+    """``config_document(config)``; ModelError for a custom phi, which has
+    no config form."""
+    if config.phi.kind == CUSTOM:
+        raise ModelError(f"a {config.phi.kind} phi has no config form")
+    return config_document(config)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -509,12 +401,16 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _write_json(out_dir, stem, doc) -> Path:
+def _write_json(out_dir, stem, doc):
+    """Write ``doc`` to ``{stem}.json`` (suffixed on collision) in the
+    ``--out`` directory ``out_dir`` and say so; nothing without ``--out``."""
+    if out_dir is None:
+        return
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = _reserve(out_dir, stem, (".json",))[".json"]
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    print(f"wrote {path}")
 
 
 def _cmd_validate(args) -> int:
@@ -539,10 +435,8 @@ def _cmd_validate(args) -> int:
         for i, emb in enumerate(row["embeddings"]):
             print(f"  embedding {i}: shape {emb['shape']}, doublings {emb['doublings']}, "
                   f"min eigenvalue {emb['min_eigenvalue']:.3e}")
-    if args.out:
-        path = _write_json(args.out, (config.label or "config") + "-spectrum",
-                           {"label": config.label, "spectra": rows})
-        print(f"wrote {path}")
+    _write_json(args.out, (config.label or "config") + "-spectrum",
+                {"label": config.label, "spectra": rows})
     return 0
 
 
@@ -557,10 +451,8 @@ def _cmd_chaos(args) -> int:
         print(f"n={lattice.n_total}: variance={rep.variance:.6g} "
               f"kappa4={rep.fourth_cumulant:.6g} "
               f"(exact={rep.fourth_exact}) tv_bound={tv}")
-    if args.out:
-        path = _write_json(args.out, (config.label or "chaos") + "-chaos",
-                           {"label": config.label, "q": rank, "rungs": reports})
-        print(f"wrote {path}")
+    _write_json(args.out, (config.label or "chaos") + "-chaos",
+                {"label": config.label, "q": rank, "rungs": reports})
     return 0
 
 
@@ -577,10 +469,8 @@ def _cmd_classify(args) -> int:
               f"log exponent {term['log_exponent']:.6g}")
     for note in verdict.notes:
         print(f"note: {note}")
-    if args.out:
-        path = _write_json(args.out, (config.label or "classify") + "-classify",
-                           {"label": config.label, "q": rank, **_doc(verdict)})
-        print(f"wrote {path}")
+    _write_json(args.out, (config.label or "classify") + "-classify",
+                {"label": config.label, "q": rank, **_doc(verdict)})
     return 0
 
 
@@ -635,9 +525,7 @@ def _cmd_rates(args) -> int:
         print("rates: nothing to do (pass --hurst and/or --alpha/--beta)",
               file=sys.stderr)
         return 2
-    if args.out:
-        path = _write_json(args.out, "rates", doc)
-        print(f"wrote {path}")
+    _write_json(args.out, "rates", doc)
     return 0
 
 

@@ -11,10 +11,12 @@ All builtin families are normalized to value 1 at lag 0 (unit-variance
 fields) and are even in the lag; a tabulated factor must be even too.  The
 builtin families are also even in each lag coordinate, as the circulant
 embedding grid assumes; a table of dim >= 2 need not be, and then has no
-circulant embedding.  Each factor also carries the metadata
-the regime classifier needs: the power-law decay exponent of the tail, a
-nonnegativity flag, and whether the long-memory spectral hypothesis is
-taken as granted for the family.
+circulant embedding.  Each family's parameters and their rules are
+declared once, in ``FAMILY_PARAMS``.  Each factor also carries the
+metadata the regime classifier needs: the power-law decay exponent of the
+tail and a nonnegativity flag; a tabulated factor carries neither, and
+the classifier refuses it.  The regular-variation spectral hypothesis of
+the long-memory limit is taken as granted for every closed-form family.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError, NumericalError
+from ._errors import ModelError, NumericalError, check_number, set_params
 
 FGN = "fgn"
 CAUCHY = "cauchy"
@@ -37,16 +39,24 @@ GNEITING = "gneiting"
 ADDITIVE = "additive"
 ISOTROPIC = "isotropic"
 
-_FAMILIES = (FGN, CAUCHY, EXPONENTIAL, WHITE_NOISE, TABULATED)
+#: Each family's parameters, with the ``check_number`` rule of each (None:
+#: the lag table of a tabulated factor).  A factor requires its family's
+#: parameters and refuses the others; the config parser and the config
+#: document read the same table.
+FAMILY_PARAMS = {
+    FGN: {"hurst": {"between": (0.0, 1.0)}},
+    CAUCHY: {"exponent": {"positive": True}},
+    EXPONENTIAL: {"scale": {"positive": True}},
+    WHITE_NOISE: {},
+    TABULATED: {"table": None},
+}
+#: the rule of a factor's block dimension, which every family takes
+DIM_RULE = {"kind": int, "minimum": 1}
+
 _STRUCTURES = (SEPARABLE, GNEITING, ADDITIVE, ISOTROPIC)
 
 #: relative slack on an exact nonnegative embedding spectrum
 SPECTRUM_TOL = 1e-10
-
-
-def _require_finite(name: str, value: float):
-    if not math.isfinite(value):
-        raise ModelError(f"{name} must be a finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -61,24 +71,16 @@ class FactorCovariance:
     table: Optional[dict] = None         # tabulated: {lag tuple: value}
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ModelError(f"unknown covariance family {self.family!r}")
-        if self.dim < 1:
-            raise ModelError("dim must be a positive integer")
-        if self.family == FGN:
-            if self.dim != 1:
-                raise ModelError("fgn factors are one-dimensional")
-            if self.hurst is None or not 0.0 < self.hurst < 1.0:
-                raise ModelError("fgn requires hurst in (0, 1)")
-        elif self.family == CAUCHY:
-            if self.exponent is None or self.exponent <= 0.0:
-                raise ModelError("cauchy requires exponent > 0")
-            _require_finite("cauchy exponent", self.exponent)
-        elif self.family == EXPONENTIAL:
-            if self.scale is None or self.scale <= 0.0:
-                raise ModelError("exponential requires scale > 0")
-            _require_finite("exponential scale", self.scale)
-        elif self.family == TABULATED:
+        try:
+            object.__setattr__(self, "dim", check_number(self.dim, **DIM_RULE))
+        except ModelError as exc:
+            raise ModelError(f"dim: {exc}") from None
+        set_params(self, FAMILY_PARAMS, self.family, f"family {self.family!r}")
+        if self.family == FGN and self.dim != 1:
+            raise ModelError("fgn factors are one-dimensional")
+        if self.family == TABULATED:
             if not self.table:
                 raise ModelError("tabulated requires a nonempty lag table")
             # freeze the table so the model is safely shareable
@@ -90,7 +92,9 @@ class FactorCovariance:
                         f"tabulated lag {key} has length {len(key)}, expected {self.dim}"
                     )
                 frozen[key] = float(value)
-                _require_finite(f"tabulated value at lag {key}", frozen[key])
+                if not math.isfinite(frozen[key]):
+                    raise ModelError(f"tabulated value at lag {key} must be a "
+                                     f"finite number, got {frozen[key]}")
             for key, value in frozen.items():
                 mirror = tuple(-c for c in key)
                 if frozen.get(mirror, value) != value:
@@ -399,22 +403,6 @@ def is_nonnegative(model: FactorCovariance) -> Optional[bool]:
     if model.family == FGN:
         return model.hurst >= 0.5
     if model.family in (CAUCHY, EXPONENTIAL, WHITE_NOISE):
-        return True
-    return None
-
-
-def spectral_hypothesis(model: FactorCovariance) -> Optional[bool]:
-    """Whether the regular-variation spectral condition is granted as metadata.
-
-    It cannot be checked from lag-domain values; for the builtin power-law
-    families in their long-memory range it is taken as given, consistent
-    with how those families are used as worked examples.
-    """
-    if model.family == FGN:
-        return model.hurst > 0.5
-    if model.family == CAUCHY:
-        return True
-    if model.family in (EXPONENTIAL, WHITE_NOISE):
         return True
     return None
 

@@ -6,6 +6,11 @@ variance has a closed form), and reports normality statistics per rung.
 Results are deterministic given the config: replicate streams are keyed
 by a global counter and aggregation reads a fixed slot order, so thread
 scheduling cannot change a single bit of the output.
+
+A config is one plain document (``config_document``): its YAML form, the
+``config`` a result stores, and the text whose sha256 is the result's
+``config_hash``.  Its rules live in ``check_config_fields``, which both
+``ExperimentConfig`` and the config parser apply.
 """
 from __future__ import annotations
 
@@ -22,15 +27,18 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._errors import ModelError, NumericalError
+from ._errors import ModelError, NumericalError, check_number
 from ._gauss import kolmogorov_quantile, normal_cdf, normal_quantile
 from .chaoscalc import ChaosReport, chaos_report, fourth_cumulant, variance_phi
 # unused here; perfbench/tracing.py wraps harness.additive_variance by name
 from .chaoscalc import additive_variance  # noqa: F401
-from .covariance import SEPARABLE, CompositeCovariance
+from .covariance import FAMILY_PARAMS, ISOTROPIC, SEPARABLE, CompositeCovariance
 from .fieldsim import LatticeSpec, build_sampler, draw, draw_pairs
 from .functionals import evaluate
-from .hermite import HermiteSpec, hermite_coefficients, hermite_rank
+from .hermite import CUSTOM, KIND_PARAMS, HermiteSpec, hermite_coefficients, hermite_rank
+
+#: version of the config document's schema
+SCHEMA_VERSION = 1
 
 OUTPUTS = ("normality", "kurtosis_series", "rate_fit", "chaos_reports")
 
@@ -44,15 +52,69 @@ VERDICT_ALPHA = 0.01
 _STATISTICAL = ("normality", "kurtosis_series", "rate_fit")
 
 
-def _label_problem(label: str) -> Optional[str]:
-    """Why ``label`` cannot stem result file names, or None.  It must be
-    one plain file-name component (or empty, for the default stem), so
-    results land inside the output directory."""
-    if label in (".", "..") or any(c and c in label
-                                   for c in ("/", os.sep, os.altsep, "\0")):
-        return ("must be a plain file name, without path separators, "
-                f"'.', '..' or NUL; got {label!r}")
-    return None
+def check_config_fields(fields: dict):
+    """ExperimentConfig's rules over ``fields``, a mapping of its field
+    names to values; the covariance and the ladder may be left out (when
+    they did not parse), and the rules that read them are skipped.  Returns
+    the fields as a config holds them, and the (key path, message) of every
+    violation."""
+    checked, violations = dict(fields), []
+
+    def number(path, value, **rule):
+        try:
+            return check_number(value, **rule)
+        except ModelError as exc:
+            violations.append((path, str(exc)))
+            return None
+
+    label = fields["label"]
+    if not isinstance(label, str):
+        violations.append(("label", "must be a string"))
+    elif label in (".", "..") or any(c and c in label
+                                     for c in ("/", os.sep, os.altsep, "\0")):
+        # the label stems result file names, which must land inside --out
+        violations.append(("label", "must be a plain file name, without path "
+                                    f"separators, '.', '..' or NUL; got {label!r}"))
+    if "ladder" in fields:
+        ladder = fields["ladder"]
+        if (not isinstance(ladder, (list, tuple)) or not ladder
+                or not all(isinstance(l, LatticeSpec) for l in ladder)):
+            violations.append(("lattice.ladder", "must be a nonempty list of rungs"))
+        else:
+            checked["ladder"] = ladder = tuple(ladder)
+            totals = [l.n_total for l in ladder]
+            if any(b <= a for a, b in zip(totals, totals[1:])):
+                violations.append(("lattice.ladder", "must be strictly increasing in n_total"))
+    replicates = checked["replicates"] = number(
+        "replicates", fields["replicates"], kind=int, minimum=1)
+    seed = checked["seed"] = number("seed", fields["seed"], kind=int, minimum=0)
+    if seed is not None and seed >= 2**64:
+        violations.append(("seed", f"must fit in 64 bits, got {seed}"))
+    outputs = fields["outputs"]
+    if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
+        violations.append(("outputs", "must be a list of output names"))
+    else:
+        outputs = checked["outputs"] = tuple(outputs)
+        for i, name in enumerate(outputs):
+            if name not in OUTPUTS:
+                violations.append((f"outputs[{i}]",
+                                   f"must be one of {', '.join(OUTPUTS)}, got {name!r}"))
+        if (replicates is not None and replicates < 100
+                and any(o in _STATISTICAL for o in outputs)):
+            violations.append(("replicates", "must be at least 100 for statistical "
+                                             f"verdicts, got {replicates}"))
+    growth = fields["growth"]
+    if growth is not None:
+        if not isinstance(growth, (list, tuple)):
+            violations.append(("growth", "must be a list of per-block exponents"))
+        else:
+            checked["growth"] = tuple(number(f"growth[{i}]", g, minimum=0.0)
+                                      for i, g in enumerate(growth))
+            if "covariance" in fields and len(growth) != len(fields["covariance"].blocks):
+                violations.append(("growth", "must hold one exponent per covariance "
+                                             f"block, got {len(growth)} for "
+                                             f"{len(fields['covariance'].blocks)}"))
+    return checked, violations
 
 
 @dataclass(frozen=True)
@@ -67,74 +129,69 @@ class ExperimentConfig:
     growth: Optional[tuple] = None  # per-block exponents for classification
 
     def __post_init__(self):
-        ladder = tuple(self.ladder)
-        object.__setattr__(self, "ladder", ladder)
-        if not ladder or not all(isinstance(l, LatticeSpec) for l in ladder):
-            raise ModelError("ladder must be a nonempty tuple of LatticeSpec")
-        totals = [l.n_total for l in ladder]
-        if any(b <= a for a, b in zip(totals, totals[1:])):
-            raise ModelError("ladder must be strictly increasing in n_total")
-        outputs = tuple(self.outputs)
-        object.__setattr__(self, "outputs", outputs)
-        unknown = set(outputs) - set(OUTPUTS)
-        if unknown:
-            raise ModelError(f"unknown outputs {sorted(unknown)}")
-        if self.replicates < 1:
-            raise ModelError("replicates must be positive")
-        if self.replicates < 100 and any(o in outputs for o in _STATISTICAL):
-            raise ModelError(
-                "statistical verdicts need at least 100 replicates"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ModelError("seed must fit in 64 bits")
-        problem = _label_problem(self.label)
-        if problem:
-            raise ModelError(f"label {problem}")
-        if self.growth is not None:
-            growth = tuple(float(g) for g in self.growth)
-            object.__setattr__(self, "growth", growth)
-            if len(growth) != len(self.covariance.blocks):
-                raise ModelError(
-                    "growth needs one exponent per covariance block"
-                )
-            if any(g < 0 for g in growth):
-                raise ModelError("growth exponents must be nonnegative")
+        checked, violations = check_config_fields(vars(self))
+        if violations:
+            raise ModelError("; ".join(f"{path} {message}" for path, message in violations))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
-def config_fingerprint(config: ExperimentConfig) -> str:
-    """sha256 over a canonical text form of everything that shapes the run."""
-    cov = config.covariance
-    phi = config.phi
-    doc = {
+def _params_doc(obj, params) -> dict:
+    """``obj``'s values of ``params``, as its config document holds them: a
+    lag table as its list of {lag, value} entries, a callable by its name."""
+    doc = {}
+    for key in params:
+        value = getattr(obj, key)
+        if isinstance(value, dict):
+            value = [{"lag": list(lag), "value": v} for lag, v in sorted(value.items())]
+        elif callable(value):
+            value = getattr(value, "__name__", None)
+        doc[key] = value
+    return doc
+
+
+def config_document(config: ExperimentConfig) -> dict:
+    """The config as one plain document: what its YAML form holds, what a
+    result stores as its ``config``, and what ``config_fingerprint``
+    hashes.  A custom phi, which has no YAML form, is written as
+    {kind: custom, func: <name>, qmax}."""
+    phi, cov = config.phi, config.covariance
+    cov_doc = {
         "structure": cov.structure,
         "factors": [
-            {
-                "family": f.family,
-                "dim": f.dim,
-                "hurst": f.hurst,
-                "exponent": f.exponent,
-                "scale": f.scale,
-                "table": sorted(f.table.items()) if f.table else None,
-            }
+            {"family": f.family, **({"dim": f.dim} if f.dim != 1 else {}),
+             **_params_doc(f, FAMILY_PARAMS[f.family])}
             for f in cov.factors
         ],
-        "weights": cov.weights,
-        "block_dims": cov.block_dims,
-        "phi": {
-            "kind": phi.kind,
-            "q": phi.q,
-            "level": phi.level,
-            "func": getattr(phi.func, "__name__", None) if phi.func else None,
-            "qmax": phi.qmax,
+    }
+    if cov.weights is not None:
+        cov_doc["weights"] = list(cov.weights)
+    if cov.structure == ISOTROPIC:
+        cov_doc["block_dims"] = list(cov.block_dims)
+    phi_doc = {"kind": phi.kind, **_params_doc(phi, KIND_PARAMS[phi.kind])}
+    if phi.kind == CUSTOM:
+        phi_doc["qmax"] = phi.qmax  # truncates only a custom phi's expansion
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "label": config.label,
+        "covariance": cov_doc,
+        "phi": phi_doc,
+        "lattice": {
+            "ladder": [[list(block) for block in l.blocks] for l in config.ladder]
         },
-        "ladder": [list(l.blocks) for l in config.ladder],
         "replicates": config.replicates,
         "seed": config.seed,
         "outputs": list(config.outputs),
-        "label": config.label,
-        "growth": list(config.growth) if config.growth else None,
     }
-    text = json.dumps(doc, sort_keys=True, default=str)
+    if config.growth is not None:
+        doc["growth"] = list(config.growth)
+    return doc
+
+
+def config_fingerprint(config: ExperimentConfig) -> str:
+    """sha256 of the sorted JSON text of ``config_document``: a result's
+    ``config_hash`` is the hash of the ``config`` it stores."""
+    text = json.dumps(config_document(config), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -13,12 +13,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._errors import ModelError, NumericalError
+from ._errors import ModelError, NumericalError, set_params
 from ._gauss import normal_cdf
 
 PURE = "pure"
 INDICATOR = "indicator"
 CUSTOM = "custom"
+
+#: Each phi kind's parameters, with the ``check_number`` rule of each
+#: (None: the callable of a custom phi).  A spec requires its kind's
+#: parameters and refuses the others; the config parser and the config
+#: document read the same table.
+KIND_PARAMS = {
+    PURE: {"q": {"kind": int, "minimum": 1}},
+    INDICATOR: {"level": {}},
+    CUSTOM: {"func": None},
+}
 
 DEFAULT_QMAX = 20
 DEFAULT_TOL = 1e-12
@@ -98,21 +108,11 @@ class HermiteSpec:
     qmax: int = DEFAULT_QMAX
 
     def __post_init__(self):
-        if self.kind == PURE:
-            if self.q is None or self.q < 1:
-                raise ModelError("pure spec requires q >= 1")
-            if self.q > self.qmax:
-                raise ModelError(f"pure order {self.q} exceeds qmax {self.qmax}")
-        elif self.kind == INDICATOR:
-            if self.level is None:
-                raise ModelError("indicator spec requires a level")
-            if not math.isfinite(self.level):
-                raise ModelError(f"indicator level must be a finite number, got {self.level}")
-        elif self.kind == CUSTOM:
-            if self.func is None:
-                raise ModelError("custom spec requires a callable")
-        else:
+        if self.kind not in KIND_PARAMS:
             raise ModelError(f"unknown phi kind {self.kind!r}")
+        set_params(self, KIND_PARAMS, self.kind, f"{self.kind} phi")
+        if self.kind == PURE and self.q > self.qmax:
+            raise ModelError(f"pure order {self.q} exceeds qmax {self.qmax}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -26,7 +26,6 @@ from .covariance import (
     _lag_values,
     decay_exponent,
     is_nonnegative,
-    spectral_hypothesis,
     summable_at_power,
 )
 from .hermite import hermite_rank
@@ -263,25 +262,9 @@ def _classify_separable(cov, rank) -> RegimeVerdict:
                 "hypotheses hold",
             ),
         )
-    signs = [is_nonnegative(f) for f in cov.factors]
-    if rank % 2 == 1 and not all(signs):
-        return RegimeVerdict(
-            verdict=NOT_COVERED,
-            citation="no-applicable-reduction",
-            normalization=normalization,
-            notes=(
-                f"rank {rank} is odd and some factor takes negative values: "
-                "C^rank >= 0 cannot be asserted",
-            ),
-        )
-    if not all(spectral_hypothesis(f) for f in cov.factors):
-        return RegimeVerdict(
-            verdict=NOT_COVERED,
-            citation="no-applicable-reduction",
-            normalization=normalization,
-            notes=("the spectral regularity assumption is not declared "
-                   "for every factor",),
-        )
+    # every strictly long-range factor (fgn with H > 1/2, cauchy with
+    # exponent * rank < dim) is nonnegative, and its family declares the
+    # spectral hypothesis
     return RegimeVerdict(
         verdict=NONCENTRAL,
         citation="separable-long-range-joint",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -16,7 +17,12 @@ from latfield.cli import (
     persist_result,
     serialize_config,
 )
-from latfield.harness import ExperimentResult, config_fingerprint, run_experiment
+from latfield.harness import (
+    ExperimentResult,
+    config_document,
+    config_fingerprint,
+    run_experiment,
+)
 from latfield.hermite import HermiteSpec
 
 MINIMAL = """\
@@ -274,8 +280,20 @@ def test_malformed_input_is_a_violation(tmp_path, capsys, old, new, want):
     ("  factors:\n" + _FACTOR, "  factors: []\n  weights: [0.5, 0.5]",
      ["covariance.factors: must be a nonempty list",
       "covariance.weights: only additive structures take weights"]),
+    (_FACTOR, "    - family: fgn\n      hurst: 1" + "0" * 400,
+     ["covariance.factors[0].hurst: must be a finite number, "
+      "got an integer too large for a float"]),
+    ("replicates: 120\nseed: 7", "replicates: 0\nseed: 1180591620717411303424",
+     ["replicates: must be at least 1, got 0",
+      "seed: must fit in 64 bits, got 1180591620717411303424"]),
+    ("    - [32]\nreplicates: 120", "    - [8]\nreplicates: 50\ngrowth: [1, -1]",
+     ["lattice.ladder: must be strictly increasing in n_total",
+      "replicates: must be at least 100 for statistical verdicts, got 50",
+      "growth[1]: must be at least 0.0, got -1.0",
+      "growth: must hold one exponent per covariance block, got 2 for 1"]),
 ], ids=["bad dim and hurst", "bad q and stray level", "missing table", "stray parameter",
-        "two bad blocks", "no factors and stray weights"])
+        "two bad blocks", "no factors and stray weights", "float overflow",
+        "wide seed and no replicates", "every config rule"])
 def test_every_violation_of_a_mapping_is_reported_once(old, new, want):
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL.replace(old, new))
@@ -336,6 +354,10 @@ def test_result_json_stores_the_config_as_its_yaml_form_reads(tmp_path, path):
     doc["config"] = yaml.safe_load(serialize_config(config))
     want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert Path(manifest.result_path).read_text() == want
+    # the hash is the sha256 of the stored config document's sorted JSON
+    doc = json.loads(want)
+    text = json.dumps(doc["config"], sort_keys=True)
+    assert doc["config_hash"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_the_parser_is_built_once(monkeypatch, capsys):
@@ -359,6 +381,8 @@ def test_a_custom_phi_config_is_not_stored(tmp_path):
                                  phi=HermiteSpec("custom", func=np.tanh))
     with pytest.raises(ModelError, match="custom phi has no config form"):
         serialize_config(config)
+    # it is hashed by its callable's name and its truncation order
+    assert config_document(config)["phi"] == {"kind": "custom", "func": "tanh", "qmax": 20}
     result = run_experiment(config)
     out = tmp_path / "out"
     with pytest.raises(ModelError, match="custom phi"):
@@ -513,17 +537,27 @@ def test_chaos_command(tmp_path, capsys):
 def test_classify_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(ADDITIVE)
-    assert main(["classify", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "verdict: additive_conditional" in text
     assert "dominant block: 1" in text
+    path = out / "additive-sample-classify.json"
+    assert f"wrote {path}\n" in text
+    doc = json.loads(path.read_text())
+    assert doc["label"] == "additive-sample" and doc["q"] == 2
+    assert doc["verdict"] == "additive_conditional" and doc["dominant_block"] == 1
 
 
 def test_rates_command(tmp_path, capsys):
     assert main(["rates", "--q", "2", "--hurst", "0.3,0.75",
-                 "--sizes", "100,10000"]) == 0
+                 "--sizes", "100,10000", "--out", str(tmp_path)]) == 0
     text = capsys.readouterr().out
     assert "H=0.3" in text and "H=0.75" in text
+    assert f"wrote {tmp_path / 'rates.json'}\n" in text
+    doc = json.loads((tmp_path / "rates.json").read_text())
+    assert doc["q"] == 2 and [row["hurst"] for row in doc["rows"]] == [0.3, 0.75]
+    assert list(doc["rows"][0]["rates"]) == ["100", "10000"]
     assert main(["rates", "--q", "2", "--alpha", "0.3", "--beta", "0.9"]) == 0
     assert "case 4" in capsys.readouterr().out
     assert main(["rates", "--q", "2", "--alpha", "0.3"]) == 2

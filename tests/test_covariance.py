@@ -61,6 +61,9 @@ def test_factor_input_validation():
         FactorCovariance("cauchy", exponent=-1.0)
     with pytest.raises(ModelError):
         FactorCovariance("spherical")
+    # a parameter of another family is refused, not carried along
+    with pytest.raises(ModelError, match="hurst: not a parameter of family 'cauchy'"):
+        FactorCovariance("cauchy", exponent=1.0, hurst=0.5)
     tab = FactorCovariance("tabulated", dim=1, table={(0,): 1.0, (1,): 0.25})
     assert eval_factor(tab, (-1,)) == pytest.approx(0.25)  # even extension
     with pytest.raises(ModelError):

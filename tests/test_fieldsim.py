@@ -719,6 +719,23 @@ def test_dense_fallback_on_unembeddable_tabulated():
         assert np.array_equal(sample.values, sampler.chol_factor @ z)
 
 
+def test_a_singular_dense_matrix_is_factored_by_its_eigenvectors():
+    # even, but not even in each coordinate, so no circulant embedding; its
+    # 4x4 matrix has eigenvalues 2, 1, 1, 0, so Cholesky fails and the
+    # dense factor is V sqrt(Lambda) from eigh
+    factor = FactorCovariance(TABULATED, dim=2, table={
+        (0, 0): 1.0, (1, 1): 1.0, (1, -1): 0.0, (0, 1): 0.0, (1, 0): 0.0})
+    cov, lattice = _separable(factor), LatticeSpec(((2, 2),))
+    matrix = dense_covariance_matrix(cov, lattice)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(matrix)
+    sampler = build_sampler(cov, lattice)
+    assert sampler.method == DENSE_CHOLESKY
+    np.testing.assert_allclose(sampler.chol_factor @ sampler.chol_factor.T, matrix,
+                               rtol=0, atol=1e-12)
+    assert sampler.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+
+
 def test_unembeddable_large_lattice_fails_loudly():
     n = 4097
     table = {(k,): 0.0 for k in range(n)}

@@ -160,6 +160,10 @@ def test_config_validation():
         )
     with pytest.raises(ModelError, match="seed"):
         ExperimentConfig(WHITE, pure(2), (lattice(16),), 200, 2**64)
+    # every violated rule is named at once
+    with pytest.raises(ModelError, match="^seed must fit in 64 bits, got 18446744073709551616; "
+                                         "replicates must be at least 100 "):
+        ExperimentConfig(WHITE, pure(2), (lattice(16),), 50, 2**64)
 
 
 def test_config_fingerprint_tracks_content():
@@ -168,6 +172,12 @@ def test_config_fingerprint_tracks_content():
     assert config_fingerprint(base) == config_fingerprint(same)
     bumped = ExperimentConfig(WHITE, pure(2), (lattice(16),), 200, 8)
     assert config_fingerprint(base) != config_fingerprint(bumped)
+    # qmax truncates only a custom phi's expansion, so only there is it hashed
+    wide = ExperimentConfig(WHITE, HermiteSpec("pure", q=2, qmax=30), (lattice(16),), 200, 7)
+    assert config_fingerprint(wide) == config_fingerprint(base)
+    custom = [ExperimentConfig(WHITE, HermiteSpec("custom", func=np.tanh, qmax=qmax),
+                               (lattice(16),), 200, 7) for qmax in (20, 30)]
+    assert config_fingerprint(custom[0]) != config_fingerprint(custom[1])
 
 
 # ---------------------------------------------------------------------------

@@ -149,3 +149,8 @@ def test_spec_validation():
             HermiteSpec("indicator", level=level)
     with pytest.raises(ModelError):
         HermiteSpec("sine")
+    # a parameter of another kind is refused, a callable included
+    with pytest.raises(ModelError, match="level: not a parameter of pure phi"):
+        HermiteSpec("pure", q=2, level=0.5)
+    with pytest.raises(ModelError, match="func: not a parameter of indicator phi"):
+        HermiteSpec("indicator", level=0.0, func=np.tanh)
