@@ -18,14 +18,16 @@ multiplicities a, b, c with a + b + c = q.  A diagram with c = 0 is a
 elementwise; one with a, b, c > 0 is a generalized 4-clique.  A 1-D
 factor's M is symmetric Toeplitz, so its 4-cycles come from its first
 column alone, row by row through the displacement recurrence of A B
-(Kailath & Sayed 1995), in O(n^2) time and O(n) memory; its cliques, the
-4-cycles of multi-D factors and everything of a non-separable model's
-full-lattice matrix take dense products.  Every block is persymmetric: C
-is even, C(z) = C(-z), and reversing the point order (J, in axis-major
-order) negates every lag, so J M J = M, and J A J = A for every
-elementwise power A of M.  So the rows of A B mirror each other and the
-clique sum's per-point terms pair up, and both kernels sum over the first
-half of the points only (_mirror_sum).
+(Kailath & Sayed 1995), in O(n^2) time and O(n) memory, and its cliques
+from sums over lag triples, in O(n^3) through matrix products with a
+triangular Toeplitz matrix (_lag_clique_sum).  The 4-cycles and cliques of
+multi-D factors and of a non-separable model's full-lattice matrix take
+dense products.  Every block is persymmetric: C is even, C(z) = C(-z),
+and reversing the point order (J, in axis-major order) negates every lag,
+so J M J = M, and J A J = A for every elementwise power A of M.  So the
+rows of A B mirror each other, the dense clique sum's per-point terms pair
+up, and the lag-triple sum's lag triples pair up with their negatives, and
+each kernel sums over half of them only.
 
 The excursion indicator 1{x >= a} has every chaos, so its variance is not
 summed by chaos: it is the lag sum of the bivariate normal orthant excess
@@ -57,9 +59,16 @@ from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks, dense_covariance_
 from .hermite import INDICATOR, hermite_rank, phi_second_moment
 
 MAX_CHAOS_ORDER = 30
-#: clique budget: a block of n points takes its t(q) clique diagrams,
-#: n^4 each, when t(q) n^4 <= CLIQUE_LIMIT^4 (n <= 256 at q = 3 and 4)
+#: clique budget of a dense block (a multi-D factor or a full lattice): n
+#: points take their t(q) clique diagrams, n^4 each, when t(q) n^4 <=
+#: CLIQUE_LIMIT^4 (n <= 256 at q = 3 and 4)
 CLIQUE_LIMIT = 256
+#: clique budget of a 1-D factor, whose lag triples cost n^3 each: t(q) n^3
+#: <= _LAG_CLIQUE_LIMIT^3 (n <= 1024 at q = 3 and 4, where one clique sum
+#: takes about 0.35 s and 47 MB on 2 CPUs, and about 11 ms at n = 256)
+_LAG_CLIQUE_LIMIT = 1024
+#: rows d1 per block of the lag-triple clique sum
+_LAG_CLIQUE_ROWS = 64
 #: largest 1-D factor whose 4-cycles are summed, O(n^2) each
 _TOEPLITZ_LIMIT = 2**15
 #: factorized variances self-check against the direct lag sum on windows
@@ -291,19 +300,55 @@ def _clique_sum(matrix: np.ndarray, triple) -> float:
     return _mirror_sum(terms, n)
 
 
+def _lag_clique_sum(col: np.ndarray, triple) -> float:
+    """_clique_sum of the symmetric Toeplitz M with first column ``col``,
+    over lag triples in O(n^3): with j, k, l = i + d1, i + d2, i + d3,
+
+        S = sum_d W(d) al(d1) al(d3 - d2) be(d2) be(d3 - d1) ga(d3) ga(d2 - d1)
+
+    for al, be, ga = col^a, col^b, col^c (zero past lag n - 1) and W = n -
+    (max - min of {0, d1, d2, d3}), the number of points i that keep all
+    four in the block.  Negating every lag fixes each term, so only d1 >= 0
+    is summed, twice for d1 > 0.  For fixed d1 >= 0, u(d2) = be(d2) ga(d2 -
+    d1) and v(d3) = ga(d3) be(d3 - d1): on d3 >= d2, W = n - max(d1, d3) +
+    min(0, d2), and on d3 <= d2 the same with d2 and d3 exchanged, so with H
+    the upper triangle of al's (2n-1)-square Toeplitz matrix, its diagonal
+    halved (both sides hold d2 = d3, with the same W), the two sides are
+    sum (u H) (n - max(d1, .)) v + ((min(0, .) u) H) v and the same with u
+    and v exchanged: two matrix products per block of d1 rows, the second
+    over the rows d2 < 0 of H only."""
+    n, width = len(col), 2 * len(col) - 1
+    padding = np.zeros(n - 1)
+    al, be, ga = (np.concatenate((padding, p[:0:-1], p, padding))
+                  for p in (col**k for k in triple))  # lag d at index d + 2n - 2
+    h = np.concatenate((np.zeros(width - 1), al[width - 1:width] / 2, al[width:]))
+    h = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(h, width)[::-1])
+    lags = np.arange(1 - n, n)  # h[i, j] = al(lags[j] - lags[i]) for j > i
+    weights = np.where(lags[n - 1:] > 0, 2.0, 1.0) * al[width - 1:width - 1 + n]  # per d1 >= 0
+    total = 0.0
+    for start in range(0, n, _LAG_CLIQUE_ROWS):
+        d1 = np.arange(start, min(n, start + _LAG_CLIQUE_ROWS))
+        shifted = lags - d1[:, None] + width - 1  # the index of lag d - d1
+        u, v = be[n - 1:3 * n - 2] * ga[shifted], ga[n - 1:3 * n - 2] * be[shifted]
+        reach = n - np.maximum(d1[:, None], lags)
+        x, y = np.concatenate((u, v)), np.concatenate((v, u))
+        sides = np.einsum("ij,ij->i", (x @ h) * np.concatenate((reach, reach))
+                          + (x[:, :n - 1] * lags[:n - 1]) @ h[:n - 1], y)
+        total += float(weights[d1] @ (sides[:len(d1)] + sides[len(d1):]))
+    return total
+
+
 def _block_terms(block: np.ndarray, q: int, orders, triples):
     """({r: trace((AB)^2) for r in orders}, {t: S(t) for t in triples}, or
     None when ``triples`` is None) from one covariance block: a dense matrix
     M, or the first column of a symmetric Toeplitz M; r > q/2 reuses q - r,
     as trace((AB)^2) = trace((BA)^2)."""
-    trace = _trace_abab if block.ndim == 2 else _toeplitz_trace_abab
+    trace, clique = ((_trace_abab, _clique_sum) if block.ndim == 2
+                     else (_toeplitz_trace_abab, _lag_clique_sum))
     norms = {}
     for r in orders:
         norms[r] = norms[q - r] if q - r in norms else trace(block, q, r)
-    if block.ndim == 1 and triples:  # the dense Toeplitz matrix M_ij = col(|i - j|)
-        index = np.arange(len(block))
-        block = block[np.abs(index[:, None] - index)]
-    return norms, None if triples is None else {t: _clique_sum(block, t) for t in triples}
+    return norms, None if triples is None else {t: clique(block, t) for t in triples}
 
 
 def _contraction_terms(cov, lattice, q: int, orders, cliques):
@@ -311,27 +356,31 @@ def _contraction_terms(cov, lattice, q: int, orders, cliques):
     (else None), whose products make the model's.  Each block is built
     once, if ``orders`` is non-empty: a separable model's factor blocks
     (see _factor_block), else the full-lattice matrix.  ``cliques`` asks
-    for the clique sums of blocks within the CLIQUE_LIMIT budget: "model"
-    for the model's, which needs every factor's; "factors" for each
-    factor's own too (the TV bound); None."""
+    for the clique sums of blocks within their kernel's budget (t(q) n^3 <=
+    _LAG_CLIQUE_LIMIT^3 for a 1-D factor's lag triples, t(q) n^4 <=
+    CLIQUE_LIMIT^4 for a dense block): "model" for the model's, which needs
+    every factor's; "factors" for each factor's own too (the TV bound);
+    None."""
     separable = cov.structure == SEPARABLE
     triples = _clique_triples(q)
     if not orders:  # a variance alone, or q = 1, which has no diagram
         empty = ({}, None if cliques is None or triples else {})
         return empty, ([empty] * len(cov.factors) if separable else None)
 
-    def fits(n):
-        return cliques is not None and len(triples) * n**4 <= CLIQUE_LIMIT**4
+    def fits(n, toeplitz):
+        power, limit = (3, _LAG_CLIQUE_LIMIT) if toeplitz else (4, CLIQUE_LIMIT)
+        return cliques is not None and len(triples) * n**power <= limit**power
 
     if not separable:
         matrix = dense_covariance_matrix(cov, lattice)
-        return _block_terms(matrix, q, orders, triples if fits(lattice.n_total) else None), None
-    points = [math.prod(sizes) for sizes in lattice.blocks]
-    whole = cliques != "model" or all(map(fits, points))  # the model's needs every factor's
+        return _block_terms(matrix, q, orders,
+                            triples if fits(lattice.n_total, False) else None), None
+    within = [fits(math.prod(sizes), len(sizes) == 1) for sizes in lattice.blocks]
+    whole = cliques != "model" or all(within)  # the model's needs every factor's
     factors = [
         _block_terms(_factor_block(factor, sizes), q, orders,
-                     triples if whole and fits(n) else None)
-        for factor, sizes, n in zip(cov.factors, lattice.blocks, points)
+                     triples if whole and fit else None)
+        for factor, sizes, fit in zip(cov.factors, lattice.blocks, within)
     ]
     norms, sums = zip(*factors)
     model = ({r: math.prod(n[r] for n in norms) for r in orders},

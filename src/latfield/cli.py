@@ -247,7 +247,7 @@ def parse_config(text: str) -> ExperimentConfig:
     check = _Check()
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise ConfigError([f"(document): not valid YAML: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["(document): top level must be a mapping"])

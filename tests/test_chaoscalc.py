@@ -397,19 +397,67 @@ def test_halved_clique_sum_matches_the_full_point_loop():
 
 
 def test_clique_budget_scales_with_the_diagram_count(monkeypatch):
-    # t(q) n^4 <= CLIQUE_LIMIT^4 with t = 1, 1, 2, 3 at q = 3..6: at a
-    # limit of 16, 16 points fit at q = 3 and 4, 13 at q = 5, 12 at q = 6
-    monkeypatch.setattr(chaoscalc, "CLIQUE_LIMIT", 16)
-    factor = FactorCovariance(FGN, hurst=0.8)
-    for q, largest in ((3, 16), (4, 16), (5, 13), (6, 12)):
-        exact = fourth_cumulant(_sep(factor), LatticeSpec(((largest,),)), q)
-        bound = fourth_cumulant(_sep(factor), LatticeSpec(((largest + 1,),)), q)
-        assert exact[1] and not bound[1], q
-        # past the budget the majorant bounds the exact value from above
-        monkeypatch.setattr(chaoscalc, "CLIQUE_LIMIT", 256)
-        true = fourth_cumulant(_sep(factor), LatticeSpec(((largest + 1,),)), q)
-        monkeypatch.setattr(chaoscalc, "CLIQUE_LIMIT", 16)
-        assert true[1] and 0.0 < true[0] <= bound[0], q
+    # a dense block takes t(q) n^4 <= CLIQUE_LIMIT^4 and a 1-D factor t(q)
+    # n^3 <= _LAG_CLIQUE_LIMIT^3, with t = 1, 1, 2, 3 at q = 3..6: at limits
+    # of 16, 16 points fit at q = 3 and 4 in both, 13 and 12 at q = 5 and 6
+    # in a dense block (a 2-D factor on an n x 1 window), 12 and 11 in 1-D
+    dense = (FactorCovariance(CAUCHY, exponent=0.8, dim=2), lambda n: LatticeSpec(((n, 1),)),
+             "CLIQUE_LIMIT", ((3, 16), (4, 16), (5, 13), (6, 12)))
+    lags = (FactorCovariance(FGN, hurst=0.8), lambda n: LatticeSpec(((n,),)),
+            "_LAG_CLIQUE_LIMIT", ((3, 16), (4, 16), (5, 12), (6, 11)))
+    for factor, window, limit, edges in (dense, lags):
+        monkeypatch.setattr(chaoscalc, limit, 16)
+        for q, largest in edges:
+            exact = fourth_cumulant(_sep(factor), window(largest), q)
+            bound = fourth_cumulant(_sep(factor), window(largest + 1), q)
+            assert exact[1] and not bound[1], (limit, q)
+            # past the budget the majorant bounds the exact value from above
+            monkeypatch.setattr(chaoscalc, limit, 256)
+            true = fourth_cumulant(_sep(factor), window(largest + 1), q)
+            monkeypatch.setattr(chaoscalc, limit, 16)
+            assert true[1] and 0.0 < true[0] <= bound[0], (limit, q)
+
+
+# 1-D factors for the lag-triple clique sum: long and short memory, a heavy
+# tail, and a table with a negative value that is zero past lag 3
+LAG_CLIQUE_FACTORS = (
+    FactorCovariance(FGN, hurst=0.7),
+    FactorCovariance(FGN, hurst=0.3),
+    FactorCovariance(CAUCHY, exponent=0.4),
+    FactorCovariance(TABULATED, table={(k,): ([1.0, -0.4, 0.2, -0.05] + [0.0] * 124)[k]
+                                       for k in range(128)}),
+)
+
+
+def test_lag_clique_sum_matches_the_dense_clique_sum():
+    for factor in LAG_CLIQUE_FACTORS:
+        for n in (1, 2, 3, 7, 33, 64, 128):
+            col = chaoscalc._factor_block(factor, (n,))
+            matrix = toeplitz(col)
+            for q in range(3, 7):
+                for triple in chaoscalc._clique_triples(q):
+                    want = chaoscalc._clique_sum(matrix, triple)
+                    got = chaoscalc._lag_clique_sum(col, triple)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (
+                        factor, n, triple)
+
+
+def test_each_block_kind_takes_its_own_clique_kernel(monkeypatch):
+    # 1-D factors take lag triples; a 2-D factor and a full-lattice matrix
+    # take _clique_sum
+    seen = []
+    for name in ("_clique_sum", "_lag_clique_sum"):
+        original = getattr(chaoscalc, name)
+        monkeypatch.setattr(chaoscalc, name, lambda block, triple, name=name, original=original:
+                            seen.append((name, block.shape)) or original(block, triple))
+    mixed = _sep(FactorCovariance(FGN, hurst=0.6), FactorCovariance(CAUCHY, exponent=0.8, dim=2))
+    fourth_cumulant(mixed, LatticeSpec(((20,), (4, 3))), 3)
+    assert seen == [("_lag_clique_sum", (20,)), ("_clique_sum", (12, 12))]
+    seen.clear()
+    gneiting = CompositeCovariance(
+        GNEITING, (FactorCovariance(CAUCHY, exponent=1.0), FactorCovariance(CAUCHY, exponent=0.7)))
+    fourth_cumulant(gneiting, LatticeSpec(((6,), (5,))), 3)
+    assert seen == [("_clique_sum", (30, 30))]
 
 
 def test_fourth_cumulant_nonnegative():
@@ -419,11 +467,17 @@ def test_fourth_cumulant_nonnegative():
             assert value >= 0.0
 
 
-def test_fourth_cumulant_clique_cap():
+def test_fourth_cumulant_clique_cap(monkeypatch):
     cov = _sep(FactorCovariance(FGN, hurst=0.75))
-    value, exact = fourth_cumulant(cov, LatticeSpec(((300,),)), 3)
-    assert not exact  # 300 points exceed the exact-clique cap
+    past = chaoscalc._LAG_CLIQUE_LIMIT + 1  # a 1-D factor just past its clique budget
+    value, exact = fourth_cumulant(cov, LatticeSpec(((past,),)), 3)
+    assert not exact
     assert value >= 0.0
+    # the majorant bounds the exact value, computed with the budget raised
+    monkeypatch.setattr(chaoscalc, "_LAG_CLIQUE_LIMIT", past)
+    true, exact = fourth_cumulant(cov, LatticeSpec(((past,),)), 3)
+    monkeypatch.undo()
+    assert exact and 0.0 < true <= value
     # under the cap the exact identity is used
     _, exact_small = fourth_cumulant(cov, LatticeSpec(((200,),)), 3)
     assert exact_small
@@ -614,8 +668,8 @@ def test_chaos_report(monkeypatch):
     )
     cases = [
         (long_short, LatticeSpec(((64,), (16,))), 2, True),
-        (long_short, LatticeSpec(((40,), (12,))), 3, True),    # under CLIQUE_LIMIT
-        (long_short, LatticeSpec(((300,), (12,))), 3, False),  # over CLIQUE_LIMIT
+        (long_short, LatticeSpec(((40,), (12,))), 3, True),    # within the 1-D clique budget
+        (long_short, LatticeSpec(((chaoscalc._LAG_CLIQUE_LIMIT + 1,), (12,))), 3, False),  # past it
         (_sep(FactorCovariance(FGN, hurst=0.6), FactorCovariance(CAUCHY, exponent=0.8, dim=2)),
          LatticeSpec(((20,), (4, 3))), 4, True),
         (gneiting, LatticeSpec(((6,), (5,))), 3, True),

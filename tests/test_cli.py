@@ -505,6 +505,21 @@ def test_validate_rejects_bad_configs_with_exit_2(tmp_path, capsys):
     assert "phi.q" in capsys.readouterr().err
 
 
+def test_an_integer_past_the_digit_limit_is_a_violation(tmp_path, capsys):
+    # the YAML loader raises a plain ValueError for an integer of more than
+    # 4 300 digits; it is reported as invalid YAML, with exit 2
+    smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml"
+    text = smoke.read_text().replace("seed: 11", "seed: " + "1" * 5000)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    [violation] = err.value.violations
+    assert violation.startswith("(document): not valid YAML: ")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "(document): not valid YAML: " in capsys.readouterr().err
+
+
 def test_numerical_failures_exit_3(tmp_path, capsys):
     text = MINIMAL.replace(
         "    - family: white_noise",

@@ -490,9 +490,11 @@ def test_variance_bridge_on_a_correlated_model():
     assert abs(rung.stats.variance - 1.0) < 5 * rung.stats.variance_se
 
 
-def test_rate_fit_falls_back_when_a_kappa4_is_only_a_bound():
-    # fGn(0.8) at q = 3: kappa_4 is exact up to 256 points and a majorant at
-    # 512, past the clique budget, so the exact series is refused as a whole
+def test_rate_fit_falls_back_when_a_kappa4_is_only_a_bound(monkeypatch):
+    # fGn(0.8) at q = 3 with the 1-D clique budget lowered to 256: kappa_4 is
+    # exact up to 256 points and a majorant at 512, past the budget, so the
+    # exact series is refused as a whole
+    monkeypatch.setattr(chaoscalc, "_LAG_CLIQUE_LIMIT", 256)
     cov = separable(FactorCovariance("fgn", hurst=0.8))
     ladder = tuple(lattice(n) for n in (64, 128, 256, 512))
     assert [fourth_cumulant(cov, latt, 3)[1] for latt in ladder] == [True, True, True, False]
@@ -502,6 +504,18 @@ def test_rate_fit_falls_back_when_a_kappa4_is_only_a_bound():
     assert result.rate is not None
     assert result.notes == (
         "exact cumulant series unavailable: kappa_4 is only an upper bound at rung 3 (512)",)
+
+
+def test_rate_fit_is_exact_when_every_kappa4_is():
+    # the same ladder within the 1-D clique budget: every kappa_4 is exact
+    cov = separable(FactorCovariance("fgn", hurst=0.8))
+    ladder = tuple(lattice(n) for n in (64, 128, 256, 512))
+    assert all(fourth_cumulant(cov, latt, 3)[1] for latt in ladder)
+    config = ExperimentConfig(cov, pure(3), ladder, 100, 7, outputs=("rate_fit",))
+    result = run_experiment(config)
+    assert result.rate_source == "exact-fourth-cumulant"
+    assert result.rate is not None
+    assert result.notes == ()
 
 
 def test_thread_count_is_checked_and_auto_counts_usable_cpus(monkeypatch):

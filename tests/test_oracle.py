@@ -1,4 +1,5 @@
 """The pairing oracle, certified against hand-computable Gaussian moments."""
+import collections
 import itertools
 import math
 
@@ -284,7 +285,7 @@ def _random_correlation(rng, m):
     return raw / np.outer(d, d)
 
 
-def test_wick_recursion_matches_pairing_enumeration(monkeypatch):
+def test_wick_recursion_matches_pairing_enumeration():
     rng = np.random.default_rng(11)
     monomials = [
         ((0, 2), (0, 2)),                        # repeated point
@@ -309,14 +310,38 @@ def test_wick_recursion_matches_pairing_enumeration(monkeypatch):
     monomial = ((0, 4), (1, 4), (2, 4), (3, 4))
     assert wick_moment(WickProblem(corr, monomial)) == pytest.approx(
         _enumerated_moment(corr, monomial), rel=1e-12)
-    # one wick_moment call per multiset of points: C(4 + 4 - 1, 4) = 35
-    calls = []
 
-    def counted(problem):
-        calls.append(problem)
-        return wick_moment(problem)
 
-    monkeypatch.setattr(oracle, "wick_moment", counted)
-    wn = CompositeCovariance(SEPARABLE, (FactorCovariance(WHITE_NOISE),))
-    oracle_functional_moment(wn, LatticeSpec(((4,),)), q=2, order=4)
-    assert len(calls) == 35
+# criterion 03's models, with its lattices and orders
+CRITERION_03_MODELS = (
+    CompositeCovariance(SEPARABLE, (FactorCovariance(WHITE_NOISE),)),
+    CompositeCovariance(SEPARABLE, (FactorCovariance(FGN, hurst=0.75),)),
+    CompositeCovariance(SEPARABLE, (FactorCovariance(CAUCHY, exponent=0.6),)),
+    CompositeCovariance(SEPARABLE, (FactorCovariance(
+        TABULATED, table={(0,): 1.0, (1,): 0.5, (2,): 0.25, (3,): 0.1}),)),
+    CompositeCovariance(SEPARABLE, (FactorCovariance(FGN, hurst=0.3),
+                                    FactorCovariance(FGN, hurst=0.9))),
+)
+
+
+def test_batched_moment_equals_the_per_multiset_sum():
+    # one recursion over every multiset gives, bit for bit, the weighted sum
+    # of one wick_moment per multiset, added in multiset order
+    shapes_1d = [(1,), (2,), (3,), (4,)]
+    shapes_2d = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (4, 1), (1, 4)]
+    for cov in CRITERION_03_MODELS:
+        for sizes in shapes_1d if len(cov.factors) == 1 else shapes_2d:
+            lattice = LatticeSpec(tuple((n,) for n in sizes))
+            matrix = lattice_covariance_matrix(cov, lattice)
+            for q in (1, 2, 3):
+                for order in (2, 4):
+                    want = 0.0
+                    for points in itertools.combinations_with_replacement(
+                            range(lattice.n_total), order):
+                        tuples = math.factorial(order)
+                        for repeats in collections.Counter(points).values():
+                            tuples //= math.factorial(repeats)
+                        monomial = tuple((k, q) for k in points)
+                        want += tuples * wick_moment(WickProblem(matrix, monomial))
+                    got = oracle_functional_moment(cov, lattice, q, order)
+                    assert got == want, (cov.factors, sizes, q, order)
