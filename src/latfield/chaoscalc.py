@@ -9,9 +9,11 @@ variance decomposition, gamma quotients, and the rank-reduction ratio.
 Two kernels give every exact value.  The lag window (_lag_window): pair
 sums over a window of sizes n_j collapse to lag sums sum_z W(z) g(C(z))
 with W(z) = prod_j (n_j - |z_j|), which factor over separable blocks and
-split binomially over additive ones.  One covariance block per factor
-(_block_terms) gives the diagram sums S(a, b, c) of the fourth cumulant
-(Peccati & Taqqu 2011, Wiener Chaos: Moments, Cumulants and Diagrams):
+split binomially over additive ones.  The covariance blocks (_blocks: one
+per factor of a separable model, else the full-lattice matrix) give the
+diagram sums S(a, b, c) of the fourth cumulant (Peccati & Taqqu 2011,
+Wiener Chaos: Moments, Cumulants and Diagrams), one record per block
+(_block_terms), and a model's sums are the products over its blocks:
 kappa_4 Var^2 sums them over the connected 4-vertex diagrams, edge
 multiplicities a, b, c with a + b + c = q.  A diagram with c = 0 is a
 4-cycle, ||f (x)_a f||^2 = trace((A B)^2) with A = M^(.a), B = M^(.b)
@@ -20,14 +22,14 @@ factor's M is symmetric Toeplitz, so its 4-cycles come from its first
 column alone, row by row through the displacement recurrence of A B
 (Kailath & Sayed 1995), in O(n^2) time and O(n) memory, and its cliques
 from sums over lag triples, in O(n^3) through matrix products with a
-triangular Toeplitz matrix (_lag_clique_sum).  The 4-cycles and cliques of
-multi-D factors and of a non-separable model's full-lattice matrix take
-dense products.  Every block is persymmetric: C is even, C(z) = C(-z),
-and reversing the point order (J, in axis-major order) negates every lag,
-so J M J = M, and J A J = A for every elementwise power A of M.  So the
-rows of A B mirror each other, the dense clique sum's per-point terms pair
-up, and the lag-triple sum's lag triples pair up with their negatives, and
-each kernel sums over half of them only.
+triangular Toeplitz matrix (_lag_clique_sum).  Every other block takes
+dense products, and each block's cliques only within its kernel's budget.
+Every block is persymmetric: C is even, C(z) = C(-z), and reversing the
+point order (J, in axis-major order) negates every lag, so J M J = M, and
+J A J = A for every elementwise power A of M.  So the rows of A B mirror
+each other, the dense clique sum's per-point terms pair up, and the
+lag-triple sum's lag triples pair up with their negatives, and each kernel
+sums over half of them only.
 
 The excursion indicator 1{x >= a} has every chaos, so its variance is not
 summed by chaos: it is the lag sum of the bivariate normal orthant excess
@@ -144,9 +146,25 @@ def _checked_variance(cov, lattice, q: int, variance: float) -> float:
 # variances
 
 
+def _variances(cov, lattice, q: int):
+    """Var(Y[q]), plus each factor's on its own block window for a separable
+    model (else None).  Factorized variances, separable and additive, are
+    checked against the direct lag sum."""
+    _check_q(q)
+    _check_blocks(cov, lattice)
+    if cov.structure == ADDITIVE:
+        return additive_variance(cov, lattice, q).total, None
+    if cov.structure != SEPARABLE:
+        return math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q), None
+    variances = [math.factorial(q) * float(np.sum(weights * values**q))
+                 for values, weights in map(_lag_window, cov.factors, lattice.blocks)]
+    variance = math.prod(variances) / math.factorial(q) ** (len(variances) - 1)
+    return _checked_variance(cov, lattice, q, variance), variances
+
+
 def variance_hermite(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
     """Var(Y[q]) = q! sum over lattice pairs of C^q, exactly."""
-    return _model_terms(cov, lattice, q, ())[0][0]
+    return _variances(cov, lattice, q)[0]
 
 
 @dataclass(frozen=True)
@@ -224,10 +242,12 @@ def _factor_block(factor: FactorCovariance, sizes) -> np.ndarray:
 
 
 def _trace_abab(m: np.ndarray, q: int, r: int) -> float:
-    """trace((AB)^2) with A = M^(.r), B = M^(.(q-r)); power 1 is M itself,
-    and A serves as B when r = q - r."""
+    """trace((AB)^2) with A = M^(.r), B = M^(.(q-r)), from r <= q/2, so r
+    and q - r give the same bits (trace((AB)^2) = trace((BA)^2)); power 1
+    is M itself, and A serves as B when r = q - r."""
+    r = min(r, q - r)
     a_mat = m if r == 1 else m**r
-    ab = a_mat @ (a_mat if q == 2 * r else m if q - r == 1 else m ** (q - r))
+    ab = a_mat @ (a_mat if q == 2 * r else m ** (q - r))
     return float(np.einsum("ij,ji->", ab, ab))
 
 
@@ -260,7 +280,9 @@ def _toeplitz_trace_abab(col: np.ndarray, q: int, r: int) -> float:
     trace((AB)^2) = sum_ij P_ij Q_ij with P = AB and Q = BA = P^T, whose
     first rows and columns are B a and A b; Q is P when r = q - r.  A and B
     are persymmetric, so P and Q are (J P J = J A J J B J = P): row n-1-i is
-    row i reversed, and only the rows up to the middle are drawn."""
+    row i reversed, and only the rows up to the middle are drawn.  Like
+    _trace_abab it computes from r <= q/2."""
+    r = min(r, q - r)
     a = col**r
     b = a if q == 2 * r else col ** (q - r)
     ba, ab = _toeplitz_matvec(b, a), _toeplitz_matvec(a, b)
@@ -338,54 +360,29 @@ def _lag_clique_sum(col: np.ndarray, triple) -> float:
     return total
 
 
-def _block_terms(block: np.ndarray, q: int, orders, triples):
-    """({r: trace((AB)^2) for r in orders}, {t: S(t) for t in triples}, or
-    None when ``triples`` is None) from one covariance block: a dense matrix
-    M, or the first column of a symmetric Toeplitz M; r > q/2 reuses q - r,
-    as trace((AB)^2) = trace((BA)^2)."""
-    trace, clique = ((_trace_abab, _clique_sum) if block.ndim == 2
-                     else (_toeplitz_trace_abab, _lag_clique_sum))
-    norms = {}
-    for r in orders:
-        norms[r] = norms[q - r] if q - r in norms else trace(block, q, r)
-    return norms, None if triples is None else {t: clique(block, t) for t in triples}
+def _blocks(cov, lattice):
+    """The covariance blocks whose diagram sums multiply to the model's: a
+    separable model's factor blocks (see _factor_block), built one at a
+    time, else the full-lattice matrix as its one block."""
+    if cov.structure == SEPARABLE:
+        return map(_factor_block, cov.factors, lattice.blocks)
+    return [dense_covariance_matrix(cov, lattice)]
 
 
-def _contraction_terms(cov, lattice, q: int, orders, cliques):
-    """The model's _block_terms, plus each factor's for a separable model
-    (else None), whose products make the model's.  Each block is built
-    once, if ``orders`` is non-empty: a separable model's factor blocks
-    (see _factor_block), else the full-lattice matrix.  ``cliques`` asks
-    for the clique sums of blocks within their kernel's budget (t(q) n^3 <=
-    _LAG_CLIQUE_LIMIT^3 for a 1-D factor's lag triples, t(q) n^4 <=
-    CLIQUE_LIMIT^4 for a dense block): "model" for the model's, which needs
-    every factor's; "factors" for each factor's own too (the TV bound);
-    None."""
-    separable = cov.structure == SEPARABLE
+def _block_terms(block: np.ndarray, q: int):
+    """({r: trace((AB)^2) for r = 1 .. q-1}, {t: S(t) for every clique
+    triple t}) of a dense block M or the first column of a Toeplitz M, each
+    trace computed once.  The clique sums are None past the block's budget:
+    t(q) n^3 <= _LAG_CLIQUE_LIMIT^3 for a 1-D factor's lag triples, t(q) n^4
+    <= CLIQUE_LIMIT^4 for a dense block."""
+    trace, clique, power, limit = (
+        (_trace_abab, _clique_sum, 4, CLIQUE_LIMIT) if block.ndim == 2
+        else (_toeplitz_trace_abab, _lag_clique_sum, 3, _LAG_CLIQUE_LIMIT))
+    half = {r: trace(block, q, r) for r in range(1, q // 2 + 1)}
     triples = _clique_triples(q)
-    if not orders:  # a variance alone, or q = 1, which has no diagram
-        empty = ({}, None if cliques is None or triples else {})
-        return empty, ([empty] * len(cov.factors) if separable else None)
-
-    def fits(n, toeplitz):
-        power, limit = (3, _LAG_CLIQUE_LIMIT) if toeplitz else (4, CLIQUE_LIMIT)
-        return cliques is not None and len(triples) * n**power <= limit**power
-
-    if not separable:
-        matrix = dense_covariance_matrix(cov, lattice)
-        return _block_terms(matrix, q, orders,
-                            triples if fits(lattice.n_total, False) else None), None
-    within = [fits(math.prod(sizes), len(sizes) == 1) for sizes in lattice.blocks]
-    whole = cliques != "model" or all(within)  # the model's needs every factor's
-    factors = [
-        _block_terms(_factor_block(factor, sizes), q, orders,
-                     triples if whole and fit else None)
-        for factor, sizes, fit in zip(cov.factors, lattice.blocks, within)
-    ]
-    norms, sums = zip(*factors)
-    model = ({r: math.prod(n[r] for n in norms) for r in orders},
-             None if None in sums else {t: math.prod(s[t] for s in sums) for t in triples})
-    return model, factors
+    fits = len(triples) * len(block) ** power <= limit**power
+    return ({r: half[min(r, q - r)] for r in range(1, q)},
+            {t: clique(block, t) for t in triples} if fits else None)
 
 
 def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
@@ -395,34 +392,28 @@ def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
     if not 1 <= r <= q - 1:
         raise ModelError("contraction order r must satisfy 1 <= r <= q-1")
     _check_blocks(cov, lattice)
-    return _contraction_terms(cov, lattice, q, (r,), None)[0][0][r]
+    return math.prod((_trace_abab if b.ndim == 2 else _toeplitz_trace_abab)(b, q, r)
+                     for b in _blocks(cov, lattice))
 
 
 # ---------------------------------------------------------------------------
 # fourth cumulant and the TV bound
 
 
-def _model_terms(cov, lattice, q: int, orders, cliques=None):
-    """The model's (variance, norms, clique sums), plus each factor's on its
-    own block window for a separable model (else None); ``orders`` and
-    ``cliques`` as in _contraction_terms.  Factorized variances, separable
-    and additive, are checked against the direct lag sum."""
-    _check_q(q)
-    _check_blocks(cov, lattice)
-    if cov.structure == SEPARABLE:
-        model, blocks = _contraction_terms(cov, lattice, q, orders, cliques)
-        variances = []
-        for factor, sizes in zip(cov.factors, lattice.blocks):
-            values, weights = _lag_window(factor, sizes)
-            variances.append(math.factorial(q) * float(np.sum(weights * values**q)))
-        variance = math.prod(variances) / math.factorial(q) ** (len(variances) - 1)
-        variance = _checked_variance(cov, lattice, q, variance)
-        return (variance, *model), [(v, *b) for v, b in zip(variances, blocks)]
-    if cov.structure == ADDITIVE:
-        variance = additive_variance(cov, lattice, q).total
-    else:
-        variance = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
-    return (variance, *_contraction_terms(cov, lattice, q, orders, cliques)[0]), None
+def _model_terms(cov, lattice, q: int):
+    """The model's (variance, norms, clique sums), plus each factor's for a
+    separable model (else None): the products over its blocks' _block_terms,
+    the clique sums None unless every block's fit.  q = 1 has no diagram
+    and builds no block."""
+    variance, variances = _variances(cov, lattice, q)
+    count = 1 if variances is None else len(variances)
+    blocks = ([({}, {})] * count if q == 1
+              else [_block_terms(block, q) for block in _blocks(cov, lattice)])
+    norms, sums = zip(*blocks)
+    model = (variance, {r: math.prod(n[r] for n in norms) for r in range(1, q)},
+             None if None in sums else {t: math.prod(s[t] for s in sums)
+                                        for t in _clique_triples(q)})
+    return model, None if variances is None else [(v, *b) for v, b in zip(variances, blocks)]
 
 
 def _kappa4(q: int, variance: float, norms: dict, cliques: Optional[dict]):
@@ -448,8 +439,7 @@ def _kappa4(q: int, variance: float, norms: dict, cliques: Optional[dict]):
 
 def fourth_cumulant(cov: CompositeCovariance, lattice: LatticeSpec, q: int):
     """kappa_4 of Y[q]/sqrt(Var) and its exact flag; see _kappa4."""
-    terms, _ = _model_terms(cov, lattice, q, range(1, q), "model")
-    return _kappa4(q, *terms)
+    return _kappa4(q, *_model_terms(cov, lattice, q)[0])
 
 
 def cq_constant(q: int) -> float:
@@ -464,11 +454,6 @@ def cq_constant(q: int) -> float:
     return math.sqrt(4.0 * s / q)
 
 
-def _tv(q: int, factors) -> float:
-    prod = math.prod(math.sqrt(max(_kappa4(q, *terms)[0], 0.0)) for terms in factors)
-    return min(1.0, cq_constant(q) * prod)
-
-
 def tv_bound(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
     """d_TV(normalized Y[q], N) <= c_q prod_i sqrt(kappa_4 of factor i).
 
@@ -479,8 +464,7 @@ def tv_bound(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
         raise ModelError("the TV bound applies to separable covariances only")
     if q < 2:
         raise ModelError("the TV bound needs q >= 2")
-    _, factors = _model_terms(cov, lattice, q, range(1, q), "factors")
-    return _tv(q, factors)
+    return chaos_report(cov, lattice, q).tv_bound
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +545,15 @@ class ChaosReport:
 def chaos_report(cov: CompositeCovariance, lattice: LatticeSpec,
                  q: int) -> ChaosReport:
     """All diagnostics for one chaos order, ready for serialization."""
-    terms, factors = _model_terms(cov, lattice, q, range(1, q), "factors")
+    terms, factors = _model_terms(cov, lattice, q)
     k4, exact = _kappa4(q, *terms)
     notes = []
     if not exact:
         notes.append("fourth cumulant is an upper bound, not the exact value")
     tv = None
     if factors is not None and q >= 2:
-        tv = _tv(q, factors)
+        kappas = (max(_kappa4(q, *factor)[0], 0.0) for factor in factors)
+        tv = min(1.0, cq_constant(q) * math.prod(map(math.sqrt, kappas)))
         notes.append("tv bound from per-factor fourth cumulants, clamped at 1")
     return ChaosReport(
         q=q,

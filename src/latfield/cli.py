@@ -445,7 +445,13 @@ def _cmd_chaos(args) -> int:
     rank = hermite_rank(hermite_coefficients(config.phi))
     reports = []
     for lattice in config.ladder:
-        rep = chaos_report(config.covariance, lattice, rank)
+        try:
+            rep = chaos_report(config.covariance, lattice, rank)
+        except (ModelError, NumericalError) as exc:
+            note = f"chaos report unavailable: {exc}"
+            reports.append({"notes": [note]})
+            print(f"n={lattice.n_total}: {note}")
+            continue
         reports.append(_doc(rep))
         tv = "n/a" if rep.tv_bound is None else f"{rep.tv_bound:.6g}"
         print(f"n={lattice.n_total}: variance={rep.variance:.6g} "

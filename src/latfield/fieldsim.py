@@ -49,7 +49,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from ._errors import ModelError, NumericalError
+from ._errors import ModelError, NumericalError, check_number
 from .covariance import (
     ADDITIVE,
     SEPARABLE,
@@ -85,11 +85,13 @@ class LatticeSpec:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(n) for n in b) for b in self.blocks)
-        if not blocks or any(not b for b in blocks):
+        if not self.blocks or any(len(b) == 0 for b in self.blocks):
             raise ModelError("lattice needs at least one block with at least one axis")
-        if any(n < 1 for b in blocks for n in b):
-            raise ModelError("all lattice sizes must be >= 1")
+        try:
+            blocks = tuple(tuple(check_number(n, kind=int, minimum=1) for n in b)
+                           for b in self.blocks)
+        except ModelError as exc:
+            raise ModelError(f"lattice size: {exc}") from None
         object.__setattr__(self, "blocks", blocks)
 
     @property

@@ -493,14 +493,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 
 def _fit_rate(cov, ladder, rank, rungs):
-    """Fit the fourth-cumulant decay: exact values when the model admits
-    them at every rung, otherwise the magnitude of the empirical excess
-    kurtosis."""
+    """Fit the fourth-cumulant decay: exact values (from a rung's chaos report
+    if it has one) when the model admits them at every rung, otherwise the
+    magnitude of the empirical excess kurtosis."""
     notes = []
     series = None
     if cov.structure == SEPARABLE and rank >= 2:
         try:
-            cumulants = [fourth_cumulant(cov, lattice, rank) for lattice in ladder]
+            cumulants = [fourth_cumulant(cov, lattice, rank) if rung.chaos is None
+                         else (rung.chaos.fourth_cumulant, rung.chaos.fourth_exact)
+                         for lattice, rung in zip(ladder, rungs)]
         except (ModelError, NumericalError) as exc:
             notes.append(f"exact cumulant series unavailable: {exc}")
         else:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError
+from ._errors import ModelError, check_number
 from .chaoscalc import _DIRECT_LAG_LIMIT, _lag_window
 from .covariance import (
     ADDITIVE,
@@ -88,6 +88,10 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
     otherwise the defining series diverges and the factor is named in the
     error.
     """
+    try:
+        radius = check_number(radius, kind=int, minimum=0)
+    except ModelError as exc:
+        raise ModelError(f"radius: {exc}") from None
     factors = tuple(factors)
     coeffs = np.asarray(coefficients, dtype=float)
     rank = hermite_rank(coeffs)
@@ -124,7 +128,7 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
             for i, t in enumerate(tails)
         )
         tail += coeffs[q] ** 2 * math.factorial(q) * err
-    return Sigma2(value=value, tail_estimate=tail, radius=int(radius))
+    return Sigma2(value=value, tail_estimate=tail, radius=radius)
 
 
 # ---------------------------------------------------------------------------

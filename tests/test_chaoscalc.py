@@ -704,6 +704,44 @@ def test_chaos_report(monkeypatch):
         assert len(calls) == want, q
 
 
+def test_entry_points_are_the_report_fields_bit_for_bit(monkeypatch):
+    # every entry point reads the record chaos_report reads: the same bits,
+    # r > q/2 included, and where a factor past its clique budget makes
+    # kappa_4 the flagged majorant
+    monkeypatch.setattr(chaoscalc, "_LAG_CLIQUE_LIMIT", 16)
+    cauchy2 = FactorCovariance(CAUCHY, exponent=0.8, dim=2)
+    mixed = _sep(FactorCovariance(FGN, hurst=0.6), cauchy2)
+    cases = [
+        (_sep(FactorCovariance(FGN, hurst=0.7), FactorCovariance(FGN, hurst=0.3)),
+         LatticeSpec(((12,), (9,)))),
+        (mixed, LatticeSpec(((12,), (4, 3)))),
+        (mixed, LatticeSpec(((20,), (4, 3)))),  # the 1-D factor past its budget at q >= 3
+        (_sep(cauchy2), LatticeSpec(((7, 5),))),
+        (CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=1.0),
+                                        FactorCovariance(CAUCHY, exponent=0.7))),
+         LatticeSpec(((6,), (5,)))),
+        (CompositeCovariance(ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.5),
+                                        FactorCovariance(FGN, hurst=0.7)), weights=(0.4, 0.6)),
+         LatticeSpec(((6,), (5,)))),
+        (CompositeCovariance(ISOTROPIC, (cauchy2,), block_dims=(1, 1)), LatticeSpec(((5,), (4,)))),
+    ]
+    majorants = []
+    for cov, lat in cases:
+        for q in range(1, 6):
+            rep = chaos_report(cov, lat, q)
+            assert variance_hermite(cov, lat, q) == rep.variance
+            assert fourth_cumulant(cov, lat, q) == (rep.fourth_cumulant, rep.fourth_exact)
+            norms = {r: contraction_norm(cov, lat, q, r) for r in range(1, q)}
+            assert norms == rep.contraction_norms, (lat.all_sizes, q)
+            if cov.structure == SEPARABLE and q >= 2:
+                assert tv_bound(cov, lat, q) == rep.tv_bound
+            else:
+                assert rep.tv_bound is None
+            if not rep.fourth_exact:
+                majorants.append((lat.all_sizes, q))
+    assert majorants == [((20, 4, 3), 3), ((20, 4, 3), 4), ((20, 4, 3), 5)]
+
+
 def test_non_separable_report_builds_one_dense_matrix(monkeypatch):
     # contraction norms and the clique sum come from one full-lattice matrix
     calls = []

@@ -549,6 +549,22 @@ def test_chaos_command(tmp_path, capsys):
     assert doc["rungs"][0]["fourth_cumulant"] == pytest.approx(12.0 / 16)
 
 
+def test_chaos_command_notes_a_rung_it_cannot_compute(tmp_path, capsys):
+    # an additive rung past DENSE_LIMIT has no chaos report: its note is
+    # recorded as run_experiment records it, and the ladder goes on
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(ADDITIVE.replace("    - [8, 8]\n", "    - [8, 8]\n    - [80, 60]\n    - [81, 60]\n"))
+    out = tmp_path / "out"
+    assert main(["chaos", "--config", str(cfg), "--out", str(out)]) == 0
+    note = "chaos report unavailable: dense covariance capped at 4096 points"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("n=64: variance=")
+    assert lines[1:3] == [f"n=4800: {note}", f"n=4860: {note}"]
+    rungs = json.loads((out / "additive-sample-chaos.json").read_text())["rungs"]
+    assert rungs[0]["fourth_exact"] is True
+    assert rungs[1:] == [{"notes": [note]}, {"notes": [note]}]
+
+
 def test_classify_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(ADDITIVE)

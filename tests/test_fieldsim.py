@@ -62,6 +62,12 @@ def test_lattice_spec():
         LatticeSpec(())
     with pytest.raises(ModelError):
         LatticeSpec(((4, 0),))
+    # a size is a count: no fraction, no boolean, the parser's rule
+    for size, why in ((2.7, "must be an integer, got 2.7"), (True, "expected a number, got bool"),
+                      (0, "must be at least 1, got 0"), ("4", "expected a number, got str")):
+        with pytest.raises(ModelError, match=f"^lattice size: {why}$"):
+            LatticeSpec(((4, size),))
+    assert LatticeSpec(((np.int64(4), 3.0),)).blocks == ((4, 3),)
 
 
 def test_draws_are_counter_deterministic():

@@ -518,6 +518,23 @@ def test_rate_fit_is_exact_when_every_kappa4_is():
     assert result.notes == ()
 
 
+def test_chaos_reports_and_rate_fit_sum_each_rungs_cliques_once(monkeypatch):
+    # the rate fit reads each rung's kappa_4 from its chaos report, so the
+    # fGn(0.8), q = 3 ladder takes one lag-triple clique sum per rung
+    calls = []
+    original = chaoscalc._lag_clique_sum
+    monkeypatch.setattr(chaoscalc, "_lag_clique_sum",
+                        lambda col, triple: calls.append(len(col)) or original(col, triple))
+    cov = separable(FactorCovariance("fgn", hurst=0.8))
+    ladder = tuple(lattice(n) for n in (64, 128, 256, 512))
+    config = ExperimentConfig(cov, pure(3), ladder, 100, 7, outputs=("rate_fit", "chaos_reports"))
+    result = run_experiment(config)
+    assert calls == [64, 128, 256, 512]
+    assert result.rate_source == "exact-fourth-cumulant"
+    assert result.rate == rate_fit([(latt.n_total, fourth_cumulant(cov, latt, 3)[0])
+                                    for latt in ladder])
+
+
 def test_thread_count_is_checked_and_auto_counts_usable_cpus(monkeypatch):
     config = ExperimentConfig(WHITE, pure(2), (lattice(16),), 100, 5)
     with pytest.raises(ModelError, match="threads"):

@@ -211,6 +211,15 @@ def test_sigma2_rejects_oversized_lag_boxes():
         breuer_major_sigma2((wn(dim=3),), [0.0, 0.0, 1.0], radius=200)
 
 
+def test_sigma2_radius_is_a_count():
+    # a negative radius gave 0.0, and 2.5 summed C over half-integer lags
+    assert breuer_major_sigma2((wn(),), [0.0, 0.0, 1.0], radius=0).value == pytest.approx(2.0)
+    for radius, why in ((-1, "must be at least 0, got -1"), (2.5, "must be an integer, got 2.5"),
+                        (True, "expected a number, got bool")):
+        with pytest.raises(ModelError, match=f"^radius: {why}$"):
+            breuer_major_sigma2((fgn(0.3),), [0.0, 0.0, 1.0], radius=radius)
+
+
 # ---------------------------------------------------------------------------
 # classifier
 
