@@ -26,10 +26,15 @@ triangular Toeplitz matrix (_lag_clique_sum).  Every other block takes
 dense products, and each block's cliques only within its kernel's budget.
 Every block is persymmetric: C is even, C(z) = C(-z), and reversing the
 point order (J, in axis-major order) negates every lag, so J M J = M, and
-J A J = A for every elementwise power A of M.  So the rows of A B mirror
-each other, the dense clique sum's per-point terms pair up, and the
-lag-triple sum's lag triples pair up with their negatives, and each kernel
-sums over half of them only.
+J A J = A for every elementwise power A of M.  Each kernel sums one term
+per symmetry orbit, weighted by the orbit's size:
+  - 4-cycles (_toeplitz_trace_abab): the terms P_ij P_ji of P = A B, over
+    the orbits of transposition and of (i, j) -> (n-1-i, n-1-j), on the
+    quarter i <= j <= n-1-i of P;
+  - dense cliques (_clique_sum): the per-point terms, over the pairs
+    {u, N-1-u};
+  - lag-triple cliques (_lag_clique_sum): the lag triples, over the pairs
+    {d, -d}, and when b = c over the exchange of d2 and d3 too.
 
 The excursion indicator 1{x >= a} has every chaos, so its variance is not
 summed by chaos: it is the lag sum of the bivariate normal orthant excess
@@ -67,7 +72,7 @@ MAX_CHAOS_ORDER = 30
 CLIQUE_LIMIT = 256
 #: clique budget of a 1-D factor, whose lag triples cost n^3 each: t(q) n^3
 #: <= _LAG_CLIQUE_LIMIT^3 (n <= 1024 at q = 3 and 4, where one clique sum
-#: takes about 0.35 s and 47 MB on 2 CPUs, and about 11 ms at n = 256)
+#: takes about 0.18 s and 40 MB on 2 CPUs, and about 6 ms at n = 256)
 _LAG_CLIQUE_LIMIT = 1024
 #: rows d1 per block of the lag-triple clique sum
 _LAG_CLIQUE_ROWS = 64
@@ -96,9 +101,8 @@ def _lag_window(model, sizes):
     the same bits as composite_values on the whole lag grid."""
     if isinstance(model, CompositeCovariance) and model.structure == SEPARABLE:
         ends = itertools.accumulate(f.dim for f in model.factors)
-        parts = [_lag_window(f, sizes[end - f.dim:end]) for f, end in zip(model.factors, ends)]
-        return tuple(functools.reduce(np.multiply.outer, window).ravel()
-                     for window in zip(*parts))
+        return _multiplied_out([_lag_window(f, sizes[end - f.dim:end])
+                                for f, end in zip(model.factors, ends)])
     axes = [np.arange(-(n - 1), n) for n in sizes]
     lags = _grid_vectors(axes).reshape(-1, len(sizes))
     weights = None
@@ -109,11 +113,18 @@ def _lag_window(model, sizes):
     return evaluate(model, lags), weights.ravel()
 
 
-def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g) -> float:
+def _multiplied_out(parts):
+    """A separable model's (C, W) window from its factors' own windows: the
+    outer products of their C and of their W, in axis-major order."""
+    return tuple(functools.reduce(np.multiply.outer, window).ravel() for window in zip(*parts))
+
+
+def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g, window=None) -> float:
     """sum_z W(z) g(C(z)) over every window lag z, g acting elementwise on
-    the covariance values; ModelError past _DIRECT_LAG_LIMIT lags.  C is
-    even and the window's lags run symmetrically about z = 0, its middle
-    entry, so g is evaluated up to z = 0 and mirrored."""
+    the covariance values, from ``window`` when given (the _lag_window of
+    cov, already built); ModelError past _DIRECT_LAG_LIMIT lags.  C is even
+    and the window's lags run symmetrically about z = 0, its middle entry,
+    so g is evaluated up to z = 0 and mirrored."""
     sizes = lattice.all_sizes
     count = math.prod(2 * n - 1 for n in sizes)
     if count > _DIRECT_LAG_LIMIT:
@@ -121,19 +132,22 @@ def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g) -> float:
             f"direct lag sum over {count} lags is too large; "
             "use a factorized structure or a smaller window"
         )
-    values, weights = _lag_window(cov, sizes)
+    values, weights = _lag_window(cov, sizes) if window is None else window
     half = g(values[:count // 2 + 1])
     return float(np.sum(weights * np.concatenate((half, half[-2::-1]))))
 
 
-def _checked_variance(cov, lattice, q: int, variance: float) -> float:
+def _checked_variance(cov, lattice, q: int, variance: float, parts=None) -> float:
     """A factorized Var(Y[q]), checked against the direct lag sum on windows
     of at most _VAR_CHECK_LAGS lags, to 1e-12 relative to the sum of the
     terms' magnitudes, q! sum_z W(z) |C(z)|^q: the scale of the rounding in
-    either sum, and the sum itself unless odd q meets negative C."""
+    either sum, and the sum itself unless odd q meets negative C.  The
+    window is built once for both sums, from a separable model's factor
+    windows ``parts`` when given."""
     if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
-        direct = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q)
-        scale = math.factorial(q) * _lag_sum(cov, lattice, lambda c: np.abs(c) ** q)
+        window = _lag_window(cov, lattice.all_sizes) if parts is None else _multiplied_out(parts)
+        direct = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q, window)
+        scale = math.factorial(q) * _lag_sum(cov, lattice, lambda c: np.abs(c) ** q, window)
         if abs(variance - direct) > 1e-12 * scale:
             raise NumericalError(
                 f"factorized variance {variance!r} disagrees with the "
@@ -149,17 +163,19 @@ def _checked_variance(cov, lattice, q: int, variance: float) -> float:
 def _variances(cov, lattice, q: int):
     """Var(Y[q]), plus each factor's on its own block window for a separable
     model (else None).  Factorized variances, separable and additive, are
-    checked against the direct lag sum."""
+    checked against the direct lag sum; a separable model's factor windows
+    are built once, for its variances and the check both."""
     _check_q(q)
     _check_blocks(cov, lattice)
     if cov.structure == ADDITIVE:
         return additive_variance(cov, lattice, q).total, None
     if cov.structure != SEPARABLE:
         return math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q), None
+    parts = list(map(_lag_window, cov.factors, lattice.blocks))
     variances = [math.factorial(q) * float(np.sum(weights * values**q))
-                 for values, weights in map(_lag_window, cov.factors, lattice.blocks)]
+                 for values, weights in parts]
     variance = math.prod(variances) / math.factorial(q) ** (len(variances) - 1)
-    return _checked_variance(cov, lattice, q, variance), variances
+    return _checked_variance(cov, lattice, q, variance, parts), variances
 
 
 def variance_hermite(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
@@ -263,35 +279,43 @@ def _mirror_sum(terms, n: int) -> float:
     return float(2 * sum(terms[:half]) + sum(terms[half:]))
 
 
-def _displacement_rows(a: np.ndarray, b: np.ndarray, first_row, first_col, stop: int):
-    """Rows 0 .. stop-1 of P = A B, for symmetric Toeplitz A and B with first
-    columns a and b, from P's first row and column by the displacement
-    recurrence P[i, j] = P[i-1, j-1] + a(i) b(j) - a(n-i) b(n-j)."""
+def _displacement_rows(a: np.ndarray, b: np.ndarray, first_row: np.ndarray):
+    """Rows i < n/2 of P = A B on columns i .. n-1-i, for symmetric Toeplitz
+    A and B with first columns a and b, from P's first row by the
+    displacement recurrence P[i, j] = P[i-1, j-1] + a(i) b(j) - a(n-i) b(n-j):
+    row i takes row i-1 but its last two entries."""
     n = len(a)
-    row, tail = first_row, b[:0:-1]
+    row = first_row
     yield row
-    for i in range(1, stop):
-        row = np.concatenate(((first_col[i],), row[:-1] + a[i] * b[1:] - a[n - i] * tail))
+    for i in range(1, (n + 1) // 2):
+        row = row[:-2] + a[i] * b[i:n - i] - a[n - i] * b[n - i:i:-1]
         yield row
 
 
 def _toeplitz_trace_abab(col: np.ndarray, q: int, r: int) -> float:
     """_trace_abab of the symmetric Toeplitz M with first column ``col``:
     trace((AB)^2) = sum_ij P_ij Q_ij with P = AB and Q = BA = P^T, whose
-    first rows and columns are B a and A b; Q is P when r = q - r.  A and B
-    are persymmetric, so P and Q are (J P J = J A J J B J = P): row n-1-i is
-    row i reversed, and only the rows up to the middle are drawn.  Like
+    first rows are B a and A b; Q is P when r = q - r.  The term P_ij P_ji
+    is fixed by transposition and, as A and B are persymmetric (J P J = J A
+    J J B J = P), by (i, j) -> (n-1-i, n-1-j).  So only i <= j <= n-1-i is
+    summed, row by row: four times the orbit inside, twice the diagonal and
+    the anti-diagonal ends, and once the centre when n is odd.  Like
     _trace_abab it computes from r <= q/2."""
     r = min(r, q - r)
     a = col**r
-    b = a if q == 2 * r else col ** (q - r)
-    ba, ab = _toeplitz_matvec(b, a), _toeplitz_matvec(a, b)
     n = len(col)
-    rows = _displacement_rows(a, b, ba, ab, (n + 1) // 2)
     if q == 2 * r:
-        return _mirror_sum([p @ p for p in rows], n)
-    others = _displacement_rows(b, a, ab, ba, (n + 1) // 2)
-    return _mirror_sum([p @ t for p, t in zip(rows, others)], n)
+        pairs = ((p, p) for p in _displacement_rows(a, a, _toeplitz_matvec(a, a)))
+    else:
+        b = col ** (q - r)
+        pairs = zip(_displacement_rows(a, b, _toeplitz_matvec(b, a)),
+                    _displacement_rows(b, a, _toeplitz_matvec(a, b)))
+    inner, ends = [], []
+    for p, t in pairs:
+        inner.append(p[1:-1] @ t[1:-1])
+        ends.append(p[0] * t[0] + (p[-1] * t[-1] if len(p) > 1 else 0.0))
+    centre = ends.pop() if n % 2 else 0.0
+    return float(4 * sum(inner) + 2 * sum(ends) + centre)
 
 
 def _clique_triples(q: int):
@@ -338,7 +362,8 @@ def _lag_clique_sum(col: np.ndarray, triple) -> float:
     halved (both sides hold d2 = d3, with the same W), the two sides are
     sum (u H) (n - max(d1, .)) v + ((min(0, .) u) H) v and the same with u
     and v exchanged: two matrix products per block of d1 rows, the second
-    over the rows d2 < 0 of H only."""
+    over the rows d2 < 0 of H only.  When b = c, u = v, so the two sides
+    are equal: one is summed, twice."""
     n, width = len(col), 2 * len(col) - 1
     padding = np.zeros(n - 1)
     al, be, ga = (np.concatenate((padding, p[:0:-1], p, padding))
@@ -347,16 +372,22 @@ def _lag_clique_sum(col: np.ndarray, triple) -> float:
     h = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(h, width)[::-1])
     lags = np.arange(1 - n, n)  # h[i, j] = al(lags[j] - lags[i]) for j > i
     weights = np.where(lags[n - 1:] > 0, 2.0, 1.0) * al[width - 1:width - 1 + n]  # per d1 >= 0
+    one_side = triple[1] == triple[2]
     total = 0.0
     for start in range(0, n, _LAG_CLIQUE_ROWS):
         d1 = np.arange(start, min(n, start + _LAG_CLIQUE_ROWS))
         shifted = lags - d1[:, None] + width - 1  # the index of lag d - d1
-        u, v = be[n - 1:3 * n - 2] * ga[shifted], ga[n - 1:3 * n - 2] * be[shifted]
+        u = be[n - 1:3 * n - 2] * ga[shifted]
         reach = n - np.maximum(d1[:, None], lags)
-        x, y = np.concatenate((u, v)), np.concatenate((v, u))
-        sides = np.einsum("ij,ij->i", (x @ h) * np.concatenate((reach, reach))
+        if one_side:
+            x = y = u
+        else:
+            v = ga[n - 1:3 * n - 2] * be[shifted]
+            x, y = np.concatenate((u, v)), np.concatenate((v, u))
+            reach = np.concatenate((reach, reach))
+        sides = np.einsum("ij,ij->i", (x @ h) * reach
                           + (x[:, :n - 1] * lags[:n - 1]) @ h[:n - 1], y)
-        total += float(weights[d1] @ (sides[:len(d1)] + sides[len(d1):]))
+        total += float(weights[d1] @ (2 * sides if one_side else sides[:len(d1)] + sides[len(d1):]))
     return total
 
 

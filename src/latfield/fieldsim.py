@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,6 +79,10 @@ _MASK64 = 2**64 - 1
 _local = threading.local()  # this thread's generator and draw buffers
 
 
+def _is_sequence(value) -> bool:
+    return isinstance(value, Collection) and not isinstance(value, (str, bytes))
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """The observation window: one tuple of per-axis sizes per block."""
@@ -85,6 +90,12 @@ class LatticeSpec:
     blocks: tuple
 
     def __post_init__(self):
+        if not _is_sequence(self.blocks):
+            raise ModelError(f"lattice blocks {self.blocks!r}: expected a sequence of blocks")
+        for i, block in enumerate(self.blocks):
+            if not _is_sequence(block):
+                raise ModelError(f"lattice block {i} is {block!r}: "
+                                 "each block must be a sequence of sizes")
         if not self.blocks or any(len(b) == 0 for b in self.blocks):
             raise ModelError("lattice needs at least one block with at least one axis")
         try:

@@ -442,6 +442,103 @@ def test_lag_clique_sum_matches_the_dense_clique_sum():
                         factor, n, triple)
 
 
+def test_quarter_toeplitz_trace_matches_the_dense_einsum():
+    # the 4-cycle kernel sums a quarter of P = AB; odd and even n, a centre
+    # row and none, and a column with negative values
+    for factor in (LAG_CLIQUE_FACTORS[1], LAG_CLIQUE_FACTORS[0], LAG_CLIQUE_FACTORS[3]):
+        for n in (*range(1, 10), 63, 64, 65):
+            col = chaoscalc._factor_block(factor, (n,))
+            m = toeplitz(col)
+            for q in range(2, 6):
+                for r in range(1, q):
+                    a, b = m**r, m ** (q - r)
+                    want = float(np.einsum("ij,jk,kl,li->", a, b, a, b))
+                    got = chaoscalc._toeplitz_trace_abab(col, q, r)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (factor, n, q, r)
+
+
+def test_toeplitz_trace_sweeps_once_when_a_is_b(monkeypatch):
+    # at q = 2r, P = A^2 = Q: one recurrence sweep from one Toeplitz product
+    calls = []
+    for name in ("_displacement_rows", "_toeplitz_matvec"):
+        original = getattr(chaoscalc, name)
+        monkeypatch.setattr(chaoscalc, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    col = chaoscalc._factor_block(FactorCovariance(FGN, hurst=0.7), (9,))
+    for q, r, sweeps in ((2, 1, 1), (4, 2, 1), (3, 1, 2), (5, 3, 2)):
+        calls.clear()
+        chaoscalc._toeplitz_trace_abab(col, q, r)
+        assert sorted(calls) == ["_displacement_rows"] * sweeps + ["_toeplitz_matvec"] * sweeps, (
+            q, r)
+
+
+def _two_sided_lag_clique_sum(col, triple):
+    """_lag_clique_sum with both sides d3 >= d2 and d3 <= d2 summed for every
+    triple, the u and v rows stacked in one matrix product."""
+    n, width = len(col), 2 * len(col) - 1
+    padding = np.zeros(n - 1)
+    al, be, ga = (np.concatenate((padding, p[:0:-1], p, padding))
+                  for p in (col**k for k in triple))
+    h = np.concatenate((np.zeros(width - 1), al[width - 1:width] / 2, al[width:]))
+    h = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(h, width)[::-1])
+    lags = np.arange(1 - n, n)
+    weights = np.where(lags[n - 1:] > 0, 2.0, 1.0) * al[width - 1:width - 1 + n]
+    total = 0.0
+    for start in range(0, n, chaoscalc._LAG_CLIQUE_ROWS):
+        d1 = np.arange(start, min(n, start + chaoscalc._LAG_CLIQUE_ROWS))
+        shifted = lags - d1[:, None] + width - 1
+        u, v = be[n - 1:3 * n - 2] * ga[shifted], ga[n - 1:3 * n - 2] * be[shifted]
+        reach = n - np.maximum(d1[:, None], lags)
+        x, y = np.concatenate((u, v)), np.concatenate((v, u))
+        sides = np.einsum("ij,ij->i", (x @ h) * np.concatenate((reach, reach))
+                          + (x[:, :n - 1] * lags[:n - 1]) @ h[:n - 1], y)
+        total += float(weights[d1] @ (sides[:len(d1)] + sides[len(d1):]))
+    return total
+
+
+def test_one_sided_lag_clique_sum_is_the_two_sided_sum_bit_for_bit():
+    # b = c sums one side twice; (2, 2, 1), (3, 2, 1) and the like keep both
+    seen = set()
+    for factor in LAG_CLIQUE_FACTORS:
+        for n in (1, 2, 3, 7, 33, 64, 65, 128):
+            col = chaoscalc._factor_block(factor, (n,))
+            for q in range(3, 7):
+                for triple in chaoscalc._clique_triples(q):
+                    seen.add(triple)
+                    assert chaoscalc._lag_clique_sum(col, triple) == _two_sided_lag_clique_sum(
+                        col, triple), (factor, n, triple)
+    assert {(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1)} <= seen
+
+
+def test_variances_build_each_factor_window_once(monkeypatch):
+    # the factor windows serve both the factorized variances and the check
+    sep = _sep(FactorCovariance(FGN, hurst=0.7), FactorCovariance(CAUCHY, exponent=0.5, dim=2))
+    add = CompositeCovariance(
+        ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.48), FactorCovariance(FGN, hurst=0.3)),
+        weights=(0.1, 0.9))
+    lattices = (LatticeSpec(((9,), (4, 3))), LatticeSpec(((9,), (40, 30))))  # checked, too large
+    wants = {}
+    for lat in lattices:
+        parts = [chaoscalc._lag_window(f, sizes) for f, sizes in zip(sep.factors, lat.blocks)]
+        for q in (2, 3):
+            variances = [math.factorial(q) * float(np.sum(w * v**q)) for v, w in parts]
+            wants[lat, q] = (math.prod(variances) / math.factorial(q), variances)
+    calls = []
+    original = chaoscalc._lag_window
+    monkeypatch.setattr(chaoscalc, "_lag_window",
+                        lambda model, sizes: calls.append(model) or original(model, sizes))
+    for lat in lattices:
+        for q in (2, 3):
+            calls.clear()
+            assert chaoscalc._variances(sep, lat, q) == wants[lat, q], (lat, q)
+            assert calls == list(sep.factors), (lat, q)
+    # an additive model builds each factor window once and, when checked,
+    # its own window once
+    calls.clear()
+    chaoscalc._variances(add, LatticeSpec(((9,), (7,))), 3)
+    assert calls == [*add.factors, add]
+
+
 def test_each_block_kind_takes_its_own_clique_kernel(monkeypatch):
     # 1-D factors take lag triples; a 2-D factor and a full-lattice matrix
     # take _clique_sum

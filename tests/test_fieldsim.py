@@ -70,6 +70,17 @@ def test_lattice_spec():
     assert LatticeSpec(((np.int64(4), 3.0),)).blocks == ((4, 3),)
 
 
+def test_lattice_spec_names_a_block_that_is_not_a_sequence():
+    # LatticeSpec((5,)) where LatticeSpec(((5,),)) was meant
+    for blocks, index, block in (((5,), 0, "5"), (((4,), 5), 1, "5"), (((4,), "45"), 1, "'45'")):
+        with pytest.raises(ModelError, match=f"^lattice block {index} is {block}: "
+                           "each block must be a sequence of sizes$"):
+            LatticeSpec(blocks)
+    with pytest.raises(ModelError, match="expected a sequence of blocks"):
+        LatticeSpec(5)
+    assert LatticeSpec(([4, 3], np.array([5]))).blocks == ((4, 3), (5,))
+
+
 def test_draws_are_counter_deterministic():
     cov = _separable(FactorCovariance(FGN, hurst=0.7))
     sampler = build_sampler(cov, LatticeSpec(((64,),)))
