@@ -21,9 +21,10 @@ elementwise; one with a, b, c > 0 is a generalized 4-clique.  A 1-D
 factor's M is symmetric Toeplitz, so its 4-cycles come from its first
 column alone, row by row through the displacement recurrence of A B
 (Kailath & Sayed 1995), in O(n^2) time and O(n) memory, and its cliques
-from sums over lag triples, in O(n^3) through matrix products with a
-triangular Toeplitz matrix (_lag_clique_sum).  Every other block takes
-dense products, and each block's cliques only within its kernel's budget.
+from sums over lag triples, each lag row convolved with the first column
+by real FFTs, in O(n^2 log n) time and O(L) memory per row, L ~ 3n
+(_lag_clique_sum), with no matrix product.  Every other block takes dense
+products, and each block's cliques only within its kernel's budget.
 Every block is persymmetric: C is even, C(z) = C(-z), and reversing the
 point order (J, in axis-major order) negates every lag, so J M J = M, and
 J A J = A for every elementwise power A of M.  Each kernel sums one term
@@ -70,12 +71,14 @@ MAX_CHAOS_ORDER = 30
 #: points take their t(q) clique diagrams, n^4 each, when t(q) n^4 <=
 #: CLIQUE_LIMIT^4 (n <= 256 at q = 3 and 4)
 CLIQUE_LIMIT = 256
-#: clique budget of a 1-D factor, whose lag triples cost n^3 each: t(q) n^3
-#: <= _LAG_CLIQUE_LIMIT^3 (n <= 1024 at q = 3 and 4, where one clique sum
-#: takes about 0.18 s and 40 MB on 2 CPUs, and about 6 ms at n = 256)
+#: clique budget of a 1-D factor, n^3 lag triples per clique: t(q) n^3 <=
+#: _LAG_CLIQUE_LIMIT^3 (n <= 1024 at q = 3 and 4).  Their FFT sum takes
+#: O(n^2 log n): one clique sum at n = 1024 takes about 0.09 s and 3 MB on
+#: 2 CPUs (0.33 s and 40 MB as matrix products), about 5 ms at n = 256
 _LAG_CLIQUE_LIMIT = 1024
-#: rows d1 per block of the lag-triple clique sum
-_LAG_CLIQUE_ROWS = 64
+#: points per block of the lag-triple clique sum: its rows (u, and v when
+#: b != c) times the transform length, about 37 bytes each in its buffer
+_LAG_CLIQUE_POINTS = 2**16
 #: largest 1-D factor whose 4-cycles are summed, O(n^2) each
 _TOEPLITZ_LIMIT = 2**15
 #: factorized variances self-check against the direct lag sum on windows
@@ -346,9 +349,18 @@ def _clique_sum(matrix: np.ndarray, triple) -> float:
     return _mirror_sum(terms, n)
 
 
+@functools.lru_cache
+def _transform_length(m: int) -> int:
+    """The smallest L >= m whose only prime factors are 2 and 3."""
+    best, three = 1 << (m - 1).bit_length(), 1
+    while three < best:
+        best, three = min(best, three << ((m - 1) // three).bit_length()), 3 * three
+    return best
+
+
 def _lag_clique_sum(col: np.ndarray, triple) -> float:
     """_clique_sum of the symmetric Toeplitz M with first column ``col``,
-    over lag triples in O(n^3): with j, k, l = i + d1, i + d2, i + d3,
+    over lag triples in O(n^2 log n): with j, k, l = i + d1, i + d2, i + d3,
 
         S = sum_d W(d) al(d1) al(d3 - d2) be(d2) be(d3 - d1) ga(d3) ga(d2 - d1)
 
@@ -356,39 +368,65 @@ def _lag_clique_sum(col: np.ndarray, triple) -> float:
     (max - min of {0, d1, d2, d3}), the number of points i that keep all
     four in the block.  Negating every lag fixes each term, so only d1 >= 0
     is summed, twice for d1 > 0.  For fixed d1 >= 0, u(d2) = be(d2) ga(d2 -
-    d1) and v(d3) = ga(d3) be(d3 - d1): on d3 >= d2, W = n - max(d1, d3) +
-    min(0, d2), and on d3 <= d2 the same with d2 and d3 exchanged, so with H
-    the upper triangle of al's (2n-1)-square Toeplitz matrix, its diagonal
-    halved (both sides hold d2 = d3, with the same W), the two sides are
-    sum (u H) (n - max(d1, .)) v + ((min(0, .) u) H) v and the same with u
-    and v exchanged: two matrix products per block of d1 rows, the second
-    over the rows d2 < 0 of H only.  When b = c, u = v, so the two sides
-    are equal: one is summed, twice."""
+    d1) and v(d3) = ga(d3) be(d3 - d1) on the lags -(n-1) .. n-1: on d3 >=
+    d2, W = n - max(d1, d3) + min(0, d2), and on d3 <= d2 the same with d2
+    and d3 exchanged.  With g = (al(0)/2, al(1), .., al(n-1)), whose halved
+    lag 0 splits d2 = d3 between the two sides (same W), the causal
+    convolution (x * g)(d) = sum_{e <= d} x(e) g(d - e) and the correlation
+    (x . g)(d) = sum_{e >= d} g(e - d) x(e), the two sides add up to
+
+        sum w(u) v + sum w(v) u,  w(x) = (x * g) (n - max(d1, .)) + min(0, .) (x . g)
+
+    A block of d1 rows takes one batched real FFT of its rows x (u, and v
+    when b != c) at a length L >= 3n - 2 made of 2s and 3s, so that nothing
+    wraps around into the 2n - 1 lags, and one batched inverse of X G and X
+    conj(G), g's spectrum G computed once: three transforms per row, no
+    matrix product.  Blocks hold _LAG_CLIQUE_POINTS / L rows x, in buffers
+    reused for every block.  When b = c, u = v, so the two sides are equal:
+    one is summed, twice.  The per-row sums are added up once, at the end,
+    so the block size moves no bit."""
     n, width = len(col), 2 * len(col) - 1
-    padding = np.zeros(n - 1)
-    al, be, ga = (np.concatenate((padding, p[:0:-1], p, padding))
-                  for p in (col**k for k in triple))  # lag d at index d + 2n - 2
-    h = np.concatenate((np.zeros(width - 1), al[width - 1:width] / 2, al[width:]))
-    h = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(h, width)[::-1])
-    lags = np.arange(1 - n, n)  # h[i, j] = al(lags[j] - lags[i]) for j > i
-    weights = np.where(lags[n - 1:] > 0, 2.0, 1.0) * al[width - 1:width - 1 + n]  # per d1 >= 0
+    padded = np.zeros(4 * n - 3)  # lag d at index d + 2n - 2, zero past lag n - 1
+    padded[n - 1:2 * n - 1], padded[2 * n - 2:3 * n - 2] = col[::-1], col
+    al, be, ga = (padded if k == 1 else padded**k for k in triple)
+    g = al[width - 1:width - 1 + n].copy()
+    g[0] /= 2
+    length = _transform_length(3 * n - 2)
+    spectrum = np.fft.rfft(g, length)
+    conjugate = spectrum.conj()
+    lags = np.arange(1 - n, n, dtype=float)
+    top, below = n - lags, lags[:n - 1]  # n - d; min(0, d) where d < 0
+    heads = top[n - 1:, None]  # n - d1
     one_side = triple[1] == triple[2]
-    total = 0.0
-    for start in range(0, n, _LAG_CLIQUE_ROWS):
-        d1 = np.arange(start, min(n, start + _LAG_CLIQUE_ROWS))
-        shifted = lags - d1[:, None] + width - 1  # the index of lag d - d1
-        u = be[n - 1:3 * n - 2] * ga[shifted]
-        reach = n - np.maximum(d1[:, None], lags)
-        if one_side:
-            x = y = u
-        else:
-            v = ga[n - 1:3 * n - 2] * be[shifted]
-            x, y = np.concatenate((u, v)), np.concatenate((v, u))
-            reach = np.concatenate((reach, reach))
-        sides = np.einsum("ij,ij->i", (x @ h) * reach
-                          + (x[:, :n - 1] * lags[:n - 1]) @ h[:n - 1], y)
-        total += float(weights[d1] @ (2 * sides if one_side else sides[:len(d1)] + sides[len(d1):]))
-    return total
+    stack = 1 if one_side else 2
+    rows = min(n, max(1, _LAG_CLIQUE_POINTS // (stack * length)))
+    # the rows, their spectra times G and conj(G), and the inverses, in one
+    # buffer: the heap keeps one freed block for the next call, where
+    # several are handed back to the OS and fault their pages in again
+    m, bins = stack * rows, length // 2 + 1
+    work = np.empty(m * (width + 4 * bins + 2 * length))
+    xs = work[:m * width].reshape(stack, rows, width)
+    fs = work[m * width:m * (width + 4 * bins)].view(complex).reshape(2, stack, rows, bins)
+    cs = work[m * (width + 4 * bins):].reshape(2, stack, rows, length)
+    sides, base = np.empty(n), np.arange(n - 1, 3 * n - 2)  # the index of lag d
+    for start in range(0, n, rows):
+        d1 = np.arange(start, min(n, start + rows))
+        shifted = base - d1[:, None]  # the index of lag d - d1
+        x, f, c = xs[:, :len(d1)], fs[:, :, :len(d1)], cs[:, :, :len(d1)]
+        np.multiply(be[n - 1:3 * n - 2], ga[shifted], out=x[0])  # u
+        if not one_side:
+            np.multiply(ga[n - 1:3 * n - 2], be[shifted], out=x[1])  # v
+        np.fft.rfft(x, length, out=f[0])
+        np.multiply(f[0], conjugate, out=f[1])
+        f[0] *= spectrum
+        np.fft.irfft(f, length, out=c)
+        conv, corr = c[0, ..., :width], c[1, ..., :n - 1]
+        conv *= np.minimum(top, heads[start:start + len(d1)])
+        corr *= below
+        conv[..., :n - 1] += corr  # w(u), and w(v) when b != c
+        pairs = np.einsum("sij,sij->si", conv, x[::-1])  # w(u) v, w(v) u; w(u) u twice
+        np.add(pairs[0], pairs[-1], out=sides[start:start + len(d1)])
+    return float(np.einsum("i,i", 2 * g, sides))  # 2 g: al(0), then 2 al(d1) for d1 > 0
 
 
 def _blocks(cov, lattice):

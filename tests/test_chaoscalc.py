@@ -7,6 +7,10 @@ the pairing oracle.  The module under test must agree to near machine
 precision.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,9 +428,12 @@ LAG_CLIQUE_FACTORS = (
     FactorCovariance(FGN, hurst=0.7),
     FactorCovariance(FGN, hurst=0.3),
     FactorCovariance(CAUCHY, exponent=0.4),
-    FactorCovariance(TABULATED, table={(k,): ([1.0, -0.4, 0.2, -0.05] + [0.0] * 124)[k]
-                                       for k in range(128)}),
+    FactorCovariance(TABULATED, table={(k,): ([1.0, -0.4, 0.2, -0.05] + [0.0] * 508)[k]
+                                       for k in range(512)}),
 )
+# block sizes for the lag-triple kernel: the transform lengths 1, 4, 8, 24,
+# 108, 192, 216, 384, 768, 768 and 864 (3^3 2^5), one block and several
+LAG_CLIQUE_SIZES = (1, 2, 3, 7, 33, 64, 65, 128, 255, 256, 257)
 
 
 def test_lag_clique_sum_matches_the_dense_clique_sum():
@@ -474,7 +481,47 @@ def test_toeplitz_trace_sweeps_once_when_a_is_b(monkeypatch):
 
 def _two_sided_lag_clique_sum(col, triple):
     """_lag_clique_sum with both sides d3 >= d2 and d3 <= d2 summed for every
-    triple, the u and v rows stacked in one matrix product."""
+    triple, the u and v rows stacked, every d1 row in one block."""
+    n, width = len(col), 2 * len(col) - 1
+    padding = np.zeros(n - 1)
+    al, be, ga = (np.concatenate((padding, col[:0:-1], col, padding)) ** k for k in triple)
+    g = al[width - 1:width - 1 + n].copy()
+    g[0] /= 2
+    length = chaoscalc._transform_length(3 * n - 2)
+    spectrum = np.fft.rfft(g, length)
+    lags, d1 = np.arange(1 - n, n), np.arange(n)
+    shifted = lags - d1[:, None] + width - 1
+    x = np.stack((be[n - 1:3 * n - 2] * ga[shifted], ga[n - 1:3 * n - 2] * be[shifted]))
+    f = np.fft.rfft(x, length)
+    c = np.fft.irfft(np.stack((f * spectrum, f * spectrum.conj())), length)
+    conv, corr = c[0, ..., :width], c[1, ..., :n - 1]
+    conv *= np.minimum(n - lags.astype(float), (n - d1)[:, None])
+    corr *= lags[:n - 1].astype(float)
+    conv[..., :n - 1] += corr
+    sides = np.einsum("sij,sij->si", conv, x[::-1]).sum(axis=0)
+    return float(np.einsum("i,i", 2 * g, sides))
+
+
+def test_one_sided_lag_clique_sum_is_the_two_sided_sum_bit_for_bit():
+    # b = c sums one side twice; (2, 2, 1), (3, 2, 1) and the like keep both;
+    # and the blocks of d1 rows move no bit
+    seen = set()
+    for factor in LAG_CLIQUE_FACTORS:
+        for n in LAG_CLIQUE_SIZES:
+            col = chaoscalc._factor_block(factor, (n,))
+            for q in range(3, 7):
+                for triple in chaoscalc._clique_triples(q):
+                    seen.add(triple)
+                    assert chaoscalc._lag_clique_sum(col, triple) == _two_sided_lag_clique_sum(
+                        col, triple), (factor, n, triple)
+    assert {(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1)} <= seen
+
+
+def _matrix_product_lag_clique_sum(col, triple):
+    """The lag-triple clique sum through matrix products: each side is (u H)
+    (n - max(d1, .)) v plus ((min(0, .) u) H) v, with H the upper triangle of
+    al's (2n-1)-square Toeplitz matrix, its diagonal halved, in blocks of 64
+    d1 rows."""
     n, width = len(col), 2 * len(col) - 1
     padding = np.zeros(n - 1)
     al, be, ga = (np.concatenate((padding, p[:0:-1], p, padding))
@@ -484,8 +531,8 @@ def _two_sided_lag_clique_sum(col, triple):
     lags = np.arange(1 - n, n)
     weights = np.where(lags[n - 1:] > 0, 2.0, 1.0) * al[width - 1:width - 1 + n]
     total = 0.0
-    for start in range(0, n, chaoscalc._LAG_CLIQUE_ROWS):
-        d1 = np.arange(start, min(n, start + chaoscalc._LAG_CLIQUE_ROWS))
+    for start in range(0, n, 64):
+        d1 = np.arange(start, min(n, start + 64))
         shifted = lags - d1[:, None] + width - 1
         u, v = be[n - 1:3 * n - 2] * ga[shifted], ga[n - 1:3 * n - 2] * be[shifted]
         reach = n - np.maximum(d1[:, None], lags)
@@ -496,18 +543,46 @@ def _two_sided_lag_clique_sum(col, triple):
     return total
 
 
-def test_one_sided_lag_clique_sum_is_the_two_sided_sum_bit_for_bit():
-    # b = c sums one side twice; (2, 2, 1), (3, 2, 1) and the like keep both
-    seen = set()
+def test_lag_clique_sum_matches_the_matrix_product_formula():
+    # the convolutions against the same sums as products with the Toeplitz
+    # triangle, on transform lengths that are powers of two and not
     for factor in LAG_CLIQUE_FACTORS:
-        for n in (1, 2, 3, 7, 33, 64, 65, 128):
+        for n in LAG_CLIQUE_SIZES:
             col = chaoscalc._factor_block(factor, (n,))
             for q in range(3, 7):
                 for triple in chaoscalc._clique_triples(q):
-                    seen.add(triple)
-                    assert chaoscalc._lag_clique_sum(col, triple) == _two_sided_lag_clique_sum(
-                        col, triple), (factor, n, triple)
-    assert {(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1)} <= seen
+                    want = _matrix_product_lag_clique_sum(col, triple)
+                    got = chaoscalc._lag_clique_sum(col, triple)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (factor, n, triple)
+
+
+def test_transform_length_is_the_next_product_of_twos_and_threes():
+    smooth = sorted(2**a * 3**b for a in range(12) for b in range(8))
+    assert [chaoscalc._transform_length(m) for m in range(1, 2000)] == [
+        next(s for s in smooth if s >= m) for m in range(1, 2000)]
+
+
+def test_fourth_cumulant_does_not_depend_on_the_blas_thread_count():
+    # exact kappa_4 at q = 3 and 4 takes both factors' lag-triple cliques,
+    # one side summed twice at (1, 1, 1) and both sides at (2, 1, 1)
+    code = "\n".join((
+        "from latfield.chaoscalc import fourth_cumulant",
+        "from latfield.covariance import SEPARABLE, CompositeCovariance, FactorCovariance",
+        "from latfield.fieldsim import LatticeSpec",
+        "cov = CompositeCovariance(SEPARABLE, (FactorCovariance('fgn', hurst=0.7),",
+        "                                      FactorCovariance('fgn', hurst=0.3)))",
+        "for q in (3, 4):",
+        "    print(repr(fourth_cumulant(cov, LatticeSpec(((512,), (32,))), q)))",
+    ))
+    src = str(Path(__file__).parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                   text=True, check=True).stdout)
+    assert outs[0] == outs[1]
+    assert [line.endswith(", True)") for line in outs[0].splitlines()] == [True, True]
 
 
 def test_variances_build_each_factor_window_once(monkeypatch):
