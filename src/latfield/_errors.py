@@ -1,24 +1,31 @@
-"""Shared exception types, and the parameter rules whose violations they
-report.
+"""Shared exception types, and the value rules the model constructors
+apply.
 
 ModelError covers bad model definitions and structural misuse (wrong
 dimensions, wrong structure kind, missing tabulated lags, missing
-classifier metadata).  NumericalError covers runtime numerical failures
-(non-embeddable covariances, quadrature non-convergence, degenerate
-statistics).  ConfigError carries the full list of schema violations
-found while parsing an experiment config.
+classifier metadata).  A constructor refuses its input with one
+ModelError that lists every violation of its fields as (key, message)
+pairs, the key naming the field ('' for the object as a whole); the config
+parser records each at the document path of the object joined with its
+key.  NumericalError covers runtime numerical failures (non-embeddable
+covariances, quadrature non-convergence, degenerate statistics).
+ConfigError carries the full list of schema violations found while
+parsing an experiment config.
 
 A parameter table maps each kind of a model (a covariance family, a phi
 kind) to its parameters and the ``check_number`` rule of each (None: a
 value that is not a number, checked by its owner).  The model's
-constructor and the config parser both walk it with ``check_params``.
+constructor checks them with ``set_params``.
 """
 import math
 import numbers
+from collections.abc import Collection
 
 
 class ModelError(ValueError):
-    pass
+    def __init__(self, message, violations=None):
+        super().__init__(message)
+        self.violations = [("", message)] if violations is None else list(violations)
 
 
 class NumericalError(RuntimeError):
@@ -56,44 +63,59 @@ def check_number(value, kind=float, positive=False, minimum=None, between=None):
     return value
 
 
+def is_sequence(value) -> bool:
+    return isinstance(value, Collection) and not isinstance(value, (str, bytes))
+
+
+def checked_number(violations, key, value, **rule):
+    """``check_number(value, **rule)``, or None once its violation is added
+    to ``violations`` at ``key``."""
+    try:
+        return check_number(value, **rule)
+    except ModelError as exc:
+        violations.append((key, str(exc)))
+        return None
+
+
+def checked_numbers(violations, key, values, **rule):
+    """``values`` as a tuple of numbers that each pass ``check_number`` with
+    ``rule``, or None once the violation of each that does not is added to
+    ``violations`` at ``key[i]``."""
+    values = tuple(checked_number(violations, f"{key}[{i}]", value, **rule)
+                   for i, value in enumerate(values))
+    return None if None in values else values
+
+
+def refuse(violations, sep=": "):
+    """Raise a ModelError listing ``violations``, if there are any; its text
+    joins each as key, ``sep``, message."""
+    if violations:
+        raise ModelError("; ".join(f"{key}{sep}{message}" if key else message
+                                   for key, message in violations), violations)
+
+
 def param_names(table) -> tuple:
     """Every parameter name in ``table``, in table order."""
     return tuple(dict.fromkeys(name for params in table.values() for name in params))
 
 
-def check_params(table, kind, values, what):
-    """The parameters ``table`` gives ``kind``, read from the mapping
-    ``values``, and the (name, message) of each violation: a parameter of
-    ``kind`` that is missing (or None) or fails its rule, and any other
-    parameter of the table that ``values`` holds, which is not one of
-    ``what``.  A parameter without a rule is passed through as given."""
-    params = table[kind]
-    checked, violations = {}, []
+def set_params(obj, table, kind, what) -> list:
+    """Check the frozen dataclass ``obj``'s parameters against ``table``,
+    store each value that passes its rule on ``obj``, and return the
+    (name, message) of each violation: a parameter of ``kind`` that is None
+    (not given) or fails its rule, and any other parameter of the table
+    that ``obj`` holds, which is not one of ``what``.  A parameter without a
+    rule is kept as given."""
+    params, violations = table[kind], []
     for name, rule in params.items():
-        value = values.get(name)
+        value = getattr(obj, name)
         if value is None:
             violations.append((name, "missing required key"))
-        elif rule is None:
-            checked[name] = value
-        else:
-            try:
-                checked[name] = check_number(value, **rule)
-            except ModelError as exc:
-                violations.append((name, str(exc)))
+        elif rule is not None:
+            value = checked_number(violations, name, value, **rule)
+            if value is not None:
+                object.__setattr__(obj, name, value)
     for name in param_names(table):
-        if name in values and name not in params:
+        if name not in params and getattr(obj, name) is not None:
             violations.append((name, f"not a parameter of {what}"))
-    return checked, violations
-
-
-def set_params(obj, table, kind, what):
-    """Check the frozen dataclass ``obj``'s parameters against ``table`` with
-    ``check_params`` (a None attribute is not given), refuse any violation,
-    and store each checked value on ``obj``."""
-    values = {name: getattr(obj, name) for name in param_names(table)
-              if getattr(obj, name) is not None}
-    checked, violations = check_params(table, kind, values, what)
-    if violations:
-        raise ModelError("; ".join(f"{name}: {message}" for name, message in violations))
-    for name, value in checked.items():
-        object.__setattr__(obj, name, value)
+    return violations

@@ -1,15 +1,16 @@
 """Config parsing, subcommand dispatch, and result persistence.
 
-Configs are YAML documents with a versioned schema.  Parsing walks the
-parameter tables of ``covariance.FAMILY_PARAMS`` and
-``hermite.KIND_PARAMS`` to check a factor or a phi, applies
-``harness.check_config_fields`` to the top-level fields, and writes a
-config back as ``harness.config_document``.  Parsing collects every
-violation (each tagged with its key path) before failing, so a bad config
-is fixed in one pass: only a missing or unknown ``structure``, ``family``
-or ``kind``, which decides the keys its mapping takes, ends the walk of
-that mapping.  Booleans are not numbers.  Persistence is append-only:
-existing files are never overwritten, collisions get a numeric suffix.
+Configs are YAML documents with a versioned schema.  Parsing checks only
+the shape of the document (its mappings, known and required keys, the
+``structure``, ``family`` and ``kind`` choices, and its lists) and maps it
+onto the model constructors, which check every value; a config is written
+back as ``harness.config_document``.  Parsing collects every violation
+(each tagged with its key path, a constructor's at the path of the model
+it builds) before failing, so a bad config is fixed in one pass: only a
+missing or unknown ``structure``, ``family`` or ``kind``, which decides
+the keys its mapping takes, ends the walk of that mapping.  Persistence is
+append-only: existing files are never overwritten, collisions get a
+numeric suffix.
 """
 from __future__ import annotations
 
@@ -26,22 +27,15 @@ from typing import Optional
 import yaml
 
 from . import __version__
-from ._errors import (
-    ConfigError,
-    ModelError,
-    NumericalError,
-    check_number,
-    check_params,
-    param_names,
-)
+from ._errors import ConfigError, ModelError, NumericalError, param_names
 from .chaoscalc import chaos_report
 from .covariance import (
     ADDITIVE,
-    DIM_RULE,
     FAMILY_PARAMS,
     GNEITING,
     ISOTROPIC,
     SEPARABLE,
+    TABULATED,
     CompositeCovariance,
     FactorCovariance,
 )
@@ -49,7 +43,6 @@ from .fieldsim import LatticeSpec, build_sampler
 from .harness import (
     SCHEMA_VERSION,
     ExperimentConfig,
-    check_config_fields,
     config_document,
     config_fingerprint,
     run_experiment,
@@ -73,14 +66,20 @@ _PHI_KEYS = {"kind", *param_names(_PHI_KINDS)}
 # config schema
 
 
+def _overlap(path, other) -> bool:
+    """Whether one of two document paths is the other or lies inside it."""
+    return (path == other or path.startswith((f"{other}.", f"{other}["))
+            or other.startswith((f"{path}.", f"{path}[")))
+
+
 class _Check:
-    """Accumulates path-tagged violations while walking the key tree."""
+    """Accumulates (path, message) violations while walking the key tree."""
 
     def __init__(self):
         self.violations = []
 
     def fail(self, path, message):
-        self.violations.append(f"{path}: {message}")
+        self.violations.append((path, message))
 
     def mapping(self, doc, allowed, path, message="must be a mapping") -> bool:
         """Whether ``doc`` is a mapping, reporting its unknown keys; else
@@ -107,26 +106,20 @@ class _Check:
             return None
         return value
 
-    def attempt(self, path, make, *args, **kwargs):
-        """make(*args, **kwargs), or None once its ModelError is recorded
-        at ``path``."""
+    def attempt(self, path, make, **kwargs):
+        """make(**kwargs), or None once each violation of its ModelError is
+        recorded at ``path`` joined with its key.  A part that did not parse
+        is passed as None, its violations already recorded: a keyed violation
+        whose path overlaps one of those repeats them, and is left out."""
+        reported = [where for where, _ in self.violations]
         try:
-            return make(*args, **kwargs)
+            return make(**kwargs)
         except ModelError as exc:
-            self.fail(path, str(exc))
+            for key, message in exc.violations:
+                where = f"{path}.{key}" if path and key and key[0] != "[" else path + key
+                if not key or not any(_overlap(where, other) for other in reported):
+                    self.fail(where, message)
             return None
-
-
-def _numbers(check, value, path, message, fits=bool, **rule):
-    """``value`` as a tuple of numbers that each pass ``check_number`` with
-    ``rule``, or None once every violation is recorded: ``message`` when it
-    is not a list or ``fits(value)`` is false (by default: it is empty)."""
-    if not isinstance(value, list) or not fits(value):
-        check.fail(path, message)
-        return None
-    parsed = [check.attempt(f"{path}[{i}]", check_number, v, **rule)
-              for i, v in enumerate(value)]
-    return None if None in parsed else tuple(parsed)
 
 
 def _parse_table(check, entries, path):
@@ -146,23 +139,8 @@ def _parse_table(check, entries, path):
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in lag):
             check.fail(f"{epath}.lag", "lag must be an integer or list of integers")
             continue
-        value = check.attempt(f"{epath}.value", check_number, entry["value"])
-        if value is not None:
-            table[tuple(lag)] = value
+        table[tuple(lag)] = entry["value"]
     return table or None
-
-
-def _parse_params(check, doc, path, table, kind, what):
-    """The parameters ``table`` gives ``kind``, checked by ``check_params``
-    with their violations recorded at their key paths, as constructor
-    keywords (a lag table parsed from its entries); None once a violation
-    is recorded."""
-    kwargs, violations = check_params(table, kind, doc, what)
-    for name, message in violations:
-        check.fail(f"{path}.{name}", message)
-    if "table" in kwargs:
-        kwargs["table"] = _parse_table(check, kwargs["table"], f"{path}.table")
-    return None if violations or None in kwargs.values() else kwargs
 
 
 def _parse_factor(check, doc, path):
@@ -171,11 +149,10 @@ def _parse_factor(check, doc, path):
     family = check.choice(doc, "family", path, FAMILY_PARAMS, "family")
     if family is None:
         return None
-    dim = check.attempt(f"{path}.dim", check_number, doc.get("dim", 1), **DIM_RULE)
-    kwargs = _parse_params(check, doc, path, FAMILY_PARAMS, family, f"family {family!r}")
-    if dim is None or kwargs is None:
-        return None
-    return check.attempt(path, FactorCovariance, family=family, dim=dim, **kwargs)
+    kwargs = {key: value for key, value in doc.items() if key in _FACTOR_KEYS}
+    if family == TABULATED and "table" in kwargs:
+        kwargs["table"] = _parse_table(check, kwargs["table"], f"{path}.table")
+    return check.attempt(path, FactorCovariance, **kwargs)
 
 
 def _parse_covariance(check, doc, path="covariance"):
@@ -185,44 +162,24 @@ def _parse_covariance(check, doc, path="covariance"):
                              (SEPARABLE, GNEITING, ADDITIVE, ISOTROPIC), "structure")
     if structure is None:
         return None
-    raw = check.require(doc, "factors", path)
+    raw, factors = check.require(doc, "factors", path), None
     if isinstance(raw, list) and raw:
         # parse on past a bad factor, so one pass reports every violation
         factors = tuple(_parse_factor(check, f, f"{path}.factors[{i}]")
                         for i, f in enumerate(raw))
-    else:
-        factors = (None,)
-        if raw is not None:
-            check.fail(f"{path}.factors", "must be a nonempty list")
-    kwargs = {"structure": structure, "factors": factors}
-    if structure == ADDITIVE:
-        weights = check.require(doc, "weights", path)
-        kwargs["weights"] = weights if weights is None else _numbers(
-            check, weights, f"{path}.weights", "must be a list of two numbers",
-            fits=lambda v: len(v) == 2, positive=True)
-    elif "weights" in doc:
-        check.fail(f"{path}.weights", "only additive structures take weights")
-    if structure == ISOTROPIC:
-        dims = check.require(doc, "block_dims", path)
-        kwargs["block_dims"] = dims if dims is None else _numbers(
-            check, dims, f"{path}.block_dims", "must be a nonempty list", kind=int, minimum=1)
-    elif "block_dims" in doc:
-        check.fail(f"{path}.block_dims", "only isotropic structures declare block dims")
-    if None in factors or None in kwargs.values():
-        return None
-    return check.attempt(path, CompositeCovariance, **kwargs)
+    elif raw is not None:
+        check.fail(f"{path}.factors", "must be a nonempty list")
+    return check.attempt(path, CompositeCovariance, structure=structure, factors=factors,
+                         weights=doc.get("weights"), block_dims=doc.get("block_dims"))
 
 
 def _parse_phi(check, doc, path="phi"):
     if not check.mapping(doc, _PHI_KEYS, path):
         return None
-    kind = check.choice(doc, "kind", path, _PHI_KINDS, "phi kind")
-    if kind is None:
+    if check.choice(doc, "kind", path, _PHI_KINDS, "phi kind") is None:
         return None
-    kwargs = _parse_params(check, doc, path, _PHI_KINDS, kind, f"{kind} phi")
-    if kwargs is None:
-        return None
-    return check.attempt(path, HermiteSpec, kind=kind, **kwargs)
+    return check.attempt(path, HermiteSpec,
+                         **{key: value for key, value in doc.items() if key in _PHI_KEYS})
 
 
 def _parse_rung(check, doc, path):
@@ -234,16 +191,16 @@ def _parse_rung(check, doc, path):
     for i, entry in enumerate(doc):
         if isinstance(entry, int) and not isinstance(entry, bool):
             entry = [entry]
-        blocks.append(_numbers(check, entry, f"{path}[{i}]",
-                               "block sizes must be an integer or list of integers",
-                               kind=int, minimum=1))
-    if None in blocks:
-        return None
-    return check.attempt(path, LatticeSpec, blocks=tuple(blocks))
+        elif not isinstance(entry, list) or not entry:
+            check.fail(f"{path}[{i}]", "block sizes must be an integer or list of integers")
+            entry = None
+        blocks.append(entry)
+    return check.attempt(path, LatticeSpec, blocks=blocks)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a YAML config, reporting every violation at once."""
+    """Parse a YAML config onto the model constructors, reporting every
+    violation at once."""
     check = _Check()
     try:
         doc = yaml.safe_load(text)
@@ -262,13 +219,11 @@ def parse_config(text: str) -> ExperimentConfig:
         "outputs": doc.get("outputs", ["normality"]),
         "growth": doc.get("growth"),
     }
-    # a covariance or a ladder that did not parse is left out of the fields
     raw_cov = check.require(doc, "covariance", "")
     cov = None if raw_cov is None else _parse_covariance(check, raw_cov)
-    if cov is not None:
-        fields["covariance"] = cov
     raw_phi = check.require(doc, "phi", "")
     phi = None if raw_phi is None else _parse_phi(check, raw_phi)
+    ladder = None
     raw_lattice = check.require(doc, "lattice", "")
     if raw_lattice is not None and check.mapping(raw_lattice, {"ladder"}, "lattice"):
         ladder = check.require(raw_lattice, "ladder", "lattice")
@@ -276,14 +231,11 @@ def parse_config(text: str) -> ExperimentConfig:
             rungs = [_parse_rung(check, rung, f"lattice.ladder[{i}]")
                      for i, rung in enumerate(ladder)]
             ladder = None if None in rungs else rungs
-        if ladder is not None:
-            fields["ladder"] = ladder
-    fields, violations = check_config_fields(fields)
-    for path, message in violations:
-        check.fail(path, message)
+    config = check.attempt("", ExperimentConfig, covariance=cov, phi=phi, ladder=ladder,
+                           **fields)
     if check.violations:
-        raise ConfigError(check.violations)
-    return ExperimentConfig(phi=phi, **fields)
+        raise ConfigError(f"{path}: {message}" for path, message in check.violations)
+    return config
 
 
 def _config_doc(config: ExperimentConfig) -> dict:

@@ -20,13 +20,14 @@ the long-memory limit is taken as granted for every closed-form family.
 """
 from __future__ import annotations
 
-import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError, NumericalError, check_number, set_params
+from ._errors import (ModelError, NumericalError, checked_number, checked_numbers,
+                      is_sequence, refuse, set_params)
 
 FGN = "fgn"
 CAUCHY = "cauchy"
@@ -50,8 +51,6 @@ FAMILY_PARAMS = {
     WHITE_NOISE: {},
     TABULATED: {"table": None},
 }
-#: the rule of a factor's block dimension, which every family takes
-DIM_RULE = {"kind": int, "minimum": 1}
 
 _STRUCTURES = (SEPARABLE, GNEITING, ADDITIVE, ISOTROPIC)
 
@@ -71,38 +70,44 @@ class FactorCovariance:
     table: Optional[dict] = None         # tabulated: {lag tuple: value}
 
     def __post_init__(self):
-        if self.family not in FAMILY_PARAMS:
+        if not isinstance(self.family, str) or self.family not in FAMILY_PARAMS:
             raise ModelError(f"unknown covariance family {self.family!r}")
-        try:
-            object.__setattr__(self, "dim", check_number(self.dim, **DIM_RULE))
-        except ModelError as exc:
-            raise ModelError(f"dim: {exc}") from None
-        set_params(self, FAMILY_PARAMS, self.family, f"family {self.family!r}")
-        if self.family == FGN and self.dim != 1:
-            raise ModelError("fgn factors are one-dimensional")
-        if self.family == TABULATED:
-            if not self.table:
-                raise ModelError("tabulated requires a nonempty lag table")
-            # freeze the table so the model is safely shareable
-            frozen = {}
-            for lag, value in self.table.items():
-                key = tuple(int(c) for c in np.atleast_1d(lag))
-                if len(key) != self.dim:
-                    raise ModelError(
-                        f"tabulated lag {key} has length {len(key)}, expected {self.dim}"
-                    )
-                frozen[key] = float(value)
-                if not math.isfinite(frozen[key]):
-                    raise ModelError(f"tabulated value at lag {key} must be a "
-                                     f"finite number, got {frozen[key]}")
-            for key, value in frozen.items():
-                mirror = tuple(-c for c in key)
-                if frozen.get(mirror, value) != value:
-                    raise ModelError(
-                        f"a tabulated covariance must be even, but it holds "
-                        f"{value} at lag {key} and {frozen[mirror]} at lag {mirror}"
-                    )
-            object.__setattr__(self, "table", frozen)
+        violations = []
+        dim = checked_number(violations, "dim", self.dim, kind=int, minimum=1)
+        object.__setattr__(self, "dim", dim)  # None only on a model that is refused
+        violations += set_params(self, FAMILY_PARAMS, self.family, f"family {self.family!r}")
+        if self.family == FGN and dim not in (None, 1):
+            violations.append(("", "fgn factors are one-dimensional"))
+        if self.family == TABULATED and self.table is not None:
+            self._freeze_table(dim, violations)
+        refuse(violations)
+
+    def _freeze_table(self, dim, violations):
+        """Store the lag table as {tuple of ints: float}, so the model is
+        safely shareable, adding the violation of each lag or value that
+        does not pass, of a lag of the wrong length, and of an uneven table."""
+        if not isinstance(self.table, Mapping) or not self.table:
+            violations.append(("", "tabulated requires a nonempty lag table"))
+            return
+        frozen = {}
+        for lag, value in self.table.items():
+            lag = lag if isinstance(lag, tuple) else (lag,)
+            key = tuple(checked_number(violations, f"table[{lag}]", c, kind=int) for c in lag)
+            value = checked_number(violations, f"table[{lag}]", value)
+            if None in key or value is None:
+                continue
+            if dim is not None and len(key) != dim:
+                violations.append(("", f"tabulated lag {key} has length {len(key)}, "
+                                       f"expected {dim}"))
+                continue
+            frozen[key] = value
+        for key, value in frozen.items():
+            mirror = tuple(-c for c in key)
+            if key > mirror and frozen.get(mirror, value) != value:  # each pair once
+                violations.append(("", f"a tabulated covariance must be even, but it holds "
+                                       f"{value} at lag {key} and {frozen[mirror]} "
+                                       f"at lag {mirror}"))
+        object.__setattr__(self, "table", frozen)
 
 
 @dataclass(frozen=True)
@@ -125,38 +130,69 @@ class CompositeCovariance:
     def __post_init__(self):
         if self.structure not in _STRUCTURES:
             raise ModelError(f"unknown structure {self.structure!r}")
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
-        if not factors or not all(isinstance(f, FactorCovariance) for f in factors):
-            raise ModelError("factors must be a nonempty tuple of FactorCovariance")
+        violations = []
+        factors = self.factors
+        if (not is_sequence(factors) or not len(factors)
+                or not all(isinstance(f, FactorCovariance) for f in factors)):
+            violations.append(("factors", "must be a nonempty tuple of FactorCovariance"))
+            factors = None
+        else:
+            factors = tuple(factors)
+            object.__setattr__(self, "factors", factors)
+            rule = self._factor_rule(factors)
+            if rule:
+                violations.append(("", rule))
+                factors = None
+        weights = self._numbers("weights", ADDITIVE, "only additive structures take weights",
+                                "must be a list of two numbers", violations,
+                                size=2, positive=True)
+        if weights is not None and abs(sum(weights) - 1.0) > 1e-12:
+            violations.append(("weights", f"must sum to 1, got {sum(weights)}"))
+        dims = self._numbers("block_dims", ISOTROPIC,
+                             "only isotropic structures declare block dims",
+                             "must be a nonempty list", violations, kind=int, minimum=1)
+        if None not in (factors, dims) and sum(dims) != factors[0].dim:
+            violations.append(("block_dims", f"must sum to the profile dim "
+                                             f"{factors[0].dim}, got {sum(dims)}"))
+        refuse(violations)
+
+    def _factor_rule(self, factors) -> Optional[str]:
+        """The rule of the structure that ``factors`` break, if any."""
         if self.structure == GNEITING:
             if len(factors) != 2:
-                raise ModelError("gneiting takes exactly two factors (c1, c2)")
+                return "gneiting takes exactly two factors (c1, c2)"
             if factors[0].family == TABULATED:
-                raise ModelError(
-                    "gneiting c1 must support continuous-argument evaluation; "
-                    "tabulated factors do not"
-                )
-        if self.structure == ADDITIVE:
-            if len(factors) != 2:
-                raise ModelError("additive takes exactly two factors")
-            if self.weights is None or len(self.weights) != 2:
-                raise ModelError("additive requires weights (w1, w2)")
-            w = tuple(float(x) for x in self.weights)
-            if not (min(w) > 0.0 and abs(sum(w) - 1.0) <= 1e-12):  # NaN fails
-                raise ModelError("additive weights must be positive and sum to 1")
-            object.__setattr__(self, "weights", w)
+                return ("gneiting c1 must support continuous-argument evaluation; "
+                        "tabulated factors do not")
+        if self.structure == ADDITIVE and len(factors) != 2:
+            return "additive takes exactly two factors"
         if self.structure == ISOTROPIC:
             if len(factors) != 1:
-                raise ModelError("isotropic takes a single radial profile factor")
+                return "isotropic takes a single radial profile factor"
             if factors[0].family == TABULATED:
-                raise ModelError("isotropic profile must be a closed-form family")
-            if self.block_dims is None:
-                raise ModelError("isotropic requires a declared block layout")
-            bd = tuple(int(d) for d in self.block_dims)
-            if any(d < 1 for d in bd) or sum(bd) != factors[0].dim:
-                raise ModelError("isotropic block dims must be positive and sum to the profile dim")
-            object.__setattr__(self, "block_dims", bd)
+                return "isotropic profile must be a closed-form family"
+        return None
+
+    def _numbers(self, name, structure, stray, shape, violations, size=None, **rule):
+        """The field ``name``, which ``structure`` requires and any other
+        structure refuses with ``stray``, as a tuple of numbers that pass
+        ``rule``, stored on the model; None once its violations are added:
+        ``shape`` when it is not a nonempty sequence (of ``size`` numbers,
+        when given)."""
+        values = getattr(self, name)
+        if self.structure != structure:
+            if values is not None:
+                violations.append((name, stray))
+            return None
+        if values is None:
+            violations.append((name, "missing required key"))
+            return None
+        if not is_sequence(values) or not len(values) or size not in (None, len(values)):
+            violations.append((name, shape))
+            return None
+        values = checked_numbers(violations, name, values, **rule)
+        object.__setattr__(self, name, values)
+        return values
 
     @property
     def blocks(self) -> tuple:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,7 +49,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from ._errors import ModelError, NumericalError, check_number
+from ._errors import ModelError, NumericalError, checked_numbers, is_sequence, refuse
 from .covariance import (
     ADDITIVE,
     SEPARABLE,
@@ -79,10 +78,6 @@ _MASK64 = 2**64 - 1
 _local = threading.local()  # this thread's generator and draw buffers
 
 
-def _is_sequence(value) -> bool:
-    return isinstance(value, Collection) and not isinstance(value, (str, bytes))
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """The observation window: one tuple of per-axis sizes per block."""
@@ -90,20 +85,19 @@ class LatticeSpec:
     blocks: tuple
 
     def __post_init__(self):
-        if not _is_sequence(self.blocks):
+        if not is_sequence(self.blocks):
             raise ModelError(f"lattice blocks {self.blocks!r}: expected a sequence of blocks")
-        for i, block in enumerate(self.blocks):
-            if not _is_sequence(block):
-                raise ModelError(f"lattice block {i} is {block!r}: "
-                                 "each block must be a sequence of sizes")
-        if not self.blocks or any(len(b) == 0 for b in self.blocks):
+        if not self.blocks:
             raise ModelError("lattice needs at least one block with at least one axis")
-        try:
-            blocks = tuple(tuple(check_number(n, kind=int, minimum=1) for n in b)
-                           for b in self.blocks)
-        except ModelError as exc:
-            raise ModelError(f"lattice size: {exc}") from None
-        object.__setattr__(self, "blocks", blocks)
+        violations, blocks = [], []
+        for i, block in enumerate(self.blocks):
+            if is_sequence(block) and len(block):
+                blocks.append(checked_numbers(violations, f"[{i}]", block, kind=int, minimum=1))
+            else:
+                violations.append((f"[{i}]", f"must be a nonempty sequence of sizes, "
+                                             f"got {block!r}"))
+        refuse(violations)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def block_dims(self) -> tuple:

@@ -9,8 +9,8 @@ scheduling cannot change a single bit of the output.
 
 A config is one plain document (``config_document``): its YAML form, the
 ``config`` a result stores, and the text whose sha256 is the result's
-``config_hash``.  Its rules live in ``check_config_fields``, which both
-``ExperimentConfig`` and the config parser apply.
+``config_hash``.  Its rules live in ``check_config_fields``, which
+``ExperimentConfig`` applies.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._errors import ModelError, NumericalError, check_number
+from ._errors import ModelError, NumericalError, checked_number, checked_numbers, refuse
 from ._gauss import kolmogorov_quantile, normal_cdf, normal_quantile
 from .chaoscalc import ChaosReport, chaos_report, fourth_cumulant, variance_phi
 # unused here; perfbench/tracing.py wraps harness.additive_variance by name
@@ -54,19 +54,14 @@ _STATISTICAL = ("normality", "kurtosis_series", "rate_fit")
 
 def check_config_fields(fields: dict):
     """ExperimentConfig's rules over ``fields``, a mapping of its field
-    names to values; the covariance and the ladder may be left out (when
-    they did not parse), and the rules that read them are skipped.  Returns
-    the fields as a config holds them, and the (key path, message) of every
-    violation."""
+    names to values.  Returns the fields as a config holds them, and the
+    (key path, message) of every violation."""
     checked, violations = dict(fields), []
-
-    def number(path, value, **rule):
-        try:
-            return check_number(value, **rule)
-        except ModelError as exc:
-            violations.append((path, str(exc)))
-            return None
-
+    covariance = fields["covariance"]
+    if not isinstance(covariance, CompositeCovariance):
+        violations.append(("covariance", "must be a CompositeCovariance"))
+    if not isinstance(fields["phi"], HermiteSpec):
+        violations.append(("phi", "must be a HermiteSpec"))
     label = fields["label"]
     if not isinstance(label, str):
         violations.append(("label", "must be a string"))
@@ -75,19 +70,19 @@ def check_config_fields(fields: dict):
         # the label stems result file names, which must land inside --out
         violations.append(("label", "must be a plain file name, without path "
                                     f"separators, '.', '..' or NUL; got {label!r}"))
-    if "ladder" in fields:
-        ladder = fields["ladder"]
-        if (not isinstance(ladder, (list, tuple)) or not ladder
-                or not all(isinstance(l, LatticeSpec) for l in ladder)):
-            violations.append(("lattice.ladder", "must be a nonempty list of rungs"))
-        else:
-            checked["ladder"] = ladder = tuple(ladder)
-            totals = [l.n_total for l in ladder]
-            if any(b <= a for a, b in zip(totals, totals[1:])):
-                violations.append(("lattice.ladder", "must be strictly increasing in n_total"))
-    replicates = checked["replicates"] = number(
-        "replicates", fields["replicates"], kind=int, minimum=1)
-    seed = checked["seed"] = number("seed", fields["seed"], kind=int, minimum=0)
+    ladder = fields["ladder"]
+    if (not isinstance(ladder, (list, tuple)) or not ladder
+            or not all(isinstance(l, LatticeSpec) for l in ladder)):
+        violations.append(("lattice.ladder", "must be a nonempty list of rungs"))
+    else:
+        checked["ladder"] = ladder = tuple(ladder)
+        totals = [l.n_total for l in ladder]
+        if any(b <= a for a, b in zip(totals, totals[1:])):
+            violations.append(("lattice.ladder", "must be strictly increasing in n_total"))
+    replicates = checked["replicates"] = checked_number(
+        violations, "replicates", fields["replicates"], kind=int, minimum=1)
+    seed = checked["seed"] = checked_number(violations, "seed", fields["seed"],
+                                            kind=int, minimum=0)
     if seed is not None and seed >= 2**64:
         violations.append(("seed", f"must fit in 64 bits, got {seed}"))
     outputs = fields["outputs"]
@@ -108,12 +103,12 @@ def check_config_fields(fields: dict):
         if not isinstance(growth, (list, tuple)):
             violations.append(("growth", "must be a list of per-block exponents"))
         else:
-            checked["growth"] = tuple(number(f"growth[{i}]", g, minimum=0.0)
-                                      for i, g in enumerate(growth))
-            if "covariance" in fields and len(growth) != len(fields["covariance"].blocks):
+            checked["growth"] = checked_numbers(violations, "growth", growth, minimum=0.0)
+            if (isinstance(covariance, CompositeCovariance)
+                    and len(growth) != len(covariance.blocks)):
                 violations.append(("growth", "must hold one exponent per covariance "
                                              f"block, got {len(growth)} for "
-                                             f"{len(fields['covariance'].blocks)}"))
+                                             f"{len(covariance.blocks)}"))
     return checked, violations
 
 
@@ -130,8 +125,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         checked, violations = check_config_fields(vars(self))
-        if violations:
-            raise ModelError("; ".join(f"{path} {message}" for path, message in violations))
+        refuse(violations, sep=" ")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._errors import ModelError, NumericalError, set_params
+from ._errors import ModelError, NumericalError, refuse, set_params
 from ._gauss import normal_cdf
 
 PURE = "pure"
@@ -108,11 +108,12 @@ class HermiteSpec:
     qmax: int = DEFAULT_QMAX
 
     def __post_init__(self):
-        if self.kind not in KIND_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in KIND_PARAMS:
             raise ModelError(f"unknown phi kind {self.kind!r}")
-        set_params(self, KIND_PARAMS, self.kind, f"{self.kind} phi")
-        if self.kind == PURE and self.q > self.qmax:
-            raise ModelError(f"pure order {self.q} exceeds qmax {self.qmax}")
+        violations = set_params(self, KIND_PARAMS, self.kind, f"{self.kind} phi")
+        if self.kind == PURE and not violations and self.q > self.qmax:
+            violations.append(("", f"pure order {self.q} exceeds qmax {self.qmax}"))
+        refuse(violations)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError, check_number
+from ._errors import ModelError, checked_number, refuse
 from .chaoscalc import _DIRECT_LAG_LIMIT, _lag_window
 from .covariance import (
     ADDITIVE,
@@ -88,10 +88,9 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
     otherwise the defining series diverges and the factor is named in the
     error.
     """
-    try:
-        radius = check_number(radius, kind=int, minimum=0)
-    except ModelError as exc:
-        raise ModelError(f"radius: {exc}") from None
+    violations = []
+    radius = checked_number(violations, "radius", radius, kind=int, minimum=0)
+    refuse(violations)
     factors = tuple(factors)
     coeffs = np.asarray(coefficients, dtype=float)
     rank = hermite_rank(coeffs)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from latfield._errors import ConfigError, ModelError
-from latfield import cli
+from latfield import cli, covariance, harness, hermite
+from latfield.covariance import CompositeCovariance, FactorCovariance
 from latfield.cli import (
     main,
     parse_config,
@@ -171,7 +172,7 @@ def test_float_keys_reject_non_finite_numbers():
     ]
     for factor, path in (("family: exponential\n      scale: .nan", "scale"),
                          ("family: tabulated\n      table:\n        - {lag: 0, value: .inf}",
-                          "table[0].value")):
+                          "table[(0,)]")):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL.replace("family: white_noise", factor))
         assert err.value.violations[0].startswith(f"covariance.factors[0].{path}: "
@@ -298,6 +299,112 @@ def test_every_violation_of_a_mapping_is_reported_once(old, new, want):
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL.replace(old, new))
     assert err.value.violations == want
+
+
+_CAUCHY_2D = "{family: cauchy, exponent: 0.5, dim: 2}"
+
+
+@pytest.mark.parametrize("make, text, path", [
+    (lambda: CompositeCovariance("separable", (FactorCovariance("white_noise"),),
+                                 weights=(0.5, 0.5)),
+     MINIMAL.replace(_FACTOR, _FACTOR + "\n  weights: [0.5, 0.5]"), "covariance"),
+    (lambda: CompositeCovariance("additive", (FactorCovariance("cauchy", exponent=0.48),
+                                              FactorCovariance("cauchy", exponent=3.0)),
+                                 weights=("0.5", "0.5")),
+     ADDITIVE.replace("weights: [0.1, 0.9]", "weights: ['0.5', '0.5']"), "covariance"),
+    (lambda: CompositeCovariance("isotropic", (FactorCovariance("cauchy", exponent=0.5, dim=2),),
+                                 block_dims=(1.7, 1.2)),
+     _config(f"{{structure: isotropic, factors: [{_CAUCHY_2D}], block_dims: [1.7, 1.2]}}"),
+     "covariance"),
+    (lambda: CompositeCovariance("isotropic", (FactorCovariance("cauchy", exponent=0.5, dim=2),),
+                                 block_dims=(True, True)),
+     _config(f"{{structure: isotropic, factors: [{_CAUCHY_2D}], block_dims: [true, true]}}"),
+     "covariance"),
+    (lambda: FactorCovariance("tabulated", table={(0,): True}),
+     MINIMAL.replace(_FACTOR, _FACTOR.replace(
+         "white_noise", "tabulated\n      table:\n        - {lag: 0, value: true}")),
+     "covariance.factors[0]"),
+], ids=["separable weights", "string weights", "fractional block dims", "boolean block dims",
+        "boolean value"])
+def test_the_constructor_refuses_what_the_parser_refuses(make, text, path):
+    # one rule set: the parser reports each violation of a constructor at
+    # the path of the model it builds, with the constructor's own message
+    with pytest.raises(ModelError) as refused:
+        make()
+    violations = refused.value.violations
+    assert str(refused.value) == "; ".join(f"{key}: {message}" for key, message in violations)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == [f"{path}.{key}: {message}" for key, message in violations]
+
+
+def test_a_tabulated_lag_is_a_tuple_of_integers():
+    # the constructor checks each lag coordinate as an integer; the parser
+    # needs integer lags to build the table's keys, and says so first
+    for lag, why in (((0.5,), "must be an integer, got 0.5"),
+                     ((True,), "expected a number, got bool")):
+        with pytest.raises(ModelError, match=rf"^table\[\({lag[0]},\)\]: {why}$"):
+            FactorCovariance("tabulated", table={(0,): 1.0, lag: 0.5})
+    assert FactorCovariance("tabulated", table={0: 1.0, (np.int64(1),): 0.5}).table == {
+        (0,): 1.0, (1,): 0.5}
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace(_FACTOR, _TABLE + "\n        - {lag: 0.5, value: 0.5}"))
+    assert err.value.violations == [
+        "covariance.factors[0].table[1].lag: lag must be an integer or list of integers"]
+
+
+def test_a_separable_model_with_weights_is_never_written():
+    # the constructor refuses the stray weights, so serialize_config cannot
+    # write the document that parse_config would refuse
+    with pytest.raises(ModelError, match="^weights: only additive structures take weights$"):
+        CompositeCovariance("separable", (FactorCovariance("white_noise"),), weights=(0.5, 0.5))
+    import yaml
+
+    doc = yaml.safe_load(serialize_config(parse_config(MINIMAL)))
+    assert "weights" not in doc["covariance"]
+    doc["covariance"]["weights"] = [0.5, 0.5]
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(doc))
+    assert err.value.violations == ["covariance.weights: only additive structures take weights"]
+
+
+_CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", ["crit10-path-a", "sepmatters-isotropic"])
+def test_a_config_is_checked_once_per_parse(monkeypatch, name):
+    # each rule runs once: the parser leaves every value to the constructors
+    calls = []
+    for module, func in ((covariance, "set_params"), (hermite, "set_params"),
+                         (harness, "check_config_fields")):
+        def counted(*args, _func=getattr(module, func), _name=f"{module.__name__}.{func}"):
+            calls.append(_name)
+            return _func(*args)
+        monkeypatch.setattr(module, func, counted)
+    config = parse_config((_CONFIG_DIR / f"{name}.yaml").read_text())
+    assert sorted(calls) == sorted(
+        ["latfield.covariance.set_params"] * len(config.covariance.factors)
+        + ["latfield.hermite.set_params", "latfield.harness.check_config_fields"])
+
+
+#: the config_hash of each frozen config, unchanged since the hash became
+#: the sha256 of the stored config document
+FROZEN_HASHES = {
+    "crit10-path-a": "184c9d47b5930a1fb98496c098751d9fd245c8b203333daaed4b899258e965e8",
+    "crit10-path-b": "bf5956879e5178622414dbb0ad553c32132f649d171e308367daee86a93494f7",
+    "crit7-central": "742152bb2ab0bd973e3d309d51b5fe9ab7875d547af1299861e4ad15a07575fd",
+    "crit8-noncentral": "5136cbcced247b15b8cca1e0dbd1c399fba4e90f620015443902f22fd0a6eec7",
+    "gneiting-growing": "13df1d442d142eb5c353b9369dabc638da960e1db127ae7a4a47942517215362",
+    "sepmatters-isotropic": "7c12982eb9612672d208f6318cca230102941d5c4afbae603f427b77c89f9d93",
+    "smoke": "01cc9fd463532640bb1cbaabd50894e3f997a69f2a13712d1e9026ed94d811cf",
+}
+
+
+def test_the_frozen_config_hashes_do_not_move():
+    paths = sorted(_CONFIG_DIR.glob("*.yaml"))
+    assert [p.stem for p in paths] == sorted(FROZEN_HASHES)
+    for path in paths:
+        assert config_fingerprint(parse_config(path.read_text())) == FROZEN_HASHES[path.stem]
 
 
 def test_persist_is_append_only(tmp_path):

@@ -61,6 +61,8 @@ def test_factor_input_validation():
         FactorCovariance("cauchy", exponent=-1.0)
     with pytest.raises(ModelError):
         FactorCovariance("spherical")
+    with pytest.raises(ModelError, match=r"unknown covariance family \['fgn'\]"):
+        FactorCovariance(["fgn"])
     # a parameter of another family is refused, not carried along
     with pytest.raises(ModelError, match="hurst: not a parameter of family 'cauchy'"):
         FactorCovariance("cauchy", exponent=1.0, hurst=0.5)
@@ -109,6 +111,9 @@ def test_constructors_reject_non_finite_parameters():
     for weights in ((nan, 0.9), (0.1, nan), (nan, nan)):
         with pytest.raises(ModelError, match="weights"):
             CompositeCovariance(ADDITIVE, (_cauchy(1.0), _fgn(0.6)), weights=weights)
+    # an array of weights is read as its numbers
+    assert CompositeCovariance(ADDITIVE, (_cauchy(1.0), _fgn(0.6)),
+                               weights=np.array([0.1, 0.9])).weights == (0.1, 0.9)
 
 
 def test_separable_product_law():

@@ -65,7 +65,7 @@ def test_lattice_spec():
     # a size is a count: no fraction, no boolean, the parser's rule
     for size, why in ((2.7, "must be an integer, got 2.7"), (True, "expected a number, got bool"),
                       (0, "must be at least 1, got 0"), ("4", "expected a number, got str")):
-        with pytest.raises(ModelError, match=f"^lattice size: {why}$"):
+        with pytest.raises(ModelError, match=rf"^\[0\]\[1\]: {why}$"):
             LatticeSpec(((4, size),))
     assert LatticeSpec(((np.int64(4), 3.0),)).blocks == ((4, 3),)
 
@@ -73,8 +73,8 @@ def test_lattice_spec():
 def test_lattice_spec_names_a_block_that_is_not_a_sequence():
     # LatticeSpec((5,)) where LatticeSpec(((5,),)) was meant
     for blocks, index, block in (((5,), 0, "5"), (((4,), 5), 1, "5"), (((4,), "45"), 1, "'45'")):
-        with pytest.raises(ModelError, match=f"^lattice block {index} is {block}: "
-                           "each block must be a sequence of sizes$"):
+        with pytest.raises(ModelError, match=rf"^\[{index}\]: must be a nonempty sequence "
+                           f"of sizes, got {block}$"):
             LatticeSpec(blocks)
     with pytest.raises(ModelError, match="expected a sequence of blocks"):
         LatticeSpec(5)

@@ -149,6 +149,8 @@ def test_spec_validation():
             HermiteSpec("indicator", level=level)
     with pytest.raises(ModelError):
         HermiteSpec("sine")
+    with pytest.raises(ModelError, match=r"unknown phi kind \['pure'\]"):
+        HermiteSpec(["pure"])
     # a parameter of another kind is refused, a callable included
     with pytest.raises(ModelError, match="level: not a parameter of pure phi"):
         HermiteSpec("pure", q=2, level=0.5)
