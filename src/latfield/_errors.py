@@ -38,10 +38,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def check_number(value, kind=float, positive=False, minimum=None, between=None):
+def check_number(value, kind=float, positive=False, minimum=None, maximum=None, between=None):
     """``value`` as a ``kind`` (int or float) that passes the rule: positive,
-    at least ``minimum``, inside the open interval ``between``, and finite;
-    ModelError saying why not.  Booleans are not numbers."""
+    in [``minimum``, ``maximum``], inside the open interval ``between``, and
+    finite; ModelError saying why not.  Booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ModelError(f"expected a number, got {type(value).__name__}")
     if (kind is int and not isinstance(value, numbers.Integral)
@@ -56,6 +56,8 @@ def check_number(value, kind=float, positive=False, minimum=None, between=None):
         raise ModelError(f"must be positive, got {value}")
     if minimum is not None and value < minimum:
         raise ModelError(f"must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ModelError(f"must be at most {maximum}, got {value}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ModelError(f"must be a finite number, got {value}")
     if between is not None and not between[0] < value < between[1]:

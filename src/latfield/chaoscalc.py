@@ -64,9 +64,9 @@ from .covariance import (
     composite_values,
 )
 from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks, dense_covariance_matrix
-from .hermite import INDICATOR, hermite_rank, phi_second_moment
+from .hermite import (INDICATOR, MAX_CHAOS_ORDER, hermite_coefficients, hermite_rank,
+                      phi_second_moment)
 
-MAX_CHAOS_ORDER = 30
 #: clique budget of a dense block (a multi-D factor or a full lattice): n
 #: points take their t(q) clique diagrams, n^4 each, when t(q) n^4 <=
 #: CLIQUE_LIMIT^4 (n <= 256 at q = 3 and 4)
@@ -191,40 +191,38 @@ class PhiVariance:
     """Var of the phi functional, and what its chaos sum may have dropped.
 
     ``tail_bound`` is 0 for an indicator phi, whose variance is the exact
-    orthant lag sum, and for a pure phi, a single chaos.  For any other
-    phi it caps what the truncated chaos sum dropped, via |C| <= 1: each
-    missing chaos contributes at most q! a_q^2 N_tot^2, and the missing
-    Parseval mass sum_{q > qmax} q! a_q^2 is E[phi^2] minus the retained
-    mass.  None when phi was not supplied.
+    orthant lag sum, and for a pure phi, a single chaos.  For a custom phi
+    it caps what the chaos sum truncated at its qmax dropped, via
+    |C| <= 1: each missing chaos contributes at most q! a_q^2 N_tot^2, and
+    the missing Parseval mass sum_{q > qmax} q! a_q^2 is E[phi^2] minus the
+    retained mass.
     """
 
     value: float
     rank: int
-    tail_bound: Optional[float] = None
+    tail_bound: float
 
 
-def variance_phi(cov, lattice, coefficients, phi=None) -> PhiVariance:
-    """Var(Y) for Y = sum_t phi(B_t), for every phi and structure.
+def variance_phi(cov, lattice, phi) -> PhiVariance:
+    """Var(Y) for Y = sum_t phi(B_t), for every phi spec and structure.
 
     An indicator phi takes variance_indicator.  Otherwise Var(Y) =
-    sum_q a_q^2 Var(Y[q]) over the retained chaoses, each chaos
-    factorized for separable and additive models.
+    sum_q a_q^2 Var(Y[q]) over the chaoses of hermite_coefficients(phi),
+    each chaos factorized for separable and additive models.
     """
-    coeffs = np.asarray(coefficients, dtype=float)
+    coeffs = hermite_coefficients(phi)
     rank = hermite_rank(coeffs)
-    if phi is not None and phi.kind == INDICATOR:
+    if phi.kind == INDICATOR:
         return PhiVariance(value=variance_indicator(cov, lattice, phi.level),
                            rank=rank, tail_bound=0.0)
     value = 0.0
     for q in range(rank, len(coeffs)):
         if coeffs[q] != 0.0:
             value += coeffs[q] ** 2 * variance_hermite(cov, lattice, q)
-    tail = None
-    if phi is not None:  # a pure phi has no Parseval gap
-        retained = sum(math.factorial(q) * coeffs[q] ** 2 for q in range(len(coeffs)))
-        gap = max(0.0, phi_second_moment(phi) - retained)
-        tail = gap * float(lattice.n_total) ** 2
-    return PhiVariance(value=float(value), rank=rank, tail_bound=tail)
+    retained = sum(math.factorial(q) * coeffs[q] ** 2 for q in range(len(coeffs)))
+    gap = max(0.0, float(phi_second_moment(phi) - retained))
+    return PhiVariance(value=float(value), rank=rank,
+                       tail_bound=gap * float(lattice.n_total) ** 2)
 
 
 def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
@@ -588,12 +586,11 @@ def gamma_quotient(factor: FactorCovariance, sizes, q: int,
     return GammaQuotient(exact=exact, surrogate=weight**q * plain / vol)
 
 
-def reduction_ratio(cov, lattice, coefficients, phi=None) -> float:
+def reduction_ratio(cov, lattice, phi) -> float:
     """Var(Y) over the leading-chaos part a_R^2 Var(Y[R]); always >= 1."""
-    coeffs = np.asarray(coefficients, dtype=float)
-    rank = hermite_rank(coeffs)
-    leading = coeffs[rank] ** 2 * variance_hermite(cov, lattice, rank)
-    return variance_phi(cov, lattice, coeffs, phi=phi).value / leading
+    var = variance_phi(cov, lattice, phi)
+    leading = hermite_coefficients(phi)[var.rank] ** 2 * variance_hermite(cov, lattice, var.rank)
+    return var.value / leading
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .chaoscalc import additive_variance  # noqa: F401
 from .covariance import FAMILY_PARAMS, ISOTROPIC, SEPARABLE, CompositeCovariance
 from .fieldsim import LatticeSpec, build_sampler, draw, draw_pairs
 from .functionals import evaluate
-from .hermite import CUSTOM, KIND_PARAMS, HermiteSpec, hermite_coefficients, hermite_rank
+from .hermite import KIND_PARAMS, HermiteSpec, hermite_coefficients, hermite_rank
 
 #: version of the config document's schema
 SCHEMA_VERSION = 1
@@ -162,14 +162,11 @@ def config_document(config: ExperimentConfig) -> dict:
         cov_doc["weights"] = list(cov.weights)
     if cov.structure == ISOTROPIC:
         cov_doc["block_dims"] = list(cov.block_dims)
-    phi_doc = {"kind": phi.kind, **_params_doc(phi, KIND_PARAMS[phi.kind])}
-    if phi.kind == CUSTOM:
-        phi_doc["qmax"] = phi.qmax  # truncates only a custom phi's expansion
     doc = {
         "schema": SCHEMA_VERSION,
         "label": config.label,
         "covariance": cov_doc,
-        "phi": phi_doc,
+        "phi": {"kind": phi.kind, **_params_doc(phi, KIND_PARAMS[phi.kind])},
         "lattice": {
             "ladder": [[list(block) for block in l.blocks] for l in config.ladder]
         },
@@ -325,17 +322,17 @@ class ExperimentResult:
     notes: tuple = ()
 
 
-def _exact_moments(cov, lattice, coeffs, phi):
+def _exact_moments(cov, lattice, phi, a0):
     """(exact mean, exact variance or None, the note saying why it is None)."""
-    mean = float(lattice.n_total) * float(coeffs[0])
+    mean = float(lattice.n_total) * float(a0)
     empirical = "standardized by the empirical spread"
     try:
-        var = variance_phi(cov, lattice, coeffs, phi=phi)
+        var = variance_phi(cov, lattice, phi)
     except (ModelError, NumericalError):
         return mean, None, f"no closed-form variance for this structure/size: {empirical}"
-    if var.tail_bound > EXACT_RTOL * var.value:
+    if var.tail_bound > EXACT_RTOL * var.value:  # only a custom phi has a positive bound
         return mean, None, (
-            f"chaos sum truncated at q = {len(coeffs) - 1} may miss up to "
+            f"chaos sum truncated at q = {phi.qmax} may miss up to "
             f"{var.tail_bound:.3g} of its variance {var.value:.6g}: {empirical}"
         )
     return mean, var.value, None
@@ -428,7 +425,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                 values = _draw_values(config, sampler, idx, threads)
             except (ModelError, NumericalError) as exc:
                 raise type(exc)(f"rung {idx} ({tag}): {exc}") from exc
-            exact_mean, exact_var, why = _exact_moments(cov, lattice, coeffs, config.phi)
+            exact_mean, exact_var, why = _exact_moments(cov, lattice, config.phi, coeffs[0])
             rung_notes = []
             if exact_var is not None:
                 scale = math.sqrt(exact_var)

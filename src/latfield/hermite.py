@@ -20,18 +20,22 @@ PURE = "pure"
 INDICATOR = "indicator"
 CUSTOM = "custom"
 
+#: the one cap on a chaos order: a pure phi's q, a custom phi's qmax, and
+#: every order the exact diagnostics take
+MAX_CHAOS_ORDER = 30
+#: an indicator's last coefficient order, and a custom phi's default qmax
+DEFAULT_QMAX = 20
+DEFAULT_TOL = 1e-12
+
 #: Each phi kind's parameters, with the ``check_number`` rule of each
 #: (None: the callable of a custom phi).  A spec requires its kind's
 #: parameters and refuses the others; the config parser and the config
 #: document read the same table.
 KIND_PARAMS = {
-    PURE: {"q": {"kind": int, "minimum": 1}},
+    PURE: {"q": {"kind": int, "minimum": 1, "maximum": MAX_CHAOS_ORDER}},
     INDICATOR: {"level": {}},
-    CUSTOM: {"func": None},
+    CUSTOM: {"func": None, "qmax": {"kind": int, "minimum": 0, "maximum": MAX_CHAOS_ORDER}},
 }
-
-DEFAULT_QMAX = 20
-DEFAULT_TOL = 1e-12
 
 #: Gauss-Hermite node count (doubled once for the convergence check)
 _GH_NODES = 2 * DEFAULT_QMAX + 32
@@ -98,22 +102,22 @@ class HermiteSpec:
     """A test function phi for the lattice functionals.
 
     kind 'pure' is H_q itself, 'indicator' is 1_{x >= level} (the excursion
-    indicator), and 'custom' wraps any square-integrable pointwise callable.
+    indicator), and 'custom' wraps any square-integrable pointwise callable,
+    whose chaos expansion is taken up to order ``qmax`` (default DEFAULT_QMAX).
     """
 
     kind: str
     q: Optional[int] = None
     level: Optional[float] = None
     func: Optional[Callable] = None
-    qmax: int = DEFAULT_QMAX
+    qmax: Optional[int] = None
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in KIND_PARAMS:
             raise ModelError(f"unknown phi kind {self.kind!r}")
-        violations = set_params(self, KIND_PARAMS, self.kind, f"{self.kind} phi")
-        if self.kind == PURE and not violations and self.q > self.qmax:
-            violations.append(("", f"pure order {self.q} exceeds qmax {self.qmax}"))
-        refuse(violations)
+        if self.kind == CUSTOM and self.qmax is None:
+            object.__setattr__(self, "qmax", DEFAULT_QMAX)
+        refuse(set_params(self, KIND_PARAMS, self.kind, f"{self.kind} phi"))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -128,47 +132,45 @@ class HermiteSpec:
         return out
 
 
-def _quadrature_coefficients(phi, qmax, nodes):
+def _quadrature_coefficients(phi, nodes):
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / np.sqrt(2.0 * np.pi)  # normalize to the standard Gaussian measure
-    fx = phi(x)
-    coeffs = np.empty(qmax + 1)
+    weighted = w * phi(x)
+    coeffs = np.empty(phi.qmax + 1)
     fact = 1.0
-    for q in range(qmax + 1):
+    for q, h in enumerate(hermite_terms(phi.qmax, x)):
         if q > 1:
             fact *= q
-        coeffs[q] = np.sum(w * fx * hermite_eval(q, x)) / fact
+        coeffs[q] = np.sum(weighted * h) / fact
     return coeffs
 
 
-def hermite_coefficients(phi: HermiteSpec, qmax: Optional[int] = None) -> np.ndarray:
-    """Coefficients a_0..a_qmax of phi.
+def hermite_coefficients(phi: HermiteSpec) -> np.ndarray:
+    """Coefficients a_0, a_1, ... of phi, as far as its spec fixes them.
 
-    Pure specs short-circuit to a unit vector.  Indicator specs use the
-    closed form a_q = pdf(level) * H_{q-1}(level) / q! (exact; quadrature
-    of the discontinuous indicator converges too slowly and is kept as a
-    cross-check in the test suite).  Custom callables are integrated by
-    Gauss-Hermite quadrature with a node-doubling convergence check.
+    A pure H_q is the unit vector a_0..a_q.  An indicator takes the exact
+    closed form a_q = pdf(level) H_{q-1}(level) / q! up to DEFAULT_QMAX
+    (quadrature of the step converges too slowly; the tests cross-check).
+    A custom callable's a_0..a_qmax are integrated by Gauss-Hermite
+    quadrature with a node-doubling convergence check.  One recurrence pass
+    gives every H_q.
     """
-    qmax = phi.qmax if qmax is None else qmax
     if phi.kind == PURE:
-        coeffs = np.zeros(qmax + 1)
-        if phi.q > qmax:
-            raise ModelError(f"pure order {phi.q} exceeds qmax {qmax}")
+        coeffs = np.zeros(phi.q + 1)
         coeffs[phi.q] = 1.0
         return coeffs
     if phi.kind == INDICATOR:
         a = phi.level
-        coeffs = np.empty(qmax + 1)
+        coeffs = np.empty(DEFAULT_QMAX + 1)
         coeffs[0] = normal_cdf(-a)
         pdf = np.exp(-a * a / 2.0) / np.sqrt(2.0 * np.pi)
         fact = 1.0
-        for q in range(1, qmax + 1):
+        for q, h in enumerate(hermite_terms(DEFAULT_QMAX - 1, a), start=1):
             fact *= q
-            coeffs[q] = pdf * hermite_eval(q - 1, a) / fact
+            coeffs[q] = pdf * h / fact
         return coeffs
-    coarse = _quadrature_coefficients(phi, qmax, _GH_NODES)
-    fine = _quadrature_coefficients(phi, qmax, 2 * _GH_NODES)
+    coarse = _quadrature_coefficients(phi, _GH_NODES)
+    fine = _quadrature_coefficients(phi, 2 * _GH_NODES)
     scale = max(1.0, float(np.max(np.abs(fine))))
     if np.max(np.abs(fine - coarse)) > _GH_RTOL * scale:
         raise NumericalError(

@@ -52,7 +52,7 @@ from latfield.covariance import (
     eval_factor,
 )
 from latfield.fieldsim import DENSE_LIMIT, LatticeSpec, dense_covariance_matrix
-from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_coefficients
+from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_eval
 from latfield.oracle import (
     WickProblem,
     lattice_covariance_matrix,
@@ -691,38 +691,47 @@ def test_tv_bound():
         tv_bound(iso, LatticeSpec(((4,), (4,))), 2)
 
 
+def _polynomial_phi(*coeffs):
+    """The custom phi sum_q a_q H_q (q >= 1), expanded up to its degree."""
+    return HermiteSpec(CUSTOM, func=lambda x: sum(a * hermite_eval(q, x)
+                                                  for q, a in enumerate(coeffs, start=1)),
+                       qmax=len(coeffs))
+
+
 def test_variance_phi():
     cov = _sep(FactorCovariance(FGN, hurst=0.3), FactorCovariance(FGN, hurst=0.9))
     lat = LatticeSpec(((6,), (6,)))
     phi2 = HermiteSpec(PURE, q=2)
-    result = variance_phi(cov, lat, hermite_coefficients(phi2), phi=phi2)
+    result = variance_phi(cov, lat, phi2)
     assert result.value == pytest.approx(variance_hermite(cov, lat, 2), rel=1e-14)
     assert result.tail_bound == 0.0 and result.rank == 2
+    assert type(result.tail_bound) is float
 
     # single point, indicator at zero: Var = 1/4 exactly, no truncation
     ind = HermiteSpec(INDICATOR, level=0.0)
     one = LatticeSpec(((1,),))
     unit = _sep(FactorCovariance(FGN, hurst=0.7))
-    got = variance_phi(unit, one, hermite_coefficients(ind), phi=ind)
+    got = variance_phi(unit, one, ind)
     assert got.rank == 1
     assert got.tail_bound == 0.0
     assert abs(got.value - 0.25) <= 1e-12
 
-    # a_1 = a_3 = 1 on white noise: n * 1! + n * 3! = 7n
+    # phi = H_1 + H_3 (a_1 = a_3 = 1) on white noise: n * 1! + n * 3! = 7n,
+    # and its chaos sum is complete
     wn = _sep(FactorCovariance(WHITE_NOISE))
-    coeffs = np.array([0.0, 1.0, 0.0, 1.0])
-    got = variance_phi(wn, LatticeSpec(((11,),)), coeffs)
+    got = variance_phi(wn, LatticeSpec(((11,),)), _polynomial_phi(1.0, 0.0, 1.0))
     assert got.value == pytest.approx(77.0)
-    assert got.tail_bound is None
+    assert got.rank == 1 and type(got.tail_bound) is float
+    assert got.tail_bound <= 1e-9 * got.value
 
     # tanh has chaoses past qmax = 20: the bound is positive and caps the
     # distance to a longer chaos sum
     fgn = _sep(FactorCovariance(FGN, hurst=0.7))
     lat = LatticeSpec(((50,),))
-    th = HermiteSpec(CUSTOM, func=np.tanh)
-    got = variance_phi(fgn, lat, hermite_coefficients(th), phi=th)
-    longer = variance_phi(fgn, lat, hermite_coefficients(th, qmax=29), phi=th)
+    got = variance_phi(fgn, lat, HermiteSpec(CUSTOM, func=np.tanh))
+    longer = variance_phi(fgn, lat, HermiteSpec(CUSTOM, func=np.tanh, qmax=29))
     assert 0.0 < longer.tail_bound < got.tail_bound
+    assert type(got.tail_bound) is float
     assert abs(longer.value - got.value) <= got.tail_bound
 
 
@@ -731,7 +740,7 @@ def test_variance_phi_takes_the_exact_indicator_lag_sum():
     lat = LatticeSpec(((40,), (30,)))
     for level in (0.0, 0.8):
         ind = HermiteSpec(INDICATOR, level=level)
-        got = variance_phi(cov, lat, hermite_coefficients(ind), phi=ind)
+        got = variance_phi(cov, lat, ind)
         assert got.value == variance_indicator(cov, lat, level)
         assert got.tail_bound == 0.0
 
@@ -752,18 +761,17 @@ def test_additive_chaos_variance_is_the_binomial_decomposition():
 def test_reduction_ratio():
     one = LatticeSpec(((1,),))
     unit = _sep(FactorCovariance(FGN, hurst=0.7))
-    pure3 = hermite_coefficients(HermiteSpec(PURE, q=3))
-    assert reduction_ratio(unit, one, pure3) == pytest.approx(1.0)
-    coeffs = np.array([0.0, 0.0, 1.0, 0.0, 1.0])
-    assert reduction_ratio(unit, one, coeffs) == pytest.approx(13.0)
+    assert reduction_ratio(unit, one, HermiteSpec(PURE, q=3)) == pytest.approx(1.0)
+    # phi = H_2 + H_4: (2! + 4!) / 2!
+    assert reduction_ratio(unit, one, _polynomial_phi(0.0, 1.0, 0.0, 1.0)) == pytest.approx(13.0)
 
 
 def test_reduction_ratio_trend():
     # rank 1, long-memory factor: the leading chaos takes over as n grows
     cov = _sep(FactorCovariance(CAUCHY, exponent=0.5))
-    coeffs = np.array([0.0, 1.0, 0.0, 0.5])
+    phi = _polynomial_phi(1.0, 0.0, 0.5)  # H_1 + H_3 / 2
     ratios = [
-        reduction_ratio(cov, LatticeSpec(((n,),)), coeffs)
+        reduction_ratio(cov, LatticeSpec(((n,),)), phi)
         for n in (16, 64, 256, 1024)
     ]
     assert all(r > 1.0 for r in ratios)

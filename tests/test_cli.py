@@ -656,6 +656,25 @@ def test_chaos_command(tmp_path, capsys):
     assert doc["rungs"][0]["fourth_cumulant"] == pytest.approx(12.0 / 16)
 
 
+def test_chaos_command_takes_any_pure_order_up_to_the_cap(tmp_path, capsys):
+    # a config has no qmax: a pure phi's q runs to MAX_CHAOS_ORDER, and the
+    # exact diagnostics take every such order
+    smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml"
+    text = smoke.read_text()
+    assert "\n  q: 2\n" in text
+    cfg = tmp_path / "smoke-q25.yaml"
+    cfg.write_text(text.replace("\n  q: 2\n", "\n  q: 25\n"))
+    assert parse_config(cfg.read_text()).phi == HermiteSpec("pure", q=25)
+    out = tmp_path / "out"
+    assert main(["chaos", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "smoke-determinism-chaos.json").read_text())
+    assert doc["q"] == 25 and len(doc["rungs"]) == 2
+    assert all(rung["fourth_exact"] is True for rung in doc["rungs"])
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("\n  q: 2\n", "\n  q: 31\n"))
+    assert err.value.violations == ["phi.q: must be at most 30, got 31"]
+
+
 def test_chaos_command_notes_a_rung_it_cannot_compute(tmp_path, capsys):
     # an additive rung past DENSE_LIMIT has no chaos report: its note is
     # recorded as run_experiment records it, and the ladder goes on

@@ -29,7 +29,7 @@ from latfield.harness import (
     rate_fit,
     run_experiment,
 )
-from latfield.hermite import HermiteSpec, hermite_coefficients
+from latfield.hermite import HermiteSpec
 
 
 def pure(q):
@@ -172,9 +172,10 @@ def test_config_fingerprint_tracks_content():
     assert config_fingerprint(base) == config_fingerprint(same)
     bumped = ExperimentConfig(WHITE, pure(2), (lattice(16),), 200, 8)
     assert config_fingerprint(base) != config_fingerprint(bumped)
-    # qmax truncates only a custom phi's expansion, so only there is it hashed
-    wide = ExperimentConfig(WHITE, HermiteSpec("pure", q=2, qmax=30), (lattice(16),), 200, 7)
-    assert config_fingerprint(wide) == config_fingerprint(base)
+    # qmax truncates only a custom phi's expansion: a pure phi refuses it,
+    # and a custom phi's is hashed
+    with pytest.raises(ModelError, match=r"^qmax: not a parameter of pure phi$"):
+        HermiteSpec("pure", q=2, qmax=30)
     custom = [ExperimentConfig(WHITE, HermiteSpec("custom", func=np.tanh, qmax=qmax),
                                (lattice(16),), 200, 7) for qmax in (20, 30)]
     assert config_fingerprint(custom[0]) != config_fingerprint(custom[1])
@@ -462,7 +463,7 @@ def test_custom_phi_is_exact_only_when_its_chaos_sum_is_complete():
     config = ExperimentConfig(covariance=cov, phi=tanh, ladder=(lattice(1000),),
                               replicates=200, seed=3)
     rung = run_experiment(config).rungs[0]
-    bound = variance_phi(cov, lattice(1000), hermite_coefficients(tanh), phi=tanh).tail_bound
+    bound = variance_phi(cov, lattice(1000), tanh).tail_bound
     assert bound > 1e-9 * 5844.0
     assert rung.variance_source == "empirical"
     assert rung.exact_variance is None

@@ -6,7 +6,13 @@ from scipy import integrate
 from scipy.stats import norm
 
 from latfield._errors import ModelError, NumericalError
+from latfield._gauss import normal_cdf
 from latfield.hermite import (
+    _GH_NODES,
+    CUSTOM,
+    INDICATOR,
+    MAX_CHAOS_ORDER,
+    PURE,
     HermiteSpec,
     hermite_coefficients,
     hermite_eval,
@@ -108,15 +114,50 @@ def test_parseval_inequality_for_indicator():
     phi = HermiteSpec("indicator", level=0.3)
     second = phi_second_moment(phi)
     assert second == pytest.approx(norm.sf(0.3))
+    c = hermite_coefficients(phi)
+    assert len(c) == 21
     partials = []
     for qmax in (4, 8, 16, 20):
-        c = hermite_coefficients(phi, qmax=qmax)
         partials.append(sum(math.factorial(q) * c[q] ** 2 for q in range(qmax + 1)))
     assert all(b >= a - 1e-15 for a, b in zip(partials, partials[1:]))
     assert all(p <= second + 1e-12 for p in partials)
     # the gap shrinks with qmax (indicator coefficients decay ~ q^(-3/2))
     assert second - partials[-1] < second - partials[0]
     assert second - partials[-1] < 0.05
+
+
+def test_coefficients_are_the_per_order_recurrence_values_bit_for_bit():
+    # one recurrence pass per coefficient vector gives the bits of one
+    # hermite_eval per order, with the same running factorial
+    x, w = np.polynomial.hermite_e.hermegauss(2 * _GH_NODES)
+    w = w / np.sqrt(2.0 * np.pi)
+    for qmax in (20, 29):
+        want, fact = np.empty(qmax + 1), 1.0
+        for q in range(qmax + 1):
+            if q > 1:
+                fact *= q
+            want[q] = np.sum(w * np.tanh(x) * hermite_eval(q, x)) / fact
+        got = hermite_coefficients(HermiteSpec(CUSTOM, func=np.tanh, qmax=qmax))
+        assert np.array_equal(got, want), qmax
+    for a in (0.0, 0.8):
+        want, fact = np.empty(21), 1.0
+        want[0] = normal_cdf(-a)
+        pdf = np.exp(-a * a / 2.0) / np.sqrt(2.0 * np.pi)
+        for q in range(1, 21):
+            fact *= q
+            want[q] = pdf * hermite_eval(q - 1, a) / fact
+        got = hermite_coefficients(HermiteSpec(INDICATOR, level=a))
+        assert np.array_equal(got, want), a
+
+
+def test_the_spec_fixes_the_length_of_its_expansion():
+    for q in (1, 3, MAX_CHAOS_ORDER):
+        coeffs = hermite_coefficients(HermiteSpec(PURE, q=q))
+        assert len(coeffs) == q + 1 and coeffs[q] == 1.0 and np.count_nonzero(coeffs) == 1
+    assert len(hermite_coefficients(HermiteSpec(INDICATOR, level=0.3))) == 21
+    for qmax in (0, 5, 29):
+        assert len(hermite_coefficients(HermiteSpec(CUSTOM, func=np.tanh, qmax=qmax))) == qmax + 1
+    assert HermiteSpec(CUSTOM, func=np.tanh).qmax == 20
 
 
 def test_hermite_rank():
@@ -140,8 +181,10 @@ def test_spec_validation():
         HermiteSpec("pure")
     with pytest.raises(ModelError):
         HermiteSpec("pure", q=0)
-    with pytest.raises(ModelError):
-        HermiteSpec("pure", q=25)
+    # MAX_CHAOS_ORDER is the one cap on a pure order
+    assert HermiteSpec("pure", q=30).q == 30 == MAX_CHAOS_ORDER
+    with pytest.raises(ModelError, match=r"^q: must be at most 30, got 31$"):
+        HermiteSpec("pure", q=31)
     with pytest.raises(ModelError):
         HermiteSpec("indicator")
     for level in (math.nan, math.inf, -math.inf):
@@ -156,3 +199,24 @@ def test_spec_validation():
         HermiteSpec("pure", q=2, level=0.5)
     with pytest.raises(ModelError, match="func: not a parameter of indicator phi"):
         HermiteSpec("indicator", level=0.0, func=np.tanh)
+
+
+def test_qmax_belongs_to_a_custom_phi_and_is_checked():
+    for qmax, why in (("x", "expected a number, got str"), (-1, "must be at least 0, got -1"),
+                      (2.5, "must be an integer, got 2.5"),
+                      (True, "expected a number, got bool")):
+        with pytest.raises(ModelError) as info:
+            HermiteSpec(CUSTOM, func=np.tanh, qmax=qmax)
+        assert info.value.violations == [("qmax", why)], qmax
+    # past MAX_CHAOS_ORDER no exact variance could take the chaoses
+    with pytest.raises(ModelError, match=r"^qmax: must be at most 30, got 31$"):
+        HermiteSpec(CUSTOM, func=np.tanh, qmax=31)
+    assert HermiteSpec(CUSTOM, func=np.tanh, qmax=30).qmax == 30
+    assert HermiteSpec(CUSTOM, func=np.tanh, qmax=0).qmax == 0
+    assert HermiteSpec(CUSTOM, func=np.tanh, qmax=7.0).qmax == 7
+    for kind, params in ((PURE, {"q": 2}), (INDICATOR, {"level": 0.0})):
+        for qmax in (20, 30):
+            with pytest.raises(ModelError) as info:
+                HermiteSpec(kind, qmax=qmax, **params)
+            assert info.value.violations == [("qmax", f"not a parameter of {kind} phi")]
+        assert HermiteSpec(kind, **params).qmax is None
