@@ -6,29 +6,31 @@ contraction norms of its kernel, the fourth cumulant of the normalized
 functional, the total-variation bound against the Gaussian, the additive
 variance decomposition, gamma quotients, and the rank-reduction ratio.
 
-Two kernels give every exact value.  The lag window (_lag_window): pair
-sums over a window of sizes n_j collapse to lag sums sum_z W(z) g(C(z))
-with W(z) = prod_j (n_j - |z_j|), which factor over separable blocks and
-split binomially over additive ones.  The covariance blocks (_blocks: one
-per factor of a separable model, else the full-lattice matrix) give the
-diagram sums S(a, b, c) of the fourth cumulant (Peccati & Taqqu 2011,
-Wiener Chaos: Moments, Cumulants and Diagrams), one record per block
-(_block_terms), and a model's sums are the products over its blocks:
-kappa_4 Var^2 sums them over the connected 4-vertex diagrams, edge
-multiplicities a, b, c with a + b + c = q.  A diagram with c = 0 is a
-4-cycle, ||f (x)_a f||^2 = trace((A B)^2) with A = M^(.a), B = M^(.b)
-elementwise; one with a, b, c > 0 is a generalized 4-clique.  A 1-D
-factor's M is symmetric Toeplitz, so its 4-cycles come from its first
-column alone, row by row through the displacement recurrence of A B
-(Kailath & Sayed 1995), in O(n^2) time and O(n) memory, and its cliques
-from sums over lag triples, each lag row convolved with the first column
-by real FFTs, in O(n^2 log n) time and O(L) memory per row, L ~ 3n
-(_lag_clique_sum), with no matrix product.  Every other block takes dense
-products, and each block's cliques only within its kernel's budget.
-Every block is persymmetric: C is even, C(z) = C(-z), and reversing the
-point order (J, in axis-major order) negates every lag, so J M J = M, and
-J A J = A for every elementwise power A of M.  Each kernel sums one term
-per symmetry orbit, weighted by the orbit's size:
+Two kernels give every exact value, both from covariance's lag windows
+(_lag_window).  Pair sums over a window of sizes n_j collapse to lag sums
+sum_z W(z) g(C(z)) with W(z) = prod_j (n_j - |z_j|), which factor over
+separable blocks and split binomially over additive ones.  The covariance
+blocks (_blocks: one per factor of a separable model, else the
+full-lattice matrix, each gathered from its window) give the diagram sums
+S(a, b, c) of the fourth cumulant (Peccati & Taqqu 2011, Wiener Chaos:
+Moments, Cumulants and Diagrams), one record per block (_block_terms), and
+a model's sums are the products over its blocks: kappa_4 Var^2 sums them
+over the connected 4-vertex diagrams, edge multiplicities a, b, c with
+a + b + c = q.  A diagram with c = 0 is a 4-cycle, ||f (x)_a f||^2 =
+trace((A B)^2) with A = M^(.a), B = M^(.b) elementwise; one with a, b,
+c > 0 is a generalized 4-clique.  A 1-D factor's M is symmetric Toeplitz,
+so its 4-cycles come from its first column alone, row by row through the
+displacement recurrence of A B (Kailath & Sayed 1995), in O(n^2) time and
+O(n) memory, summed by einsum with no BLAS call whose thread count could
+move their bits, and its cliques from sums over lag triples, each lag row
+convolved with the first column by real FFTs, in O(n^2 log n) time and
+O(L) memory per row, L ~ 3n (_lag_clique_sum), with no matrix product.
+Every other block takes dense products, and each block's cliques only
+within its kernel's budget.  Every block is persymmetric: C is even,
+C(z) = C(-z), and reversing the point order (J, in axis-major order)
+negates every lag, so J M J = M, and J A J = A for every elementwise power
+A of M.  Each kernel sums one term per symmetry orbit, weighted by the
+orbit's size:
   - 4-cycles (_toeplitz_trace_abab): the terms P_ij P_ji of P = A B, over
     the orbits of transposition and of (i, j) -> (n-1-i, n-1-j), on the
     quarter i <= j <= n-1-i of P;
@@ -59,9 +61,9 @@ from .covariance import (
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
-    _grid_vectors,
-    _lag_values,
-    composite_values,
+    _lag_window,
+    _multiplied_out,
+    _window_matrix,
 )
 from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks, dense_covariance_matrix
 from .hermite import (INDICATOR, MAX_CHAOS_ORDER, hermite_coefficients, hermite_rank,
@@ -84,7 +86,6 @@ _TOEPLITZ_LIMIT = 2**15
 #: factorized variances self-check against the direct lag sum on windows
 #: of at most this many lags
 _VAR_CHECK_LAGS = 20_000
-_DIRECT_LAG_LIMIT = 2**24
 
 
 def _check_q(q: int):
@@ -96,47 +97,14 @@ def _check_q(q: int):
         )
 
 
-def _lag_window(model, sizes):
-    """(C(z), W(z)) over every lag z of a window of sizes n_j, in axis-major
-    order: the covariance of ``model`` (a factor or a composite), evaluated
-    once, and the pair weight W(z) = prod_j (n_j - |z_j|).  A separable
-    model's C and W are the outer products of its factors' own windows,
-    the same bits as composite_values on the whole lag grid."""
-    if isinstance(model, CompositeCovariance) and model.structure == SEPARABLE:
-        ends = itertools.accumulate(f.dim for f in model.factors)
-        return _multiplied_out([_lag_window(f, sizes[end - f.dim:end])
-                                for f, end in zip(model.factors, ends)])
-    axes = [np.arange(-(n - 1), n) for n in sizes]
-    lags = _grid_vectors(axes).reshape(-1, len(sizes))
-    weights = None
-    for n, ax in zip(sizes, axes):
-        wa = (n - np.abs(ax)).astype(float)
-        weights = wa if weights is None else np.multiply.outer(weights, wa)
-    evaluate = _lag_values if isinstance(model, FactorCovariance) else composite_values
-    return evaluate(model, lags), weights.ravel()
-
-
-def _multiplied_out(parts):
-    """A separable model's (C, W) window from its factors' own windows: the
-    outer products of their C and of their W, in axis-major order."""
-    return tuple(functools.reduce(np.multiply.outer, window).ravel() for window in zip(*parts))
-
-
 def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g, window=None) -> float:
     """sum_z W(z) g(C(z)) over every window lag z, g acting elementwise on
     the covariance values, from ``window`` when given (the _lag_window of
-    cov, already built); ModelError past _DIRECT_LAG_LIMIT lags.  C is even
-    and the window's lags run symmetrically about z = 0, its middle entry,
-    so g is evaluated up to z = 0 and mirrored."""
-    sizes = lattice.all_sizes
-    count = math.prod(2 * n - 1 for n in sizes)
-    if count > _DIRECT_LAG_LIMIT:
-        raise ModelError(
-            f"direct lag sum over {count} lags is too large; "
-            "use a factorized structure or a smaller window"
-        )
-    values, weights = _lag_window(cov, sizes) if window is None else window
-    half = g(values[:count // 2 + 1])
+    cov, already built).  C is even and the window's lags run symmetrically
+    about z = 0, its middle entry, so g is evaluated up to z = 0 and
+    mirrored."""
+    values, weights = _lag_window(cov, lattice.all_sizes) if window is None else window
+    half = g(values[:values.size // 2 + 1])
     return float(np.sum(weights * np.concatenate((half, half[-2::-1]))))
 
 
@@ -242,9 +210,9 @@ def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
 
 
 def _factor_block(factor: FactorCovariance, sizes) -> np.ndarray:
-    """A factor's covariance over its block window: the first column of its
-    Toeplitz matrix in 1-D (_TOEPLITZ_LIMIT points), else the dense matrix
-    (DENSE_LIMIT points)."""
+    """A factor's covariance over its block window, from its lag window: in
+    1-D the Toeplitz matrix's first column, lags 0 .. n-1 (_TOEPLITZ_LIMIT
+    points), else the dense matrix (DENSE_LIMIT points)."""
     n = math.prod(sizes)
     limit = _TOEPLITZ_LIMIT if len(sizes) == 1 else DENSE_LIMIT
     if n > limit:
@@ -252,10 +220,8 @@ def _factor_block(factor: FactorCovariance, sizes) -> np.ndarray:
             f"contraction norms are capped at {limit} points per factor "
             f"({n} requested)"
         )
-    if len(sizes) == 1:
-        return _lag_values(factor, np.arange(n, dtype=float)[:, None])
-    comp = CompositeCovariance(SEPARABLE, (factor,))
-    return dense_covariance_matrix(comp, LatticeSpec((tuple(sizes),)))
+    values = _lag_window(factor, sizes)[0]
+    return values[n - 1:] if len(sizes) == 1 else _window_matrix(values, sizes)
 
 
 def _trace_abab(m: np.ndarray, q: int, r: int) -> float:
@@ -269,8 +235,12 @@ def _trace_abab(m: np.ndarray, q: int, r: int) -> float:
 
 
 def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x for the symmetric Toeplitz T with first column ``col``."""
-    return np.convolve(np.concatenate((col[:0:-1], col)), x, "valid")
+    """T x for the symmetric Toeplitz T with first column ``col``: T is the
+    window matrix of (col reversed, col), summed by einsum, not by BLAS,
+    whose dot products (np.convolve's too) move their last bits with the
+    thread count past about 10 000 elements."""
+    rows = _window_matrix(np.concatenate((col[:0:-1], col)), (len(col),)).T  # T, rows forward
+    return np.einsum("ij,j", rows, x)
 
 
 def _mirror_sum(terms, n: int) -> float:
@@ -284,12 +254,15 @@ def _displacement_rows(a: np.ndarray, b: np.ndarray, first_row: np.ndarray):
     """Rows i < n/2 of P = A B on columns i .. n-1-i, for symmetric Toeplitz
     A and B with first columns a and b, from P's first row by the
     displacement recurrence P[i, j] = P[i-1, j-1] + a(i) b(j) - a(n-i) b(n-j):
-    row i takes row i-1 but its last two entries."""
+    row i takes row i-1 but its last two entries.  Each row is updated in
+    place in ``first_row``, so a yielded row holds only until the next."""
     n = len(a)
-    row = first_row
+    row, scaled = first_row, np.empty_like(first_row)
     yield row
     for i in range(1, (n + 1) // 2):
-        row = row[:-2] + a[i] * b[i:n - i] - a[n - i] * b[n - i:i:-1]
+        row, term = row[:-2], scaled[:len(row) - 2]
+        np.add(row, np.multiply(a[i], b[i:n - i], out=term), out=row)
+        np.subtract(row, np.multiply(a[n - i], b[n - i:i:-1], out=term), out=row)
         yield row
 
 
@@ -300,8 +273,9 @@ def _toeplitz_trace_abab(col: np.ndarray, q: int, r: int) -> float:
     is fixed by transposition and, as A and B are persymmetric (J P J = J A
     J J B J = P), by (i, j) -> (n-1-i, n-1-j).  So only i <= j <= n-1-i is
     summed, row by row: four times the orbit inside, twice the diagonal and
-    the anti-diagonal ends, and once the centre when n is odd.  Like
-    _trace_abab it computes from r <= q/2."""
+    the anti-diagonal ends, and once the centre when n is odd, each row
+    summed by einsum, with no BLAS call.  Like _trace_abab it computes from
+    r <= q/2."""
     r = min(r, q - r)
     a = col**r
     n = len(col)
@@ -313,7 +287,7 @@ def _toeplitz_trace_abab(col: np.ndarray, q: int, r: int) -> float:
                     _displacement_rows(b, a, _toeplitz_matvec(a, b)))
     inner, ends = [], []
     for p, t in pairs:
-        inner.append(p[1:-1] @ t[1:-1])
+        inner.append(np.einsum("i,i", p[1:-1], t[1:-1]))
         ends.append(p[0] * t[0] + (p[-1] * t[-1] if len(p) > 1 else 0.0))
     centre = ends.pop() if n % 2 else 0.0
     return float(4 * sum(inner) + 2 * sum(ends) + centre)

@@ -17,9 +17,15 @@ metadata the regime classifier needs: the power-law decay exponent of the
 tail and a nonnegativity flag; a tabulated factor carries neither, and
 the classifier refuses it.  The regular-variation spectral hypothesis of
 the long-memory limit is taken as granted for every closed-form family.
+The lag window (_lag_window) is the one place a covariance is evaluated
+over a lattice, the embedding grid aside: C once per lag, under one cap;
+every dense lattice matrix is gathered from it (_window_matrix).
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
@@ -230,8 +236,10 @@ def _norm_values(model: FactorCovariance, r):
 def _grid_vectors(axes) -> np.ndarray:
     """Every combination of the per-axis values in axis-major order, as
     float vectors: shape (len(axes[0]), ..., len(axes[-1]), len(axes))."""
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.astype(float) for g in grids], axis=-1)
+    out = np.empty([len(a) for a in axes] + [len(axes)])
+    for j, a in enumerate(axes):
+        out[..., j] = np.reshape(a, [-1 if k == j else 1 for k in range(len(axes))])
+    return out
 
 
 def _lag_values(model: FactorCovariance, lags):
@@ -326,6 +334,49 @@ def gneiting_sandwich(cov: CompositeCovariance, lag, domain_diameter2: float):
     lower = c2v * float(_norm_values(c1, r1))
     upper = c2v * float(_norm_values(c1, r1 * c2_floor ** (2.0 / c1.dim)))
     return lower, upper
+
+
+#: the most lags a window may hold: 128 MB for its covariance values
+_DIRECT_LAG_LIMIT = 2**24
+
+
+def _lag_window(model, sizes):
+    """(C(z), W(z)) over every lag z of a window of sizes n_j, in axis-major
+    order: ``model``'s covariance (a factor or a composite), evaluated once
+    per lag, and the pair weight W(z) = prod_j (n_j - |z_j|); ModelError
+    past _DIRECT_LAG_LIMIT lags, before anything is allocated.  A separable
+    model's C and W are the outer products of its factors' own windows,
+    the same bits as composite_values on the whole lag grid."""
+    count = math.prod(2 * n - 1 for n in sizes)
+    if count > _DIRECT_LAG_LIMIT:
+        raise ModelError(f"a lag window of {count} lags exceeds the cap of "
+                         f"{_DIRECT_LAG_LIMIT}; use a factorized structure or a smaller window")
+    if isinstance(model, CompositeCovariance) and model.structure == SEPARABLE:
+        ends = itertools.accumulate(f.dim for f in model.factors)
+        return _multiplied_out([_lag_window(f, sizes[end - f.dim:end])
+                                for f, end in zip(model.factors, ends)])
+    axes = [np.arange(1 - n, n, dtype=float) for n in sizes]
+    weights = functools.reduce(np.multiply.outer, [n - np.abs(ax) for n, ax in zip(sizes, axes)])
+    evaluate = _lag_values if isinstance(model, FactorCovariance) else composite_values
+    return evaluate(model, _grid_vectors(axes).reshape(-1, len(sizes))), weights.ravel()
+
+
+def _multiplied_out(parts):
+    """A separable model's (C, W) window from its factors' own windows: the
+    outer products of their C and of their W, in axis-major order."""
+    return tuple(functools.reduce(np.multiply.outer, window).ravel() for window in zip(*parts))
+
+
+def _window_matrix(values, sizes) -> np.ndarray:
+    """M[i, j] = C(p_i - p_j) over the N points p of a window of sizes n_j,
+    axis-major, from its lag window's values C(z): a read-only view of the
+    grid of lags from lag 0, forward along p_i and backward along p_j, so
+    every entry's lag p_i - p_j lies inside the grid."""
+    grid = np.reshape(values, [2 * n - 1 for n in sizes])
+    origin = grid[tuple(slice(n - 1, None) for n in sizes)]
+    steps = grid.strides + tuple(-s for s in grid.strides)
+    view = np.lib.stride_tricks.as_strided(origin, (*sizes, *sizes), steps, writeable=False)
+    return view.reshape(math.prod(sizes), -1)
 
 
 # ---------------------------------------------------------------------------

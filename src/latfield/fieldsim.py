@@ -11,8 +11,9 @@ first read (functionals sums a pure Hermite functional from the block
 fields alone).
 Only Gneiting and isotropic models embed the full covariance into one
 multidimensional circulant.  If an embedding spectrum stays negative after
-bounded doubling, small lattices fall back to a dense Cholesky factor;
-larger ones fail loudly.
+bounded doubling, small lattices fall back to a dense Cholesky factor of
+the covariance matrix, gathered from the covariance's lag window; larger
+ones fail loudly.
 
 Draws are counter-based: each field is a pure function of
 (seed, replicate_id), independent of thread schedule.  Circulant draws come
@@ -54,9 +55,9 @@ from .covariance import (
     ADDITIVE,
     SEPARABLE,
     CompositeCovariance,
-    _grid_vectors,
+    _lag_window,
+    _window_matrix,
     composite_embedding_values,
-    composite_values,
     embedding_spectrum,
     nonnegative_spectrum,
 )
@@ -184,15 +185,13 @@ def _check_blocks(cov: CompositeCovariance, lattice: LatticeSpec):
 
 
 def dense_covariance_matrix(cov: CompositeCovariance, lattice: LatticeSpec) -> np.ndarray:
-    """Covariance matrix over all lattice points (n_total <= DENSE_LIMIT)."""
+    """Covariance matrix over all lattice points (n_total <= DENSE_LIMIT),
+    gathered from the covariance's lag window: C is evaluated once per lag."""
     if lattice.n_total > DENSE_LIMIT:
         raise ModelError(f"dense covariance capped at {DENSE_LIMIT} points")
-    pts = _grid_vectors([np.arange(n) for n in lattice.all_sizes]).reshape(lattice.n_total, -1)
-    out = np.empty((len(pts), len(pts)))
-    for i in range(0, len(pts), 256):
-        chunk = pts[i : i + 256]
-        out[i : i + 256] = composite_values(cov, chunk[:, None, :] - pts[None, :, :])
-    return out
+    _check_blocks(cov, lattice)
+    sizes = lattice.all_sizes
+    return np.ascontiguousarray(_window_matrix(_lag_window(cov, sizes)[0], sizes))
 
 
 def _dense_factor(cov, lattice):

@@ -79,6 +79,10 @@ def check_config_fields(fields: dict):
         totals = [l.n_total for l in ladder]
         if any(b <= a for a, b in zip(totals, totals[1:])):
             violations.append(("lattice.ladder", "must be strictly increasing in n_total"))
+        blocks = covariance.blocks if isinstance(covariance, CompositeCovariance) else None
+        violations += [(f"lattice.ladder[{i}]", f"has block dims {rung.block_dims}, but the "
+                                                f"covariance has blocks {blocks}")
+                       for i, rung in enumerate(ladder) if blocks not in (None, rung.block_dims)]
     replicates = checked["replicates"] = checked_number(
         violations, "replicates", fields["replicates"], kind=int, minimum=1)
     seed = checked["seed"] = checked_number(violations, "seed", fields["seed"],

@@ -16,15 +16,15 @@ from typing import Optional
 import numpy as np
 
 from ._errors import ModelError, checked_number, refuse
-from .chaoscalc import _DIRECT_LAG_LIMIT, _lag_window
 from .covariance import (
     ADDITIVE,
     GNEITING,
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
-    _lag_values,
+    _lag_window,
     decay_exponent,
+    eval_factor,
     is_nonnegative,
     summable_at_power,
 )
@@ -76,8 +76,7 @@ def _tail_estimate(factor: FactorCovariance, radius: int, q: int) -> float:
     d = factor.dim
     if s * q <= d:
         return math.inf
-    edge = abs(float(_lag_values(factor, np.array([[radius] + [0] * (d - 1)],
-                                                  dtype=float))[0]))
+    edge = abs(eval_factor(factor, (radius,) + (0,) * (d - 1)))
     return 2.0**d * d * edge**q * radius**d / (s * q - d)
 
 
@@ -86,7 +85,7 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
 
     Every factor must be summable at the rank R of the coefficients;
     otherwise the defining series diverges and the factor is named in the
-    error.
+    error.  Each factor's box is its lag window, under the one lag cap.
     """
     violations = []
     radius = checked_number(violations, "radius", radius, kind=int, minimum=0)
@@ -105,14 +104,10 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
                 f"factor {i} ({factor.family}) is not summable at power "
                 f"{rank}: the limiting variance diverges"
             )
-    boxes = []  # C(z) for |z_j| <= radius: the lags of a (radius + 1)-point window
-    for factor in factors:
-        count = (2 * radius + 1) ** factor.dim
-        if count > _DIRECT_LAG_LIMIT:
-            raise ModelError(
-                f"lag box with {count} points is too large; reduce the radius"
-            )
-        boxes.append(_lag_window(factor, (radius + 1,) * factor.dim)[0])
+    try:  # C(z) for |z_j| <= radius: the lags of a (radius + 1)-point window
+        boxes = [_lag_window(factor, (radius + 1,) * factor.dim)[0] for factor in factors]
+    except ModelError as exc:  # past the lag cap
+        raise ModelError(f"the lag box of radius {radius}: {exc}") from None
     value = 0.0
     tail = 0.0
     for q in range(rank, len(coeffs)):

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -564,7 +565,10 @@ def test_transform_length_is_the_next_product_of_twos_and_threes():
 
 def test_fourth_cumulant_does_not_depend_on_the_blas_thread_count():
     # exact kappa_4 at q = 3 and 4 takes both factors' lag-triple cliques,
-    # one side summed twice at (1, 1, 1) and both sides at (2, 1, 1)
+    # one side summed twice at (1, 1, 1) and both sides at (2, 1, 1); a
+    # 12 000-point factor's 4-cycles take rows longer than the dot products
+    # OpenBLAS keeps on one thread (about 10 000 elements), and past the
+    # clique budget kappa_4 is their flagged majorant at q = 3
     code = "\n".join((
         "from latfield.chaoscalc import fourth_cumulant",
         "from latfield.covariance import SEPARABLE, CompositeCovariance, FactorCovariance",
@@ -573,6 +577,9 @@ def test_fourth_cumulant_does_not_depend_on_the_blas_thread_count():
         "                                      FactorCovariance('fgn', hurst=0.3)))",
         "for q in (3, 4):",
         "    print(repr(fourth_cumulant(cov, LatticeSpec(((512,), (32,))), q)))",
+        "long = CompositeCovariance(SEPARABLE, (FactorCovariance('fgn', hurst=0.7),))",
+        "for q in (2, 3):",
+        "    print(repr(fourth_cumulant(long, LatticeSpec(((12000,),)), q)))",
     ))
     src = str(Path(__file__).parents[1] / "src")
     outs = []
@@ -582,7 +589,7 @@ def test_fourth_cumulant_does_not_depend_on_the_blas_thread_count():
         outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                    text=True, check=True).stdout)
     assert outs[0] == outs[1]
-    assert [line.endswith(", True)") for line in outs[0].splitlines()] == [True, True]
+    assert [line.endswith(", True)") for line in outs[0].splitlines()] == [True, True, True, False]
 
 
 def test_variances_build_each_factor_window_once(monkeypatch):
@@ -824,6 +831,29 @@ def test_gamma_quotient():
     gammas = np.array([gamma_quotient(cauchy, (int(n),), 2).exact for n in ns])
     slope = np.polyfit(np.log(ns), np.log(gammas), 1)[0]
     assert slope == pytest.approx(-2.0 * beta, abs=0.1)
+
+
+def test_an_oversized_window_is_refused_before_it_is_allocated():
+    # a 100 000 x 100 000 block has about 4e10 lags, 298 GiB of values:
+    # every window is capped in one place, before any array is built
+    cauchy = FactorCovariance(CAUCHY, exponent=0.5, dim=2)
+    big = (100_000, 100_000)
+    additive = CompositeCovariance(ADDITIVE, (cauchy, FactorCovariance(FGN, hurst=0.7)),
+                                   weights=(0.5, 0.5))
+    calls = {
+        "gamma_quotient": lambda: gamma_quotient(cauchy, big, 2),
+        "variance_hermite": lambda: variance_hermite(_sep(cauchy), LatticeSpec((big,)), 2),
+        "additive_variance": lambda: additive_variance(additive, LatticeSpec((big, (10,))), 2),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match="exceeds the cap"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, name
 
 
 def test_chaos_report(monkeypatch):

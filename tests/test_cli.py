@@ -519,6 +519,24 @@ def test_a_label_must_be_a_plain_file_name(tmp_path, capsys, label):
     assert written == ["work", "work/cfg.yaml"]
 
 
+def test_a_rung_must_have_the_covariance_block_layout(tmp_path, capsys):
+    # a second rung of two 1-D blocks under a one-block covariance: every
+    # command refuses the config at parse time, naming the rung
+    smoke = (Path(__file__).resolve().parents[1] / "configs" / "smoke.yaml").read_text()
+    text = smoke.replace("    - [128]\n", "    - [128, 5]\n")
+    assert text != smoke
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.violations == [
+        "lattice.ladder[1]: has block dims (1, 1), but the covariance has blocks (1,)"]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    for command in ("experiment", "validate", "chaos", "classify"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, command
+        assert "  lattice.ladder[1]: has block dims" in capsys.readouterr().err, command
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_command_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINIMAL)

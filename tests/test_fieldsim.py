@@ -1,5 +1,6 @@
 """Sampling: method selection, exactness certificates, and MC covariance checks."""
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +44,7 @@ from latfield.fieldsim import (
     draw,
     draw_pairs,
 )
+from latfield.oracle import lattice_covariance_matrix
 
 FGN_075_LAG1 = 0.41421356237309515  # sqrt(2) - 1
 
@@ -768,6 +770,34 @@ def test_block_mismatch_rejected():
     cov = _separable(FactorCovariance(FGN, hurst=0.6))
     with pytest.raises(ModelError):
         build_sampler(cov, LatticeSpec(((8,), (8,))))
+
+
+_WINDOW_MODELS = {
+    "separable 2-D factor": _separable(FactorCovariance(FGN, hurst=0.3),
+                                       FactorCovariance(CAUCHY, dim=2, exponent=0.5)),
+    "gneiting": CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=0.3),
+                                               FactorCovariance(CAUCHY, exponent=1.0))),
+    "isotropic": CompositeCovariance(ISOTROPIC, (FactorCovariance(CAUCHY, dim=2, exponent=0.8),),
+                                     block_dims=(1, 1)),
+    "additive": _ADDITIVE_2D,
+    "skew table": _separable(_diagonal_moving_average()),
+}
+#: axis sizes with odd, even and 1-point axes, per total dim
+_WINDOW_SHAPES = {2: [(1, 1), (5, 4), (1, 7), (6, 1), (3, 8)],
+                  3: [(1, 1, 1), (5, 4, 1), (1, 6, 3), (4, 3, 2)]}
+
+
+@pytest.mark.parametrize("case, shape", [
+    (case, shape) for case, cov in _WINDOW_MODELS.items()
+    for shape in _WINDOW_SHAPES[cov.total_dim]])
+def test_dense_matrix_is_the_pointwise_oracle_matrix(case, shape):
+    # gathered from the lag window, each entry has the bits of the
+    # covariance evaluated at its own point pair
+    cov = _WINDOW_MODELS[case]
+    ends = list(itertools.accumulate(cov.blocks))
+    lattice = LatticeSpec(tuple(shape[end - d:end] for d, end in zip(cov.blocks, ends)))
+    np.testing.assert_array_equal(dense_covariance_matrix(cov, lattice),
+                                  lattice_covariance_matrix(cov, lattice))
 
 
 def test_dense_matrix_matches_pointwise_eval():

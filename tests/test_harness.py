@@ -10,7 +10,7 @@ try:
 except ImportError:  # not a POSIX platform
     resource = None
 
-from latfield import chaoscalc, fieldsim, harness
+from latfield import chaoscalc, covariance, fieldsim, harness
 from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import fourth_cumulant, variance_hermite, variance_phi
 from latfield.covariance import (
@@ -436,7 +436,7 @@ def test_empirical_fallback_is_flagged(monkeypatch):
     assert unlimited.variance_source == "exact"
     assert unlimited.exact_variance == variance_hermite(cov, big, 2)
 
-    monkeypatch.setattr(chaoscalc, "_DIRECT_LAG_LIMIT", 2**18)
+    monkeypatch.setattr(covariance, "_DIRECT_LAG_LIMIT", 2**18)
     result = run_experiment(config)
     exact_rung, empirical_rung = result.rungs
     assert exact_rung.variance_source == "exact"
