@@ -9,35 +9,33 @@ variance decomposition, gamma quotients, and the rank-reduction ratio.
 Two kernels give every exact value, both from covariance's lag windows
 (_lag_window).  Pair sums over a window of sizes n_j collapse to lag sums
 sum_z W(z) g(C(z)) with W(z) = prod_j (n_j - |z_j|), which factor over
-separable blocks and split binomially over additive ones.  The covariance
-blocks (_blocks: one per factor of a separable model, else the
-full-lattice matrix, each gathered from its window) give the diagram sums
-S(a, b, c) of the fourth cumulant (Peccati & Taqqu 2011, Wiener Chaos:
-Moments, Cumulants and Diagrams), one record per block (_block_terms), and
-a model's sums are the products over its blocks: kappa_4 Var^2 sums them
-over the connected 4-vertex diagrams, edge multiplicities a, b, c with
-a + b + c = q.  A diagram with c = 0 is a 4-cycle, ||f (x)_a f||^2 =
-trace((A B)^2) with A = M^(.a), B = M^(.b) elementwise; one with a, b,
-c > 0 is a generalized 4-clique.  A 1-D factor's M is symmetric Toeplitz,
-so its 4-cycles come from its first column alone, row by row through the
-displacement recurrence of A B (Kailath & Sayed 1995), in O(n^2) time and
-O(n) memory, summed by einsum with no BLAS call whose thread count could
-move their bits, and its cliques from sums over lag triples, each lag row
-convolved with the first column by real FFTs, in O(n^2 log n) time and
-O(L) memory per row, L ~ 3n (_lag_clique_sum), with no matrix product.
-Every other block takes dense products, and each block's cliques only
-within its kernel's budget.  Every block is persymmetric: C is even,
-C(z) = C(-z), and reversing the point order (J, in axis-major order)
-negates every lag, so J M J = M, and J A J = A for every elementwise power
-A of M.  Each kernel sums one term per symmetry orbit, weighted by the
-orbit's size:
+separable blocks and split binomially over additive ones.  The blocks
+(_blocks: one per factor of a separable model, else the full lattice, each
+as its lag window) give the diagram sums S(a, b, c) of the fourth cumulant
+(Peccati & Taqqu 2011, Wiener Chaos: Moments, Cumulants and Diagrams), one
+record per block (_block_terms), and a model's sums are the products over
+its blocks: kappa_4 Var^2 sums them over the connected 4-vertex diagrams,
+edge multiplicities a, b, c with a + b + c = q.  A diagram with c = 0 is a
+4-cycle, ||f (x)_a f||^2 = trace((A B)^2) with A = M^(.a), B = M^(.b)
+elementwise; one with a, b, c > 0 is a generalized 4-clique.  A 1-D
+block's M is symmetric Toeplitz, so its 4-cycles come from its first
+column alone, row by row through the displacement recurrence of A B
+(Kailath & Sayed 1995), in O(n^2) time and O(n) memory, summed by einsum
+with no BLAS call whose thread count could move their bits; any other
+block's take dense products of the matrix gathered from its window
+(_window_matrix).  Every block is stationary on its lattice, so its
+cliques are one sum over lag triples in any dimension (_lag_clique_sum),
+each lag row a few forward real FFTs of the window, with no matrix
+product, within one budget on that kernel's work (_clique_cost).  Every
+block is persymmetric: C is even, C(z) = C(-z), and reversing the point
+order (J, in axis-major order) negates every lag, so J M J = M, and J A J
+= A for every elementwise power A of M.  Each kernel but the dense 4-cycle
+sums one term per symmetry orbit, weighted by the orbit's size:
   - 4-cycles (_toeplitz_trace_abab): the terms P_ij P_ji of P = A B, over
     the orbits of transposition and of (i, j) -> (n-1-i, n-1-j), on the
     quarter i <= j <= n-1-i of P;
-  - dense cliques (_clique_sum): the per-point terms, over the pairs
-    {u, N-1-u};
-  - lag-triple cliques (_lag_clique_sum): the lag triples, over the pairs
-    {d, -d}, and when b = c over the exchange of d2 and d3 too.
+  - cliques (_lag_clique_sum): the lag triples, over the pairs {d, -d}, and
+    their row terms over the exchange of d2 and d3.
 
 The excursion indicator 1{x >= a} has every chaos, so its variance is not
 summed by chaos: it is the lag sum of the bivariate normal orthant excess
@@ -61,25 +59,25 @@ from .covariance import (
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
+    _checked_sizes,
     _lag_window,
     _multiplied_out,
     _window_matrix,
 )
-from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks, dense_covariance_matrix
+from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks
 from .hermite import (INDICATOR, MAX_CHAOS_ORDER, hermite_coefficients, hermite_rank,
                       phi_second_moment)
 
-#: clique budget of a dense block (a multi-D factor or a full lattice): n
-#: points take their t(q) clique diagrams, n^4 each, when t(q) n^4 <=
-#: CLIQUE_LIMIT^4 (n <= 256 at q = 3 and 4)
-CLIQUE_LIMIT = 256
-#: clique budget of a 1-D factor, n^3 lag triples per clique: t(q) n^3 <=
-#: _LAG_CLIQUE_LIMIT^3 (n <= 1024 at q = 3 and 4).  Their FFT sum takes
-#: O(n^2 log n): one clique sum at n = 1024 takes about 0.09 s and 3 MB on
-#: 2 CPUs (0.33 s and 40 MB as matrix products), about 5 ms at n = 256
-_LAG_CLIQUE_LIMIT = 1024
-#: points per block of the lag-triple clique sum: its rows (u, and v when
-#: b != c) times the transform length, about 37 bytes each in its buffer
+#: clique budget of one block: its t(q) clique sums are taken when
+#: _clique_cost(sizes, q) <= _CLIQUE_BUDGET.  It is the smallest budget
+#: that keeps exact, at q <= 6, every block of at most 3 axes and
+#: DENSE_LIMIT points that the earlier two kept exact (t(q) n^3 <= 1024^3
+#: for a 1-D factor, t(q) N^4 <= 256^4 for any other block): a 5x5x7
+#: block at q = 6 binds it.  At q = 3 and 4 it reaches 5335 points in 1-D,
+#: 35x35 in 2-D and 6x6x6 in 3-D
+_CLIQUE_BUDGET = 262_268_928
+#: transformed points per batch of lag rows in the clique sum: rows times
+#: transforms per row times the transform size
 _LAG_CLIQUE_POINTS = 2**16
 #: largest 1-D factor whose 4-cycles are summed, O(n^2) each
 _TOEPLITZ_LIMIT = 2**15
@@ -209,21 +207,6 @@ def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
 # contraction norms
 
 
-def _factor_block(factor: FactorCovariance, sizes) -> np.ndarray:
-    """A factor's covariance over its block window, from its lag window: in
-    1-D the Toeplitz matrix's first column, lags 0 .. n-1 (_TOEPLITZ_LIMIT
-    points), else the dense matrix (DENSE_LIMIT points)."""
-    n = math.prod(sizes)
-    limit = _TOEPLITZ_LIMIT if len(sizes) == 1 else DENSE_LIMIT
-    if n > limit:
-        raise ModelError(
-            f"contraction norms are capped at {limit} points per factor "
-            f"({n} requested)"
-        )
-    values = _lag_window(factor, sizes)[0]
-    return values[n - 1:] if len(sizes) == 1 else _window_matrix(values, sizes)
-
-
 def _trace_abab(m: np.ndarray, q: int, r: int) -> float:
     """trace((AB)^2) with A = M^(.r), B = M^(.(q-r)), from r <= q/2, so r
     and q - r give the same bits (trace((AB)^2) = trace((BA)^2)); power 1
@@ -241,13 +224,6 @@ def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
     thread count past about 10 000 elements."""
     rows = _window_matrix(np.concatenate((col[:0:-1], col)), (len(col),)).T  # T, rows forward
     return np.einsum("ij,j", rows, x)
-
-
-def _mirror_sum(terms, n: int) -> float:
-    """sum_{i < n} T(i) for T(i) = T(n-1-i), from its first ceil(n/2) terms:
-    twice those below the middle, plus the middle term when n is odd."""
-    half = n // 2
-    return float(2 * sum(terms[:half]) + sum(terms[half:]))
 
 
 def _displacement_rows(a: np.ndarray, b: np.ndarray, first_row: np.ndarray):
@@ -299,28 +275,6 @@ def _clique_triples(q: int):
             if 1 <= q - a - b <= b]
 
 
-def _clique_sum(matrix: np.ndarray, triple) -> float:
-    """S(a, b, c) = sum over point 4-tuples (i, j, k, l) of A_ij A_kl B_ik
-    B_jl C_il C_jk with A, B, C = M^(.a), M^(.b), M^(.c): sum_u T(u), T(u) =
-    trace(P Q R) with P = diag(A_u.) C, Q = diag(B_u.) A, R = diag(C_u.) B
-    (one matrix at a = b = c), in buffers reused for every u, as fresh
-    temporaries fault their pages in again whenever the allocator returns
-    them to the OS.  M is persymmetric (J M J = M, as C is even), so
-    relabelling every point i as N-1-i gives T(u) = T(N-1-u), and u runs
-    over the first ceil(N/2) points only."""
-    a, b, c = triple
-    n = len(matrix)
-    power = {k: matrix if k == 1 else matrix**k for k in triple}
-    scaled = {key: np.empty_like(matrix) for key in {(a, c), (b, a), (c, b)}}
-    pq, terms = np.empty_like(matrix), []
-    for u in range((n + 1) // 2):
-        for (x, y), out in scaled.items():
-            np.multiply(power[x][:, u, None], power[y], out=out)
-        terms.append(float(np.einsum("ij,ji->", np.matmul(scaled[a, c], scaled[b, a], out=pq),
-                                     scaled[c, b])))
-    return _mirror_sum(terms, n)
-
-
 @functools.lru_cache
 def _transform_length(m: int) -> int:
     """The smallest L >= m whose only prime factors are 2 and 3."""
@@ -330,100 +284,208 @@ def _transform_length(m: int) -> int:
     return best
 
 
-def _lag_clique_sum(col: np.ndarray, triple) -> float:
-    """_clique_sum of the symmetric Toeplitz M with first column ``col``,
-    over lag triples in O(n^2 log n): with j, k, l = i + d1, i + d2, i + d3,
+def _clique_axes(sizes) -> tuple:
+    """The axes the lag-triple clique sum runs over: a block's axes longer
+    than one point (an axis of one point has the one lag 0 and weight 1)."""
+    return tuple(n for n in sizes if n > 1) or (1,)
+
+
+def _clique_cost(sizes, q: int) -> int:
+    """The work of a block's t(q) lag-triple clique sums, in transformed
+    points: t(q) rows 3^D prod_a L_a, over its half lag grid's rows and the
+    3^D transforms of length L_a = _transform_length(3 n_a - 2) per row."""
+    sizes = _clique_axes(sizes)
+    rows = (math.prod(2 * n - 1 for n in sizes) + 1) // 2
+    return (len(_clique_triples(q)) * rows * 3 ** len(sizes)
+            * math.prod(_transform_length(3 * n - 2) for n in sizes))
+
+
+@functools.lru_cache
+def _clique_terms(dim: int):
+    """The terms (orthant, f, g) of one lag row of the clique sum in ``dim``
+    axes: on each axis the side d3 >= d2 gives the weightings (f, g) = (1,
+    P) or (Q, 1) of (d2, d3) and the side d3 <= d2 gives (P, 1) or (1, Q),
+    a weighting digit being 0 for 1, 1 for P and 2 for Q.  The first axis
+    takes the side d3 >= d2 only, and ``orthant`` numbers the sides of the
+    others (see _lag_clique_sum)."""
+    sides = (((0, 1), (2, 0)), ((1, 0), (0, 2)))
+    terms = []
+    for orthant, signs in enumerate(itertools.product((0, 1), repeat=dim - 1)):
+        for pick in itertools.product((0, 1), repeat=dim):
+            f, g = zip(*(sides[s][p] for s, p in zip((0, *signs), pick)))
+            terms.append((orthant, f, g))
+    return terms
+
+
+@functools.lru_cache(maxsize=16)
+def _clique_plan(sizes):
+    """What the clique sum takes from a block's sizes (_clique_axes) alone,
+    shared, read only, by every call on that shape:
+      - the transform lengths L_a;
+      - the index z mod L_a of each window lag z in a grid of the lengths;
+      - the orthant masks of the kernel spectra: z_a >= 0 on the first
+        axis, z_a >= 0 or z_a <= 0 on each other, lag 0 halved on each;
+      - the weight of each bin of a half-spectrum sum that is a Parseval
+        inner product: 2 / prod_a L_a, halved at bin 0 and the Nyquist bin;
+      - per axis, n - z and z over the window lags z, and n - max(0, d1)
+        and min(0, d1) over the rows d1 of the half lag grid (P_a and Q_a
+        are their minima);
+      - per axis, the start n - 1 - d1 of each row's shifted window."""
+    widths = tuple(2 * n - 1 for n in sizes)
+    lengths = tuple(_transform_length(3 * n - 2) for n in sizes)
+    wrap = np.ix_(*(np.arange(1 - n, n) % length for n, length in zip(sizes, lengths)))
+    halves = []
+    for n, length in zip(sizes, lengths):
+        plus = np.zeros(length)
+        plus[:n] = 1.0
+        plus[0] = 0.5
+        halves.append((plus, plus[-np.arange(length)]))  # z >= 0, z <= 0
+    masks = np.stack([functools.reduce(np.multiply.outer, (halves[0][0], *(
+        half[sign] for half, sign in zip(halves[1:], signs))))
+        for signs in itertools.product((0, 1), repeat=len(sizes) - 1)])
+    bins = np.full(lengths[-1] // 2 + 1, 2.0 / math.prod(lengths))
+    bins[0] /= 2
+    if lengths[-1] % 2 == 0:
+        bins[-1] /= 2
+    count = math.prod(widths)
+    index = np.unravel_index(np.arange(count // 2, count), widths)  # row d1 at i - (n - 1)
+    bounds = [(n - lag, lag, (n - np.maximum(i - (n - 1), 0)).astype(float),
+               np.minimum(i - (n - 1), 0).astype(float))
+              for n, i, lag in zip(sizes, index, (np.arange(1 - n, n, dtype=float) for n in sizes))]
+    starts = tuple(w - 1 - i for w, i in zip(widths, index))
+    return lengths, wrap, masks, bins, bounds, starts
+
+
+def _lag_clique_sum(values: np.ndarray, sizes, triple) -> float:
+    """S(a, b, c) = sum over point 4-tuples (i, j, k, l) of A_ij A_kl B_ik
+    B_jl C_il C_jk, with A, B, C = M^(.a), M^(.b), M^(.c) on a block of
+    sizes n_a, from its lag window ``values`` (axis-major, _lag_window),
+    over lag triples: with j, k, l = i + d1, i + d2, i + d3 (lag vectors),
 
         S = sum_d W(d) al(d1) al(d3 - d2) be(d2) be(d3 - d1) ga(d3) ga(d2 - d1)
 
-    for al, be, ga = col^a, col^b, col^c (zero past lag n - 1) and W = n -
-    (max - min of {0, d1, d2, d3}), the number of points i that keep all
-    four in the block.  Negating every lag fixes each term, so only d1 >= 0
-    is summed, twice for d1 > 0.  For fixed d1 >= 0, u(d2) = be(d2) ga(d2 -
-    d1) and v(d3) = ga(d3) be(d3 - d1) on the lags -(n-1) .. n-1: on d3 >=
-    d2, W = n - max(d1, d3) + min(0, d2), and on d3 <= d2 the same with d2
-    and d3 exchanged.  With g = (al(0)/2, al(1), .., al(n-1)), whose halved
-    lag 0 splits d2 = d3 between the two sides (same W), the causal
-    convolution (x * g)(d) = sum_{e <= d} x(e) g(d - e) and the correlation
-    (x . g)(d) = sum_{e >= d} g(e - d) x(e), the two sides add up to
+    for al, be, ga = C^a, C^b, C^c (zero outside the window) and W = prod_a
+    (n_a - span_a of {0, d1, d2, d3}), the number of points i that keep all
+    four in the block.  C is even, C(z) = C(-z), so negating every lag
+    fixes each term: the rows d1 run over half the lag grid, the window's
+    flat index from lag 0 on, each twice but d1 = 0.  For a row, u(d2) =
+    be(d2) ga(d2 - d1) and v(d3) = ga(d3) be(d3 - d1), and each axis's
+    factor of W splits into its sides d3_a >= d2_a and d3_a <= d2_a, lag 0
+    halved between them: on the first, W_a = P_a(d3_a) + Q_a(d2_a) with
+    P_a = n_a - max(max(0, d1_a), .) and Q_a = min(min(0, d1_a), .), on the
+    second the same with d2 and d3 exchanged.  Multiplied out over the
+    axes, a row is a sum of terms sum_{d2, d3} X(d2) Y(d3) K(d3 - d2), X =
+    u and Y = v weighted by 1, P_a or Q_a per axis, and K = al on one
+    orthant of d3 - d2 (_clique_terms).  By Parseval each term is a
+    half-spectrum sum of conj(Y^) X^ K^ at lengths L_a >= 3 n_a - 2 made
+    of 2s and 3s, so that nothing wraps around into the window: a row
+    takes 3^D forward real FFTs of its weighted rows (2 3^D when b != c),
+    no inverse and no matrix product, and the kernel spectra K^ are taken
+    once per call.  Swapping d2 and d3 maps a term (orthant s, X = u f, Y =
+    v g) to (-s, X = u g, Y = v f), and K_{-s}^ = conj(K_s^), so only the
+    terms whose first axis takes d3 >= d2 are summed, each with its
+    swapped twin, or twice when b = c, as then u = v.  An axis of one point
+    is dropped (_clique_axes).  The rows run in batches of about
+    _LAG_CLIQUE_POINTS transformed points, in buffers reused for every
+    batch; each row's sum is its own, added up once at the end, so the
+    batch size moves no bit."""
+    sizes = _clique_axes(sizes)
+    lengths, wrap, masks, bins, bounds, starts = _clique_plan(sizes)
+    dim, one_side = len(sizes), triple[1] == triple[2]
+    widths = tuple(2 * n - 1 for n in sizes)
+    grid = values.reshape(widths)
+    al, be, ga = (grid if k == 1 else grid**k for k in triple)
+    wrapped = np.zeros(lengths)
+    wrapped[wrap] = al
+    spectra = np.fft.rfftn(wrapped * masks, lengths, axes=range(1, dim + 1))
+    spectra *= bins
 
-        sum w(u) v + sum w(v) u,  w(x) = (x * g) (n - max(d1, .)) + min(0, .) (x . g)
+    def shifted(power):  # the window of power(d - d1) for row d1 at [n - 1 - d1]
+        padded = np.zeros([4 * n - 3 for n in sizes])  # lag e at e + 2n - 2
+        padded[tuple(slice(n - 1, 3 * n - 2) for n in sizes)] = power
+        return np.lib.stride_tricks.as_strided(padded, widths * 2, padded.strides * 2)
 
-    A block of d1 rows takes one batched real FFT of its rows x (u, and v
-    when b != c) at a length L >= 3n - 2 made of 2s and 3s, so that nothing
-    wraps around into the 2n - 1 lags, and one batched inverse of X G and X
-    conj(G), g's spectrum G computed once: three transforms per row, no
-    matrix product.  Blocks hold _LAG_CLIQUE_POINTS / L rows x, in buffers
-    reused for every block.  When b = c, u = v, so the two sides are equal:
-    one is summed, twice.  The per-row sums are added up once, at the end,
-    so the block size moves no bit."""
-    n, width = len(col), 2 * len(col) - 1
-    padded = np.zeros(4 * n - 3)  # lag d at index d + 2n - 2, zero past lag n - 1
-    padded[n - 1:2 * n - 1], padded[2 * n - 2:3 * n - 2] = col[::-1], col
-    al, be, ga = (padded if k == 1 else padded**k for k in triple)
-    g = al[width - 1:width - 1 + n].copy()
-    g[0] /= 2
-    length = _transform_length(3 * n - 2)
-    spectrum = np.fft.rfft(g, length)
-    conjugate = spectrum.conj()
-    lags = np.arange(1 - n, n, dtype=float)
-    top, below = n - lags, lags[:n - 1]  # n - d; min(0, d) where d < 0
-    heads = top[n - 1:, None]  # n - d1
-    one_side = triple[1] == triple[2]
-    stack = 1 if one_side else 2
-    rows = min(n, max(1, _LAG_CLIQUE_POINTS // (stack * length)))
-    # the rows, their spectra times G and conj(G), and the inverses, in one
-    # buffer: the heap keeps one freed block for the next call, where
-    # several are handed back to the OS and fault their pages in again
-    m, bins = stack * rows, length // 2 + 1
-    work = np.empty(m * (width + 4 * bins + 2 * length))
-    xs = work[:m * width].reshape(stack, rows, width)
-    fs = work[m * width:m * (width + 4 * bins)].view(complex).reshape(2, stack, rows, bins)
-    cs = work[m * (width + 4 * bins):].reshape(2, stack, rows, length)
-    sides, base = np.empty(n), np.arange(n - 1, 3 * n - 2)  # the index of lag d
-    for start in range(0, n, rows):
-        d1 = np.arange(start, min(n, start + rows))
-        shifted = base - d1[:, None]  # the index of lag d - d1
-        x, f, c = xs[:, :len(d1)], fs[:, :, :len(d1)], cs[:, :, :len(d1)]
-        np.multiply(be[n - 1:3 * n - 2], ga[shifted], out=x[0])  # u
-        if not one_side:
-            np.multiply(ga[n - 1:3 * n - 2], be[shifted], out=x[1])  # v
-        np.fft.rfft(x, length, out=f[0])
-        np.multiply(f[0], conjugate, out=f[1])
-        f[0] *= spectrum
-        np.fft.irfft(f, length, out=c)
-        conv, corr = c[0, ..., :width], c[1, ..., :n - 1]
-        conv *= np.minimum(top, heads[start:start + len(d1)])
-        corr *= below
-        conv[..., :n - 1] += corr  # w(u), and w(v) when b != c
-        pairs = np.einsum("sij,sij->si", conv, x[::-1])  # w(u) v, w(v) u; w(u) u twice
-        np.add(pairs[0], pairs[-1], out=sides[start:start + len(d1)])
-    return float(np.einsum("i,i", 2 * g, sides))  # 2 g: al(0), then 2 al(d1) for d1 > 0
+    rows = [(be, shifted(ga))]  # u, and v when b != c
+    if not one_side:
+        rows.append((ga, shifted(be)))
+    stack, terms, count = len(rows), _clique_terms(dim), len(starts[0])
+    batch = min(count, max(1, _LAG_CLIQUE_POINTS // (stack * 3**dim * math.prod(lengths))))
+    # the weighted rows, zero-padded to the lengths (numpy pads a shorter
+    # row more slowly), their spectra, so that every transform runs in
+    # place, and the per-axis weights P_a and Q_a
+    x = np.zeros((stack, *(3,) * dim, batch, *lengths))
+    f = np.empty((stack, *(3,) * dim, batch, *lengths[:-1], lengths[-1] // 2 + 1), complex)
+    product = np.empty(f.shape[1 + dim:], complex)
+    weights = [np.empty((2, batch, w)) for w in widths]
+    sums = np.zeros(count)
+    for start in range(0, count, batch):
+        part = slice(start, start + batch)
+        size = len(starts[0][part])
+        rows_of = (slice(None),) * (1 + dim) + (slice(size),)
+        xs = x[(*rows_of, *map(slice, widths))]
+        for out, (power, windows) in zip(xs, rows):
+            np.multiply(power, windows[tuple(i[part] for i in starts)], out=out[(0,) * dim])
+        for a, ((top, lag, head, floor), pq) in enumerate(zip(bounds, weights)):
+            pq = pq[:, :size]
+            np.minimum(top, head[part, None], out=pq[0])  # P_a
+            np.minimum(lag, floor[part, None], out=pq[1])  # Q_a
+            pq = pq.reshape((2, size, *(w if b == a else 1 for b, w in enumerate(widths))))
+            done, rest = (slice(None),) * (1 + a), (0,) * (dim - a - 1)  # axes before a, after
+            np.multiply(xs[(*done, 0, *rest)], pq[0], out=xs[(*done, 1, *rest)])
+            np.multiply(xs[(*done, 0, *rest)], pq[1], out=xs[(*done, 2, *rest)])
+        fs = f[rows_of]
+        np.fft.rfftn(x[rows_of], lengths, axes=range(-dim, 0), out=fs)
+        prod, acc = product[:size], sums[part]
+        for orthant, fx, gy in terms:
+            for s in range(stack):  # (u f, v g); then (v f, u g) when b != c
+                np.multiply(fs[(s, *fx)], spectra[orthant], out=prod)
+                acc += np.einsum("ij,ij->i", fs[(stack - 1 - s, *gy)].reshape(size, -1).view(float),
+                                 prod.reshape(size, -1).view(float))
+    rows_weights = 2 * al.ravel()[count - 1:]  # al(d1), twice but at d1 = 0
+    rows_weights[0] /= 2
+    return float(np.einsum("i,i", rows_weights, sums)) * (2 if one_side else 1)
 
 
 def _blocks(cov, lattice):
-    """The covariance blocks whose diagram sums multiply to the model's: a
-    separable model's factor blocks (see _factor_block), built one at a
-    time, else the full-lattice matrix as its one block."""
-    if cov.structure == SEPARABLE:
-        return map(_factor_block, cov.factors, lattice.blocks)
-    return [dense_covariance_matrix(cov, lattice)]
+    """The lag windows (values, sizes) of the blocks whose diagram sums
+    multiply to the model's: a separable model's factors, built one at a
+    time, else the full lattice as its one block.  Each block is refused,
+    before its window is built, past the points its 4-cycles take:
+    _TOEPLITZ_LIMIT for a 1-D factor, DENSE_LIMIT for any other block."""
+    if cov.structure != SEPARABLE:
+        if lattice.n_total > DENSE_LIMIT:
+            raise ModelError(f"dense covariance capped at {DENSE_LIMIT} points")
+        yield _lag_window(cov, lattice.all_sizes)[0], lattice.all_sizes
+        return
+    for factor, sizes in zip(cov.factors, lattice.blocks):
+        n, limit = math.prod(sizes), _TOEPLITZ_LIMIT if len(sizes) == 1 else DENSE_LIMIT
+        if n > limit:
+            raise ModelError(f"contraction norms are capped at {limit} points per "
+                             f"factor ({n} requested)")
+        yield _lag_window(factor, sizes)[0], sizes
 
 
-def _block_terms(block: np.ndarray, q: int):
+def _cycle_sums(values: np.ndarray, sizes, q: int, orders) -> list:
+    """trace((AB)^2) for each r in ``orders`` of the block with lag window
+    ``values``: a 1-D block's from its Toeplitz column, lags 0 .. n-1, any
+    other's from its dense matrix, gathered once for every order."""
+    if len(sizes) == 1:
+        col = values[sizes[0] - 1:]
+        return [_toeplitz_trace_abab(col, q, r) for r in orders]
+    matrix = _window_matrix(values, sizes)
+    return [_trace_abab(matrix, q, r) for r in orders]
+
+
+def _block_terms(values: np.ndarray, sizes, q: int):
     """({r: trace((AB)^2) for r = 1 .. q-1}, {t: S(t) for every clique
-    triple t}) of a dense block M or the first column of a Toeplitz M, each
-    trace computed once.  The clique sums are None past the block's budget:
-    t(q) n^3 <= _LAG_CLIQUE_LIMIT^3 for a 1-D factor's lag triples, t(q) n^4
-    <= CLIQUE_LIMIT^4 for a dense block."""
-    trace, clique, power, limit = (
-        (_trace_abab, _clique_sum, 4, CLIQUE_LIMIT) if block.ndim == 2
-        else (_toeplitz_trace_abab, _lag_clique_sum, 3, _LAG_CLIQUE_LIMIT))
-    half = {r: trace(block, q, r) for r in range(1, q // 2 + 1)}
-    triples = _clique_triples(q)
-    fits = len(triples) * len(block) ** power <= limit**power
-    return ({r: half[min(r, q - r)] for r in range(1, q)},
-            {t: clique(block, t) for t in triples} if fits else None)
+    triple t}) of the block with lag window ``values``, each trace computed
+    once.  The clique sums are None past the budget, _clique_cost(sizes,
+    q) > _CLIQUE_BUDGET."""
+    orders = range(1, q // 2 + 1)
+    half = dict(zip(orders, _cycle_sums(values, sizes, q, orders)))
+    cliques = (None if _clique_cost(sizes, q) > _CLIQUE_BUDGET
+               else {t: _lag_clique_sum(values, sizes, t) for t in _clique_triples(q)})
+    return {r: half[min(r, q - r)] for r in range(1, q)}, cliques
 
 
 def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
@@ -433,8 +495,8 @@ def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
     if not 1 <= r <= q - 1:
         raise ModelError("contraction order r must satisfy 1 <= r <= q-1")
     _check_blocks(cov, lattice)
-    return math.prod((_trace_abab if b.ndim == 2 else _toeplitz_trace_abab)(b, q, r)
-                     for b in _blocks(cov, lattice))
+    return math.prod(_cycle_sums(values, sizes, q, [r])[0]
+                     for values, sizes in _blocks(cov, lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +511,7 @@ def _model_terms(cov, lattice, q: int):
     variance, variances = _variances(cov, lattice, q)
     count = 1 if variances is None else len(variances)
     blocks = ([({}, {})] * count if q == 1
-              else [_block_terms(block, q) for block in _blocks(cov, lattice)])
+              else [_block_terms(values, sizes, q) for values, sizes in _blocks(cov, lattice)])
     norms, sums = zip(*blocks)
     model = (variance, {r: math.prod(n[r] for n in norms) for r in range(1, q)},
              None if None in sums else {t: math.prod(s[t] for s in sums)
@@ -552,7 +614,7 @@ class GammaQuotient:
 def gamma_quotient(factor: FactorCovariance, sizes, q: int,
                    weight: float = 1.0) -> GammaQuotient:
     _check_q(q)
-    sizes = tuple(int(n) for n in sizes)
+    sizes = _checked_sizes(factor, sizes)
     vol = float(math.prod(sizes))
     values, weights = _lag_window(factor, sizes)
     exact = weight**q * float(np.sum(weights * values**q)) / vol**2

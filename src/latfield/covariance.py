@@ -383,6 +383,18 @@ def _window_matrix(values, sizes) -> np.ndarray:
 # circulant embedding spectra
 
 
+def _checked_sizes(model: FactorCovariance, sizes) -> tuple:
+    """A window of ``model`` as one positive int per axis of the factor, the
+    rule LatticeSpec applies to a block; else one ModelError listing every
+    violation, keyed sizes[i] (sizes for the count)."""
+    if not is_sequence(sizes) or len(sizes) != model.dim:
+        refuse([("sizes", f"must be a sequence of {model.dim} sizes, got {sizes!r}")])
+    violations = []
+    sizes = checked_numbers(violations, "sizes", sizes, kind=int, minimum=1)
+    refuse(violations)
+    return sizes
+
+
 def embedded_sizes(sizes, doublings: int = 0) -> tuple:
     """Per-axis circulant embedding sizes: 2(n-1), doubled ``doublings`` times."""
     return tuple(1 if int(n) <= 1 else 2 * (int(n) - 1) * 2**doublings for n in sizes)
@@ -451,10 +463,7 @@ def embedding_spectrum(model: FactorCovariance, sizes, doublings: int = 0) -> Sp
     not an error.  NumericalError for a factor that is not even in each lag
     coordinate, which has no such embedding.
     """
-    if any(int(n) < 1 for n in sizes):
-        raise ModelError("sizes must be positive")
-    if len(sizes) != model.dim:
-        raise ModelError(f"got {len(sizes)} sizes for a dim-{model.dim} factor")
+    sizes = _checked_sizes(model, sizes)
     _require_even_per_axis((model,))
     eig = np.fft.fftn(_lag_values(model, _wrapped_lag_grid(sizes, doublings))).real
     return SpectrumReport(

@@ -52,6 +52,7 @@ from latfield.covariance import (
     composite_values,
     eval_factor,
 )
+from latfield.covariance import _window_matrix
 from latfield.fieldsim import DENSE_LIMIT, LatticeSpec, dense_covariance_matrix
 from latfield.hermite import CUSTOM, INDICATOR, PURE, HermiteSpec, hermite_eval
 from latfield.oracle import (
@@ -315,13 +316,40 @@ def test_fourth_cumulant_checks_its_inputs_at_q1():
             fourth_cumulant(two, LatticeSpec(((5,),)), q)
 
 
+def _clique_sum(matrix, triple):
+    """The reference clique sum of a dense block M: S(a, b, c) = sum over
+    point 4-tuples (i, j, k, l) of A_ij A_kl B_ik B_jl C_il C_jk with A, B,
+    C = M^(.a), M^(.b), M^(.c), as sum_u T(u), T(u) = trace(P Q R) with P =
+    diag(A_u.) C, Q = diag(B_u.) A, R = diag(C_u.) B.  M is persymmetric (J
+    M J = M, as C is even), so relabelling every point i as N-1-i gives T(u)
+    = T(N-1-u), and u runs over the first ceil(N/2) points only: twice
+    those below the middle, plus the middle point when N is odd."""
+    a, b, c = triple
+    n = len(matrix)
+    power = {k: matrix**k for k in triple}
+    terms = [float(np.einsum("ij,ji->", (power[a][:, u, None] * power[c])
+                             @ (power[b][:, u, None] * power[a]), power[c][:, u, None] * power[b]))
+             for u in range((n + 1) // 2)]
+    return 2 * sum(terms[:n // 2]) + sum(terms[n // 2:])
+
+
+def _column(factor, n):
+    """A 1-D factor's Toeplitz column, lags 0 .. n-1, from its lag window."""
+    return chaoscalc._lag_window(factor, (n,))[0][n - 1:]
+
+
+def _factor_matrix(factor, sizes):
+    """A factor's covariance matrix over a window, gathered from its lag window."""
+    return _window_matrix(chaoscalc._lag_window(factor, sizes)[0], sizes)
+
+
 def test_clique_sum_matches_brute_force():
     # S(a, b, c) against the 4-index sum of A_ij A_kl B_ik B_jl C_il C_jk
     m = lattice_covariance_matrix(*SMALL_MODELS[1])
     for triple in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (3, 2, 1), (2, 2, 2)):
         a, b, c = (m**k for k in triple)
         want = float(np.einsum("ij,kl,ik,jl,il,jk->", a, a, b, b, c, c))
-        assert chaoscalc._clique_sum(m, triple) == pytest.approx(want, rel=1e-12), triple
+        assert _clique_sum(m, triple) == pytest.approx(want, rel=1e-12), triple
 
 
 # the halved kernels against full, unhalved references, on blocks of odd
@@ -353,9 +381,9 @@ def _persymmetric_blocks():
     for hurst in (0.3, 0.7):
         factor = FactorCovariance(FGN, hurst=hurst)
         for n in PERSYMMETRY_SIZES:
-            yield f"fgn({hurst}) n={n}", toeplitz(chaoscalc._factor_block(factor, (n,)))
+            yield f"fgn({hurst}) n={n}", toeplitz(_column(factor, n))
     cauchy = FactorCovariance(CAUCHY, exponent=0.8, dim=2)
-    yield "cauchy 3x2", chaoscalc._factor_block(cauchy, (3, 2))
+    yield "cauchy 3x2", _factor_matrix(cauchy, (3, 2))
     skew = _skew_table_factor()
     models = [
         CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=1.0),
@@ -366,7 +394,7 @@ def _persymmetric_blocks():
                             block_dims=(1, 1)),
     ]
     for shape in PERSYMMETRY_SHAPES:
-        yield f"tabulated {shape}", chaoscalc._factor_block(skew, shape)
+        yield f"tabulated {shape}", _factor_matrix(skew, shape)
         for cov in models:
             lattice = LatticeSpec(tuple((n,) for n in shape))
             yield f"{cov.structure} {shape}", dense_covariance_matrix(cov, lattice)
@@ -374,7 +402,7 @@ def _persymmetric_blocks():
 
 def test_blocks_are_persymmetric():
     # the premise of both halvings: reversing the point order fixes M
-    skew = chaoscalc._factor_block(_skew_table_factor(), (3, 2))
+    skew = _factor_matrix(_skew_table_factor(), (3, 2))
     assert skew[0, 3] != skew[1, 2]  # lags (1, 1) and (1, -1): not even per coordinate
     for label, m in _persymmetric_blocks():
         np.testing.assert_array_equal(m[::-1, ::-1], m, err_msg=label)
@@ -384,7 +412,7 @@ def test_halved_toeplitz_trace_matches_dense_products():
     for hurst in (0.3, 0.7):
         factor = FactorCovariance(FGN, hurst=hurst)
         for n in PERSYMMETRY_SIZES:
-            col = chaoscalc._factor_block(factor, (n,))
+            col = _column(factor, n)
             m = toeplitz(col)
             for q, r in ABAB_ORDERS:
                 a, b = m**r, m ** (q - r)
@@ -397,30 +425,89 @@ def test_halved_clique_sum_matches_the_full_point_loop():
     for label, m in _persymmetric_blocks():
         for triple in CLIQUE_ORDERS:
             want = _full_clique_sum(m, triple)
-            assert chaoscalc._clique_sum(m, triple) == pytest.approx(want, rel=1e-13), (
-                label, triple)
+            assert _clique_sum(m, triple) == pytest.approx(want, rel=1e-13), (label, triple)
+
+
+def _largest_within_budget(sizes_of, q):
+    """The largest n whose block sizes_of(n) fits the clique budget at q."""
+    n = 1
+    while chaoscalc._clique_cost(sizes_of(n + 1), q) <= chaoscalc._CLIQUE_BUDGET:
+        n += 1
+    return n
 
 
 def test_clique_budget_scales_with_the_diagram_count(monkeypatch):
-    # a dense block takes t(q) n^4 <= CLIQUE_LIMIT^4 and a 1-D factor t(q)
-    # n^3 <= _LAG_CLIQUE_LIMIT^3, with t = 1, 1, 2, 3 at q = 3..6: at limits
-    # of 16, 16 points fit at q = 3 and 4 in both, 13 and 12 at q = 5 and 6
-    # in a dense block (a 2-D factor on an n x 1 window), 12 and 11 in 1-D
-    dense = (FactorCovariance(CAUCHY, exponent=0.8, dim=2), lambda n: LatticeSpec(((n, 1),)),
-             "CLIQUE_LIMIT", ((3, 16), (4, 16), (5, 13), (6, 12)))
-    lags = (FactorCovariance(FGN, hurst=0.8), lambda n: LatticeSpec(((n,),)),
-            "_LAG_CLIQUE_LIMIT", ((3, 16), (4, 16), (5, 12), (6, 11)))
-    for factor, window, limit, edges in (dense, lags):
-        monkeypatch.setattr(chaoscalc, limit, 16)
-        for q, largest in edges:
-            exact = fourth_cumulant(_sep(factor), window(largest), q)
-            bound = fourth_cumulant(_sep(factor), window(largest + 1), q)
-            assert exact[1] and not bound[1], (limit, q)
+    # one budget on t(q) rows 3^D prod L_a, t = 1, 1, 2, 3 at q = 3..6: at
+    # the budget of a 16-point 1-D block at q = 3, 16 points fit at q = 3
+    # and 4, 11 and 9 at q = 5 and 6 (transform lengths 48, 32 and 27); the
+    # edges of a 2-D factor on an n x 2 window and of a Gneiting lattice on
+    # n x 3 follow from the same cost
+    monkeypatch.setattr(chaoscalc, "_CLIQUE_BUDGET", chaoscalc._clique_cost((16,), 3))
+    assert [_largest_within_budget(lambda n: (n,), q) for q in range(3, 7)] == [16, 16, 11, 9]
+    gneiting = CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=1.0),
+                                              FactorCovariance(CAUCHY, exponent=0.7)))
+    kinds = [
+        (_sep(FactorCovariance(FGN, hurst=0.8)), lambda n: (n,)),
+        (_sep(FactorCovariance(CAUCHY, exponent=0.8, dim=2)), lambda n: (n, 2)),
+        (gneiting, lambda n: (n, 3)),
+    ]
+    for cov, sizes_of in kinds:
+        def lattice(n):
+            shape = sizes_of(n)
+            return LatticeSpec((shape,) if cov.structure == SEPARABLE else tuple((k,) for k in shape))
+
+        for q in range(3, 7):
+            largest = _largest_within_budget(sizes_of, q)
+            exact = fourth_cumulant(cov, lattice(largest), q)
+            bound = fourth_cumulant(cov, lattice(largest + 1), q)
+            assert exact[1] and not bound[1], (sizes_of(largest), q)
             # past the budget the majorant bounds the exact value from above
-            monkeypatch.setattr(chaoscalc, limit, 256)
-            true = fourth_cumulant(_sep(factor), window(largest + 1), q)
-            monkeypatch.setattr(chaoscalc, limit, 16)
-            assert true[1] and 0.0 < true[0] <= bound[0], (limit, q)
+            with monkeypatch.context() as raised:
+                raised.setattr(chaoscalc, "_CLIQUE_BUDGET", chaoscalc._clique_cost(
+                    sizes_of(largest + 1), q))
+                true = fourth_cumulant(cov, lattice(largest + 1), q)
+            assert true[1] and 0.0 < true[0] <= bound[0], (sizes_of(largest), q)
+
+
+def _parent_budget_admits(sizes, q):
+    """Whether the two clique budgets this kernel replaced took a block's
+    cliques: t(q) n^3 <= 1024^3 for a 1-D factor's lag triples, t(q) N^4 <=
+    256^4 for the dense point loop of any other block."""
+    t = len(chaoscalc._clique_triples(q))
+    if len(sizes) == 1:
+        return t * sizes[0] ** 3 <= 1024**3
+    return t * math.prod(sizes) ** 4 <= 256**4
+
+
+def _shapes(dim, most):
+    """Every window shape of ``dim`` axes with at most ``most`` points."""
+    if dim == 0:
+        yield ()
+        return
+    for n in range(1, most + 1):
+        yield from ((n, *rest) for rest in _shapes(dim - 1, most // n))
+
+
+def test_one_budget_admits_every_block_the_two_budgets_admitted():
+    # every shape of at most 3 axes and DENSE_LIMIT points whose cliques
+    # the two budgets took at q <= 6 stays exact, and the budget is the
+    # smallest that does: a 5x5x7 block at q = 6 meets it
+    admitted = []
+    for q in range(3, 7):
+        admitted += [((n,), q) for n in range(1, 1025) if _parent_budget_admits((n,), q)]
+        for dim in (2, 3):
+            admitted += [(sizes, q) for sizes in _shapes(dim, 256)
+                         if _parent_budget_admits(sizes, q)]
+    assert all(math.prod(sizes) <= DENSE_LIMIT for sizes, _ in admitted)
+    costs = {(sizes, q): chaoscalc._clique_cost(sizes, q) for sizes, q in admitted}
+    assert max(costs.values()) == chaoscalc._CLIQUE_BUDGET
+    assert costs[(5, 5, 7), 6] == chaoscalc._CLIQUE_BUDGET
+    # the reach at q = 3: 1024 -> 5335 points in 1-D, 256 points -> 35 x 35
+    # in 2-D, which takes both non-separable frozen configs (24 x 24 and
+    # 32 x 32) at q = 3 and 4
+    assert _largest_within_budget(lambda n: (n,), 3) == 5335
+    assert _largest_within_budget(lambda n: (n, n), 3) == 35
+    assert _largest_within_budget(lambda n: (n, n), 4) == 35
 
 
 # 1-D factors for the lag-triple clique sum: long and short memory, a heavy
@@ -440,14 +527,65 @@ LAG_CLIQUE_SIZES = (1, 2, 3, 7, 33, 64, 65, 128, 255, 256, 257)
 def test_lag_clique_sum_matches_the_dense_clique_sum():
     for factor in LAG_CLIQUE_FACTORS:
         for n in (1, 2, 3, 7, 33, 64, 128):
-            col = chaoscalc._factor_block(factor, (n,))
-            matrix = toeplitz(col)
+            values = chaoscalc._lag_window(factor, (n,))[0]
+            matrix = toeplitz(values[n - 1:])
             for q in range(3, 7):
                 for triple in chaoscalc._clique_triples(q):
-                    want = chaoscalc._clique_sum(matrix, triple)
-                    got = chaoscalc._lag_clique_sum(col, triple)
+                    want = _clique_sum(matrix, triple)
+                    got = chaoscalc._lag_clique_sum(values, (n,), triple)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (
                         factor, n, triple)
+
+
+def _clique_blocks():
+    """(id, model, window sizes) for every kind of block whose cliques
+    the lag-triple sum takes: 1-D fGn of odd and even sizes, multi-D Cauchy
+    factors (axes of one point among them), Gneiting, additive and
+    isotropic full lattices, and the skew table, even only under z -> -z."""
+    fgn = FactorCovariance(FGN, hurst=0.7)
+    cauchy2 = FactorCovariance(CAUCHY, exponent=0.6, dim=2)
+    cauchy3 = FactorCovariance(CAUCHY, exponent=0.6, dim=3)
+    gneiting = CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=0.3),
+                                              FactorCovariance(CAUCHY, exponent=1.0)))
+    additive = CompositeCovariance(ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.48),
+                                              FactorCovariance(CAUCHY, exponent=3.0)),
+                                   weights=(0.1, 0.9))
+    isotropic = CompositeCovariance(ISOTROPIC, (FactorCovariance(CAUCHY, exponent=0.5, dim=2),),
+                                    block_dims=(1, 1))
+    skew = _skew_table_factor()
+    blocks = [
+        *((fgn, (n,)) for n in (1, 2, 3, 4, 5, 8, 17)),
+        *((cauchy2, shape) for shape in ((1, 1), (2, 1), (1, 3), (3, 4), (6, 5), (2, 7))),
+        (gneiting, (5, 4)), (gneiting, (6, 7)), (gneiting, (1, 7)),
+        (additive, (4, 6)),
+        (isotropic, (5, 6)),
+        *((cauchy3, shape) for shape in ((3, 2, 4), (2, 2, 2), (1, 3, 2))),
+        *((skew, shape) for shape in ((3, 2), (4, 4), (7, 4), (1, 4), (5, 1))),
+    ]
+    names = [model.structure if isinstance(model, CompositeCovariance) else model.family
+             for model, _ in blocks]
+    return [(f"{name}-{'x'.join(map(str, sizes))}", model, sizes)
+            for name, (model, sizes) in zip(names, blocks)]
+
+
+CLIQUE_TRIPLES = ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2))
+
+
+@pytest.mark.parametrize("model, sizes", [pytest.param(model, sizes, id=label)
+                                          for label, model, sizes in _clique_blocks()])
+def test_lag_clique_sum_matches_the_dense_reference_on_every_block(model, sizes):
+    # the lag-triple sum on the block's window against the dense point loop
+    # on its pointwise matrix (oracle.lattice_covariance_matrix)
+    if isinstance(model, FactorCovariance):
+        cov, lattice = _sep(model), LatticeSpec((sizes,))
+    else:
+        cov, lattice = model, LatticeSpec(tuple((n,) for n in sizes))
+    values = chaoscalc._lag_window(model, sizes)[0]
+    matrix = lattice_covariance_matrix(cov, lattice)
+    for triple in CLIQUE_TRIPLES:
+        want = _clique_sum(matrix, triple)
+        got = chaoscalc._lag_clique_sum(values, sizes, triple)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), triple
 
 
 def test_quarter_toeplitz_trace_matches_the_dense_einsum():
@@ -455,7 +593,7 @@ def test_quarter_toeplitz_trace_matches_the_dense_einsum():
     # row and none, and a column with negative values
     for factor in (LAG_CLIQUE_FACTORS[1], LAG_CLIQUE_FACTORS[0], LAG_CLIQUE_FACTORS[3]):
         for n in (*range(1, 10), 63, 64, 65):
-            col = chaoscalc._factor_block(factor, (n,))
+            col = _column(factor, n)
             m = toeplitz(col)
             for q in range(2, 6):
                 for r in range(1, q):
@@ -472,7 +610,7 @@ def test_toeplitz_trace_sweeps_once_when_a_is_b(monkeypatch):
         original = getattr(chaoscalc, name)
         monkeypatch.setattr(chaoscalc, name, lambda *args, name=name, original=original:
                             calls.append(name) or original(*args))
-    col = chaoscalc._factor_block(FactorCovariance(FGN, hurst=0.7), (9,))
+    col = _column(FactorCovariance(FGN, hurst=0.7), 9)
     for q, r, sweeps in ((2, 1, 1), (4, 2, 1), (3, 1, 2), (5, 3, 2)):
         calls.clear()
         chaoscalc._toeplitz_trace_abab(col, q, r)
@@ -480,42 +618,21 @@ def test_toeplitz_trace_sweeps_once_when_a_is_b(monkeypatch):
             q, r)
 
 
-def _two_sided_lag_clique_sum(col, triple):
-    """_lag_clique_sum with both sides d3 >= d2 and d3 <= d2 summed for every
-    triple, the u and v rows stacked, every d1 row in one block."""
-    n, width = len(col), 2 * len(col) - 1
-    padding = np.zeros(n - 1)
-    al, be, ga = (np.concatenate((padding, col[:0:-1], col, padding)) ** k for k in triple)
-    g = al[width - 1:width - 1 + n].copy()
-    g[0] /= 2
-    length = chaoscalc._transform_length(3 * n - 2)
-    spectrum = np.fft.rfft(g, length)
-    lags, d1 = np.arange(1 - n, n), np.arange(n)
-    shifted = lags - d1[:, None] + width - 1
-    x = np.stack((be[n - 1:3 * n - 2] * ga[shifted], ga[n - 1:3 * n - 2] * be[shifted]))
-    f = np.fft.rfft(x, length)
-    c = np.fft.irfft(np.stack((f * spectrum, f * spectrum.conj())), length)
-    conv, corr = c[0, ..., :width], c[1, ..., :n - 1]
-    conv *= np.minimum(n - lags.astype(float), (n - d1)[:, None])
-    corr *= lags[:n - 1].astype(float)
-    conv[..., :n - 1] += corr
-    sides = np.einsum("sij,sij->si", conv, x[::-1]).sum(axis=0)
-    return float(np.einsum("i,i", 2 * g, sides))
-
-
-def test_one_sided_lag_clique_sum_is_the_two_sided_sum_bit_for_bit():
-    # b = c sums one side twice; (2, 2, 1), (3, 2, 1) and the like keep both;
-    # and the blocks of d1 rows move no bit
-    seen = set()
-    for factor in LAG_CLIQUE_FACTORS:
-        for n in LAG_CLIQUE_SIZES:
-            col = chaoscalc._factor_block(factor, (n,))
-            for q in range(3, 7):
-                for triple in chaoscalc._clique_triples(q):
-                    seen.add(triple)
-                    assert chaoscalc._lag_clique_sum(col, triple) == _two_sided_lag_clique_sum(
-                        col, triple), (factor, n, triple)
-    assert {(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1)} <= seen
+def test_lag_clique_sum_does_not_depend_on_its_batch_size(monkeypatch):
+    # each lag row's sum is its own: one row per batch, the default batches
+    # and every row in one batch give the same bits, in 1-D (one side when
+    # b = c, both otherwise) and on 2-D and 3-D blocks
+    blocks = [(factor, (n,)) for factor in LAG_CLIQUE_FACTORS for n in (1, 7, 64, 257)]
+    blocks += [(FactorCovariance(CAUCHY, exponent=0.6, dim=2), (6, 5)),
+               (FactorCovariance(CAUCHY, exponent=0.6, dim=3), (3, 2, 4))]
+    for factor, sizes in blocks:
+        values = chaoscalc._lag_window(factor, sizes)[0]
+        for triple in ((1, 1, 1), (2, 1, 1), (3, 2, 1)):
+            sums = []
+            for points in (1, chaoscalc._LAG_CLIQUE_POINTS, 2**40):
+                monkeypatch.setattr(chaoscalc, "_LAG_CLIQUE_POINTS", points)
+                sums.append(chaoscalc._lag_clique_sum(values, sizes, triple))
+            assert sums[0] == sums[1] == sums[2], (factor, sizes, triple)
 
 
 def _matrix_product_lag_clique_sum(col, triple):
@@ -545,15 +662,15 @@ def _matrix_product_lag_clique_sum(col, triple):
 
 
 def test_lag_clique_sum_matches_the_matrix_product_formula():
-    # the convolutions against the same sums as products with the Toeplitz
+    # the Parseval sums against the same sums as products with the Toeplitz
     # triangle, on transform lengths that are powers of two and not
     for factor in LAG_CLIQUE_FACTORS:
         for n in LAG_CLIQUE_SIZES:
-            col = chaoscalc._factor_block(factor, (n,))
+            values = chaoscalc._lag_window(factor, (n,))[0]
             for q in range(3, 7):
                 for triple in chaoscalc._clique_triples(q):
-                    want = _matrix_product_lag_clique_sum(col, triple)
-                    got = chaoscalc._lag_clique_sum(col, triple)
+                    want = _matrix_product_lag_clique_sum(values[n - 1:], triple)
+                    got = chaoscalc._lag_clique_sum(values, (n,), triple)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (factor, n, triple)
 
 
@@ -568,7 +685,8 @@ def test_fourth_cumulant_does_not_depend_on_the_blas_thread_count():
     # one side summed twice at (1, 1, 1) and both sides at (2, 1, 1); a
     # 12 000-point factor's 4-cycles take rows longer than the dot products
     # OpenBLAS keeps on one thread (about 10 000 elements), and past the
-    # clique budget kappa_4 is their flagged majorant at q = 3
+    # clique budget kappa_4 is their flagged majorant at q = 3; a 2-D factor
+    # and a Gneiting lattice take the same lag-triple cliques in 2-D
     code = "\n".join((
         "from latfield.chaoscalc import fourth_cumulant",
         "from latfield.covariance import SEPARABLE, CompositeCovariance, FactorCovariance",
@@ -580,6 +698,11 @@ def test_fourth_cumulant_does_not_depend_on_the_blas_thread_count():
         "long = CompositeCovariance(SEPARABLE, (FactorCovariance('fgn', hurst=0.7),))",
         "for q in (2, 3):",
         "    print(repr(fourth_cumulant(long, LatticeSpec(((12000,),)), q)))",
+        "plane = CompositeCovariance(SEPARABLE, (FactorCovariance('cauchy', exponent=0.8, dim=2),))",
+        "print(repr(fourth_cumulant(plane, LatticeSpec(((14, 11),)), 3)))",
+        "gneiting = CompositeCovariance('gneiting', (FactorCovariance('cauchy', exponent=1.0),",
+        "                                            FactorCovariance('cauchy', exponent=0.7)))",
+        "print(repr(fourth_cumulant(gneiting, LatticeSpec(((12,), (12,))), 3)))",
     ))
     src = str(Path(__file__).parents[1] / "src")
     outs = []
@@ -589,7 +712,8 @@ def test_fourth_cumulant_does_not_depend_on_the_blas_thread_count():
         outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                    text=True, check=True).stdout)
     assert outs[0] == outs[1]
-    assert [line.endswith(", True)") for line in outs[0].splitlines()] == [True, True, True, False]
+    assert [line.endswith(", True)") for line in outs[0].splitlines()] == [
+        True, True, True, False, True, True]
 
 
 def test_variances_build_each_factor_window_once(monkeypatch):
@@ -621,22 +745,21 @@ def test_variances_build_each_factor_window_once(monkeypatch):
     assert calls == [*add.factors, add]
 
 
-def test_each_block_kind_takes_its_own_clique_kernel(monkeypatch):
-    # 1-D factors take lag triples; a 2-D factor and a full-lattice matrix
-    # take _clique_sum
+def test_every_block_takes_the_lag_clique_kernel_on_its_window(monkeypatch):
+    # a 1-D factor, a 2-D factor and a full lattice all hand their lag
+    # window to the one clique kernel
     seen = []
-    for name in ("_clique_sum", "_lag_clique_sum"):
-        original = getattr(chaoscalc, name)
-        monkeypatch.setattr(chaoscalc, name, lambda block, triple, name=name, original=original:
-                            seen.append((name, block.shape)) or original(block, triple))
+    original = chaoscalc._lag_clique_sum
+    monkeypatch.setattr(chaoscalc, "_lag_clique_sum", lambda values, sizes, triple: seen.append(
+        (values.size, sizes)) or original(values, sizes, triple))
     mixed = _sep(FactorCovariance(FGN, hurst=0.6), FactorCovariance(CAUCHY, exponent=0.8, dim=2))
     fourth_cumulant(mixed, LatticeSpec(((20,), (4, 3))), 3)
-    assert seen == [("_lag_clique_sum", (20,)), ("_clique_sum", (12, 12))]
+    assert seen == [(39, (20,)), (35, (4, 3))]
     seen.clear()
     gneiting = CompositeCovariance(
         GNEITING, (FactorCovariance(CAUCHY, exponent=1.0), FactorCovariance(CAUCHY, exponent=0.7)))
     fourth_cumulant(gneiting, LatticeSpec(((6,), (5,))), 3)
-    assert seen == [("_clique_sum", (30, 30))]
+    assert seen == [(99, (6, 5))]
 
 
 def test_fourth_cumulant_nonnegative():
@@ -647,15 +770,17 @@ def test_fourth_cumulant_nonnegative():
 
 
 def test_fourth_cumulant_clique_cap(monkeypatch):
+    # the budget lowered to a 256-point 1-D block's: 257 points are past it
     cov = _sep(FactorCovariance(FGN, hurst=0.75))
-    past = chaoscalc._LAG_CLIQUE_LIMIT + 1  # a 1-D factor just past its clique budget
+    monkeypatch.setattr(chaoscalc, "_CLIQUE_BUDGET", chaoscalc._clique_cost((256,), 3))
+    past = _largest_within_budget(lambda n: (n,), 3) + 1
+    assert past == 257
     value, exact = fourth_cumulant(cov, LatticeSpec(((past,),)), 3)
     assert not exact
     assert value >= 0.0
-    # the majorant bounds the exact value, computed with the budget raised
-    monkeypatch.setattr(chaoscalc, "_LAG_CLIQUE_LIMIT", past)
-    true, exact = fourth_cumulant(cov, LatticeSpec(((past,),)), 3)
+    # the majorant bounds the exact value, computed with the budget restored
     monkeypatch.undo()
+    true, exact = fourth_cumulant(cov, LatticeSpec(((past,),)), 3)
     assert exact and 0.0 < true <= value
     # under the cap the exact identity is used
     _, exact_small = fourth_cumulant(cov, LatticeSpec(((200,),)), 3)
@@ -879,7 +1004,8 @@ def test_chaos_report(monkeypatch):
     cases = [
         (long_short, LatticeSpec(((64,), (16,))), 2, True),
         (long_short, LatticeSpec(((40,), (12,))), 3, True),    # within the 1-D clique budget
-        (long_short, LatticeSpec(((chaoscalc._LAG_CLIQUE_LIMIT + 1,), (12,))), 3, False),  # past it
+        (long_short, LatticeSpec(((_largest_within_budget(lambda n: (n,), 3) + 1,), (12,))), 3,
+         False),  # past it
         (_sep(FactorCovariance(FGN, hurst=0.6), FactorCovariance(CAUCHY, exponent=0.8, dim=2)),
          LatticeSpec(((20,), (4, 3))), 4, True),
         (gneiting, LatticeSpec(((6,), (5,))), 3, True),
@@ -916,16 +1042,17 @@ def test_chaos_report(monkeypatch):
 
 def test_entry_points_are_the_report_fields_bit_for_bit(monkeypatch):
     # every entry point reads the record chaos_report reads: the same bits,
-    # r > q/2 included, and where a factor past its clique budget makes
-    # kappa_4 the flagged majorant
-    monkeypatch.setattr(chaoscalc, "_LAG_CLIQUE_LIMIT", 16)
+    # r > q/2 included, and where a block past the clique budget makes
+    # kappa_4 the flagged majorant: with the budget lowered to the Gneiting
+    # 6 x 5 lattice's at q = 5, only the 7 x 5 factor is past it, at q = 5
+    monkeypatch.setattr(chaoscalc, "_CLIQUE_BUDGET", chaoscalc._clique_cost((6, 5), 5))
     cauchy2 = FactorCovariance(CAUCHY, exponent=0.8, dim=2)
     mixed = _sep(FactorCovariance(FGN, hurst=0.6), cauchy2)
     cases = [
         (_sep(FactorCovariance(FGN, hurst=0.7), FactorCovariance(FGN, hurst=0.3)),
          LatticeSpec(((12,), (9,)))),
         (mixed, LatticeSpec(((12,), (4, 3)))),
-        (mixed, LatticeSpec(((20,), (4, 3)))),  # the 1-D factor past its budget at q >= 3
+        (mixed, LatticeSpec(((20,), (4, 3)))),
         (_sep(cauchy2), LatticeSpec(((7, 5),))),
         (CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=1.0),
                                         FactorCovariance(CAUCHY, exponent=0.7))),
@@ -949,19 +1076,22 @@ def test_entry_points_are_the_report_fields_bit_for_bit(monkeypatch):
                 assert rep.tv_bound is None
             if not rep.fourth_exact:
                 majorants.append((lat.all_sizes, q))
-    assert majorants == [((20, 4, 3), 3), ((20, 4, 3), 4), ((20, 4, 3), 5)]
+    assert majorants == [((7, 5), 5)]
 
 
 def test_non_separable_report_builds_one_dense_matrix(monkeypatch):
-    # contraction norms and the clique sum come from one full-lattice matrix
-    calls = []
-    original = chaoscalc.dense_covariance_matrix
+    # contraction norms come from one full-lattice matrix, gathered from
+    # the lattice's window, and the clique sums from that same window
+    calls, windows = [], []
+    matrix, cliques = chaoscalc._window_matrix, chaoscalc._lag_clique_sum
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(values, sizes):
+        calls.append(values)
+        return matrix(values, sizes)
 
-    monkeypatch.setattr(chaoscalc, "dense_covariance_matrix", counted)
+    monkeypatch.setattr(chaoscalc, "_window_matrix", counted)
+    monkeypatch.setattr(chaoscalc, "_lag_clique_sum", lambda values, sizes, triple: windows.append(
+        values) or cliques(values, sizes, triple))
     gneiting = CompositeCovariance(
         GNEITING, (FactorCovariance(CAUCHY, exponent=1.0), FactorCovariance(CAUCHY, exponent=0.7)))
     additive = CompositeCovariance(
@@ -970,8 +1100,11 @@ def test_non_separable_report_builds_one_dense_matrix(monkeypatch):
     for cov in (gneiting, additive):
         for q in (3, 4, 6):
             calls.clear()
+            windows.clear()
             chaos_report(cov, LatticeSpec(((6,), (5,))), q)
             assert len(calls) == 1, (cov.structure, q)
+            assert len(windows) == len(chaoscalc._clique_triples(q)), (cov.structure, q)
+            assert all(values is calls[0] for values in windows), (cov.structure, q)
 
 
 def test_factorized_variances_are_checked_against_the_lag_sum(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latfield._errors import ModelError, NumericalError
+from latfield.chaoscalc import gamma_quotient
 from latfield.covariance import (
     ADDITIVE,
     GNEITING,
@@ -83,6 +84,32 @@ def test_a_tabulated_covariance_must_be_even():
     # both halves may be given when they agree
     tab = FactorCovariance("tabulated", table={(0,): 1.0, (1,): 0.5, (-1,): 0.5})
     assert eval_factor(tab, (-1,)) == 0.5
+
+
+def test_window_sizes_are_checked_like_a_lattice_block():
+    # gamma_quotient and embedding_spectrum take raw sizes: one positive int
+    # per axis of the factor, each violation keyed by its index
+    entry_points = (lambda f, sizes: gamma_quotient(f, sizes, 2), embedding_spectrum)
+    bad = [
+        ((0,), [("sizes[0]", "must be at least 1, got 0")]),
+        ((-3,), [("sizes[0]", "must be at least 1, got -3")]),
+        ((2.5,), [("sizes[0]", "must be an integer, got 2.5")]),
+        (("4",), [("sizes[0]", "expected a number, got str")]),
+        ((True,), [("sizes[0]", "expected a number, got bool")]),
+        ((2, 3), [("sizes", "must be a sequence of 1 sizes, got (2, 3)")]),
+        (4, [("sizes", "must be a sequence of 1 sizes, got 4")]),
+    ]
+    for call in entry_points:
+        for sizes, violations in bad:
+            with pytest.raises(ModelError) as err:
+                call(_fgn(0.7), sizes)
+            assert err.value.violations == violations, sizes
+        with pytest.raises(ModelError) as err:
+            call(_cauchy(0.5, dim=2), (0, "3"))
+        assert err.value.violations == [("sizes[0]", "must be at least 1, got 0"),
+                                        ("sizes[1]", "expected a number, got str")]
+    assert gamma_quotient(_fgn(0.7), (4.0,), 2) == gamma_quotient(_fgn(0.7), (4,), 2)
+    assert embedding_spectrum(_fgn(0.7), (4.0,)).embedded_shape == (6,)
 
 
 def test_no_circulant_embedding_for_a_table_uneven_in_a_coordinate():

@@ -492,10 +492,10 @@ def test_variance_bridge_on_a_correlated_model():
 
 
 def test_rate_fit_falls_back_when_a_kappa4_is_only_a_bound(monkeypatch):
-    # fGn(0.8) at q = 3 with the 1-D clique budget lowered to 256: kappa_4 is
-    # exact up to 256 points and a majorant at 512, past the budget, so the
-    # exact series is refused as a whole
-    monkeypatch.setattr(chaoscalc, "_LAG_CLIQUE_LIMIT", 256)
+    # fGn(0.8) at q = 3 with the clique budget lowered to a 256-point 1-D
+    # block's: kappa_4 is exact up to 256 points and a majorant at 512, past
+    # the budget, so the exact series is refused as a whole
+    monkeypatch.setattr(chaoscalc, "_CLIQUE_BUDGET", chaoscalc._clique_cost((256,), 3))
     cov = separable(FactorCovariance("fgn", hurst=0.8))
     ladder = tuple(lattice(n) for n in (64, 128, 256, 512))
     assert [fourth_cumulant(cov, latt, 3)[1] for latt in ladder] == [True, True, True, False]
@@ -524,8 +524,8 @@ def test_chaos_reports_and_rate_fit_sum_each_rungs_cliques_once(monkeypatch):
     # fGn(0.8), q = 3 ladder takes one lag-triple clique sum per rung
     calls = []
     original = chaoscalc._lag_clique_sum
-    monkeypatch.setattr(chaoscalc, "_lag_clique_sum",
-                        lambda col, triple: calls.append(len(col)) or original(col, triple))
+    monkeypatch.setattr(chaoscalc, "_lag_clique_sum", lambda values, sizes, triple:
+                        calls.append(*sizes) or original(values, sizes, triple))
     cov = separable(FactorCovariance("fgn", hurst=0.8))
     ladder = tuple(lattice(n) for n in (64, 128, 256, 512))
     config = ExperimentConfig(cov, pure(3), ladder, 100, 7, outputs=("rate_fit", "chaos_reports"))
