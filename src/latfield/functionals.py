@@ -2,8 +2,10 @@
 
 The full functional is Y = sum over every lattice point of phi(B), with
 unit cell volume (lattice sums stand in for integrals without rescaling).
-The marginal version sums phi over the points of one block while every
-other block is frozen at given coordinates.
+``evaluate`` takes a block of samples and returns one Y per sample, in
+order; a single sample is a block of one.  The marginal version sums phi
+over the points of one block while every other block is frozen at given
+coordinates.
 
 An additive sample B = sqrt(w1) U (+) sqrt(w2) V carries its two block
 fields.  For phi = H_q the Hermite addition theorem,
@@ -11,10 +13,12 @@ H_q(sqrt(w1) u + sqrt(w2) v) = sum_k C(q,k) w1^(k/2) w2^((q-k)/2)
 H_k(u) H_(q-k)(v) for w1 + w2 = 1, gives
 Y = sum_k C(q,k) w1^(k/2) w2^((q-k)/2) A_k B_(q-k) from the per-block
 sums A_k = sum H_k(U) and B_k = sum H_k(V), in O(n1 + n2) work instead of
-O(n1 n2) and without building the lattice field.  Every other phi, and
-the marginal functional, reads the lattice field.  A pure phi on the
-lattice field runs the Hermite recurrence in buffers that each thread
-keeps, so a replicate loop allocates none.
+O(n1 n2) and without building the lattice field.  The additive samples of
+a block are summed together: each block's fields are stacked, one row per
+sample, so one pass of the recurrence per stack gives every sample's A_k
+and B_k as row sums, with the bits of each sample summed alone.  Every other phi, and the marginal functional, reads
+each sample's lattice field on its own.  The recurrence runs in buffers
+that each thread keeps, so a replicate loop allocates none.
 """
 from __future__ import annotations
 
@@ -23,48 +27,65 @@ import threading
 
 import numpy as np
 
-from ._errors import ModelError
+from ._errors import ModelError, checked_number, refuse
 from .fieldsim import FieldSample
 from .hermite import INDICATOR, PURE, HermiteSpec, hermite_terms
 
-_local = threading.local()  # this thread's Hermite buffers, see _hermite_buffers
+_local = threading.local()  # this thread's buffers, see _thread_buffers
 
 
-def _hermite_buffers(shape) -> list:
-    """This thread's list of ``hermite_terms`` buffers for fields of the
-    given shape (the recurrence adds the buffers it needs).  Kept while the
-    shape matches; otherwise replaced by an empty list, so a thread never
-    holds buffers of two shapes."""
-    held = getattr(_local, "hermite", None)
+def _thread_buffers(name: str, shape) -> list:
+    """This thread's list of buffers called ``name`` for arrays of the
+    given shape (its user adds the buffers it needs).  Kept while the shape
+    matches; otherwise replaced by an empty list, so a thread never holds
+    buffers of two shapes under one name."""
+    held = getattr(_local, name, None)
     if held is None or held[0] != shape:
-        held = _local.hermite = (shape, [])
+        held = (shape, [])
+        setattr(_local, name, held)
     return held[1]
 
 
-def _additive_hermite_sum(sample: FieldSample, q: int) -> float:
-    """sum of H_q over the lattice of an additive sample, from its block
-    fields by the addition theorem.  The theorem is an identity for any
-    positive w1 + w2 = 1, so the weights are rescaled to sum to 1 to
+def _additive_hermite_sums(samples, q: int) -> list:
+    """sum of H_q over the lattice of each additive sample of ``samples``,
+    which share their weights and the shape of each block field, from the
+    block fields by the addition theorem.  The theorem is an identity for
+    any positive w1 + w2 = 1, so the weights are rescaled to sum to 1 to
     rounding, whatever the slack the configured weights were allowed.
-    One pass of the recurrence per block gives every per-block sum."""
-    total = sum(sample.weights)
-    scales = [math.sqrt(w / total) for w in sample.weights]
-    sums = [[float(h.sum()) for h in hermite_terms(q, x / s)]
-            for x, s in zip(sample.blocks, scales)]
-    return math.fsum(math.comb(q, k) * scales[0] ** k * scales[1] ** (q - k)
-                     * sums[0][k] * sums[1][q - k] for k in range(q + 1))
+    Each block's fields are stacked, one row per sample, in a buffer this
+    thread keeps and divided by the block's scale; one pass of the
+    recurrence over the stack gives every per-block sum as a row sum, with
+    a row's rounding (H_0's is the block's size exactly).  Each sample's
+    terms are added by its own ``math.fsum``."""
+    total = sum(samples[0].weights)
+    scales = [math.sqrt(w / total) for w in samples[0].weights]
+    sums = np.empty((2, q + 1, len(samples)))
+    for b, scale in enumerate(scales):
+        fields = [sample.blocks[b] for sample in samples]
+        shape = (len(fields), fields[0].size)
+        held = _thread_buffers(f"stack{b}", shape)
+        if not held:
+            held.append(np.empty(shape))
+        stack = held[0]  # each field's values are one row, in C order
+        np.concatenate(fields, out=stack.reshape((-1,) + fields[0].shape[1:]))
+        np.divide(stack, scale, out=stack)
+        sums[b, 0] = shape[1]
+        for k, h in enumerate(hermite_terms(q, stack, _thread_buffers(f"terms{b}", shape))):
+            if k:
+                h.sum(axis=1, out=sums[b, k])
+    coeffs = [math.comb(q, k) * scales[0] ** k * scales[1] ** (q - k) for k in range(q + 1)]
+    # (coefficient * A_k) * B_(q-k): one sample's products, in its order
+    terms = coeffs * sums[0].T * sums[1, ::-1].T
+    return [math.fsum(row) for row in terms.tolist()]
 
 
-def evaluate(sample: FieldSample, phi: HermiteSpec) -> float:
-    """phi summed over the field values at every lattice point; a pure
-    phi on an additive sample is summed from its block fields, on any
-    other sample from H_q computed in this thread's buffers, with
-    ``hermite_eval``'s arithmetic; an indicator is a count."""
+def _lattice_sum(sample: FieldSample, phi: HermiteSpec) -> float:
+    """phi summed over the lattice field of ``sample``: a pure phi from H_q
+    computed in this thread's buffers, with ``hermite_eval``'s arithmetic;
+    an indicator is a count."""
     if phi.kind == PURE:
-        if sample.blocks is not None:
-            return _additive_hermite_sum(sample, phi.q)
         values = sample.values
-        for h in hermite_terms(phi.q, values, _hermite_buffers(values.shape)):
+        for h in hermite_terms(phi.q, values, _thread_buffers("hermite", values.shape)):
             pass
         return float(np.sum(h))
     if phi.kind == INDICATOR:
@@ -72,35 +93,45 @@ def evaluate(sample: FieldSample, phi: HermiteSpec) -> float:
     return float(np.sum(phi(sample.values)))
 
 
+def evaluate(samples, phi: HermiteSpec) -> np.ndarray:
+    """phi summed over the field values at every lattice point of each of
+    ``samples``, one value per sample, in order.  A pure phi on the
+    additive samples is summed from their block fields, those with the
+    same block shapes and weights together; every other sample is summed
+    from its lattice field on its own."""
+    values, additive = np.empty(len(samples)), {}
+    for i, sample in enumerate(samples):
+        if phi.kind == PURE and sample.blocks is not None:
+            u, v = sample.blocks
+            additive.setdefault((u.shape, v.shape, sample.weights), []).append(i)
+        else:
+            values[i] = _lattice_sum(sample, phi)
+    for indices in additive.values():
+        values[indices] = _additive_hermite_sums([samples[i] for i in indices], phi.q)
+    return values
+
+
 def marginal_evaluate(sample: FieldSample, phi: HermiteSpec, block: int,
                       frozen=()) -> float:
     """phi summed over block ``block`` with the other axes pinned.
 
     ``frozen`` lists one coordinate per axis outside the block, in
-    flattened axis order.
+    flattened axis order (a lone coordinate may be given bare).  The block
+    index and each coordinate must be integers in range; a ModelError
+    names each that is not.
     """
-    lattice = sample.lattice
-    if not 0 <= block < len(lattice.blocks):
-        raise ModelError(f"block index {block} out of range")
-    in_block = set(lattice.block_axes(block))
-    frozen = tuple(int(c) for c in np.atleast_1d(np.asarray(frozen, dtype=int)))
-    n_other = len(lattice.all_sizes) - len(in_block)
-    if len(frozen) != n_other:
-        raise ModelError(
-            f"expected {n_other} frozen coordinates, got {len(frozen)}"
-        )
-    index, pos = [], 0
-    for axis, size in enumerate(lattice.all_sizes):
-        if axis in in_block:
-            index.append(slice(None))
-        else:
-            c = frozen[pos]
-            pos += 1
-            if not 0 <= c < size:
-                raise ModelError(
-                    f"frozen coordinate {c} out of range on axis {axis} "
-                    f"(size {size})"
-                )
-            index.append(c)
+    lattice, violations = sample.lattice, []
+    block = checked_number(violations, "block", block, kind=int, minimum=0,
+                           maximum=len(lattice.blocks) - 1)
+    refuse(violations)
+    sizes, in_block = lattice.all_sizes, lattice.block_axes(block)
+    others = [axis for axis in range(len(sizes)) if axis not in in_block]
+    frozen = tuple(np.asarray(frozen, dtype=object).ravel())  # each as given
+    if len(frozen) != len(others):
+        raise ModelError(f"frozen: expected {len(others)} coordinates, got {len(frozen)}")
+    index = [slice(None)] * len(sizes)
+    for pos, (axis, c) in enumerate(zip(others, frozen)):
+        index[axis] = checked_number(violations, f"frozen[{pos}]", c, kind=int,
+                                     minimum=0, maximum=sizes[axis] - 1)
+    refuse(violations)
     return float(np.sum(phi(sample.values[tuple(index)])))
-

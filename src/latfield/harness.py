@@ -377,11 +377,13 @@ def _draw_values(config, sampler, rung_index, threads) -> np.ndarray:
 
     def work(first):
         # one block of pairs per unit, on one thread: one transform for the
-        # block, then every replicate of it is served from the workspace
+        # block, then every replicate of it is served from the workspace and
+        # the block's replicates are evaluated in one call
         count = min(size, pairs - first)
         draw_pairs(sampler, config.seed, base + first, count)
-        for r in range(2 * first, min(2 * (first + count), reps)):
-            values[r] = evaluate(draw(sampler, config.seed, 2 * base + r), config.phi)
+        lo, hi = 2 * first, min(2 * (first + count), reps)
+        values[lo:hi] = evaluate([draw(sampler, config.seed, 2 * base + r)
+                                  for r in range(lo, hi)], config.phi)
 
     blocks = range(0, pairs, size)
     if threads <= 1 or len(blocks) == 1:

@@ -268,6 +268,30 @@ def test_draw_values_do_not_depend_on_the_thread_count(structure):
     assert np.array_equal(one, three)
 
 
+def test_an_additive_rung_of_several_blocks_keeps_each_replicates_value():
+    # crit10's additive model on 1024x181: a block holds 13 pairs of its
+    # 2046 + 360 point embeddings, so 101 replicates (51 pairs, the last
+    # pair's second half unused) take 4 blocks, each evaluated in one call;
+    # every value equals, bit for bit, evaluate on that replicate's draw
+    # alone, at 1 and 3 threads
+    cov = CompositeCovariance(ADDITIVE, (FactorCovariance("cauchy", exponent=0.48),
+                                         FactorCovariance("cauchy", exponent=3.0)),
+                              weights=(0.1, 0.9))
+    config = ExperimentConfig(cov, pure(2), (lattice(64, 23), lattice(1024, 181)), 101, 29)
+    sampler = build_sampler(cov, config.ladder[1])
+    assert harness._BLOCK_POINTS // sampler.sqrt_spectrum.size == 13
+    alone = [harness.evaluate([harness.draw(sampler, config.seed, 102 + r)], config.phi)[0]
+             for r in range(101)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 3):
+            values = _draw_values(config, sampler, 1, threads)
+            assert values.tobytes() == np.array(alone).tobytes(), threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.skipif(
     not hasattr(resource, "RUSAGE_THREAD"),
     reason="needs resource.RUSAGE_THREAD (per-thread page-fault counts), "
@@ -334,9 +358,9 @@ def test_one_pool_serves_the_experiment_and_one_block_runs_inline(monkeypatch):
 
     evaluate = harness.evaluate
 
-    def recorded(sample, phi):
-        threads_seen.setdefault(sample.lattice.n_total, set()).add(threading.get_ident())
-        return evaluate(sample, phi)
+    def recorded(samples, phi):
+        threads_seen.setdefault(samples[0].lattice.n_total, set()).add(threading.get_ident())
+        return evaluate(samples, phi)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", counted_pool)
     monkeypatch.setattr(harness, "evaluate", recorded)
