@@ -31,10 +31,11 @@ stack in place, one axis at a time over all planes, cropping each axis to
 the lattice as soon as it is transformed; the workspace remembers which
 pairs it holds, so ``draw`` serves every replicate of the block with no
 normals and no transform.  A draw of a pair the workspace does not hold
-is the block of one.  Values are bit-identical to the one-shot ``ifftn``
-of each embedding, whatever the block, the thread count and the order in
-which halves are drawn.  Dense-Cholesky draws take their normals from the
-window keyed by (seed, replicate_id).
+is the block of one; ``Sampler.block_pairs`` is the block to ask for.
+Values are bit-identical to the one-shot ``ifftn`` of each embedding,
+whatever the block, the thread count and the order in which halves are
+drawn.  Dense-Cholesky draws take their normals from the window keyed by
+(seed, replicate_id).  Seeds lie in [0, SEED_LIMIT).
 """
 from __future__ import annotations
 
@@ -74,7 +75,12 @@ DENSE_LIMIT = 4096
 #: is scaled into the stack
 _CHUNK = 2**13
 
-_MASK64 = 2**64 - 1
+#: complex embedding points one block of replicate pairs may hold in a
+#: thread's workspace (512 KiB); a pair larger than this is a block alone
+_BLOCK_POINTS = 2**15
+
+#: seeds are integers in [0, SEED_LIMIT): the low word of the Philox key
+SEED_LIMIT = 2**64
 
 _local = threading.local()  # this thread's generator and draw buffers
 
@@ -175,6 +181,14 @@ class Sampler:
     chol_factor: Optional[np.ndarray] = None       # dense fallback
     weights: Optional[tuple] = None                # additive: (w1, w2)
 
+    @property
+    def block_pairs(self) -> int:
+        """Replicate pairs per block: as many as fit in _BLOCK_POINTS, at
+        least one.  A pair holds the embedding's points (dense: n_total)."""
+        points = (self.sqrt_spectrum.size if self.sqrt_spectrum is not None
+                  else self.lattice.n_total)
+        return max(1, _BLOCK_POINTS // points)
+
 
 def _check_blocks(cov: CompositeCovariance, lattice: LatticeSpec):
     if lattice.block_dims != cov.blocks:
@@ -211,12 +225,15 @@ def _dense_factor(cov, lattice):
 def _embed(spectrum_at):
     """Square root of the first nonnegative spectrum_at(doublings) over
     doublings 0..MAX_DOUBLINGS, and its Embedding record.  Raises
-    NumericalError when none is nonnegative."""
+    NumericalError when none is nonnegative, and the ModelError of a
+    minimal embedding that cannot be built."""
     worst = np.inf
     for doublings in range(MAX_DOUBLINGS + 1):
         try:
             eig = spectrum_at(doublings)
         except ModelError:
+            if doublings == 0:
+                raise  # e.g. a tabulated covariance lacks a lag of the lattice
             break  # e.g. a tabulated covariance has no lags this far out
         mn = float(eig.min())
         if nonnegative_spectrum(eig):
@@ -259,15 +276,23 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
     )
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int in [0, SEED_LIMIT), so no two seeds share a stream."""
+    seed = int(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ModelError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _replicate_rng(seed: int, window: int) -> np.random.Generator:
     """This thread's generator, set to the start of window ``window`` of the
-    Philox stream keyed by ``seed``: one disjoint 2^64-counter window per
-    replicate pair (circulant draws) or per replicate (dense draws).  Its
-    whole state is reset (key, counter, buffered words and the spare 32-bit
-    half), so it gives the stream of a new Philox(key=seed,
-    counter=window << 64) whatever it read before.  It is valid until the
-    thread's next call."""
-    key, counter = int(seed) & (2**128 - 1), int(window) << 64
+    Philox stream keyed by ``seed`` (a ``_checked_seed``): one disjoint
+    2^64-counter window per replicate pair (circulant draws) or per
+    replicate (dense draws).  Its whole state is reset (key, counter,
+    buffered words and the spare 32-bit half), so it gives the stream of a
+    new Philox(key=seed, counter=window << 64) whatever it read before.
+    It is valid until the thread's next call."""
+    counter = int(window) << 64
     if not 0 <= counter < 2**256:
         raise ModelError(f"replicate window {window} is outside the Philox counter")
     rng = getattr(_local, "rng", None)
@@ -276,9 +301,9 @@ def _replicate_rng(seed: int, window: int) -> np.random.Generator:
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": np.array([(counter >> s) & _MASK64 for s in (0, 64, 128, 192)],
+            "counter": np.array([(counter >> s) & (2**64 - 1) for s in (0, 64, 128, 192)],
                                 dtype=np.uint64),
-            "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64),
+            "key": np.array([seed, 0], dtype=np.uint64),
         },
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,
@@ -333,11 +358,11 @@ def draw_pairs(sampler: Sampler, seed: int, first_pair: int, count: int) -> None
     per-thread record of what the workspace holds is replaced.
     Dense-Cholesky draws are not paired, so there is nothing to prepare
     for them."""
+    seed, first_pair = _checked_seed(seed), int(first_pair)
     if count < 1:
         raise ModelError(f"a block needs at least one pair, got {count}")
     if sampler.method == DENSE_CHOLESKY:
         return
-    seed, first_pair = int(seed), int(first_pair)
     _local.pairs = None  # drop the views before the workspace may be replaced
     shape = sampler.sqrt_spectrum.shape
     chunk, w = _workspace(shape, count)
@@ -384,7 +409,7 @@ def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
     thread's workspace when the workspace holds that pair (after
     ``draw_pairs``, or after a draw of the pair's other half); otherwise
     the pair is drawn and transformed as a block of one."""
-    seed, replicate_id = int(seed), int(replicate_id)
+    seed, replicate_id = _checked_seed(seed), int(replicate_id)
     lattice = sampler.lattice
     if sampler.method == DENSE_CHOLESKY:
         z = _replicate_rng(seed, replicate_id).standard_normal(lattice.n_total)

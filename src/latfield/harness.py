@@ -2,10 +2,12 @@
 
 An experiment walks a ladder of lattice windows, draws replicates of the
 field, evaluates the functional, standardizes it (exactly when the
-variance has a closed form), and reports normality statistics per rung.
-Results are deterministic given the config: replicate streams are keyed
-by a global counter and aggregation reads a fixed slot order, so thread
-scheduling cannot change a single bit of the output.
+variance has a closed form), and reports normality statistics per rung;
+a failure on the way names its rung.  A rung is drawn in blocks of
+``Sampler.block_pairs`` replicate pairs, on a worker pool of its own when
+it has several.  Results are deterministic given the config: replicate
+streams are keyed by a global counter and aggregation reads a fixed slot
+order, so thread scheduling cannot change a single bit of the output.
 
 A config is one plain document (``config_document``): its YAML form, the
 ``config`` a result stores, and the text whose sha256 is the result's
@@ -14,12 +16,10 @@ A config is one plain document (``config_document``): its YAML form, the
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -33,7 +33,7 @@ from .chaoscalc import ChaosReport, chaos_report, fourth_cumulant, variance_phi
 # unused here; perfbench/tracing.py wraps harness.additive_variance by name
 from .chaoscalc import additive_variance  # noqa: F401
 from .covariance import FAMILY_PARAMS, ISOTROPIC, SEPARABLE, CompositeCovariance
-from .fieldsim import LatticeSpec, build_sampler, draw, draw_pairs
+from .fieldsim import SEED_LIMIT, LatticeSpec, build_sampler, draw, draw_pairs
 from .functionals import evaluate
 from .hermite import KIND_PARAMS, HermiteSpec, hermite_coefficients, hermite_rank
 
@@ -87,7 +87,7 @@ def check_config_fields(fields: dict):
         violations, "replicates", fields["replicates"], kind=int, minimum=1)
     seed = checked["seed"] = checked_number(violations, "seed", fields["seed"],
                                             kind=int, minimum=0)
-    if seed is not None and seed >= 2**64:
+    if seed is not None and seed >= SEED_LIMIT:
         violations.append(("seed", f"must fit in 64 bits, got {seed}"))
     outputs = fields["outputs"]
     if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
@@ -342,43 +342,18 @@ def _exact_moments(cov, lattice, phi, a0):
     return mean, var.value, None
 
 
-#: complex embedding points one block of replicate pairs may hold in a
-#: thread's workspace (512 KiB); a pair larger than this is a block alone
-_BLOCK_POINTS = 2**15
-
-_experiment = threading.local()  # .pool: the worker pool of the running experiment
-
-
-@contextlib.contextmanager
-def _workers(threads):
-    """The worker pool of the experiment running on this thread, or, when
-    there is none, a pool of ``threads`` threads that lasts as long as the
-    context and serves as that pool meanwhile."""
-    pool = getattr(_experiment, "pool", None)
-    if pool is not None:
-        yield pool
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        _experiment.pool = pool
-        try:
-            yield pool
-        finally:
-            _experiment.pool = None
-
-
 def _draw_values(config, sampler, rung_index, threads) -> np.ndarray:
+    """The rung's values, in blocks of ``sampler.block_pairs`` pairs: inline
+    for one block or one thread, else on a pool of ``threads`` for the rung."""
     reps = config.replicates
     pairs = (reps + 1) // 2
     values = np.empty(reps)
     base = rung_index * pairs  # first pair; no replicate pair spans two rungs
-    pair_points = (sampler.sqrt_spectrum.size if sampler.sqrt_spectrum is not None
-                   else sampler.lattice.n_total)
-    size = max(1, _BLOCK_POINTS // pair_points)
+    size = sampler.block_pairs
 
     def work(first):
-        # one block of pairs per unit, on one thread: one transform for the
-        # block, then every replicate of it is served from the workspace and
-        # the block's replicates are evaluated in one call
+        # one block per unit, on one thread: one transform, every replicate
+        # served from the workspace, one evaluate call
         count = min(size, pairs - first)
         draw_pairs(sampler, config.seed, base + first, count)
         lo, hi = 2 * first, min(2 * (first + count), reps)
@@ -390,7 +365,7 @@ def _draw_values(config, sampler, rung_index, threads) -> np.ndarray:
         for first in blocks:
             work(first)
     else:
-        with _workers(threads) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
     return values
 
@@ -423,46 +398,45 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     rank = hermite_rank(coeffs)
     rungs = []
     notes = []
-    with _workers(threads):
-        for idx, lattice in enumerate(config.ladder):
-            tag = "x".join(str(n) for n in lattice.all_sizes)
-            try:
-                sampler = build_sampler(cov, lattice)
-                values = _draw_values(config, sampler, idx, threads)
-            except (ModelError, NumericalError) as exc:
-                raise type(exc)(f"rung {idx} ({tag}): {exc}") from exc
+    for idx, lattice in enumerate(config.ladder):
+        tag = "x".join(str(n) for n in lattice.all_sizes)
+        rung_notes = []
+        try:
+            sampler = build_sampler(cov, lattice)
+            values = _draw_values(config, sampler, idx, threads)
             exact_mean, exact_var, why = _exact_moments(cov, lattice, config.phi, coeffs[0])
-            rung_notes = []
             if exact_var is not None:
                 scale = math.sqrt(exact_var)
             else:
                 scale = float(np.std(values, ddof=1))
                 rung_notes.append(why)
             if not scale > 0.0:
-                raise NumericalError(f"rung {idx} ({tag}): degenerate variance")
+                raise NumericalError("degenerate variance")
             stats = normality_report((values - exact_mean) / scale)
-            chaos = None
-            if "chaos_reports" in config.outputs:
-                try:
-                    chaos = chaos_report(cov, lattice, rank)
-                except (ModelError, NumericalError) as exc:
-                    rung_notes.append(f"chaos report unavailable: {exc}")
-            rungs.append(
-                RungResult(
-                    sizes=lattice.all_sizes,
-                    n_total=lattice.n_total,
-                    replicates=config.replicates,
-                    stats=stats,
-                    raw_mean=float(np.mean(values)),
-                    raw_variance=float(np.var(values, ddof=1)),
-                    exact_mean=exact_mean,
-                    exact_variance=exact_var,
-                    variance_source="exact" if exact_var is not None else "empirical",
-                    gaussian=is_gaussian(stats),
-                    chaos=chaos,
-                    notes=tuple(rung_notes),
-                )
+        except (ModelError, NumericalError) as exc:
+            raise type(exc)(f"rung {idx} ({tag}): {exc}") from exc
+        chaos = None
+        if "chaos_reports" in config.outputs:
+            try:
+                chaos = chaos_report(cov, lattice, rank)
+            except (ModelError, NumericalError) as exc:
+                rung_notes.append(f"chaos report unavailable: {exc}")
+        rungs.append(
+            RungResult(
+                sizes=lattice.all_sizes,
+                n_total=lattice.n_total,
+                replicates=config.replicates,
+                stats=stats,
+                raw_mean=float(np.mean(values)),
+                raw_variance=float(np.var(values, ddof=1)),
+                exact_mean=exact_mean,
+                exact_variance=exact_var,
+                variance_source="exact" if exact_var is not None else "empirical",
+                gaussian=is_gaussian(stats),
+                chaos=chaos,
+                notes=tuple(rung_notes),
             )
+        )
     verdict = None
     if "normality" in config.outputs:
         verdict = "gaussian" if rungs[-1].gaussian else "non_gaussian"

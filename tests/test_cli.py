@@ -660,6 +660,18 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_a_degenerate_sample_exits_3_naming_its_rung(tmp_path, capsys):
+    # an indicator of level 6 is 0 on every white-noise draw of 8 points
+    text = (MINIMAL.replace("  kind: pure\n  q: 2", "  kind: indicator\n  level: 6")
+            .replace("    - [16]\n    - [32]", "    - [8]\n    - [16]")
+            .replace("replicates: 120\nseed: 7", "replicates: 100\nseed: 3"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert ("numerical failure: rung 0 (8): degenerate sample variance"
+            in capsys.readouterr().err)
+
+
 def test_chaos_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINIMAL)

@@ -96,6 +96,45 @@ def test_draws_are_counter_deterministic():
     assert isinstance(a, FieldSample) and a.replicate_id == 5
 
 
+def test_seeds_outside_64_bits_are_refused_before_any_normal(monkeypatch):
+    # a seed keys its stream as is, so 2^128 + 5 cannot alias 5, nor -1
+    # alias 2^128 - 1; the workspace keeps the block it holds
+    cov, blocks = _CIRCULANT_CASES["two factors"]
+    circulant = build_sampler(cov, LatticeSpec(blocks))
+    dense = build_sampler(_separable(FactorCovariance(
+        TABULATED, table={(0,): 1.0, (1,): 0.9, (2,): 0.7})), LatticeSpec(((3,),)))
+    assert dense.method == DENSE_CHOLESKY
+    top = fieldsim.SEED_LIMIT - 1
+    assert np.array_equal(draw(circulant, top, 3).values, _one_shot_draw(circulant, top, 3))
+    draw_pairs(circulant, 7, 2, 2)
+    held = fieldsim._local.pairs
+    windows = []
+    monkeypatch.setattr(fieldsim, "_replicate_rng", lambda *a: windows.append(a))
+    for sampler in (circulant, dense):
+        for seed in (2**128 + 5, -1, fieldsim.SEED_LIMIT):
+            with pytest.raises(ModelError, match=rf"^seed must be in \[0, 2\^64\), got {seed}$"):
+                draw(sampler, seed, 4)
+            with pytest.raises(ModelError, match="^seed must be in"):
+                draw_pairs(sampler, seed, 2, 2)
+    assert windows == [] and fieldsim._local.pairs is held
+
+
+def test_block_pairs_fill_the_block_budget():
+    # as many pairs as fit in the block's points, at least one: a pair
+    # holds its embedding (both blocks' for an additive sampler), or the
+    # lattice for a dense-Cholesky sampler, whose draws are not paired
+    for name, points in (("two factors", 78 * 64), ("additive", 78 + 24)):
+        cov, blocks = _CIRCULANT_CASES[name]
+        sampler = build_sampler(cov, LatticeSpec(blocks))
+        assert sampler.block_pairs == fieldsim._BLOCK_POINTS // points > 1, name
+    large = build_sampler(_CIRCULANT_CASES["two factors"][0], LatticeSpec(((256,), (256,))))
+    assert large.sqrt_spectrum.size > fieldsim._BLOCK_POINTS and large.block_pairs == 1
+    dense = build_sampler(_separable(FactorCovariance(
+        TABULATED, table={(0,): 1.0, (1,): 0.9, (2,): 0.7})), LatticeSpec(((3,),)))
+    assert dense.method == DENSE_CHOLESKY
+    assert dense.block_pairs == fieldsim._BLOCK_POINTS // 3 == 10922
+
+
 def test_replicate_streams_look_independent():
     cov = _separable(FactorCovariance(WHITE_NOISE, dim=1))
     sampler = build_sampler(cov, LatticeSpec(((4096,),)))
@@ -764,6 +803,15 @@ def test_unembeddable_large_lattice_fails_loudly():
     cov = _separable(FactorCovariance(TABULATED, table=table))
     with pytest.raises(NumericalError):
         build_sampler(cov, LatticeSpec(((n,),)))
+
+
+def test_a_short_lag_table_names_the_missing_lag():
+    # the minimal embedding needs every lag of the lattice, so a table that
+    # stops at lag 1 names lag 2 at any size, not a failed embedding
+    cov = _separable(FactorCovariance(TABULATED, table={(0,): 1.0, (1,): 0.3}))
+    for n in (3, 5000):
+        with pytest.raises(ModelError, match=r"^tabulated covariance has no entry for lag \(2,\)$"):
+            build_sampler(cov, LatticeSpec(((n,),)))
 
 
 def test_block_mismatch_rejected():

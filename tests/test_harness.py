@@ -279,7 +279,7 @@ def test_an_additive_rung_of_several_blocks_keeps_each_replicates_value():
                               weights=(0.1, 0.9))
     config = ExperimentConfig(cov, pure(2), (lattice(64, 23), lattice(1024, 181)), 101, 29)
     sampler = build_sampler(cov, config.ladder[1])
-    assert harness._BLOCK_POINTS // sampler.sqrt_spectrum.size == 13
+    assert sampler.block_pairs == 13
     alone = [harness.evaluate([harness.draw(sampler, config.seed, 102 + r)], config.phi)[0]
              for r in range(101)]
     interval = sys.getswitchinterval()
@@ -341,14 +341,9 @@ def test_draws_come_in_replicate_pairs(monkeypatch):
         assert values[1, idx] == values[3, idx]
 
 
-def test_one_pool_serves_the_experiment_and_one_block_runs_inline(monkeypatch):
-    # the 4x3 rung fits in one block of pairs and is drawn on the calling
-    # thread; the 24x17 rung takes several blocks, spread over the pool that
-    # the whole experiment shares; the values match one thread's
-    cov = separable(FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
-    config = ExperimentConfig(cov, pure(2), (lattice(4, 3), lattice(24, 17)), 120, 13)
-    points = [build_sampler(cov, lat).sqrt_spectrum.size for lat in config.ladder]
-    assert 60 * points[0] <= harness._BLOCK_POINTS < 60 * points[1]
+def _count_pools_and_threads(monkeypatch):
+    """Patch harness to count the worker pools it opens and record, per
+    lattice size, the threads that evaluate its blocks."""
     pools, threads_seen = [], {}
     executor = harness.ThreadPoolExecutor
 
@@ -364,11 +359,38 @@ def test_one_pool_serves_the_experiment_and_one_block_runs_inline(monkeypatch):
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", counted_pool)
     monkeypatch.setattr(harness, "evaluate", recorded)
+    return pools, threads_seen
+
+
+def test_each_multi_block_rung_has_its_own_pool_and_one_block_runs_inline(monkeypatch):
+    # the 4x3 rung fits in one block of pairs and is drawn on the calling
+    # thread; the 24x17 rung takes several blocks, spread over a pool that
+    # lasts as long as the rung; the values match one thread's
+    cov = separable(FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
+    config = ExperimentConfig(cov, pure(2), (lattice(4, 3), lattice(24, 17)), 120, 13)
+    blocks = [build_sampler(cov, lat).block_pairs for lat in config.ladder]
+    assert blocks[0] >= 60 > blocks[1]
+    pools, threads_seen = _count_pools_and_threads(monkeypatch)
     many = run_experiment(config, threads=3)
     assert pools == [1]
     assert threads_seen[12] == {threading.get_ident()}
     assert threading.get_ident() not in threads_seen[24 * 17]
     assert run_experiment(config, threads=1) == many
+
+
+def test_two_multi_block_rungs_open_two_pools(monkeypatch):
+    # both rungs take several blocks of pairs, so each opens its own pool;
+    # the values match one thread's, and one thread opens no pool
+    cov = separable(FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
+    config = ExperimentConfig(cov, pure(2), (lattice(24, 17), lattice(20, 30)), 120, 13)
+    assert all(build_sampler(cov, lat).block_pairs < 60 for lat in config.ladder)
+    pools, threads_seen = _count_pools_and_threads(monkeypatch)
+    many = run_experiment(config, threads=3)
+    assert pools == [1, 1]
+    assert threading.get_ident() not in threads_seen[24 * 17] | threads_seen[20 * 30]
+    pools.clear()
+    assert run_experiment(config, threads=1) == many
+    assert pools == []
 
 
 def test_rungs_use_distinct_replicate_streams():
@@ -395,6 +417,15 @@ def test_sampler_failures_name_the_rung():
         seed=1,
     )
     with pytest.raises((ModelError, NumericalError), match="rung 1"):
+        run_experiment(config)
+
+
+def test_a_degenerate_sample_names_its_rung():
+    # an indicator of level 6 is 0 on every white-noise draw of 8 points,
+    # so rung 0's standardized sample has no spread
+    phi = HermiteSpec("indicator", level=6.0)
+    config = ExperimentConfig(WHITE, phi, (lattice(8), lattice(16)), 100, 3)
+    with pytest.raises(NumericalError, match=r"^rung 0 \(8\): degenerate sample variance"):
         run_experiment(config)
 
 
