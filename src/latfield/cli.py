@@ -18,8 +18,8 @@ import argparse
 import csv
 import dataclasses
 import datetime
-import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -345,10 +345,23 @@ def persist_result(result, out_dir, config: ExperimentConfig,
 # subcommands
 
 
+def _check_out(out):
+    """ModelError unless the ``--out`` path ``out`` is a directory, or can
+    be made one: its nearest existing path is a writable directory."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+                raise ModelError(f"--out: {path} is not a writable directory")
+            return
+
+
 def _load_config(args) -> ExperimentConfig:
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelError(f"--config: {exc}") from None
     config = parse_config(text)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
@@ -546,16 +559,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and kept: parsing does
-    not change it."""
-    return _build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        if args.out is not None:  # a path error ends the run before any work
+            _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print("config invalid:", file=sys.stderr)

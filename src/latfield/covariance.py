@@ -501,11 +501,3 @@ def is_nonnegative(model: FactorCovariance) -> Optional[bool]:
     if model.family in (CAUCHY, EXPONENTIAL, WHITE_NOISE):
         return True
     return None
-
-
-def summable_at_power(model: FactorCovariance, power: int) -> Optional[bool]:
-    """True when sum over the block lattice of |C|^power converges."""
-    b = decay_exponent(model)
-    if b is None:
-        return None
-    return bool(b * power > model.dim)

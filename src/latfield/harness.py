@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._errors import ModelError, NumericalError, checked_number, checked_numbers, refuse
+from ._errors import ModelError, NumericalError, checked_number, refuse
 from ._gauss import kolmogorov_quantile, normal_cdf, normal_quantile
 from .chaoscalc import ChaosReport, chaos_report, fourth_cumulant, variance_phi
 # unused here; perfbench/tracing.py wraps harness.additive_variance by name
@@ -36,6 +36,7 @@ from .covariance import FAMILY_PARAMS, ISOTROPIC, SEPARABLE, CompositeCovariance
 from .fieldsim import SEED_LIMIT, LatticeSpec, build_sampler, draw, draw_pairs
 from .functionals import evaluate
 from .hermite import KIND_PARAMS, HermiteSpec, hermite_coefficients, hermite_rank
+from .ratelab import checked_growth
 
 #: version of the config document's schema
 SCHEMA_VERSION = 1
@@ -102,17 +103,9 @@ def check_config_fields(fields: dict):
                 and any(o in _STATISTICAL for o in outputs)):
             violations.append(("replicates", "must be at least 100 for statistical "
                                              f"verdicts, got {replicates}"))
-    growth = fields["growth"]
-    if growth is not None:
-        if not isinstance(growth, (list, tuple)):
-            violations.append(("growth", "must be a list of per-block exponents"))
-        else:
-            checked["growth"] = checked_numbers(violations, "growth", growth, minimum=0.0)
-            if (isinstance(covariance, CompositeCovariance)
-                    and len(growth) != len(covariance.blocks)):
-                violations.append(("growth", "must hold one exponent per covariance "
-                                             f"block, got {len(growth)} for "
-                                             f"{len(covariance.blocks)}"))
+    checked["growth"] = checked_growth(
+        violations, fields["growth"],
+        covariance if isinstance(covariance, CompositeCovariance) else None)
     return checked, violations
 
 

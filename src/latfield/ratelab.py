@@ -6,6 +6,15 @@ limit regime applies to the normalized functional when the observation
 window grows.  It never verifies spectral hypotheses numerically -- for
 the builtin covariance families they are established facts carried as
 metadata, and the verdict records what was assumed.
+
+Every verdict reduces to one block's marginal, decided by one rule: the
+block's tail exponent times the rank, x, against its dimension d.  The
+block is short-range (sum |C|^rank converges) when x > d, the boundary
+when x is within 1e-12 of d, and strictly long-range when x < d.  The
+separable, Gneiting and additive verdicts, each block's variance growth,
+the additive gamma rates and ``breuer_major_sigma2`` all read that rule,
+and ``checked_growth`` is the one rule for the per-block growth exponents
+a verdict along a growth path reads.
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError, checked_number, refuse
+from ._errors import ModelError, checked_number, checked_numbers, refuse
 from .covariance import (
     ADDITIVE,
     GNEITING,
@@ -26,7 +35,6 @@ from .covariance import (
     decay_exponent,
     eval_factor,
     is_nonnegative,
-    summable_at_power,
 )
 from .hermite import hermite_rank
 
@@ -56,6 +64,52 @@ class RegimeVerdict:
 
 
 # ---------------------------------------------------------------------------
+# the marginal rule: a block's tail exponent times the rank against its dimension
+
+SHORT, BOUNDARY, LONG = "short-range", "boundary", "strictly long-range"
+
+
+def _tied(a: float, b: float) -> bool:
+    """Whether two exponents are one: the classifier's one tolerance."""
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _marginal(factor: FactorCovariance, rank: int, block: str):
+    """(x, d): the tail exponent of ``factor`` times ``rank``, and its
+    dimension; ModelError naming ``block`` when it has no decay metadata."""
+    s = decay_exponent(factor)
+    if s is None:
+        raise ModelError(f"{block} has no decay metadata: model is incomplete "
+                         "for classification")
+    return s * rank, factor.dim
+
+
+def _regime(x: float, d: int) -> str:
+    """SHORT when sum |C|^rank converges over the block (x > d), BOUNDARY at
+    x = d, LONG when x < d."""
+    if _tied(x, d):
+        return BOUNDARY
+    return SHORT if x > d else LONG
+
+
+def checked_growth(violations, growth, covariance):
+    """``growth`` as one finite exponent >= 0 per block of ``covariance``
+    (None: not known), or None once each violation is added to
+    ``violations``.  None stays None: every block grows at rate 1."""
+    if growth is None:
+        return None
+    if not isinstance(growth, (list, tuple)):
+        violations.append(("growth", "must be a list of per-block exponents"))
+        return None
+    checked = checked_numbers(violations, "growth", growth, minimum=0.0)
+    if covariance is not None and len(growth) != len(covariance.blocks):
+        violations.append(("growth", "must hold one exponent per covariance block, "
+                                     f"got {len(growth)} for {len(covariance.blocks)}"))
+        return None
+    return checked
+
+
+# ---------------------------------------------------------------------------
 # asymptotic variance of the short-range (Breuer-Major) limit
 
 
@@ -69,21 +123,19 @@ class Sigma2:
 
 
 def _tail_estimate(factor: FactorCovariance, radius: int, q: int) -> float:
-    """Order-of-magnitude estimate of the lag sum dropped beyond the box."""
-    s = decay_exponent(factor)
-    if not math.isfinite(s):
+    """Order-of-magnitude estimate of the lag sum of C^q dropped beyond the
+    box, for a factor short-range at power q."""
+    x, d = _marginal(factor, q, "factor")
+    if not math.isfinite(x):
         return 0.0
-    d = factor.dim
-    if s * q <= d:
-        return math.inf
     edge = abs(eval_factor(factor, (radius,) + (0,) * (d - 1)))
-    return 2.0**d * d * edge**q * radius**d / (s * q - d)
+    return 2.0**d * d * edge**q * radius**d / (x - d)
 
 
 def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
     """sigma^2 = sum_{q >= R} a_q^2 q! prod_i sum_{|z| <= radius} C_i(z)^q.
 
-    Every factor must be summable at the rank R of the coefficients;
+    Every factor must be short-range at the rank R of the coefficients;
     otherwise the defining series diverges and the factor is named in the
     error.  Each factor's box is its lag window, under the one lag cap.
     """
@@ -94,16 +146,14 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
     coeffs = np.asarray(coefficients, dtype=float)
     rank = hermite_rank(coeffs)
     for i, factor in enumerate(factors):
-        ok = summable_at_power(factor, rank)
-        if ok is None:
-            raise ModelError(
-                f"factor {i} ({factor.family}) carries no decay metadata"
-            )
-        if not ok:
-            raise ModelError(
-                f"factor {i} ({factor.family}) is not summable at power "
-                f"{rank}: the limiting variance diverges"
-            )
+        name = f"factor {i} ({factor.family})"
+        try:
+            x, d = _marginal(factor, rank, name)
+        except ModelError:
+            raise ModelError(f"{name} carries no decay metadata") from None
+        if _regime(x, d) != SHORT:
+            raise ModelError(f"{name} is not summable at power {rank}: the "
+                             "limiting variance diverges")
     try:  # C(z) for |z_j| <= radius: the lags of a (radius + 1)-point window
         boxes = [_lag_window(factor, (radius + 1,) * factor.dim)[0] for factor in factors]
     except ModelError as exc:  # past the lag cap
@@ -209,33 +259,25 @@ def fbs_regime(alpha: float, beta: float, q: int) -> RegimeVerdict:
 # regime classification from model metadata
 
 
-def _variance_growth(factor: FactorCovariance, rank: int) -> dict:
-    """Growth exponent of the block's own Hermite-variance, with log flag."""
-    s = decay_exponent(factor)
-    d = factor.dim
-    x = s * rank
-    if x > d:
-        return {"exponent": float(d), "log_exponent": 0.0}
-    if x == d:
-        return {"exponent": float(d), "log_exponent": 1.0}
-    return {"exponent": 2.0 * d - x, "log_exponent": 0.0}
+def _not_covered(*notes, normalization=None) -> RegimeVerdict:
+    return RegimeVerdict(verdict=NOT_COVERED, citation="no-applicable-reduction",
+                         normalization=normalization or {}, notes=notes)
+
+
+def _variance_growth(x: float, d: int) -> dict:
+    """Growth exponent of a block's own Hermite-variance, with log flag."""
+    regime = _regime(x, d)
+    if regime == LONG:
+        return {"exponent": 2.0 * d - x, "log_exponent": 0.0}
+    return {"exponent": float(d), "log_exponent": float(regime == BOUNDARY)}
 
 
 def _classify_separable(cov, rank) -> RegimeVerdict:
-    summables = []
-    for i, factor in enumerate(cov.factors):
-        ok = summable_at_power(factor, rank)
-        if ok is None:
-            raise ModelError(
-                f"factor {i} has no decay metadata: model is incomplete "
-                "for classification"
-            )
-        summables.append(ok)
-    normalization = {
-        f"block{i}": _variance_growth(f, rank) for i, f in enumerate(cov.factors)
-    }
-    if any(summables):
-        short = [i for i, ok in enumerate(summables) if ok]
+    marginals = [_marginal(f, rank, f"factor {i}") for i, f in enumerate(cov.factors)]
+    regimes = [_regime(x, d) for x, d in marginals]
+    normalization = {f"block{i}": _variance_growth(x, d) for i, (x, d) in enumerate(marginals)}
+    if SHORT in regimes:
+        short = [i for i, regime in enumerate(regimes) if regime == SHORT]
         return RegimeVerdict(
             verdict=CENTRAL,
             citation="separable-short-range-reduction",
@@ -246,19 +288,12 @@ def _classify_separable(cov, rank) -> RegimeVerdict:
                 "product model inherits the central limit",
             ),
         )
-    strictly_long = all(
-        decay_exponent(f) * rank < f.dim for f in cov.factors
-    )
-    if not strictly_long:
-        return RegimeVerdict(
-            verdict=NOT_COVERED,
-            citation="no-applicable-reduction",
+    if BOUNDARY in regimes:
+        return _not_covered(
+            "some factor sits exactly at the boundary decay*rank = dim: "
+            "neither the short-range nor the strictly long-range "
+            "hypotheses hold",
             normalization=normalization,
-            notes=(
-                "some factor sits exactly at the boundary decay*rank = dim: "
-                "neither the short-range nor the strictly long-range "
-                "hypotheses hold",
-            ),
         )
     # every strictly long-range factor (fgn with H > 1/2, cauchy with
     # exponent * rank < dim) is nonnegative, and its family declares the
@@ -277,61 +312,43 @@ def _classify_separable(cov, rank) -> RegimeVerdict:
 
 
 def _classify_gneiting(cov, rank, growth) -> RegimeVerdict:
-    if growth is None:
-        growth = (1.0, 1.0)
     growing = [i for i, g in enumerate(growth) if g > 0]
     if len(growing) != 1:
-        return RegimeVerdict(
-            verdict=NOT_COVERED,
-            citation="no-applicable-reduction",
-            normalization={},
-            notes=(
-                "the non-separable reduction needs exactly one growing "
-                f"block; growth {tuple(growth)} declares {len(growing)}",
-            ),
+        return _not_covered(
+            "the non-separable reduction needs exactly one growing "
+            f"block; growth {growth} declares {len(growing)}"
         )
     j = growing[0]
-    factor = cov.factors[j]
-    ok = summable_at_power(factor, rank)
-    if ok is None:
-        raise ModelError(
-            f"gneiting factor {j} has no decay metadata: model is "
-            "incomplete for classification"
-        )
+    x, d = _marginal(cov.factors[j], rank, f"factor {j}")
     note = (
         f"block {j} grows while the other stays fixed; along the growing "
         "block the covariance sandwiches between separable envelopes with "
         f"the same factor, so the marginal regime of factor {j} transfers"
     )
-    if ok:
+    if _regime(x, d) == SHORT:
         return RegimeVerdict(
             verdict=CENTRAL,
             citation="gneiting-growing-block-reduction",
-            normalization={f"block{j}": _variance_growth(factor, rank)},
+            normalization={f"block{j}": _variance_growth(x, d)},
             notes=(note,),
             dominant_block=j,
         )
-    return RegimeVerdict(
-        verdict=NOT_COVERED,
-        citation="no-applicable-reduction",
-        normalization={},
-        notes=(
-            note,
-            f"factor {j} is not summable at rank {rank}, and the reduction "
-            "only covers the short-range (Gaussian) direction",
-        ),
+    return _not_covered(
+        note,
+        f"factor {j} is not summable at rank {rank}, and the reduction "
+        "only covers the short-range (Gaussian) direction",
     )
 
 
-def _gamma_decay(factor, rank) -> float:
-    """Decay exponent of the gamma quotient in the block's own scale."""
-    return min(decay_exponent(factor) * rank, float(factor.dim))
+_MARGINAL_LIMIT = {
+    SHORT: "asymptotically Gaussian (summable at rank)",
+    BOUNDARY: "at the boundary decay * rank = dim (log-divergent at rank)",
+    LONG: "non-Gaussian (long-range at rank)",
+}
 
 
 def _classify_additive(cov, rank, growth) -> RegimeVerdict:
-    if growth is None:
-        growth = (1.0, 1.0)
-    if len(growth) != 2 or any(g <= 0 for g in growth):
+    if any(g <= 0 for g in growth):
         raise ModelError("additive classification needs two positive "
                          "growth exponents")
     for i, factor in enumerate(cov.factors):
@@ -342,44 +359,31 @@ def _classify_additive(cov, rank, growth) -> RegimeVerdict:
                 "incomplete for classification"
             )
         if not sign:
-            return RegimeVerdict(
-                verdict=NOT_COVERED,
-                citation="no-applicable-reduction",
-                normalization={},
-                notes=(
-                    f"additive component {i} takes negative values; the "
-                    "dominance reduction needs nonnegative components",
-                ),
+            return _not_covered(
+                f"additive component {i} takes negative values; the "
+                "dominance reduction needs nonnegative components"
             )
-    rates = [
-        growth[i] * _gamma_decay(factor, rank)
-        for i, factor in enumerate(cov.factors)
-    ]
+    marginals = [_marginal(f, rank, f"factor {i}") for i, f in enumerate(cov.factors)]
+    regimes = [_regime(x, d) for x, d in marginals]
+    # the gamma quotient of a block decays at T^-min(x, d) in its own scale
+    rates = [g * (x if regime == LONG else d)
+             for g, (x, d), regime in zip(growth, marginals, regimes)]
     normalization = {
-        f"block{i}": {"exponent": -rates[i], "log_exponent": 0.0}
-        for i in range(2)
+        f"block{i}": {"exponent": -rate, "log_exponent": 0.0}
+        for i, rate in enumerate(rates)
     }
     notes = (
         "normalization lists gamma-quotient decay exponents in the common "
-        f"scale T with growth {tuple(float(g) for g in growth)}",
+        f"scale T with growth {growth}",
     )
-    if math.isclose(rates[0], rates[1], rel_tol=1e-12, abs_tol=1e-12):
-        return RegimeVerdict(
-            verdict=NOT_COVERED,
-            citation="no-applicable-reduction",
+    if _tied(*rates):
+        return _not_covered(
+            *notes,
+            "both blocks' gamma quotients decay at the same rate: "
+            "neither dominates along this growth path",
             normalization=normalization,
-            notes=notes + (
-                "both blocks' gamma quotients decay at the same rate: "
-                "neither dominates along this growth path",
-            ),
         )
     dominant = int(np.argmin(rates))
-    factor = cov.factors[dominant]
-    marginal = (
-        "asymptotically Gaussian (summable at rank)"
-        if summable_at_power(factor, rank)
-        else "non-Gaussian (long-range at rank)"
-    )
     return RegimeVerdict(
         verdict=ADDITIVE_CONDITIONAL,
         citation="additive-dominant-block",
@@ -387,29 +391,30 @@ def _classify_additive(cov, rank, growth) -> RegimeVerdict:
         notes=notes + (
             f"block {dominant}'s gamma quotient decays slowest, so the "
             f"joint functional inherits that block's regime; the dominant "
-            f"marginal is {marginal}",
+            f"marginal is {_MARGINAL_LIMIT[regimes[dominant]]}",
         ),
         dominant_block=dominant,
     )
 
 
 def classify(cov: CompositeCovariance, rank: int, growth=None) -> RegimeVerdict:
-    """Limit-regime verdict for the functional of rank ``rank``."""
+    """Limit-regime verdict for the functional of rank ``rank``; ``growth``
+    holds each block's growth exponent (None: every block at rate 1)."""
     if rank < 1:
         raise ModelError("rank must be >= 1")
+    violations = []
+    growth = checked_growth(violations, growth, cov)
+    refuse(violations)
+    if growth is None:
+        growth = (1.0,) * len(cov.blocks)
     if cov.structure == SEPARABLE:
         return _classify_separable(cov, rank)
     if cov.structure == GNEITING:
         return _classify_gneiting(cov, rank, growth)
     if cov.structure == ADDITIVE:
         return _classify_additive(cov, rank, growth)
-    return RegimeVerdict(
-        verdict=NOT_COVERED,
-        citation="no-applicable-reduction",
-        normalization={},
-        notes=(
-            "isotropic non-separable models admit no marginal-based "
-            "verdict: marginals can be Gaussian while the joint functional "
-            "is not",
-        ),
+    return _not_covered(
+        "isotropic non-separable models admit no marginal-based "
+        "verdict: marginals can be Gaussian while the joint functional "
+        "is not"
     )

@@ -467,20 +467,6 @@ def test_result_json_stores_the_config_as_its_yaml_form_reads(tmp_path, path):
     assert doc["config_hash"] == hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_the_parser_is_built_once(monkeypatch, capsys):
-    builds = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
-    cli._parser.cache_clear()
-    try:
-        for _ in range(3):
-            assert main(["rates", "--q", "2", "--hurst", "0.3", "--sizes", "100"]) == 0
-    finally:
-        cli._parser.cache_clear()
-    assert builds == [1]
-    assert capsys.readouterr().out.count("H=0.3") == 3
-
-
 def test_a_custom_phi_config_is_not_stored(tmp_path):
     # a custom phi has no config form, so its result would carry a config
     # that cannot be parsed back: refused before anything is written
@@ -535,6 +521,44 @@ def test_a_rung_must_have_the_covariance_block_layout(tmp_path, capsys):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, command
         assert "  lattice.ladder[1]: has block dims" in capsys.readouterr().err, command
     assert not (tmp_path / "out").exists()
+
+
+def test_an_unreadable_config_is_one_error_line(tmp_path, capsys):
+    # a missing config and one that is not UTF-8 are configuration errors:
+    # one error line and exit 2 from every command, and no --out is made
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes(MINIMAL.replace("label: smoke", "label: caf\xe9").encode("latin-1"))
+    for path, why in ((tmp_path / "missing.yaml", "No such file"), (latin, "can't decode")):
+        for command in ("validate", "chaos", "classify", "experiment"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert captured.err.startswith("error: --config: "), command
+            assert why in captured.err and captured.err.count("\n") == 1, command
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "chaos"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_an_unusable_out_is_refused_before_any_rung(tmp_path, capsys, monkeypatch, command, below):
+    # --out naming a file, or a path below one, ends the run with one error
+    # line before a rung is built, and the file is left as it was
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL)
+    blocker = tmp_path / "out"
+    blocker.write_text("kept\n")
+
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung was built")
+
+    monkeypatch.setattr(cli, "run_experiment", no_rung)
+    monkeypatch.setattr(cli, "chaos_report", no_rung)
+    out = blocker / "sub" if below else blocker
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
 
 
 def test_experiment_command_end_to_end(tmp_path, capsys):

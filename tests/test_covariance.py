@@ -17,7 +17,6 @@ from latfield.covariance import (
     eval_factor,
     gneiting_sandwich,
     is_nonnegative,
-    summable_at_power,
 )
 
 FGN_075_LAG1 = 0.41421356237309515  # 0.5 * (2**1.5 - 2), i.e. sqrt(2) - 1
@@ -245,8 +244,5 @@ def test_classifier_metadata():
     assert decay_exponent(FactorCovariance("exponential", scale=1.0)) == np.inf
     assert is_nonnegative(_fgn(0.3)) is False
     assert is_nonnegative(_fgn(0.7)) is True
-    assert summable_at_power(_cauchy(0.3), 2) is False   # 0.6 < 1
-    assert summable_at_power(_cauchy(0.6), 2) is True    # 1.2 > 1
-    assert summable_at_power(_fgn(0.3), 1) is True       # tail exponent 1.4
     tab = FactorCovariance("tabulated", table={(0,): 1.0})
     assert decay_exponent(tab) is None

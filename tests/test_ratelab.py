@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latfield._errors import ModelError
+from latfield.cli import parse_config
 from latfield.covariance import (
     ADDITIVE,
     GNEITING,
@@ -13,11 +15,17 @@ from latfield.covariance import (
     FactorCovariance,
     eval_factor,
 )
+from latfield.hermite import hermite_coefficients, hermite_rank
 from latfield.ratelab import (
     ADDITIVE_CONDITIONAL,
+    BOUNDARY,
     CENTRAL,
+    LONG,
     NONCENTRAL,
     NOT_COVERED,
+    SHORT,
+    _marginal,
+    _regime,
     breuer_major_sigma2,
     classify,
     fbs_regime,
@@ -39,6 +47,92 @@ def wn(dim=1):
 
 def separable(*factors):
     return CompositeCovariance(SEPARABLE, tuple(factors))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+# ---------------------------------------------------------------------------
+# the marginal rule
+
+
+def test_the_marginal_rule_compares_tail_exponent_times_rank_with_dim():
+    def regime(factor, rank):
+        return _regime(*_marginal(factor, rank, "factor 0"))
+
+    assert regime(cauchy(0.3), 2) == LONG        # 0.6 < 1
+    assert regime(cauchy(0.6), 2) == SHORT       # 1.2 > 1
+    assert regime(fgn(0.3), 1) == SHORT          # tail exponent 1.4
+    assert regime(cauchy(0.5), 2) == BOUNDARY    # 1.0 = 1
+    assert regime(cauchy(1.0, dim=2), 2) == BOUNDARY
+    assert regime(wn(dim=3), 1) == SHORT         # an infinite tail exponent
+    assert _marginal(cauchy(0.75, dim=2), 2, "factor 0") == (1.5, 2)
+    with pytest.raises(ModelError, match="^factor 3 has no decay metadata"):
+        _marginal(FactorCovariance("tabulated", table={(0,): 1.0}), 2, "factor 3")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_fgn_at_its_critical_index_is_the_boundary(q):
+    # H = 1 - 1/(2q) makes the tail exponent 2 - 2H = 1/q, so x = q/q = d = 1
+    # up to rounding: the boundary at every q, and sum C^q diverges (as log n)
+    h = 1.0 - 1.0 / (2 * q)
+    v = classify(separable(fgn(h), fgn(h)), q)
+    assert v.verdict == NOT_COVERED and v.citation == "no-applicable-reduction"
+    boundary = {"exponent": 1.0, "log_exponent": 1.0}
+    assert v.normalization == {"block0": boundary, "block1": boundary}
+    with pytest.raises(ModelError, match=f"factor 0 \\(fgn\\) is not summable at power {q}"):
+        breuer_major_sigma2((fgn(h),), [0.0] * q + [1.0], radius=10)
+
+
+@pytest.mark.parametrize("structure", [SEPARABLE, ADDITIVE, GNEITING, ISOTROPIC])
+@pytest.mark.parametrize("growth, why", [
+    ((math.nan, 1.0), "growth\\[0\\]: must be a finite number, got nan"),
+    ((1.0, math.inf), "growth\\[1\\]: must be a finite number, got inf"),
+    ((1.0, -1.0), "growth\\[1\\]: must be at least 0.0, got -1.0"),
+    ((1.0,), "growth: must hold one exponent per covariance block, got 1 for 2"),
+    ((1.0, 1.0, 1.0), "growth: must hold one exponent per covariance block, got 3 for 2"),
+    (1.0, "growth: must be a list of per-block exponents"),
+], ids=["nan", "inf", "negative", "short", "long", "scalar"])
+def test_classify_refuses_a_bad_growth_on_every_structure(structure, growth, why):
+    # one finite exponent >= 0 per covariance block, as a config demands
+    if structure == ISOTROPIC:
+        cov = CompositeCovariance(ISOTROPIC, (cauchy(0.5, dim=2),), block_dims=(1, 1))
+    else:
+        weights = (0.5, 0.5) if structure == ADDITIVE else None
+        cov = CompositeCovariance(structure, (cauchy(0.48), cauchy(3.0)), weights=weights)
+    with pytest.raises(ModelError, match=f"^{why}$"):
+        classify(cov, 2, growth=growth)
+
+
+# each frozen config's (verdict, citation, dominant block), from the rules:
+# x = tail exponent * q against the block dim d = 1, and for additive
+# models the gamma rate growth * min(x, d), the smallest one dominating
+FROZEN = {
+    # fGn(0.3): x = 2 * 1.4 > 1, a short-range factor
+    "crit7-central": (CENTRAL, "separable-short-range-reduction", None),
+    # cauchy 0.3 and 0.4: x = 0.6 and 0.8 < 1, both strictly long-range
+    "crit8-noncentral": (NONCENTRAL, "separable-long-range-joint", None),
+    # rates 1.0 * 0.96 against 0.75 * 1
+    "crit10-path-a": (ADDITIVE_CONDITIONAL, "additive-dominant-block", 1),
+    # rates 0.5 * 0.96 against 1.0 * 1
+    "crit10-path-b": (ADDITIVE_CONDITIONAL, "additive-dominant-block", 0),
+    # only block 1 grows, and cauchy 1.0 has x = 2 > 1
+    "gneiting-growing": (CENTRAL, "gneiting-growing-block-reduction", 1),
+    # no marginal reduction applies to an isotropic model
+    "sepmatters-isotropic": (NOT_COVERED, "no-applicable-reduction", None),
+    # fGn(0.75): x = 2 * 0.5 = 1, the boundary
+    "smoke": (NOT_COVERED, "no-applicable-reduction", None),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda path: path.stem)
+def test_frozen_config_verdicts(path):
+    config = parse_config(path.read_text())
+    rank = hermite_rank(hermite_coefficients(config.phi))
+    v = classify(config.covariance, rank, growth=config.growth)
+    assert (v.verdict, v.citation, v.dominant_block) == FROZEN[path.stem]
+    if path.stem == "smoke":
+        assert v.normalization == {"block0": {"exponent": 1.0, "log_exponent": 1.0}}
 
 
 # ---------------------------------------------------------------------------
