@@ -41,7 +41,9 @@ step "Exact diagnostics do not depend on the BLAS thread count"
 # the frozen configs are all q = 2; q = 3, 4 and 25 copies of the
 # smoke config reach the clique diagrams of the exact fourth
 # cumulant at low and high orders, q = 3 copies of the Gneiting
-# and isotropic configs reach them on 2-D full lattices, and a
+# and isotropic configs reach them on 2-D full lattices, q = 3
+# copies of the two additive crit10 configs reach the additive
+# dense fourth cumulant at a clique order, and a
 # copy whose [128] rung is [12000] takes 4-cycle rows longer than
 # the dot products OpenBLAS keeps on one thread (about 10 000
 # elements)
@@ -51,7 +53,7 @@ for q in 3 4 25; do
   sed "s/^  q: 2$/  q: $q/" configs/smoke.yaml > "$copies/smoke-q$q.yaml"
   grep -qx "  q: $q" "$copies/smoke-q$q.yaml"
 done
-for name in gneiting-growing sepmatters-isotropic; do
+for name in gneiting-growing sepmatters-isotropic crit10-path-a crit10-path-b; do
   sed "s/^  q: 2$/  q: 3/" "configs/$name.yaml" > "$copies/$name-q3.yaml"
   grep -qx "  q: 3" "$copies/$name-q3.yaml"
 done

@@ -15,11 +15,17 @@ parsing an experiment config.
 A parameter table maps each kind of a model (a covariance family, a phi
 kind) to its parameters and the ``check_number`` rule of each (None: a
 value that is not a number, checked by its owner).  The model's
-constructor checks them with ``set_params``.
+constructor checks them with ``set_params``.  The same rules cover
+function arguments: each kind of count is one rule (COUNT, CHAOS_ORDER,
+SEED, ...), which a public function applies with ``checked_arg``.
 """
 import math
 import numbers
 from collections.abc import Collection
+
+#: the rules of a count that may be 0 (a replicate id) and of one that may not (a size)
+COUNT = {"kind": int, "minimum": 0}
+POSITIVE_COUNT = {"kind": int, "minimum": 1}
 
 
 class ModelError(ValueError):
@@ -42,16 +48,17 @@ def check_number(value, kind=float, positive=False, minimum=None, maximum=None, 
     """``value`` as a ``kind`` (int or float) that passes the rule: positive,
     in [``minimum``, ``maximum``], inside the open interval ``between``, and
     finite; ModelError saying why not.  Booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ModelError(f"expected a number, got {type(value).__name__}")
-    if (kind is int and not isinstance(value, numbers.Integral)
-            and not float(value).is_integer()):
-        raise ModelError(f"must be an integer, got {value}")
-    try:
-        value = kind(value)
-    except OverflowError:
-        raise ModelError("must be a finite number, got an integer too large "
-                         "for a float") from None
+    if type(value) is not kind:  # a plain int or float is already its kind
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ModelError(f"expected a number, got {type(value).__name__}")
+        if (kind is int and not isinstance(value, numbers.Integral)
+                and not float(value).is_integer()):
+            raise ModelError(f"must be an integer, got {value}")
+        try:
+            value = kind(value)
+        except OverflowError:
+            raise ModelError("must be a finite number, got an integer too large "
+                             "for a float") from None
     if positive and value <= 0:
         raise ModelError(f"must be positive, got {value}")
     if minimum is not None and value < minimum:
@@ -77,6 +84,15 @@ def checked_number(violations, key, value, **rule):
     except ModelError as exc:
         violations.append((key, str(exc)))
         return None
+
+
+def checked_arg(key, value, rule):
+    """The argument ``value`` as ``check_number(value, **rule)`` gives it;
+    else a ModelError keyed ``key``, the argument's name."""
+    violations = []
+    value = checked_number(violations, key, value, **rule)
+    refuse(violations)
+    return value
 
 
 def checked_numbers(violations, key, values, **rule):

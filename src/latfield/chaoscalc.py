@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError, NumericalError
+from ._errors import ModelError, NumericalError, checked_arg
 from ._gauss import orthant_excess
 from .covariance import (
     ADDITIVE,
@@ -65,7 +65,7 @@ from .covariance import (
     _window_matrix,
 )
 from .fieldsim import DENSE_LIMIT, LatticeSpec, _check_blocks
-from .hermite import (INDICATOR, MAX_CHAOS_ORDER, hermite_coefficients, hermite_rank,
+from .hermite import (CHAOS_ORDER, INDICATOR, hermite_coefficients, hermite_rank,
                       phi_second_moment)
 
 #: clique budget of one block: its t(q) clique sums are taken when
@@ -84,15 +84,6 @@ _TOEPLITZ_LIMIT = 2**15
 #: factorized variances self-check against the direct lag sum on windows
 #: of at most this many lags
 _VAR_CHECK_LAGS = 20_000
-
-
-def _check_q(q: int):
-    if q < 1:
-        raise ModelError("chaos order q must be >= 1")
-    if q > MAX_CHAOS_ORDER:
-        raise ModelError(
-            f"q = {q} exceeds the overflow guard (q <= {MAX_CHAOS_ORDER})"
-        )
 
 
 def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g, window=None) -> float:
@@ -134,7 +125,6 @@ def _variances(cov, lattice, q: int):
     model (else None).  Factorized variances, separable and additive, are
     checked against the direct lag sum; a separable model's factor windows
     are built once, for its variances and the check both."""
-    _check_q(q)
     _check_blocks(cov, lattice)
     if cov.structure == ADDITIVE:
         return additive_variance(cov, lattice, q).total, None
@@ -149,7 +139,7 @@ def _variances(cov, lattice, q: int):
 
 def variance_hermite(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
     """Var(Y[q]) = q! sum over lattice pairs of C^q, exactly."""
-    return _variances(cov, lattice, q)[0]
+    return _variances(cov, lattice, checked_arg("q", q, CHAOS_ORDER))[0]
 
 
 @dataclass(frozen=True)
@@ -490,10 +480,10 @@ def _block_terms(values: np.ndarray, sizes, q: int):
 
 def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
                      q: int, r: int) -> float:
-    """||f (x)_r f||^2 for the kernel of Y[q]; factorizes over blocks."""
-    _check_q(q)
-    if not 1 <= r <= q - 1:
-        raise ModelError("contraction order r must satisfy 1 <= r <= q-1")
+    """||f (x)_r f||^2 for the kernel of Y[q], r in 1 .. q-1; factorizes
+    over blocks."""
+    q = checked_arg("q", q, CHAOS_ORDER)
+    r = checked_arg("r", r, {**CHAOS_ORDER, "maximum": q - 1})
     _check_blocks(cov, lattice)
     return math.prod(_cycle_sums(values, sizes, q, [r])[0]
                      for values, sizes in _blocks(cov, lattice))
@@ -542,13 +532,13 @@ def _kappa4(q: int, variance: float, norms: dict, cliques: Optional[dict]):
 
 def fourth_cumulant(cov: CompositeCovariance, lattice: LatticeSpec, q: int):
     """kappa_4 of Y[q]/sqrt(Var) and its exact flag; see _kappa4."""
+    q = checked_arg("q", q, CHAOS_ORDER)
     return _kappa4(q, *_model_terms(cov, lattice, q)[0])
 
 
 def cq_constant(q: int) -> float:
-    """The constant in front of the product-of-cumulants TV bound."""
-    if q < 2:
-        raise ModelError("the TV constant needs q >= 2")
+    """The constant in front of the product-of-cumulants TV bound, q >= 2."""
+    q = checked_arg("q", q, {**CHAOS_ORDER, "minimum": 2})
     s = sum(
         r * math.factorial(r) ** 2 * math.comb(q, r) ** 4
         * math.factorial(2 * q - 2 * r)
@@ -560,14 +550,13 @@ def cq_constant(q: int) -> float:
 def tv_bound(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
     """d_TV(normalized Y[q], N) <= c_q prod_i sqrt(kappa_4 of factor i).
 
-    Separable covariances only; the per-factor cumulants are computed on
-    the factor's own block window.  Clamped at 1 (it is a TV distance).
+    Separable covariances only, and q >= 2; the per-factor cumulants are
+    computed on the factor's own block window.  Clamped at 1 (it is a TV
+    distance).
     """
     if cov.structure != SEPARABLE:
         raise ModelError("the TV bound applies to separable covariances only")
-    if q < 2:
-        raise ModelError("the TV bound needs q >= 2")
-    return chaos_report(cov, lattice, q).tv_bound
+    return chaos_report(cov, lattice, checked_arg("q", q, {**CHAOS_ORDER, "minimum": 2})).tv_bound
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +575,7 @@ def additive_variance(cov: CompositeCovariance, lattice: LatticeSpec,
                       q: int) -> AdditiveVariance:
     if cov.structure != ADDITIVE:
         raise ModelError("additive_variance requires an additive covariance")
-    _check_q(q)
+    q = checked_arg("q", q, CHAOS_ORDER)
     _check_blocks(cov, lattice)
     v1, v2 = [], []  # V(k) = k! sum over block pairs of (w K)^k; V(0) = volume^2
     for v, factor, sizes, weight in zip((v1, v2), cov.factors, lattice.blocks, cov.weights):
@@ -613,7 +602,7 @@ class GammaQuotient:
 
 def gamma_quotient(factor: FactorCovariance, sizes, q: int,
                    weight: float = 1.0) -> GammaQuotient:
-    _check_q(q)
+    q = checked_arg("q", q, CHAOS_ORDER)
     sizes = _checked_sizes(factor, sizes)
     vol = float(math.prod(sizes))
     values, weights = _lag_window(factor, sizes)
@@ -647,6 +636,7 @@ class ChaosReport:
 def chaos_report(cov: CompositeCovariance, lattice: LatticeSpec,
                  q: int) -> ChaosReport:
     """All diagnostics for one chaos order, ready for serialization."""
+    q = checked_arg("q", q, CHAOS_ORDER)
     terms, factors = _model_terms(cov, lattice, q)
     k4, exact = _kappa4(q, *terms)
     notes = []

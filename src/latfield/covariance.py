@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import (ModelError, NumericalError, checked_number, checked_numbers,
-                      is_sequence, refuse, set_params)
+from ._errors import (COUNT, POSITIVE_COUNT, ModelError, NumericalError, checked_number,
+                      checked_numbers, is_sequence, refuse, set_params)
 
 FGN = "fgn"
 CAUCHY = "cauchy"
@@ -79,7 +79,7 @@ class FactorCovariance:
         if not isinstance(self.family, str) or self.family not in FAMILY_PARAMS:
             raise ModelError(f"unknown covariance family {self.family!r}")
         violations = []
-        dim = checked_number(violations, "dim", self.dim, kind=int, minimum=1)
+        dim = checked_number(violations, "dim", self.dim, **POSITIVE_COUNT)
         object.__setattr__(self, "dim", dim)  # None only on a model that is refused
         violations += set_params(self, FAMILY_PARAMS, self.family, f"family {self.family!r}")
         if self.family == FGN and dim not in (None, 1):
@@ -156,7 +156,7 @@ class CompositeCovariance:
             violations.append(("weights", f"must sum to 1, got {sum(weights)}"))
         dims = self._numbers("block_dims", ISOTROPIC,
                              "only isotropic structures declare block dims",
-                             "must be a nonempty list", violations, kind=int, minimum=1)
+                             "must be a nonempty list", violations, **POSITIVE_COUNT)
         if None not in (factors, dims) and sum(dims) != factors[0].dim:
             violations.append(("block_dims", f"must sum to the profile dim "
                                              f"{factors[0].dim}, got {sum(dims)}"))
@@ -390,14 +390,18 @@ def _checked_sizes(model: FactorCovariance, sizes) -> tuple:
     if not is_sequence(sizes) or len(sizes) != model.dim:
         refuse([("sizes", f"must be a sequence of {model.dim} sizes, got {sizes!r}")])
     violations = []
-    sizes = checked_numbers(violations, "sizes", sizes, kind=int, minimum=1)
+    sizes = checked_numbers(violations, "sizes", sizes, **POSITIVE_COUNT)
     refuse(violations)
     return sizes
 
 
 def embedded_sizes(sizes, doublings: int = 0) -> tuple:
     """Per-axis circulant embedding sizes: 2(n-1), doubled ``doublings`` times."""
-    return tuple(1 if int(n) <= 1 else 2 * (int(n) - 1) * 2**doublings for n in sizes)
+    violations = []
+    sizes = checked_numbers(violations, "sizes", sizes, **POSITIVE_COUNT)
+    doublings = checked_number(violations, "doublings", doublings, **COUNT)
+    refuse(violations)
+    return tuple(1 if n == 1 else 2 * (n - 1) * 2**doublings for n in sizes)
 
 
 def _even_per_axis(model: FactorCovariance) -> bool:

@@ -35,7 +35,8 @@ is the block of one; ``Sampler.block_pairs`` is the block to ask for.
 Values are bit-identical to the one-shot ``ifftn`` of each embedding,
 whatever the block, the thread count and the order in which halves are
 drawn.  Dense-Cholesky draws take their normals from the window keyed by
-(seed, replicate_id).  Seeds lie in [0, SEED_LIMIT).
+(seed, replicate_id).  Seeds are ints in [0, SEED_LIMIT) and replicate
+ids ints >= 0; any other, a bool or a fraction too, is a keyed ModelError.
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from ._errors import ModelError, NumericalError, checked_numbers, is_sequence, refuse
+from ._errors import (COUNT, POSITIVE_COUNT, ModelError, NumericalError, checked_arg,
+                      checked_numbers, is_sequence, refuse)
 from .covariance import (
     ADDITIVE,
     SEPARABLE,
@@ -81,6 +83,7 @@ _BLOCK_POINTS = 2**15
 
 #: seeds are integers in [0, SEED_LIMIT): the low word of the Philox key
 SEED_LIMIT = 2**64
+SEED = {"kind": int, "minimum": 0, "maximum": SEED_LIMIT - 1}
 
 _local = threading.local()  # this thread's generator and draw buffers
 
@@ -99,7 +102,7 @@ class LatticeSpec:
         violations, blocks = [], []
         for i, block in enumerate(self.blocks):
             if is_sequence(block) and len(block):
-                blocks.append(checked_numbers(violations, f"[{i}]", block, kind=int, minimum=1))
+                blocks.append(checked_numbers(violations, f"[{i}]", block, **POSITIVE_COUNT))
             else:
                 violations.append((f"[{i}]", f"must be a nonempty sequence of sizes, "
                                              f"got {block!r}"))
@@ -276,23 +279,15 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
     )
 
 
-def _checked_seed(seed) -> int:
-    """``seed`` as an int in [0, SEED_LIMIT), so no two seeds share a stream."""
-    seed = int(seed)
-    if not 0 <= seed < SEED_LIMIT:
-        raise ModelError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
-
-
 def _replicate_rng(seed: int, window: int) -> np.random.Generator:
     """This thread's generator, set to the start of window ``window`` of the
-    Philox stream keyed by ``seed`` (a ``_checked_seed``): one disjoint
+    Philox stream keyed by ``seed`` (a checked SEED): one disjoint
     2^64-counter window per replicate pair (circulant draws) or per
     replicate (dense draws).  Its whole state is reset (key, counter,
     buffered words and the spare 32-bit half), so it gives the stream of a
     new Philox(key=seed, counter=window << 64) whatever it read before.
     It is valid until the thread's next call."""
-    counter = int(window) << 64
+    counter = window << 64
     if not 0 <= counter < 2**256:
         raise ModelError(f"replicate window {window} is outside the Philox counter")
     rng = getattr(_local, "rng", None)
@@ -358,9 +353,9 @@ def draw_pairs(sampler: Sampler, seed: int, first_pair: int, count: int) -> None
     per-thread record of what the workspace holds is replaced.
     Dense-Cholesky draws are not paired, so there is nothing to prepare
     for them."""
-    seed, first_pair = _checked_seed(seed), int(first_pair)
-    if count < 1:
-        raise ModelError(f"a block needs at least one pair, got {count}")
+    seed = checked_arg("seed", seed, SEED)
+    first_pair = checked_arg("first_pair", first_pair, COUNT)
+    count = checked_arg("count", count, POSITIVE_COUNT)
     if sampler.method == DENSE_CHOLESKY:
         return
     _local.pairs = None  # drop the views before the workspace may be replaced
@@ -409,7 +404,8 @@ def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
     thread's workspace when the workspace holds that pair (after
     ``draw_pairs``, or after a draw of the pair's other half); otherwise
     the pair is drawn and transformed as a block of one."""
-    seed, replicate_id = _checked_seed(seed), int(replicate_id)
+    seed = checked_arg("seed", seed, SEED)
+    replicate_id = checked_arg("replicate_id", replicate_id, COUNT)
     lattice = sampler.lattice
     if sampler.method == DENSE_CHOLESKY:
         z = _replicate_rng(seed, replicate_id).standard_normal(lattice.n_total)

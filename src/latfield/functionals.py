@@ -27,7 +27,7 @@ import threading
 
 import numpy as np
 
-from ._errors import ModelError, checked_number, refuse
+from ._errors import COUNT, ModelError, checked_arg, checked_number, refuse
 from .fieldsim import FieldSample
 from .hermite import INDICATOR, PURE, HermiteSpec, hermite_terms
 
@@ -121,9 +121,7 @@ def marginal_evaluate(sample: FieldSample, phi: HermiteSpec, block: int,
     names each that is not.
     """
     lattice, violations = sample.lattice, []
-    block = checked_number(violations, "block", block, kind=int, minimum=0,
-                           maximum=len(lattice.blocks) - 1)
-    refuse(violations)
+    block = checked_arg("block", block, {**COUNT, "maximum": len(lattice.blocks) - 1})
     sizes, in_block = lattice.all_sizes, lattice.block_axes(block)
     others = [axis for axis in range(len(sizes)) if axis not in in_block]
     frozen = tuple(np.asarray(frozen, dtype=object).ravel())  # each as given
@@ -131,7 +129,7 @@ def marginal_evaluate(sample: FieldSample, phi: HermiteSpec, block: int,
         raise ModelError(f"frozen: expected {len(others)} coordinates, got {len(frozen)}")
     index = [slice(None)] * len(sizes)
     for pos, (axis, c) in enumerate(zip(others, frozen)):
-        index[axis] = checked_number(violations, f"frozen[{pos}]", c, kind=int,
-                                     minimum=0, maximum=sizes[axis] - 1)
+        index[axis] = checked_number(violations, f"frozen[{pos}]", c, **COUNT,
+                                     maximum=sizes[axis] - 1)
     refuse(violations)
     return float(np.sum(phi(sample.values[tuple(index)])))

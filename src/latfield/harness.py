@@ -27,13 +27,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._errors import ModelError, NumericalError, checked_number, refuse
+from ._errors import (COUNT, POSITIVE_COUNT, ModelError, NumericalError, checked_arg,
+                      checked_number, refuse)
 from ._gauss import kolmogorov_quantile, normal_cdf, normal_quantile
 from .chaoscalc import ChaosReport, chaos_report, fourth_cumulant, variance_phi
 # unused here; perfbench/tracing.py wraps harness.additive_variance by name
 from .chaoscalc import additive_variance  # noqa: F401
 from .covariance import FAMILY_PARAMS, ISOTROPIC, SEPARABLE, CompositeCovariance
-from .fieldsim import SEED_LIMIT, LatticeSpec, build_sampler, draw, draw_pairs
+from .fieldsim import SEED, LatticeSpec, build_sampler, draw, draw_pairs
 from .functionals import evaluate
 from .hermite import KIND_PARAMS, HermiteSpec, hermite_coefficients, hermite_rank
 from .ratelab import checked_growth
@@ -85,11 +86,8 @@ def check_config_fields(fields: dict):
                                                 f"covariance has blocks {blocks}")
                        for i, rung in enumerate(ladder) if blocks not in (None, rung.block_dims)]
     replicates = checked["replicates"] = checked_number(
-        violations, "replicates", fields["replicates"], kind=int, minimum=1)
-    seed = checked["seed"] = checked_number(violations, "seed", fields["seed"],
-                                            kind=int, minimum=0)
-    if seed is not None and seed >= SEED_LIMIT:
-        violations.append(("seed", f"must fit in 64 bits, got {seed}"))
+        violations, "replicates", fields["replicates"], **POSITIVE_COUNT)
+    checked["seed"] = checked_number(violations, "seed", fields["seed"], **SEED)
     outputs = fields["outputs"]
     if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
         violations.append(("outputs", "must be a list of output names"))
@@ -273,13 +271,16 @@ def is_gaussian(report: NormalityReport, alpha: float = VERDICT_ALPHA) -> bool:
 def rate_fit(series):
     """Least-squares slope of log(value) against log(n).
 
-    Returns (slope, stderr).  Needs at least 4 points and positive values.
+    Returns (slope, stderr).  Needs at least 4 points, positive sizes and
+    values, and two distinct sizes.
     """
     pts = [(float(n), float(v)) for n, v in series]
     if len(pts) < 4:
         raise ModelError("rate fits need at least 4 points")
     if any(v <= 0.0 for _, v in pts):
         raise ModelError("rate fits need positive values")
+    if any(n <= 0.0 for n, _ in pts) or len({n for n, _ in pts}) == 1:
+        raise ModelError("rate fits need positive sizes, at least two distinct")
     logn = np.log([n for n, _ in pts])
     logv = np.log([v for _, v in pts])
     coeffs, cov = np.polyfit(logn, logv, 1, cov=True)
@@ -374,16 +375,15 @@ def _usable_cpus() -> int:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Walk the ladder, draw, standardize, and report.
 
-    ``threads`` worker threads draw the replicates; 0 means one per CPU
-    this process may run on, and a negative count is refused.
+    ``threads`` worker threads draw the replicates, a count >= 0; 0 means
+    one per CPU this process may run on.
 
     Deterministic given the config: each replicate's field is a pure
     function of the seed and its global index (circulant replicates 2k and
     2k+1 share the stream of pair k), and every reduction reads slots in a
     fixed order regardless of the thread count.
     """
-    if threads < 0:
-        raise ModelError(f"threads must be 0 (auto) or positive, got {threads}")
+    threads = checked_arg("threads", threads, COUNT)
     if threads == 0:
         threads = _usable_cpus()
     cov = config.covariance

@@ -13,16 +13,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._errors import ModelError, NumericalError, refuse, set_params
+from ._errors import ModelError, NumericalError, checked_arg, refuse, set_params
 from ._gauss import normal_cdf
 
 PURE = "pure"
 INDICATOR = "indicator"
 CUSTOM = "custom"
 
-#: the one cap on a chaos order: a pure phi's q, a custom phi's qmax, and
-#: every order the exact diagnostics take
+#: the one cap on a chaos order, and the rule of one: a pure phi's q, and
+#: every q and rank the exact diagnostics, the oracle and the classifier
+#: take; a Hermite order (a custom phi's qmax, a Wick monomial's) may be 0
 MAX_CHAOS_ORDER = 30
+CHAOS_ORDER = {"kind": int, "minimum": 1, "maximum": MAX_CHAOS_ORDER}
+HERMITE_ORDER = {**CHAOS_ORDER, "minimum": 0}
 #: an indicator's last coefficient order, and a custom phi's default qmax
 DEFAULT_QMAX = 20
 DEFAULT_TOL = 1e-12
@@ -32,9 +35,9 @@ DEFAULT_TOL = 1e-12
 #: parameters and refuses the others; the config parser and the config
 #: document read the same table.
 KIND_PARAMS = {
-    PURE: {"q": {"kind": int, "minimum": 1, "maximum": MAX_CHAOS_ORDER}},
+    PURE: {"q": CHAOS_ORDER},
     INDICATOR: {"level": {}},
-    CUSTOM: {"func": None, "qmax": {"kind": int, "minimum": 0, "maximum": MAX_CHAOS_ORDER}},
+    CUSTOM: {"func": None, "qmax": HERMITE_ORDER},
 }
 
 #: Gauss-Hermite node count (doubled once for the convergence check)
@@ -60,8 +63,7 @@ def hermite_terms(q: int, x, buffers=None):
     when it holds fewer than it needs, so a caller that keeps the list
     reuses them on its next call.  Without it every buffer is new.  Each
     step rounds as ``x * H_k - k * H_{k-1}`` does."""
-    if q < 0:
-        raise ModelError("hermite order must be nonnegative")
+    q = checked_arg("q", q, HERMITE_ORDER)
     x = np.asarray(x, dtype=float)
     yield np.ndarray(x.shape, float, _ONE, 0, (0,) * x.ndim)
     if q == 0:

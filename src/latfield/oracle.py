@@ -31,8 +31,9 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._errors import ModelError
+from ._errors import COUNT, ModelError, checked_arg, checked_number, refuse
 from .covariance import CompositeCovariance, composite_values
+from .hermite import CHAOS_ORDER, HERMITE_ORDER
 
 MAX_TOTAL_DEGREE = 24
 MAX_ORACLE_POINTS = 9
@@ -57,9 +58,7 @@ def _check_covariance(matrix) -> np.ndarray:
 
 def _check_degree(degree: int):
     if degree > MAX_TOTAL_DEGREE:
-        raise ModelError(
-            f"total degree {degree} exceeds the oracle cap {MAX_TOTAL_DEGREE}"
-        )
+        raise ModelError(f"total degree {degree} exceeds the oracle cap {MAX_TOTAL_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,12 @@ class WickProblem:
     def __post_init__(self):
         cov = _check_covariance(self.covariance)
         object.__setattr__(self, "covariance", cov)
-        mono = tuple((int(k), int(q)) for k, q in self.monomial)
-        if any(q < 0 for _, q in mono) or any(
-            not 0 <= k < cov.shape[0] for k, _ in mono
-        ):
-            raise ModelError("monomial entries must be (valid point index, order >= 0)")
+        violations = []
+        mono = tuple((checked_number(violations, f"monomial[{i}].point", k, **COUNT,
+                                     maximum=cov.shape[0] - 1),
+                      checked_number(violations, f"monomial[{i}].q", q, **HERMITE_ORDER))
+                     for i, (k, q) in enumerate(self.monomial))
+        refuse(violations)
         object.__setattr__(self, "monomial", mono)
 
     @property
@@ -146,6 +146,7 @@ def oracle_functional_moment(cov, lattice, q: int, order: int) -> float:
     serves them all, each rho entry a vector over the multisets; the
     weighted terms are added one multiset at a time, in order.
     """
+    q, order = checked_arg("q", q, CHAOS_ORDER), checked_arg("order", order, COUNT)
     if order not in (2, 4):
         raise ModelError("moment order must be 2 or 4")
     n = lattice.n_total

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import ModelError, checked_number, checked_numbers, refuse
+from ._errors import COUNT, ModelError, checked_arg, checked_number, checked_numbers, refuse
 from .covariance import (
     ADDITIVE,
     GNEITING,
@@ -36,7 +36,7 @@ from .covariance import (
     eval_factor,
     is_nonnegative,
 )
-from .hermite import hermite_rank
+from .hermite import CHAOS_ORDER, hermite_rank
 
 CENTRAL = "central"
 NONCENTRAL = "noncentral"
@@ -139,9 +139,7 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
     otherwise the defining series diverges and the factor is named in the
     error.  Each factor's box is its lag window, under the one lag cap.
     """
-    violations = []
-    radius = checked_number(violations, "radius", radius, kind=int, minimum=0)
-    refuse(violations)
+    radius = checked_arg("radius", radius, COUNT)
     factors = tuple(factors)
     coeffs = np.asarray(coefficients, dtype=float)
     rank = hermite_rank(coeffs)
@@ -180,9 +178,8 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
 
 
 def rate_g(q: int, hurst: float, n) -> float:
-    """The TV convergence rate g(q, H, N) of the four-case table."""
-    if q < 2:
-        raise ModelError("the rate table needs q >= 2")
+    """The TV convergence rate g(q, H, N) of the four-case table, q >= 2."""
+    q = checked_arg("q", q, {**CHAOS_ORDER, "minimum": 2})
     b = 1.0 - 1.0 / (2 * q)
     edge = (2 * q - 3) / (2 * q - 2)
     n = float(n)
@@ -196,15 +193,12 @@ def rate_g(q: int, hurst: float, n) -> float:
         return n ** ((2.0 * hurst * q - 2.0 * q + 1.0) / 2.0)
     if hurst == b:
         return math.log(n) ** -0.5
-    raise ModelError(
-        f"H = {hurst} is outside (0, {b}]: no Gaussian rate applies"
-    )
+    raise ModelError(f"H = {hurst} is outside (0, {b}]: no Gaussian rate applies")
 
 
 def fbs_regime(alpha: float, beta: float, q: int) -> RegimeVerdict:
-    """Regime row for Hermite variations of a fractional sheet (N x M)."""
-    if q < 2:
-        raise ModelError("the regime table needs q >= 2")
+    """Regime row for Hermite variations of a fractional sheet (N x M), q >= 2."""
+    q = checked_arg("q", q, {**CHAOS_ORDER, "minimum": 2})
     if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
         raise ModelError("hurst exponents must lie in (0, 1)")
     b = 1.0 - 1.0 / (2 * q)
@@ -400,9 +394,8 @@ def _classify_additive(cov, rank, growth) -> RegimeVerdict:
 def classify(cov: CompositeCovariance, rank: int, growth=None) -> RegimeVerdict:
     """Limit-regime verdict for the functional of rank ``rank``; ``growth``
     holds each block's growth exponent (None: every block at rate 1)."""
-    if rank < 1:
-        raise ModelError("rank must be >= 1")
     violations = []
+    rank = checked_number(violations, "rank", rank, **CHAOS_ORDER)
     growth = checked_growth(violations, growth, cov)
     refuse(violations)
     if growth is None:

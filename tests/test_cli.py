@@ -286,7 +286,7 @@ def test_malformed_input_is_a_violation(tmp_path, capsys, old, new, want):
       "got an integer too large for a float"]),
     ("replicates: 120\nseed: 7", "replicates: 0\nseed: 1180591620717411303424",
      ["replicates: must be at least 1, got 0",
-      "seed: must fit in 64 bits, got 1180591620717411303424"]),
+      "seed: must be at most 18446744073709551615, got 1180591620717411303424"]),
     ("    - [32]\nreplicates: 120", "    - [8]\nreplicates: 50\ngrowth: [1, -1]",
      ["lattice.ladder: must be strictly increasing in n_total",
       "replicates: must be at least 100 for statistical verdicts, got 50",
@@ -830,5 +830,5 @@ def test_negative_thread_count_is_refused(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(cfg), "--out", str(out),
                  "--threads", "-3"]) == 2
-    assert "threads must be 0 (auto) or positive, got -3" in capsys.readouterr().err
+    assert "threads: must be at least 0, got -3" in capsys.readouterr().err
     assert not out.exists()

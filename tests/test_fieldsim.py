@@ -112,9 +112,10 @@ def test_seeds_outside_64_bits_are_refused_before_any_normal(monkeypatch):
     monkeypatch.setattr(fieldsim, "_replicate_rng", lambda *a: windows.append(a))
     for sampler in (circulant, dense):
         for seed in (2**128 + 5, -1, fieldsim.SEED_LIMIT):
-            with pytest.raises(ModelError, match=rf"^seed must be in \[0, 2\^64\), got {seed}$"):
+            message = rf"^seed: must be at (least 0|most {top}), got {seed}$"
+            with pytest.raises(ModelError, match=message):
                 draw(sampler, seed, 4)
-            with pytest.raises(ModelError, match="^seed must be in"):
+            with pytest.raises(ModelError, match=message):
                 draw_pairs(sampler, seed, 2, 2)
     assert windows == [] and fieldsim._local.pairs is held
 

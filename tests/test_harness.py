@@ -131,6 +131,11 @@ def test_rate_fit_validation():
         rate_fit([(10, 1.0), (20, 0.5), (40, 0.25)])
     with pytest.raises(ModelError):
         rate_fit([(10, 1.0), (20, 0.5), (40, -0.2), (80, 0.1)])
+    # one size, or a size at or below 0, is refused before the fit (which
+    # warned and raised LinAlgError on them)
+    for sizes in ((10, 10, 10, 10), (-10, 20, 40, 80), (0, 20, 40, 80)):
+        with pytest.raises(ModelError, match="^rate fits need positive sizes, at least two "):
+            rate_fit([(n, v) for n, v in zip(sizes, (1.0, 2.0, 3.0, 4.0))])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +166,8 @@ def test_config_validation():
     with pytest.raises(ModelError, match="seed"):
         ExperimentConfig(WHITE, pure(2), (lattice(16),), 200, 2**64)
     # every violated rule is named at once
-    with pytest.raises(ModelError, match="^seed must fit in 64 bits, got 18446744073709551616; "
+    with pytest.raises(ModelError, match="^seed must be at most 18446744073709551615, "
+                                         "got 18446744073709551616; "
                                          "replicates must be at least 100 "):
         ExperimentConfig(WHITE, pure(2), (lattice(16),), 50, 2**64)
 
