@@ -9,7 +9,13 @@
 # them first, so a second run diffs only its own output.
 set -euo pipefail
 
-step() { printf '\n== %s\n' "$1"; }
+# each step first prints the wall seconds the step before it took (bash SECONDS)
+last=""
+step() {
+  [ -z "$last" ] || printf '\n-- %s: %d s\n' "$last" $((SECONDS - started))
+  last="$1" started=$SECONDS
+  printf '\n== %s\n' "$1"
+}
 
 rm -rf experiment-threads1 experiment-threads2 chaos-blas1 chaos-blas2 chaos-ladder.out
 

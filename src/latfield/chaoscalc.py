@@ -7,11 +7,12 @@ functional, the total-variation bound against the Gaussian, the additive
 variance decomposition, gamma quotients, and the rank-reduction ratio.
 
 Two kernels give every exact value, both from covariance's lag windows
-(_lag_window).  Pair sums over a window of sizes n_j collapse to lag sums
-sum_z W(z) g(C(z)) with W(z) = prod_j (n_j - |z_j|), which factor over
-separable blocks and split binomially over additive ones.  The blocks
-(_blocks: one per factor of a separable model, else the full lattice, each
-as its lag window) give the diagram sums S(a, b, c) of the fourth cumulant
+(_lag_window), each built once per public call (_walk) for every chaos
+order, variance self-check, 4-cycle and clique.  Pair sums over a window
+of sizes n_j collapse to lag sums sum_z W(z) g(C(z)) with W(z) = prod_j
+(n_j - |z_j|), which factor over separable blocks and split binomially
+over additive ones.  The blocks (_blocks: a separable model's factors,
+else the full lattice) give the fourth cumulant's diagram sums S(a, b, c)
 (Peccati & Taqqu 2011, Wiener Chaos: Moments, Cumulants and Diagrams), one
 record per block (_block_terms), and a model's sums are the products over
 its blocks: kappa_4 Var^2 sums them over the connected 4-vertex diagrams,
@@ -86,33 +87,49 @@ _TOEPLITZ_LIMIT = 2**15
 _VAR_CHECK_LAGS = 20_000
 
 
-def _lag_sum(cov: CompositeCovariance, lattice: LatticeSpec, g, window=None) -> float:
-    """sum_z W(z) g(C(z)) over every window lag z, g acting elementwise on
-    the covariance values, from ``window`` when given (the _lag_window of
-    cov, already built).  C is even and the window's lags run symmetrically
-    about z = 0, its middle entry, so g is evaluated up to z = 0 and
-    mirrored."""
-    values, weights = _lag_window(cov, lattice.all_sizes) if window is None else window
+def _walk(cov, lattice):
+    """The lag windows of one public call, each built once, when first read:
+    window(i) is factor i's on its block, window() the whole lattice's, a
+    separable model's multiplied out from its factors'."""
+    _check_blocks(cov, lattice)
+    return functools.partial(_window, cov, lattice, {})
+
+
+def _window(cov, lattice, built: dict, block=None):
+    if block not in built:
+        built[block] = (_lag_window(cov.factors[block], lattice.blocks[block]) if block is not None
+                        else _lag_window(cov, lattice.all_sizes) if cov.structure != SEPARABLE
+                        else _multiplied_out([_window(cov, lattice, built, i)
+                                              for i in range(len(cov.factors))]))
+    return built[block]
+
+
+def _power_sum(window, k: int) -> float:
+    """sum_z W(z) C(z)^k over the lags z of ``window`` (C, W)."""
+    values, weights = window
+    return float(np.sum(weights * values**k))
+
+
+def _lag_sum(window, g) -> float:
+    """sum_z W(z) g(C(z)) over the lags z of ``window`` (C, W), g elementwise.
+    C is even and the lags run symmetrically about z = 0, the middle entry,
+    so g is evaluated up to z = 0 and mirrored."""
+    values, weights = window
     half = g(values[:values.size // 2 + 1])
     return float(np.sum(weights * np.concatenate((half, half[-2::-1]))))
 
 
-def _checked_variance(cov, lattice, q: int, variance: float, parts=None) -> float:
+def _checked_variance(lattice, q: int, variance: float, window) -> float:
     """A factorized Var(Y[q]), checked against the direct lag sum on windows
     of at most _VAR_CHECK_LAGS lags, to 1e-12 relative to the sum of the
     terms' magnitudes, q! sum_z W(z) |C(z)|^q: the scale of the rounding in
-    either sum, and the sum itself unless odd q meets negative C.  The
-    window is built once for both sums, from a separable model's factor
-    windows ``parts`` when given."""
+    either sum, and the sum itself unless odd q meets negative C."""
     if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
-        window = _lag_window(cov, lattice.all_sizes) if parts is None else _multiplied_out(parts)
-        direct = math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q, window)
-        scale = math.factorial(q) * _lag_sum(cov, lattice, lambda c: np.abs(c) ** q, window)
+        direct = math.factorial(q) * _lag_sum(window(), lambda c: c**q)
+        scale = math.factorial(q) * _lag_sum(window(), lambda c: np.abs(c) ** q)
         if abs(variance - direct) > 1e-12 * scale:
-            raise NumericalError(
-                f"factorized variance {variance!r} disagrees with the "
-                f"direct lag sum {direct!r}"
-            )
+            raise NumericalError(f"factorized variance {variance!r} disagrees with the "
+                                 f"direct lag sum {direct!r}")
     return variance
 
 
@@ -120,26 +137,31 @@ def _checked_variance(cov, lattice, q: int, variance: float, parts=None) -> floa
 # variances
 
 
-def _variances(cov, lattice, q: int):
-    """Var(Y[q]), plus each factor's on its own block window for a separable
-    model (else None).  Factorized variances, separable and additive, are
-    checked against the direct lag sum; a separable model's factor windows
-    are built once, for its variances and the check both."""
-    _check_blocks(cov, lattice)
-    if cov.structure == ADDITIVE:
-        return additive_variance(cov, lattice, q).total, None
-    if cov.structure != SEPARABLE:
-        return math.factorial(q) * _lag_sum(cov, lattice, lambda c: c**q), None
-    parts = list(map(_lag_window, cov.factors, lattice.blocks))
-    variances = [math.factorial(q) * float(np.sum(weights * values**q))
-                 for values, weights in parts]
-    variance = math.prod(variances) / math.factorial(q) ** (len(variances) - 1)
-    return _checked_variance(cov, lattice, q, variance, parts), variances
+def _variances(cov, lattice, q: int, window):
+    """Var(Y[q]) and its parts, from the call's walk ``window``: a separable
+    model's factor variances, each on its factor's block window, or an
+    additive model's binomial terms (else None).  Factorized variances,
+    separable and additive, are checked against the direct lag sum."""
+    fq = math.factorial(q)
+    if cov.structure == SEPARABLE:
+        parts = [fq * _power_sum(window(i), q) for i in range(len(cov.factors))]
+        variance = math.prod(parts) / fq ** (len(parts) - 1)
+    elif cov.structure == ADDITIVE:
+        v1, v2 = [], []  # V(k) = k! sum over block pairs of (w K)^k; V(0) = volume^2
+        for i, (v, sizes, weight) in enumerate(zip((v1, v2), lattice.blocks, cov.weights)):
+            v.append(float(math.prod(sizes)) ** 2)
+            v.extend(math.factorial(k) * weight**k * _power_sum(window(i), k)
+                     for k in range(1, q + 1))
+        parts = {k: math.comb(q, k) ** 2 * v1[k] * v2[q - k] for k in range(q + 1)}
+        variance = float(sum(parts.values()))
+    else:
+        return fq * _lag_sum(window(), lambda c: c**q), None
+    return _checked_variance(lattice, q, variance, window), parts
 
 
 def variance_hermite(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
     """Var(Y[q]) = q! sum over lattice pairs of C^q, exactly."""
-    return _variances(cov, lattice, checked_arg("q", q, CHAOS_ORDER))[0]
+    return _variances(cov, lattice, checked_arg("q", q, CHAOS_ORDER), _walk(cov, lattice))[0]
 
 
 @dataclass(frozen=True)
@@ -164,17 +186,16 @@ def variance_phi(cov, lattice, phi) -> PhiVariance:
 
     An indicator phi takes variance_indicator.  Otherwise Var(Y) =
     sum_q a_q^2 Var(Y[q]) over the chaoses of hermite_coefficients(phi),
-    each chaos factorized for separable and additive models.
+    each factorized for separable and additive models, on one walk.
     """
     coeffs = hermite_coefficients(phi)
     rank = hermite_rank(coeffs)
     if phi.kind == INDICATOR:
         return PhiVariance(value=variance_indicator(cov, lattice, phi.level),
                            rank=rank, tail_bound=0.0)
-    value = 0.0
-    for q in range(rank, len(coeffs)):
-        if coeffs[q] != 0.0:
-            value += coeffs[q] ** 2 * variance_hermite(cov, lattice, q)
+    window = _walk(cov, lattice)
+    value = sum(coeffs[q] ** 2 * _variances(cov, lattice, q, window)[0]
+                for q in range(rank, len(coeffs)) if coeffs[q] != 0.0)
     retained = sum(math.factorial(q) * coeffs[q] ** 2 for q in range(len(coeffs)))
     gap = max(0.0, float(phi_second_moment(phi) - retained))
     return PhiVariance(value=float(value), rank=rank,
@@ -190,7 +211,7 @@ def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
     excess itself instead of subtracting Phibar(a)^2 from the joint
     probability.  At a = 0 it is Sheppard's asin(rho) / 2 pi."""
     _check_blocks(cov, lattice)
-    return _lag_sum(cov, lattice, lambda rho: orthant_excess(level, rho))
+    return _lag_sum(_lag_window(cov, lattice.all_sizes), lambda rho: orthant_excess(level, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -436,23 +457,21 @@ def _lag_clique_sum(values: np.ndarray, sizes, triple) -> float:
     return float(np.einsum("i,i", rows_weights, sums)) * (2 if one_side else 1)
 
 
-def _blocks(cov, lattice):
+def _blocks(cov, lattice, window) -> list:
     """The lag windows (values, sizes) of the blocks whose diagram sums
-    multiply to the model's: a separable model's factors, built one at a
-    time, else the full lattice as its one block.  Each block is refused,
-    before its window is built, past the points its 4-cycles take:
-    _TOEPLITZ_LIMIT for a 1-D factor, DENSE_LIMIT for any other block."""
+    multiply to the model's: a separable model's factors, else the full
+    lattice.  Before any window is read, each is refused past the points
+    its 4-cycles take: _TOEPLITZ_LIMIT for a 1-D factor, else DENSE_LIMIT."""
     if cov.structure != SEPARABLE:
         if lattice.n_total > DENSE_LIMIT:
             raise ModelError(f"dense covariance capped at {DENSE_LIMIT} points")
-        yield _lag_window(cov, lattice.all_sizes)[0], lattice.all_sizes
-        return
-    for factor, sizes in zip(cov.factors, lattice.blocks):
+        return [(window()[0], lattice.all_sizes)]
+    for sizes in lattice.blocks:
         n, limit = math.prod(sizes), _TOEPLITZ_LIMIT if len(sizes) == 1 else DENSE_LIMIT
         if n > limit:
             raise ModelError(f"contraction norms are capped at {limit} points per "
                              f"factor ({n} requested)")
-        yield _lag_window(factor, sizes)[0], sizes
+    return [(window(i)[0], sizes) for i, sizes in enumerate(lattice.blocks)]
 
 
 def _cycle_sums(values: np.ndarray, sizes, q: int, orders) -> list:
@@ -484,9 +503,8 @@ def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
     over blocks."""
     q = checked_arg("q", q, CHAOS_ORDER)
     r = checked_arg("r", r, {**CHAOS_ORDER, "maximum": q - 1})
-    _check_blocks(cov, lattice)
     return math.prod(_cycle_sums(values, sizes, q, [r])[0]
-                     for values, sizes in _blocks(cov, lattice))
+                     for values, sizes in _blocks(cov, lattice, _walk(cov, lattice)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +514,17 @@ def contraction_norm(cov: CompositeCovariance, lattice: LatticeSpec,
 def _model_terms(cov, lattice, q: int):
     """The model's (variance, norms, clique sums), plus each factor's for a
     separable model (else None): the products over its blocks' _block_terms,
-    the clique sums None unless every block's fit.  q = 1 has no diagram
-    and builds no block."""
-    variance, variances = _variances(cov, lattice, q)
-    count = 1 if variances is None else len(variances)
-    blocks = ([({}, {})] * count if q == 1
-              else [_block_terms(values, sizes, q) for values, sizes in _blocks(cov, lattice)])
+    the clique sums None unless every block's fit, all from one walk.  q = 1
+    has no diagram and reads no block."""
+    window, separable = _walk(cov, lattice), cov.structure == SEPARABLE
+    blocks = ([_block_terms(values, sizes, q) for values, sizes in _blocks(cov, lattice, window)]
+              if q > 1 else [({}, {})] * (len(cov.factors) if separable else 1))
+    variance, parts = _variances(cov, lattice, q, window)
     norms, sums = zip(*blocks)
     model = (variance, {r: math.prod(n[r] for n in norms) for r in range(1, q)},
              None if None in sums else {t: math.prod(s[t] for s in sums)
                                         for t in _clique_triples(q)})
-    return model, None if variances is None else [(v, *b) for v, b in zip(variances, blocks)]
+    return model, [(v, *b) for v, b in zip(parts, blocks)] if separable else None
 
 
 def _kappa4(q: int, variance: float, norms: dict, cliques: Optional[dict]):
@@ -575,16 +593,7 @@ def additive_variance(cov: CompositeCovariance, lattice: LatticeSpec,
                       q: int) -> AdditiveVariance:
     if cov.structure != ADDITIVE:
         raise ModelError("additive_variance requires an additive covariance")
-    q = checked_arg("q", q, CHAOS_ORDER)
-    _check_blocks(cov, lattice)
-    v1, v2 = [], []  # V(k) = k! sum over block pairs of (w K)^k; V(0) = volume^2
-    for v, factor, sizes, weight in zip((v1, v2), cov.factors, lattice.blocks, cov.weights):
-        values, weights = _lag_window(factor, sizes)
-        v.append(float(math.prod(sizes)) ** 2)
-        v.extend(math.factorial(k) * weight**k * float(np.sum(weights * values**k))
-                 for k in range(1, q + 1))
-    terms = {k: math.comb(q, k) ** 2 * v1[k] * v2[q - k] for k in range(q + 1)}
-    total = _checked_variance(cov, lattice, q, float(sum(terms.values())))
+    total, terms = _variances(cov, lattice, checked_arg("q", q, CHAOS_ORDER), _walk(cov, lattice))
     return AdditiveVariance(terms=terms, total=total)
 
 
@@ -603,12 +612,12 @@ class GammaQuotient:
 def gamma_quotient(factor: FactorCovariance, sizes, q: int,
                    weight: float = 1.0) -> GammaQuotient:
     q = checked_arg("q", q, CHAOS_ORDER)
+    weight = checked_arg("weight", weight, {"positive": True})
     sizes = _checked_sizes(factor, sizes)
     vol = float(math.prod(sizes))
-    values, weights = _lag_window(factor, sizes)
-    exact = weight**q * float(np.sum(weights * values**q)) / vol**2
-    plain = float(np.sum(values**q))
-    return GammaQuotient(exact=exact, surrogate=weight**q * plain / vol)
+    window = _lag_window(factor, sizes)
+    return GammaQuotient(exact=weight**q * _power_sum(window, q) / vol**2,
+                         surrogate=weight**q * float(np.sum(window[0]**q)) / vol)
 
 
 def reduction_ratio(cov, lattice, phi) -> float:

@@ -259,7 +259,8 @@ def normality_report(samples) -> NormalityReport:
 def is_gaussian(report: NormalityReport, alpha: float = VERDICT_ALPHA) -> bool:
     """The declared finite-n decision rule: the (1-alpha) confidence
     interval of the excess kurtosis contains 0 AND the KS statistic stays
-    below the level-alpha critical value."""
+    below the level-alpha critical value, alpha in (0, 1)."""
+    alpha = checked_arg("alpha", alpha, {"between": (0, 1)})
     z = normal_quantile(1.0 - alpha / 2.0)
     ks_critical = kolmogorov_quantile(alpha) / math.sqrt(report.n)
     return (
@@ -271,16 +272,19 @@ def is_gaussian(report: NormalityReport, alpha: float = VERDICT_ALPHA) -> bool:
 def rate_fit(series):
     """Least-squares slope of log(value) against log(n).
 
-    Returns (slope, stderr).  Needs at least 4 points, positive sizes and
-    values, and two distinct sizes.
+    Returns (slope, stderr).  Needs at least 4 points, each a positive
+    finite size and value (keyed series[i].size and series[i].value), and
+    two distinct sizes.
     """
-    pts = [(float(n), float(v)) for n, v in series]
+    violations = []
+    pts = [(checked_number(violations, f"series[{i}].size", n, positive=True),
+            checked_number(violations, f"series[{i}].value", v, positive=True))
+           for i, (n, v) in enumerate(series)]
     if len(pts) < 4:
         raise ModelError("rate fits need at least 4 points")
-    if any(v <= 0.0 for _, v in pts):
-        raise ModelError("rate fits need positive values")
-    if any(n <= 0.0 for n, _ in pts) or len({n for n, _ in pts}) == 1:
-        raise ModelError("rate fits need positive sizes, at least two distinct")
+    refuse(violations)
+    if len({n for n, _ in pts}) == 1:
+        raise ModelError("rate fits need at least two distinct sizes")
     logn = np.log([n for n, _ in pts])
     logv = np.log([v for _, v in pts])
     coeffs, cov = np.polyfit(logn, logv, 1, cov=True)

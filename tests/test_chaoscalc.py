@@ -736,13 +736,65 @@ def test_variances_build_each_factor_window_once(monkeypatch):
     for lat in lattices:
         for q in (2, 3):
             calls.clear()
-            assert chaoscalc._variances(sep, lat, q) == wants[lat, q], (lat, q)
+            got = chaoscalc._variances(sep, lat, q, chaoscalc._walk(sep, lat))
+            assert got == wants[lat, q], (lat, q)
             assert calls == list(sep.factors), (lat, q)
     # an additive model builds each factor window once and, when checked,
     # its own window once
     calls.clear()
-    chaoscalc._variances(add, LatticeSpec(((9,), (7,))), 3)
+    lat = LatticeSpec(((9,), (7,)))
+    chaoscalc._variances(add, lat, 3, chaoscalc._walk(add, lat))
     assert calls == [*add.factors, add]
+
+
+# fGn(0.7) x Cauchy(0.6), crit10-path-a's additive model and gneiting-growing's model
+_WALKED = _sep(FactorCovariance(FGN, hurst=0.7), FactorCovariance(CAUCHY, exponent=0.6))
+_CRIT10 = CompositeCovariance(
+    ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.48), FactorCovariance(CAUCHY, exponent=3.0)),
+    weights=(0.1, 0.9))
+_GROWING = CompositeCovariance(
+    GNEITING, (FactorCovariance(CAUCHY, exponent=0.3), FactorCovariance(CAUCHY, exponent=1.0)))
+_TANH = HermiteSpec(CUSTOM, func=np.tanh)  # 15 chaoses up to qmax = 20
+
+
+def _capped_report():
+    # a crit10 rung past DENSE_LIMIT points, refused before any window
+    with pytest.raises(ModelError, match=f"^dense covariance capped at {DENSE_LIMIT} points$"):
+        chaos_report(_CRIT10, LatticeSpec(((256,), (64,))), 2)
+
+
+@pytest.mark.parametrize("call, models", [
+    pytest.param(lambda: chaos_report(_WALKED, LatticeSpec(((64,), (48,))), 2),
+                 _WALKED.factors, id="chaos_report-separable"),
+    pytest.param(lambda: fourth_cumulant(_WALKED, LatticeSpec(((64,), (48,))), 2),
+                 _WALKED.factors, id="fourth_cumulant-separable"),
+    pytest.param(lambda: tv_bound(_WALKED, LatticeSpec(((64,), (48,))), 2),
+                 _WALKED.factors, id="tv_bound-separable"),
+    pytest.param(lambda: contraction_norm(_WALKED, LatticeSpec(((64,), (48,))), 2, 1),
+                 _WALKED.factors, id="contraction_norm-separable"),
+    pytest.param(lambda: variance_hermite(_WALKED, LatticeSpec(((64,), (48,))), 2),
+                 _WALKED.factors, id="variance_hermite-separable"),
+    pytest.param(lambda: chaos_report(_CRIT10, LatticeSpec(((40,), (23,))), 2),
+                 (*_CRIT10.factors, _CRIT10), id="chaos_report-additive"),
+    pytest.param(lambda: variance_phi(_WALKED, LatticeSpec(((64,), (48,))), _TANH),
+                 _WALKED.factors, id="variance_phi-separable"),
+    pytest.param(lambda: variance_phi(_CRIT10, LatticeSpec(((40,), (23,))), _TANH),
+                 (*_CRIT10.factors, _CRIT10), id="variance_phi-additive"),
+    pytest.param(lambda: chaos_report(_GROWING, LatticeSpec(((24,), (24,))), 2),
+                 (_GROWING,), id="chaos_report-gneiting"),
+    pytest.param(_capped_report, (), id="chaos_report-capped"),
+])
+def test_each_call_builds_each_lag_window_once(monkeypatch, call, models):
+    # one walk per public call: a separable or additive model's factor
+    # windows, and the whole lattice's where a sum reads it, are built once
+    # and serve every chaos order, the variance self-check, the 4-cycles
+    # and the cliques
+    calls = []
+    original = chaoscalc._lag_window
+    monkeypatch.setattr(chaoscalc, "_lag_window",
+                        lambda model, sizes: calls.append(model) or original(model, sizes))
+    call()
+    assert sorted(calls, key=repr) == sorted(models, key=repr)
 
 
 def test_every_block_takes_the_lag_clique_kernel_on_its_window(monkeypatch):

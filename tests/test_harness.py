@@ -133,8 +133,10 @@ def test_rate_fit_validation():
         rate_fit([(10, 1.0), (20, 0.5), (40, -0.2), (80, 0.1)])
     # one size, or a size at or below 0, is refused before the fit (which
     # warned and raised LinAlgError on them)
-    for sizes in ((10, 10, 10, 10), (-10, 20, 40, 80), (0, 20, 40, 80)):
-        with pytest.raises(ModelError, match="^rate fits need positive sizes, at least two "):
+    for sizes, message in (((10, 10, 10, 10), r"rate fits need at least two distinct sizes"),
+                           ((-10, 20, 40, 80), r"series\[0\]\.size: must be positive, got -10\.0"),
+                           ((0, 20, 40, 80), r"series\[0\]\.size: must be positive, got 0\.0")):
+        with pytest.raises(ModelError, match=f"^{message}$"):
             rate_fit([(n, v) for n, v in zip(sizes, (1.0, 2.0, 3.0, 4.0))])
 
 
