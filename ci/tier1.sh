@@ -5,8 +5,9 @@
 #   bash ci/tier1.sh
 #
 # Run it from the root of a checkout.  It writes experiment-threads{1,2}/,
-# chaos-blas{1,2}/ and chaos-ladder.out there (all git-ignored), and clears
-# them first, so a second run diffs only its own output.
+# chaos-blas{1,2}/, chaos-ladder.out, mc-additive.out and the traced
+# round's trace files in .perfbench/ there (all git-ignored), and clears
+# all but the trace files first, so a second run diffs only its own output.
 set -euo pipefail
 
 # each step first prints the wall seconds the step before it took (bash SECONDS)
@@ -17,7 +18,7 @@ step() {
   printf '\n== %s\n' "$1"
 }
 
-rm -rf experiment-threads1 experiment-threads2 chaos-blas1 chaos-blas2 chaos-ladder.out
+rm -rf experiment-threads1 experiment-threads2 chaos-blas1 chaos-blas2 chaos-ladder.out mc-additive.out
 
 step "Tier-1 tests"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -73,9 +74,13 @@ for threads in 1 2; do
 done
 diff -r chaos-blas1 chaos-blas2
 
-step "Benchmark references and one chaos-ladder round"
+step "Benchmark references, one chaos-ladder round and one traced Monte Carlo round"
 python3 perfbench/refs.py
 python3 perfbench/run.py --workload chaos-ladder --seed 1 --seconds 1 > chaos-ladder.out
 tail -n 1 chaos-ladder.out | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
+# the only step that runs the benchmark's worker on a Monte Carlo workload
+# and its tracer, which wraps harness and reads Sampler's attributes
+python3 perfbench/run.py --workload mc-additive --seed 1 --seconds 1 --trace 1 > mc-additive.out
+tail -n 1 mc-additive.out | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
 
 step "tier-1 checks passed"

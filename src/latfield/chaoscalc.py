@@ -104,12 +104,6 @@ def _window(cov, lattice, built: dict, block=None):
     return built[block]
 
 
-def _power_sum(window, k: int) -> float:
-    """sum_z W(z) C(z)^k over the lags z of ``window`` (C, W)."""
-    values, weights = window
-    return float(np.sum(weights * values**k))
-
-
 def _lag_sum(window, g) -> float:
     """sum_z W(z) g(C(z)) over the lags z of ``window`` (C, W), g elementwise.
     C is even and the lags run symmetrically about z = 0, the middle entry,
@@ -119,20 +113,6 @@ def _lag_sum(window, g) -> float:
     return float(np.sum(weights * np.concatenate((half, half[-2::-1]))))
 
 
-def _checked_variance(lattice, q: int, variance: float, window) -> float:
-    """A factorized Var(Y[q]), checked against the direct lag sum on windows
-    of at most _VAR_CHECK_LAGS lags, to 1e-12 relative to the sum of the
-    terms' magnitudes, q! sum_z W(z) |C(z)|^q: the scale of the rounding in
-    either sum, and the sum itself unless odd q meets negative C."""
-    if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
-        direct = math.factorial(q) * _lag_sum(window(), lambda c: c**q)
-        scale = math.factorial(q) * _lag_sum(window(), lambda c: np.abs(c) ** q)
-        if abs(variance - direct) > 1e-12 * scale:
-            raise NumericalError(f"factorized variance {variance!r} disagrees with the "
-                                 f"direct lag sum {direct!r}")
-    return variance
-
-
 # ---------------------------------------------------------------------------
 # variances
 
@@ -140,23 +120,32 @@ def _checked_variance(lattice, q: int, variance: float, window) -> float:
 def _variances(cov, lattice, q: int, window):
     """Var(Y[q]) and its parts, from the call's walk ``window``: a separable
     model's factor variances, each on its factor's block window, or an
-    additive model's binomial terms (else None).  Factorized variances,
-    separable and additive, are checked against the direct lag sum."""
+    additive model's binomial terms (else None).  A factorized variance,
+    separable or additive, is checked against the direct lag sum on windows
+    of at most _VAR_CHECK_LAGS lags, to 1e-12 relative to the sum of the
+    terms' magnitudes, q! sum_z W(z) |C(z)|^q: the scale of the rounding in
+    either sum, and the sum itself unless odd q meets negative C."""
     fq = math.factorial(q)
     if cov.structure == SEPARABLE:
-        parts = [fq * _power_sum(window(i), q) for i in range(len(cov.factors))]
+        parts = [fq * _lag_sum(window(i), lambda c: c**q) for i in range(len(cov.factors))]
         variance = math.prod(parts) / fq ** (len(parts) - 1)
     elif cov.structure == ADDITIVE:
         v1, v2 = [], []  # V(k) = k! sum over block pairs of (w K)^k; V(0) = volume^2
         for i, (v, sizes, weight) in enumerate(zip((v1, v2), lattice.blocks, cov.weights)):
             v.append(float(math.prod(sizes)) ** 2)
-            v.extend(math.factorial(k) * weight**k * _power_sum(window(i), k)
+            v.extend(math.factorial(k) * weight**k * _lag_sum(window(i), lambda c: c**k)
                      for k in range(1, q + 1))
         parts = {k: math.comb(q, k) ** 2 * v1[k] * v2[q - k] for k in range(q + 1)}
         variance = float(sum(parts.values()))
     else:
         return fq * _lag_sum(window(), lambda c: c**q), None
-    return _checked_variance(lattice, q, variance, window), parts
+    if math.prod(2 * n - 1 for n in lattice.all_sizes) <= _VAR_CHECK_LAGS:
+        direct = fq * _lag_sum(window(), lambda c: c**q)
+        scale = fq * _lag_sum(window(), lambda c: np.abs(c) ** q)
+        if abs(variance - direct) > 1e-12 * scale:
+            raise NumericalError(f"factorized variance {variance!r} disagrees with the "
+                                 f"direct lag sum {direct!r}")
+    return variance, parts
 
 
 def variance_hermite(cov: CompositeCovariance, lattice: LatticeSpec, q: int) -> float:
@@ -193,13 +182,19 @@ def variance_phi(cov, lattice, phi) -> PhiVariance:
     if phi.kind == INDICATOR:
         return PhiVariance(value=variance_indicator(cov, lattice, phi.level),
                            rank=rank, tail_bound=0.0)
-    window = _walk(cov, lattice)
-    value = sum(coeffs[q] ** 2 * _variances(cov, lattice, q, window)[0]
-                for q in range(rank, len(coeffs)) if coeffs[q] != 0.0)
+    value = sum(_chaos_terms(cov, lattice, coeffs))
     retained = sum(math.factorial(q) * coeffs[q] ** 2 for q in range(len(coeffs)))
     gap = max(0.0, float(phi_second_moment(phi) - retained))
     return PhiVariance(value=float(value), rank=rank,
                        tail_bound=gap * float(lattice.n_total) ** 2)
+
+
+def _chaos_terms(cov, lattice, coeffs):
+    """a_q^2 Var(Y[q]) for each chaos q from the rank on with a_q != 0, in
+    order, lazily, from one walk."""
+    window = _walk(cov, lattice)
+    return (coeffs[q] ** 2 * _variances(cov, lattice, q, window)[0]
+            for q in range(hermite_rank(coeffs), len(coeffs)) if coeffs[q] != 0.0)
 
 
 def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
@@ -616,15 +611,18 @@ def gamma_quotient(factor: FactorCovariance, sizes, q: int,
     sizes = _checked_sizes(factor, sizes)
     vol = float(math.prod(sizes))
     window = _lag_window(factor, sizes)
-    return GammaQuotient(exact=weight**q * _power_sum(window, q) / vol**2,
+    return GammaQuotient(exact=weight**q * _lag_sum(window, lambda c: c**q) / vol**2,
                          surrogate=weight**q * float(np.sum(window[0]**q)) / vol)
 
 
 def reduction_ratio(cov, lattice, phi) -> float:
-    """Var(Y) over the leading-chaos part a_R^2 Var(Y[R]); always >= 1."""
-    var = variance_phi(cov, lattice, phi)
-    leading = hermite_coefficients(phi)[var.rank] ** 2 * variance_hermite(cov, lattice, var.rank)
-    return var.value / leading
+    """Var(Y) over the leading-chaos part a_R^2 Var(Y[R]), the first of the
+    chaos terms that sum a custom phi's Var(Y); always >= 1."""
+    terms = _chaos_terms(cov, lattice, hermite_coefficients(phi))
+    leading = next(terms)
+    value = (variance_indicator(cov, lattice, phi.level) if phi.kind == INDICATOR
+             else sum(terms, leading))
+    return value / leading
 
 
 # ---------------------------------------------------------------------------

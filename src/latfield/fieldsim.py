@@ -16,27 +16,27 @@ the covariance matrix, gathered from the covariance's lag window; larger
 ones fail loudly.
 
 Draws are counter-based: each field is a pure function of
-(seed, replicate_id), independent of thread schedule.  Circulant draws come
-in replicate pairs: the real and imaginary parts of one complex transform
-are two independent exact fields (Wood & Chan 1994; Dietrich & Newsam
-1997), so replicates 2k and 2k+1 are the real and imaginary halves of the
-transform of pair k's normals, drawn from the Philox window keyed by
-(seed, k).  Each thread reuses one generator, reset to each window it
-reads, and one workspace: a cache-sized chunk of normals and a stack of
-spectrum products at embedding size, one plane per pair of a block of
-consecutive pairs.  ``draw_pairs`` streams each pair's window through the
-chunk, scaling each chunk by its stretch of the spectrum root straight
-into the plane's real part and then its imaginary part, and inverts the
-stack in place, one axis at a time over all planes, cropping each axis to
-the lattice as soon as it is transformed; the workspace remembers which
-pairs it holds, so ``draw`` serves every replicate of the block with no
-normals and no transform.  A draw of a pair the workspace does not hold
-is the block of one; ``Sampler.block_pairs`` is the block to ask for.
-Values are bit-identical to the one-shot ``ifftn`` of each embedding,
-whatever the block, the thread count and the order in which halves are
-drawn.  Dense-Cholesky draws take their normals from the window keyed by
-(seed, replicate_id).  Seeds are ints in [0, SEED_LIMIT) and replicate
-ids ints >= 0; any other, a bool or a fraction too, is a keyed ModelError.
+(seed, replicate_id), independent of thread schedule.  Draws come in
+replicate pairs: replicates 2k and 2k+1 are the real and imaginary halves
+of pair k's plane, drawn from the Philox window keyed by (seed, k).  A
+circulant plane is the transform of the window's normals, whose two parts
+are independent exact fields (Wood & Chan 1994; Dietrich & Newsam 1997);
+a dense plane holds the dense factor times the window's first n normals
+and times the next n.  Each thread reuses one generator, reset to each
+window it reads, and one workspace: a cache-sized chunk of normals and a
+stack of planes, one per pair of a block of consecutive pairs.
+``draw_pairs`` streams each circulant window through the chunk, scaling
+each chunk by its stretch of the spectrum root straight into the plane's
+real part and then its imaginary part, and inverts the stack in place, one
+axis at a time over all planes, cropping each axis to the lattice as soon
+as it is transformed; the workspace remembers which pairs it holds, so
+``draw`` serves every replicate of the block with no normals and no
+transform.  A draw of a pair the workspace does not hold is the block of
+one; ``Sampler.block_pairs`` is the block to ask for.  Values do not
+depend on the block, the thread count or the order in which halves are
+drawn: a circulant value is bit-identical to the one-shot ``ifftn``.
+Seeds are ints in [0, SEED_LIMIT) and replicate ids ints >= 0; any other,
+a bool or a fraction too, is a keyed ModelError.
 """
 from __future__ import annotations
 
@@ -282,11 +282,10 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
 def _replicate_rng(seed: int, window: int) -> np.random.Generator:
     """This thread's generator, set to the start of window ``window`` of the
     Philox stream keyed by ``seed`` (a checked SEED): one disjoint
-    2^64-counter window per replicate pair (circulant draws) or per
-    replicate (dense draws).  Its whole state is reset (key, counter,
-    buffered words and the spare 32-bit half), so it gives the stream of a
-    new Philox(key=seed, counter=window << 64) whatever it read before.
-    It is valid until the thread's next call."""
+    2^64-counter window per replicate pair.  Its whole state is reset (key,
+    counter, buffered words and the spare 32-bit half), so it gives the
+    stream of a new Philox(key=seed, counter=window << 64) whatever it read
+    before.  It is valid until the thread's next call."""
     counter = window << 64
     if not 0 <= counter < 2**256:
         raise ModelError(f"replicate window {window} is outside the Philox counter")
@@ -309,13 +308,13 @@ def _replicate_rng(seed: int, window: int) -> np.random.Generator:
 
 
 def _workspace(shape, count) -> tuple:
-    """This thread's draw buffers for ``count`` pairs on an embedding of
-    the given shape: a chunk of _CHUNK reals that normals pass through on
+    """This thread's draw buffers for ``count`` pairs whose planes have the
+    given shape: a chunk of _CHUNK reals that normals pass through on
     their way into the stack, and the first ``count`` planes of a stack of
-    m-point complex products, the only buffer of embedding size.  Kept
-    while the shape matches and the stack holds ``count`` planes;
-    otherwise dropped before the new buffers are allocated, so a thread
-    never holds two stacks."""
+    complex planes, the only buffer of a plane's size.  Kept while the
+    shape matches and the stack holds ``count`` planes; otherwise dropped
+    before the new buffers are allocated, so a thread never holds two
+    stacks."""
     ws = getattr(_local, "buffers", None)
     if ws is None or ws[1].shape[1:] != shape or len(ws[1]) < count:
         _local.buffers = ws = None
@@ -349,28 +348,32 @@ def draw_pairs(sampler: Sampler, seed: int, first_pair: int, count: int) -> None
     stretch of the raveled root straight into the plane's real part (the
     first m normals) or imaginary part (the rest), so no buffer of m
     normals is needed.  The stack is then inverted once for all planes (an
-    additive sampler inverts each block's stretch of the stack once).  The
-    per-thread record of what the workspace holds is replaced.
-    Dense-Cholesky draws are not paired, so there is nothing to prepare
-    for them."""
+    additive sampler inverts each block's stretch of the stack once).  A
+    dense plane is chol_factor @ z[:n] + 1j * (chol_factor @ z[n:]), one
+    matrix-vector product per half, with no transform.  The per-thread
+    record of what the workspace holds is replaced."""
     seed = checked_arg("seed", seed, SEED)
     first_pair = checked_arg("first_pair", first_pair, COUNT)
     count = checked_arg("count", count, POSITIVE_COUNT)
-    if sampler.method == DENSE_CHOLESKY:
-        return
     _local.pairs = None  # drop the views before the workspace may be replaced
-    shape = sampler.sqrt_spectrum.shape
+    factor = sampler.chol_factor
+    shape = sampler.lattice.all_sizes if factor is not None else sampler.sqrt_spectrum.shape
     chunk, w = _workspace(shape, count)
-    root = sampler.sqrt_spectrum.reshape(-1)
-    m = root.size
+    m = math.prod(shape)
+    root = sampler.sqrt_spectrum.reshape(-1) if factor is None else None
     for plane, pair in zip(w.reshape(count, m), range(first_pair, first_pair + count)):
         rng = _replicate_rng(seed, pair)
         for half in (plane.real, plane.imag):
+            if factor is not None:  # n_total <= DENSE_LIMIT normals fit in the chunk
+                half[:] = factor @ rng.standard_normal(out=chunk[:m])
+                continue
             for lo in range(0, m, _CHUNK):
                 hi = min(lo + _CHUNK, m)
                 z = rng.standard_normal(out=chunk[:hi - lo])
                 np.multiply(z, root[lo:hi], out=half[lo:hi])
-    if sampler.method == ADDITIVE_CIRCULANT:
+    if factor is not None:
+        transforms = ((w, 1.0),)
+    elif sampler.method == ADDITIVE_CIRCULANT:
         # sqrt(w1) U (+) sqrt(w2) V: one field per block from its stretch of w
         (a, b), (n1, n2) = sampler.embeddings, sampler.lattice.blocks
         m1 = math.prod(a.shape)
@@ -382,11 +385,11 @@ def draw_pairs(sampler: Sampler, seed: int, first_pair: int, count: int) -> None
 
 
 def _pair_transforms(sampler: Sampler, seed: int, pair: int) -> list:
-    """The cropped complex transforms of replicate pair ``pair``, one per
-    block for additive samplers and one in all, as (view into this thread's
-    workspace, sqrt(m)) tuples.  The workspace is filled, as a block of
-    one pair, only when it does not already hold this (sampler, seed,
-    pair)."""
+    """The planes of replicate pair ``pair``, one per block for additive
+    samplers and one in all, as (view into this thread's workspace, scale)
+    tuples: a cropped complex transform and sqrt(m), or a dense plane and
+    1.  The workspace is filled, as a block of one pair, only when it does
+    not already hold this (sampler, seed, pair)."""
     held = getattr(_local, "pairs", None)
     if (held is None or held[0] is not sampler or held[1] != seed
             or not 0 <= pair - held[2] < held[3]):
@@ -399,19 +402,14 @@ def _pair_transforms(sampler: Sampler, seed: int, pair: int) -> list:
 def draw(sampler: Sampler, seed: int, replicate_id: int) -> FieldSample:
     """One field realization; a pure function of (seed, replicate_id).
 
-    A circulant replicate r is the real (r even) or imaginary (r odd) half
-    of the transform of pair r // 2, times sqrt(m).  It is served from this
-    thread's workspace when the workspace holds that pair (after
-    ``draw_pairs``, or after a draw of the pair's other half); otherwise
-    the pair is drawn and transformed as a block of one."""
+    Replicate r is the real (r even) or imaginary (r odd) half of pair
+    r // 2's plane, times its scale.  It is served from this thread's
+    workspace when the workspace holds that pair (after ``draw_pairs``, or
+    after a draw of the pair's other half); otherwise the pair is drawn as
+    a block of one."""
     seed = checked_arg("seed", seed, SEED)
     replicate_id = checked_arg("replicate_id", replicate_id, COUNT)
     lattice = sampler.lattice
-    if sampler.method == DENSE_CHOLESKY:
-        z = _replicate_rng(seed, replicate_id).standard_normal(lattice.n_total)
-        values = (sampler.chol_factor @ z).reshape(lattice.all_sizes)
-        return FieldSample(values=values, lattice=lattice, seed=seed,
-                           replicate_id=replicate_id)
     pair, part = divmod(replicate_id, 2)
     # each product is a new array, so no sample aliases the workspace
     fields = tuple((t.imag if part else t.real) * scale

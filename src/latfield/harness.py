@@ -383,8 +383,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     one per CPU this process may run on.
 
     Deterministic given the config: each replicate's field is a pure
-    function of the seed and its global index (circulant replicates 2k and
-    2k+1 share the stream of pair k), and every reduction reads slots in a
+    function of the seed and its global index (replicates 2k and 2k+1
+    share the stream of pair k), and every reduction reads slots in a
     fixed order regardless of the thread count.
     """
     threads = checked_arg("threads", threads, COUNT)

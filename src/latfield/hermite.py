@@ -182,11 +182,11 @@ def hermite_coefficients(phi: HermiteSpec) -> np.ndarray:
     return fine
 
 
-def hermite_rank(coefficients, tol: float = DEFAULT_TOL) -> int:
-    """Smallest q >= 1 with |a_q| > tol."""
+def hermite_rank(coefficients) -> int:
+    """Smallest q >= 1 with |a_q| > DEFAULT_TOL."""
     coefficients = np.asarray(coefficients, dtype=float)
     for q in range(1, len(coefficients)):
-        if abs(coefficients[q]) > tol:
+        if abs(coefficients[q]) > DEFAULT_TOL:
             return q
     raise ModelError("all coefficients below tolerance: phi is degenerate (constant)")
 

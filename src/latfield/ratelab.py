@@ -182,9 +182,7 @@ def rate_g(q: int, hurst: float, n) -> float:
     q = checked_arg("q", q, {**CHAOS_ORDER, "minimum": 2})
     b = 1.0 - 1.0 / (2 * q)
     edge = (2 * q - 3) / (2 * q - 2)
-    n = float(n)
-    if n <= 1.0:
-        raise ModelError("the rate is defined for window sizes > 1")
+    n = checked_arg("n", n, {"between": (1, math.inf)})
     if 0.0 < hurst < 0.5:
         return n**-0.5
     if 0.5 <= hurst <= edge:

@@ -783,6 +783,12 @@ def _capped_report():
     pytest.param(lambda: chaos_report(_GROWING, LatticeSpec(((24,), (24,))), 2),
                  (_GROWING,), id="chaos_report-gneiting"),
     pytest.param(_capped_report, (), id="chaos_report-capped"),
+    pytest.param(lambda: reduction_ratio(_WALKED, LatticeSpec(((64,), (48,))), _TANH),
+                 _WALKED.factors, id="reduction_ratio-separable"),
+    # the indicator's orthant lag sum reads the whole lattice's window
+    pytest.param(lambda: reduction_ratio(_WALKED, LatticeSpec(((64,), (48,))),
+                                         HermiteSpec(INDICATOR, level=0.0)),
+                 (*_WALKED.factors, _WALKED), id="reduction_ratio-indicator"),
 ])
 def test_each_call_builds_each_lag_window_once(monkeypatch, call, models):
     # one walk per public call: a separable or additive model's factor

@@ -773,6 +773,11 @@ def test_rates_command(tmp_path, capsys):
     assert "case 4" in capsys.readouterr().out
     assert main(["rates", "--q", "2", "--alpha", "0.3"]) == 2
     assert main(["rates", "--q", "2"]) == 2
+    # a 401-digit size is a keyed model error, not an OverflowError
+    capsys.readouterr()
+    assert main(["rates", "--q", "2", "--hurst", "0.3", "--sizes", "1" * 401]) == 2
+    assert capsys.readouterr().err == ("error: n: must be a finite number, got an integer "
+                                       "too large for a float\n")
 
 
 @pytest.mark.parametrize("args", [["--hurst", "x"], ["--hurst", "0.3", "--sizes", "10,abc"]],

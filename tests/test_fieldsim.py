@@ -123,7 +123,7 @@ def test_seeds_outside_64_bits_are_refused_before_any_normal(monkeypatch):
 def test_block_pairs_fill_the_block_budget():
     # as many pairs as fit in the block's points, at least one: a pair
     # holds its embedding (both blocks' for an additive sampler), or the
-    # lattice for a dense-Cholesky sampler, whose draws are not paired
+    # lattice for a dense-Cholesky sampler
     for name, points in (("two factors", 78 * 64), ("additive", 78 + 24)):
         cov, blocks = _CIRCULANT_CASES[name]
         sampler = build_sampler(cov, LatticeSpec(blocks))
@@ -530,14 +530,14 @@ def test_kronecker_embedding_matches_full_embedding():
     assert np.allclose(joint, expected, atol=1e-10)
 
 
-def _diagonal_moving_average(a=0.2, c=0.05):
+def _diagonal_moving_average(a=0.2, c=0.05, reach=7):
     """The unit-variance covariance of W(z) + a W(z + (1, 1)) + c W(z + (1, -1))
-    for white noise W, tabulated for lags up to 7: positive semidefinite
+    for white noise W, tabulated for lags up to ``reach``: positive semidefinite
     on every lattice and even, but with C(1, 1) != C(1, -1) when a != c,
     so not even in each coordinate."""
     kernel = {(0, 0): 1.0, (1, 1): a, (1, -1): c}
     norm = sum(h * h for h in kernel.values())
-    table = {(z1, z2): 0.0 for z1 in range(8) for z2 in range(-7, 8)}
+    table = {(z1, z2): 0.0 for z1 in range(reach + 1) for z2 in range(-reach, reach + 1)}
     for (k1, k2), h in kernel.items():
         for (l1, l2), g in kernel.items():
             if (l1 - k1, l2 - k2) in table:
@@ -770,12 +770,26 @@ def test_dense_fallback_on_unembeddable_tabulated():
     assert sampler.embeddings == ()
     matrix = dense_covariance_matrix(cov, lat)
     assert np.allclose(sampler.chol_factor @ sampler.chol_factor.T, matrix)
-    # dense draws are not paired: each replicate has its own window
-    for r in range(4):
-        sample = draw(sampler, seed=3, replicate_id=r)
-        assert sample.values.shape == (3,)
-        z = _replicate_rng(3, r).standard_normal(3)
-        assert np.array_equal(sample.values, sampler.chol_factor @ z)
+    # dense draws come in pairs: replicates 2k and 2k+1 are the factor
+    # times the first and the last n normals of pair k's window.  A skew
+    # 32x32 table holds 32 pairs per block, so 40 pairs take two blocks;
+    # each replicate drawn in its block equals, bit for bit, the same
+    # replicate drawn alone
+    skew = build_sampler(_separable(_diagonal_moving_average(reach=31)),
+                         LatticeSpec(((32, 32),)))
+    assert skew.method == DENSE_CHOLESKY and skew.block_pairs == 32
+    for dense, pairs in ((sampler, 2), (skew, 40)):
+        n, blocked = dense.lattice.n_total, []
+        for first in range(0, pairs, dense.block_pairs):
+            count = min(dense.block_pairs, pairs - first)
+            draw_pairs(dense, 3, first, count)
+            blocked += [draw(dense, 3, r).values for r in range(2 * first, 2 * (first + count))]
+        for r, values in enumerate(blocked):
+            fieldsim._local.pairs = None
+            alone = draw(dense, 3, r).values
+            z = _replicate_rng(3, r // 2).standard_normal(2 * n)
+            want = (dense.chol_factor @ z[n * (r % 2):][:n]).reshape(dense.lattice.all_sizes)
+            assert values.tobytes() == alone.tobytes() == want.tobytes(), (n, r)
 
 
 def test_a_singular_dense_matrix_is_factored_by_its_eigenvectors():

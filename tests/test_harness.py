@@ -15,11 +15,13 @@ from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import fourth_cumulant, variance_hermite, variance_phi
 from latfield.covariance import (
     ADDITIVE,
+    GNEITING,
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
 )
-from latfield.fieldsim import ADDITIVE_CIRCULANT, KRONECKER_CIRCULANT, LatticeSpec, build_sampler
+from latfield.fieldsim import (ADDITIVE_CIRCULANT, DENSE_CHOLESKY, FULL_CIRCULANT,
+                               KRONECKER_CIRCULANT, LatticeSpec, build_sampler)
 from latfield.harness import (
     ExperimentConfig,
     _draw_values,
@@ -45,6 +47,15 @@ def lattice(*sizes):
 
 
 WHITE = separable(FactorCovariance("white_noise"))
+
+
+def skew(n1, n2, a=0.2):
+    """The covariance of W(z) + a W(z + (1, 1)) for white noise W, tabulated
+    over the lags of an n1 x n2 block: not even in each lag coordinate, so
+    it has no circulant embedding and takes the dense route."""
+    table = {(z1, z2): 0.0 for z1 in range(n1) for z2 in range(1 - n2, n2)}
+    table[0, 0], table[1, 1] = 1.0, a / (1.0 + a * a)
+    return separable(FactorCovariance("tabulated", dim=2, table=table))
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +267,27 @@ def test_results_are_deterministic_and_schedule_independent():
     assert a.config_hash == config_fingerprint(config)
 
 
-@pytest.mark.parametrize("structure", [SEPARABLE, ADDITIVE])
-def test_draw_values_do_not_depend_on_the_thread_count(structure):
+_CAUCHY_FGN = (FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
+# (covariance, rung, method): each rung holds several blocks of its 60 pairs
+_THREAD_CASES = {
+    "separable": (separable(*_CAUCHY_FGN), lattice(24, 17), KRONECKER_CIRCULANT),
+    "additive": (CompositeCovariance(ADDITIVE, _CAUCHY_FGN, weights=(0.3, 0.7)),
+                 lattice(240, 170), ADDITIVE_CIRCULANT),
+    "gneiting": (CompositeCovariance(GNEITING, (FactorCovariance("cauchy", exponent=0.3),
+                                                FactorCovariance("cauchy", exponent=1.0))),
+                 lattice(24, 17), FULL_CIRCULANT),
+    "dense": (skew(32, 32), LatticeSpec(((32, 32),)), DENSE_CHOLESKY),
+}
+
+
+@pytest.mark.parametrize("case", list(_THREAD_CASES))
+def test_draw_values_do_not_depend_on_the_thread_count(case):
     # each worker thread draws in its own workspace: 1 thread and 3 threads
     # switching often give bit-identical functional values
-    factors = (FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
-    weights = (0.3, 0.7) if structure == ADDITIVE else None
-    cov = CompositeCovariance(structure, factors, weights=weights)
-    config = ExperimentConfig(cov, pure(2), (lattice(24, 17),), 120, 13)
-    sampler = build_sampler(cov, config.ladder[0])
-    assert sampler.method == (ADDITIVE_CIRCULANT if structure == ADDITIVE else KRONECKER_CIRCULANT)
+    cov, rung, method = _THREAD_CASES[case]
+    config = ExperimentConfig(cov, pure(2), (rung,), 120, 13)
+    sampler = build_sampler(cov, rung)
+    assert sampler.method == method and sampler.block_pairs < 60
     one = _draw_values(config, sampler, 0, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -324,29 +346,33 @@ def test_a_warm_rung_takes_few_page_faults():
 
 
 def test_draws_come_in_replicate_pairs(monkeypatch):
-    # 101 replicates per rung: 51 transforms each, the last pair's second
+    # 101 replicates per rung: 51 pair windows each, the last pair's second
     # half unused; rung 1 starts at the even base 102, at pair 51; the
-    # values are the same at 1 and 3 threads
-    cov = separable(FactorCovariance("cauchy", exponent=0.4), FactorCovariance("fgn", hurst=0.7))
-    config = ExperimentConfig(cov, pure(2), (lattice(24, 17), lattice(20, 30)), 101, 13)
-    samplers = [build_sampler(cov, lat) for lat in config.ladder]
+    # values are the same at 1 and 3 threads; for circulant and dense rungs
+    ladders = [(separable(*_CAUCHY_FGN), (lattice(24, 17), lattice(20, 30))),
+               (skew(32, 32), (LatticeSpec(((16, 16),)), LatticeSpec(((32, 32),))))]
     windows = []
     counted = fieldsim._replicate_rng
     monkeypatch.setattr(fieldsim, "_replicate_rng",
                         lambda seed, window: windows.append(window) or counted(seed, window))
-    values = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for threads in (1, 3):
-            for idx, sampler in enumerate(samplers):
-                windows.clear()
-                values[threads, idx] = _draw_values(config, sampler, idx, threads).tobytes()
-                assert sorted(windows) == list(range(51 * idx, 51 * idx + 51)), (threads, idx)
+        for cov, ladder in ladders:
+            config = ExperimentConfig(cov, pure(2), ladder, 101, 13)
+            samplers = [build_sampler(cov, lat) for lat in config.ladder]
+            values = {}
+            for threads in (1, 3):
+                for idx, sampler in enumerate(samplers):
+                    windows.clear()
+                    values[threads, idx] = _draw_values(config, sampler, idx, threads).tobytes()
+                    assert sorted(windows) == list(range(51 * idx, 51 * idx + 51)), \
+                        (sampler.method, threads, idx)
+            for idx in range(2):
+                assert values[1, idx] == values[3, idx]
     finally:
         sys.setswitchinterval(interval)
-    for idx in range(2):
-        assert values[1, idx] == values[3, idx]
+    assert samplers[1].method == DENSE_CHOLESKY and samplers[1].block_pairs == 32
 
 
 def _count_pools_and_threads(monkeypatch):

@@ -8,6 +8,7 @@ from latfield._errors import ModelError
 from latfield.chaoscalc import gamma_quotient
 from latfield.covariance import FactorCovariance
 from latfield.harness import is_gaussian, normality_report, rate_fit
+from latfield.ratelab import rate_g
 
 FGN = FactorCovariance("fgn", hurst=0.7)
 REPORT = normality_report(np.random.default_rng(5).standard_normal(200))
@@ -22,6 +23,8 @@ ENTRIES = [
      [(0, "must be positive, got 0.0"), (-40, "must be positive, got -40.0")]),
     ("rate_fit", "series[2].value", lambda v: rate_fit([(10, 1.0), (20, 0.5), (40, v), (80, 0.1)]),
      [(0.0, "must be positive, got 0.0"), (-0.25, "must be positive, got -0.25")]),
+    ("rate_g", "n", lambda v: rate_g(2, 0.3, v),
+     [(1, "must lie in (1, inf), got 1.0"), (0.5, "must lie in (1, inf), got 0.5")]),
 ]
 
 
