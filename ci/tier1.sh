@@ -30,6 +30,16 @@ for cfg in configs/*.yaml; do
   latfield classify --config "$cfg"
 done
 
+step "The installed latfield rates command reads the classifier's boundary"
+# one ulp either side of 1 - 1/(2q) = 5/6 at q = 3 is inside the marginal
+# rule's tie, as classify holds it: the command exits 0 and its three rows
+# print one g, the boundary's (log N)^-1/2
+rates="$(latfield rates --q 3 --hurst 0.8333333333333333,0.8333333333333334,0.8333333333333335 \
+  --alpha 0.8333333333333335 --beta 0.3)"
+printf '%s\n' "$rates"
+[ "$(grep -c '^q=3 H=' <<< "$rates")" -eq 3 ]
+[ "$(grep '^q=3 H=' <<< "$rates" | sed 's/^[^:]*: //' | sort -u | wc -l)" -eq 1 ]
+
 step "No frozen experiment depends on the thread count"
 # every rung of more than one block of replicate pairs opens its own
 # worker pool at 2 threads and runs inline at 1; the frozen configs

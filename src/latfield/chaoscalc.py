@@ -182,17 +182,16 @@ def variance_phi(cov, lattice, phi) -> PhiVariance:
     if phi.kind == INDICATOR:
         return PhiVariance(value=variance_indicator(cov, lattice, phi.level),
                            rank=rank, tail_bound=0.0)
-    value = sum(_chaos_terms(cov, lattice, coeffs))
+    value = sum(_chaos_terms(cov, lattice, coeffs, _walk(cov, lattice)))
     retained = sum(math.factorial(q) * coeffs[q] ** 2 for q in range(len(coeffs)))
     gap = max(0.0, float(phi_second_moment(phi) - retained))
     return PhiVariance(value=float(value), rank=rank,
                        tail_bound=gap * float(lattice.n_total) ** 2)
 
 
-def _chaos_terms(cov, lattice, coeffs):
+def _chaos_terms(cov, lattice, coeffs, window):
     """a_q^2 Var(Y[q]) for each chaos q from the rank on with a_q != 0, in
-    order, lazily, from one walk."""
-    window = _walk(cov, lattice)
+    order, lazily, from the walk ``window``."""
     return (coeffs[q] ** 2 * _variances(cov, lattice, q, window)[0]
             for q in range(hermite_rank(coeffs), len(coeffs)) if coeffs[q] != 0.0)
 
@@ -204,9 +203,9 @@ def variance_indicator(cov: CompositeCovariance, lattice: LatticeSpec,
     correlation rho = C(z), to double precision by Genz's bivariate normal
     quadrature (Genz 2004, Statistics and Computing 14), which sums the
     excess itself instead of subtracting Phibar(a)^2 from the joint
-    probability.  At a = 0 it is Sheppard's asin(rho) / 2 pi."""
-    _check_blocks(cov, lattice)
-    return _lag_sum(_lag_window(cov, lattice.all_sizes), lambda rho: orthant_excess(level, rho))
+    probability.  At a = 0 it is Sheppard's asin(rho) / 2 pi.  The window
+    is its walk's whole-lattice window, under the one lag cap."""
+    return _lag_sum(_walk(cov, lattice)(), lambda rho: orthant_excess(level, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +617,11 @@ def gamma_quotient(factor: FactorCovariance, sizes, q: int,
 def reduction_ratio(cov, lattice, phi) -> float:
     """Var(Y) over the leading-chaos part a_R^2 Var(Y[R]), the first of the
     chaos terms that sum a custom phi's Var(Y); always >= 1."""
-    terms = _chaos_terms(cov, lattice, hermite_coefficients(phi))
+    window = _walk(cov, lattice)
+    terms = _chaos_terms(cov, lattice, hermite_coefficients(phi), window)
     leading = next(terms)
-    value = (variance_indicator(cov, lattice, phi.level) if phi.kind == INDICATOR
-             else sum(terms, leading))
+    value = (_lag_sum(window(), lambda rho: orthant_excess(phi.level, rho))
+             if phi.kind == INDICATOR else sum(terms, leading))
     return value / leading
 
 

@@ -468,6 +468,12 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    if (args.alpha is None) != (args.beta is None):
+        print("rates: --alpha and --beta must be given together", file=sys.stderr)
+        return 2
+    if not args.hurst and args.alpha is None:
+        print("rates: nothing to do (pass --hurst and/or --alpha/--beta)", file=sys.stderr)
+        return 2
     sizes = args.sizes or [10**4]
     doc = {"q": args.q, "rows": []}
     if args.hurst:
@@ -479,7 +485,7 @@ def _cmd_rates(args) -> int:
                 f"g(N={n})={row['rates'][str(n)]:.6g}" for n in sizes
             )
             print(f"q={args.q} H={h}: {rendered}")
-    if args.alpha is not None and args.beta is not None:
+    if args.alpha is not None:
         verdict = fbs_regime(args.alpha, args.beta, args.q)
         doc["regime"] = _doc(verdict)
         print(f"regime({args.alpha}, {args.beta}, q={args.q}): "
@@ -488,14 +494,6 @@ def _cmd_rates(args) -> int:
         for label, term in verdict.normalization.items():
             print(f"  normalization {label}: exponent {term['exponent']:.6g}, "
                   f"log exponent {term['log_exponent']:.6g}")
-    elif (args.alpha is None) != (args.beta is None):
-        print("rates: --alpha and --beta must be given together",
-              file=sys.stderr)
-        return 2
-    if not args.hurst and args.alpha is None:
-        print("rates: nothing to do (pass --hurst and/or --alpha/--beta)",
-              file=sys.stderr)
-        return 2
     _write_json(args.out, "rates", doc)
     return 0
 

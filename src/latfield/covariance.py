@@ -347,10 +347,7 @@ def _lag_window(model, sizes):
     past _DIRECT_LAG_LIMIT lags, before anything is allocated.  A separable
     model's C and W are the outer products of its factors' own windows,
     the same bits as composite_values on the whole lag grid."""
-    count = math.prod(2 * n - 1 for n in sizes)
-    if count > _DIRECT_LAG_LIMIT:
-        raise ModelError(f"a lag window of {count} lags exceeds the cap of "
-                         f"{_DIRECT_LAG_LIMIT}; use a factorized structure or a smaller window")
+    _check_lag_cap(math.prod(2 * n - 1 for n in sizes))
     if isinstance(model, CompositeCovariance) and model.structure == SEPARABLE:
         ends = itertools.accumulate(f.dim for f in model.factors)
         return _multiplied_out([_lag_window(f, sizes[end - f.dim:end])
@@ -361,9 +358,18 @@ def _lag_window(model, sizes):
     return evaluate(model, _grid_vectors(axes).reshape(-1, len(sizes))), weights.ravel()
 
 
+def _check_lag_cap(count):
+    """ModelError when a lag window of ``count`` lags is past the lag cap."""
+    if count > _DIRECT_LAG_LIMIT:
+        raise ModelError(f"a lag window of {count} lags exceeds the cap of "
+                         f"{_DIRECT_LAG_LIMIT}; use a factorized structure or a smaller window")
+
+
 def _multiplied_out(parts):
     """A separable model's (C, W) window from its factors' own windows: the
-    outer products of their C and of their W, in axis-major order."""
+    outer products of their C and of their W, in axis-major order; the lag
+    cap is checked before the product is allocated."""
+    _check_lag_cap(math.prod(values.size for values, _ in parts))
     return tuple(functools.reduce(np.multiply.outer, window).ravel() for window in zip(*parts))
 
 

@@ -51,7 +51,8 @@ EXACT_RTOL = 1e-9
 #: two-sided level of the kurtosis confidence interval and the KS test
 VERDICT_ALPHA = 0.01
 
-_STATISTICAL = ("normality", "kurtosis_series", "rate_fit")
+#: the rule of a replicate count: every rung's normality report reads at least 100
+REPLICATES = {**POSITIVE_COUNT, "minimum": 100}
 
 
 def check_config_fields(fields: dict):
@@ -85,8 +86,8 @@ def check_config_fields(fields: dict):
         violations += [(f"lattice.ladder[{i}]", f"has block dims {rung.block_dims}, but the "
                                                 f"covariance has blocks {blocks}")
                        for i, rung in enumerate(ladder) if blocks not in (None, rung.block_dims)]
-    replicates = checked["replicates"] = checked_number(
-        violations, "replicates", fields["replicates"], **POSITIVE_COUNT)
+    checked["replicates"] = checked_number(
+        violations, "replicates", fields["replicates"], **REPLICATES)
     checked["seed"] = checked_number(violations, "seed", fields["seed"], **SEED)
     outputs = fields["outputs"]
     if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
@@ -97,10 +98,6 @@ def check_config_fields(fields: dict):
             if name not in OUTPUTS:
                 violations.append((f"outputs[{i}]",
                                    f"must be one of {', '.join(OUTPUTS)}, got {name!r}"))
-        if (replicates is not None and replicates < 100
-                and any(o in _STATISTICAL for o in outputs)):
-            violations.append(("replicates", "must be at least 100 for statistical "
-                                             f"verdicts, got {replicates}"))
     checked["growth"] = checked_growth(
         violations, fields["growth"],
         covariance if isinstance(covariance, CompositeCovariance) else None)
@@ -218,12 +215,13 @@ def normality_report(samples) -> NormalityReport:
     one-sample Kolmogorov-Smirnov statistic against the standard normal.
 
     The jackknife runs in O(n): leave-one-out statistics come from the
-    power sums S_k - x^k, so no resampling loop is needed.
+    power sums S_k - x^k, so no resampling loop is needed.  It needs the
+    replicate rule's minimum of samples, REPLICATES["minimum"].
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
-    if n < 100:
-        raise ModelError(f"need at least 100 samples, got {n}")
+    if n < REPLICATES["minimum"]:
+        raise ModelError(f"need at least {REPLICATES['minimum']} samples, got {n}")
     sums = [float(np.sum(x**k)) for k in (1, 2, 3, 4)]
     mean, var, skew, kurt = _moment_stats(*sums, n)
     if not var > 0.0 or not np.isfinite(skew):

@@ -12,9 +12,9 @@ block's tail exponent times the rank, x, against its dimension d.  The
 block is short-range (sum |C|^rank converges) when x > d, the boundary
 when x is within 1e-12 of d, and strictly long-range when x < d.  The
 separable, Gneiting and additive verdicts, each block's variance growth,
-the additive gamma rates and ``breuer_major_sigma2`` all read that rule,
-and ``checked_growth`` is the one rule for the per-block growth exponents
-a verdict along a growth path reads.
+the additive gamma rates, ``breuer_major_sigma2`` and the fractional-sheet
+rate table on fGn(H) all read that rule, and ``checked_growth`` is the one
+rule for the per-block growth exponents a verdict along a growth path reads.
 """
 from __future__ import annotations
 
@@ -27,6 +27,8 @@ import numpy as np
 from ._errors import COUNT, ModelError, checked_arg, checked_number, checked_numbers, refuse
 from .covariance import (
     ADDITIVE,
+    FAMILY_PARAMS,
+    FGN,
     GNEITING,
     SEPARABLE,
     CompositeCovariance,
@@ -177,73 +179,68 @@ def breuer_major_sigma2(factors, coefficients, radius: int = 1000) -> Sigma2:
 # the fractional-sheet rate table
 
 
+def _fgn_regime(key: str, hurst, q: int):
+    """(hurst, regime): ``hurst`` checked by the fGn family's rule, keyed
+    ``key``, and the regime of fGn(hurst) at power q by the marginal rule."""
+    hurst = checked_arg(key, hurst, FAMILY_PARAMS[FGN]["hurst"])
+    return hurst, _regime(*_marginal(FactorCovariance(FGN, hurst=hurst), q, key))
+
+
 def rate_g(q: int, hurst: float, n) -> float:
-    """The TV convergence rate g(q, H, N) of the four-case table, q >= 2."""
+    """The TV convergence rate g(q, H, N) of the four-case table, q >= 2:
+    (log N)^-1/2 where fGn(H) is at the boundary at power q, a power of N
+    where short-range, and a ModelError keyed ``hurst`` where long-range."""
     q = checked_arg("q", q, {**CHAOS_ORDER, "minimum": 2})
-    b = 1.0 - 1.0 / (2 * q)
-    edge = (2 * q - 3) / (2 * q - 2)
+    hurst, regime = _fgn_regime("hurst", hurst, q)
     n = checked_arg("n", n, {"between": (1, math.inf)})
-    if 0.0 < hurst < 0.5:
-        return n**-0.5
-    if 0.5 <= hurst <= edge:
-        return n ** (hurst - 1.0)
-    if edge < hurst < b:
-        return n ** ((2.0 * hurst * q - 2.0 * q + 1.0) / 2.0)
-    if hurst == b:
+    if regime == LONG:
+        refuse([("hurst", f"fGn({hurst}) is strictly long-range at q = {q}: "
+                          "no Gaussian rate applies")])
+    if regime == BOUNDARY:
         return math.log(n) ** -0.5
-    raise ModelError(f"H = {hurst} is outside (0, {b}]: no Gaussian rate applies")
+    if hurst < 0.5:
+        return n**-0.5
+    if hurst <= (2 * q - 3) / (2 * q - 2):
+        return n ** (hurst - 1.0)
+    return n ** ((2.0 * hurst * q - 2.0 * q + 1.0) / 2.0)
+
+
+#: the rate-table case of a fractional sheet's two axis regimes, in either order
+_SHEET_CASE = {frozenset({SHORT}): 1, frozenset({SHORT, BOUNDARY}): 2, frozenset({BOUNDARY}): 3,
+               frozenset({SHORT, LONG}): 4, frozenset({BOUNDARY, LONG}): 5}
 
 
 def fbs_regime(alpha: float, beta: float, q: int) -> RegimeVerdict:
-    """Regime row for Hermite variations of a fractional sheet (N x M), q >= 2."""
+    """Regime row for Hermite variations of a fractional sheet (N x M), q >= 2.
+
+    Each axis's regime is fGn(alpha) or fGn(beta)'s at power q, a Hurst
+    error keyed by its name: the pair picks the case, each axis's regime
+    its normalization, and the bound lists the axes not long-range."""
     q = checked_arg("q", q, {**CHAOS_ORDER, "minimum": 2})
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
-        raise ModelError("hurst exponents must lie in (0, 1)")
-    b = 1.0 - 1.0 / (2 * q)
-
-    def side(h):
-        if h < b:
-            return {"exponent": h * q - 0.5, "log_exponent": 0.0}
-        if h == b:
-            return {"exponent": q - 1.0, "log_exponent": -0.5}
-        return {"exponent": q - 1.0, "log_exponent": 0.0}
-
-    normalization = {"N": side(alpha), "M": side(beta)}
-    if alpha > b and beta > b:
+    axes = (("N", *_fgn_regime("alpha", alpha, q)), ("M", *_fgn_regime("beta", beta, q)))
+    regimes = frozenset(regime for _, _, regime in axes)
+    if regimes == {LONG}:
         return RegimeVerdict(
             verdict=NONCENTRAL,
             citation="fractional-sheet-noncentral",
             normalization={},
             notes=(
-                f"both exponents exceed 1 - 1/(2q) = {b}: the normalized "
-                "Hermite variation converges to a non-Gaussian limit",
+                "both axes are strictly long-range, H > 1 - 1/(2q): the "
+                "normalized Hermite variation converges to a non-Gaussian limit",
             ),
         )
-    low = sum(h < b for h in (alpha, beta))
-    eq = sum(h == b for h in (alpha, beta))
-    if low == 2:
-        case = 1
-    elif low == 1 and eq == 1:
-        case = 2
-    elif eq == 2:
-        case = 3
-    elif low == 1:
-        case = 4
-    else:
-        case = 5
-    bound = tuple(
-        (label, h) for label, h in (("N", alpha), ("M", beta)) if h <= b
-    )
     return RegimeVerdict(
         verdict=CENTRAL,
         citation="fractional-sheet-rate-table",
-        normalization=normalization,
+        normalization={label: {"exponent": h * q - 0.5 if regime == SHORT else q - 1.0,
+                               "log_exponent": -0.5 if regime == BOUNDARY else 0.0}
+                       for label, h, regime in axes},
         notes=(
             "normalization exponents apply to the dividing factor "
             "phi(alpha, beta, N, M); the bound lists the g-rate factors",
         ),
-        case=case,
-        bound=bound,
+        case=_SHEET_CASE[regimes],
+        bound=tuple((label, h) for label, h, regime in axes if regime != LONG),
     )
 
 

@@ -19,7 +19,7 @@ from scipy.linalg import toeplitz
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
-from latfield import chaoscalc
+from latfield import chaoscalc, covariance
 from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import (
     AdditiveVariance,
@@ -785,10 +785,11 @@ def _capped_report():
     pytest.param(_capped_report, (), id="chaos_report-capped"),
     pytest.param(lambda: reduction_ratio(_WALKED, LatticeSpec(((64,), (48,))), _TANH),
                  _WALKED.factors, id="reduction_ratio-separable"),
-    # the indicator's orthant lag sum reads the whole lattice's window
+    # the indicator's orthant lag sum reads its walk's whole-lattice window,
+    # multiplied out from the factor windows of the leading chaos
     pytest.param(lambda: reduction_ratio(_WALKED, LatticeSpec(((64,), (48,))),
                                          HermiteSpec(INDICATOR, level=0.0)),
-                 (*_WALKED.factors, _WALKED), id="reduction_ratio-indicator"),
+                 _WALKED.factors, id="reduction_ratio-indicator"),
 ])
 def test_each_call_builds_each_lag_window_once(monkeypatch, call, models):
     # one walk per public call: a separable or additive model's factor
@@ -1037,6 +1038,18 @@ def test_an_oversized_window_is_refused_before_it_is_allocated():
         finally:
             tracemalloc.stop()
         assert peak < 2**20, name
+
+
+def test_a_walked_window_past_the_lag_cap_is_refused(monkeypatch):
+    # a separable model's whole-lattice window is multiplied out of its
+    # factor windows, which each fit under the cap: the product is capped
+    # all the same, before it is allocated
+    monkeypatch.setattr(covariance, "_DIRECT_LAG_LIMIT", 2000)
+    lat = LatticeSpec(((24,), (24,)))  # 47 lags a factor, 2209 in all
+    for call in (lambda: variance_indicator(_WALKED, lat, 0.0),
+                 lambda: reduction_ratio(_WALKED, lat, HermiteSpec(INDICATOR, level=0.0))):
+        with pytest.raises(ModelError, match="^a lag window of 2209 lags exceeds the cap of 2000;"):
+            call()
 
 
 def test_chaos_report(monkeypatch):

@@ -285,11 +285,11 @@ def test_malformed_input_is_a_violation(tmp_path, capsys, old, new, want):
      ["covariance.factors[0].hurst: must be a finite number, "
       "got an integer too large for a float"]),
     ("replicates: 120\nseed: 7", "replicates: 0\nseed: 1180591620717411303424",
-     ["replicates: must be at least 1, got 0",
+     ["replicates: must be at least 100, got 0",
       "seed: must be at most 18446744073709551615, got 1180591620717411303424"]),
     ("    - [32]\nreplicates: 120", "    - [8]\nreplicates: 50\ngrowth: [1, -1]",
      ["lattice.ladder: must be strictly increasing in n_total",
-      "replicates: must be at least 100 for statistical verdicts, got 50",
+      "replicates: must be at least 100, got 50",
       "growth[1]: must be at least 0.0, got -1.0",
       "growth: must hold one exponent per covariance block, got 2 for 1"]),
 ], ids=["bad dim and hurst", "bad q and stray level", "missing table", "stray parameter",
@@ -771,8 +771,12 @@ def test_rates_command(tmp_path, capsys):
     assert list(doc["rows"][0]["rates"]) == ["100", "10000"]
     assert main(["rates", "--q", "2", "--alpha", "0.3", "--beta", "0.9"]) == 0
     assert "case 4" in capsys.readouterr().out
-    assert main(["rates", "--q", "2", "--alpha", "0.3"]) == 2
+    # a bad flag is refused before any row is printed
+    capsys.readouterr()
+    assert main(["rates", "--q", "2", "--hurst", "0.3,0.6", "--alpha", "0.3"]) == 2
+    assert capsys.readouterr() == ("", "rates: --alpha and --beta must be given together\n")
     assert main(["rates", "--q", "2"]) == 2
+    assert capsys.readouterr().out == ""
     # a 401-digit size is a keyed model error, not an OverflowError
     capsys.readouterr()
     assert main(["rates", "--q", "2", "--hurst", "0.3", "--sizes", "1" * 401]) == 2

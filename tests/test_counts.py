@@ -38,7 +38,7 @@ LAT = LatticeSpec(((4,), (3,)))
 ONE = LatticeSpec(((2,),))
 WHITE = CompositeCovariance(SEPARABLE, (FactorCovariance("white_noise"),))
 SAMPLER = build_sampler(SEP, LAT)
-CONFIG = ExperimentConfig(WHITE, HermiteSpec("pure", q=2), (LatticeSpec(((16,),)),), 10, 7,
+CONFIG = ExperimentConfig(WHITE, HermiteSpec("pure", q=2), (LatticeSpec(((16,),)),), 100, 7,
                           outputs=())
 
 # (entry, key, call with the count, the values just outside its range)

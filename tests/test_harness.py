@@ -168,10 +168,10 @@ def test_config_validation():
         ExperimentConfig(WHITE, pure(2), (lattice(32), lattice(16)), 200, 7)
     with pytest.raises(ModelError, match="100"):
         ExperimentConfig(WHITE, pure(2), (lattice(16),), 50, 7)
-    # chaos reports alone carry no statistical verdict
-    ExperimentConfig(
-        WHITE, pure(2), (lattice(16),), 1, 7, outputs=("chaos_reports",)
-    )
+    # every rung's normality report needs 100 replicates, whatever the outputs
+    for outputs in (("chaos_reports",), ()):
+        with pytest.raises(ModelError, match="^replicates must be at least 100, got 50$"):
+            ExperimentConfig(WHITE, pure(2), (lattice(16),), 50, 7, outputs=outputs)
     with pytest.raises(ModelError, match="outputs"):
         ExperimentConfig(
             WHITE, pure(2), (lattice(16),), 200, 7, outputs=("plots",)
@@ -179,9 +179,9 @@ def test_config_validation():
     with pytest.raises(ModelError, match="seed"):
         ExperimentConfig(WHITE, pure(2), (lattice(16),), 200, 2**64)
     # every violated rule is named at once
-    with pytest.raises(ModelError, match="^seed must be at most 18446744073709551615, "
-                                         "got 18446744073709551616; "
-                                         "replicates must be at least 100 "):
+    with pytest.raises(ModelError, match="^replicates must be at least 100, got 50; "
+                                         "seed must be at most 18446744073709551615, "
+                                         "got 18446744073709551616$"):
         ExperimentConfig(WHITE, pure(2), (lattice(16),), 50, 2**64)
 
 

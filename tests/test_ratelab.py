@@ -150,8 +150,10 @@ def test_rate_table_examples():
 
 
 def test_rate_table_rejects_out_of_range():
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError) as err:
         rate_g(2, 0.8, 100.0)  # beyond 1 - 1/(2q) = 0.75
+    assert err.value.violations == [
+        ("hurst", "fGn(0.8) is strictly long-range at q = 2: no Gaussian rate applies")]
     with pytest.raises(ModelError):
         rate_g(2, 0.0, 100.0)
     with pytest.raises(ModelError):
@@ -170,6 +172,19 @@ def test_rate_table_is_continuous_across_branch_boundaries():
         just_in = rate_g(q, edge + 1e-13, n)
         at_edge = rate_g(q, edge, n)
         assert just_in == pytest.approx(at_edge, rel=1e-9)
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_the_rate_table_reads_the_classifiers_boundary(q):
+    # one ulp either side of b = 1 - 1/(2q) is inside the marginal rule's
+    # tie: rate_g, fbs_regime and classify all call it the boundary
+    b = 1.0 - 1.0 / (2 * q)
+    n = 1.0e4
+    for h in (math.nextafter(b, 0.0), b, math.nextafter(b, 1.0)):
+        assert rate_g(q, h, n) == math.log(n) ** -0.5, h
+        assert fbs_regime(h, 0.3, q).case == 2 and fbs_regime(h, h, q).case == 3, h
+        assert classify(separable(fgn(h)), q).normalization == {
+            "block0": {"exponent": 1.0, "log_exponent": 1.0}}, h
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from latfield._errors import ModelError
 from latfield.chaoscalc import gamma_quotient
 from latfield.covariance import FactorCovariance
 from latfield.harness import is_gaussian, normality_report, rate_fit
-from latfield.ratelab import rate_g
+from latfield.ratelab import fbs_regime, rate_g
 
 FGN = FactorCovariance("fgn", hurst=0.7)
 REPORT = normality_report(np.random.default_rng(5).standard_normal(200))
+
+HURST_OUTSIDE = [(0, "must lie in (0, 1), got 0.0"), (1, "must lie in (0, 1), got 1.0")]
 
 # (entry, key, call with the value, (value, message) of each value outside its range)
 ENTRIES = [
@@ -25,6 +27,9 @@ ENTRIES = [
      [(0.0, "must be positive, got 0.0"), (-0.25, "must be positive, got -0.25")]),
     ("rate_g", "n", lambda v: rate_g(2, 0.3, v),
      [(1, "must lie in (1, inf), got 1.0"), (0.5, "must lie in (1, inf), got 0.5")]),
+    ("rate_g", "hurst", lambda v: rate_g(2, v, 100.0), HURST_OUTSIDE),
+    ("fbs_regime", "alpha", lambda v: fbs_regime(v, 0.3, 2), HURST_OUTSIDE),
+    ("fbs_regime", "beta", lambda v: fbs_regime(0.3, v, 2), HURST_OUTSIDE),
 ]
 
 
