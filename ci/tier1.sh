@@ -5,9 +5,10 @@
 #   bash ci/tier1.sh
 #
 # Run it from the root of a checkout.  It writes experiment-threads{1,2}/,
-# chaos-blas{1,2}/, chaos-ladder.out, mc-additive.out and the traced
-# round's trace files in .perfbench/ there (all git-ignored), and clears
-# all but the trace files first, so a second run diffs only its own output.
+# chaos-blas{1,2}/, validate-blas{1,2}/, chaos-ladder.out, mc-additive.out
+# and the traced round's trace files in .perfbench/ there (all git-ignored),
+# and clears all but the trace files first, so a second run diffs only its
+# own output.
 set -euo pipefail
 
 # each step first prints the wall seconds the step before it took (bash SECONDS)
@@ -18,7 +19,8 @@ step() {
   printf '\n== %s\n' "$1"
 }
 
-rm -rf experiment-threads1 experiment-threads2 chaos-blas1 chaos-blas2 chaos-ladder.out mc-additive.out
+rm -rf experiment-threads1 experiment-threads2 chaos-blas1 chaos-blas2 validate-blas1 validate-blas2 \
+  chaos-ladder.out mc-additive.out
 
 step "Tier-1 tests"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -63,7 +65,8 @@ step "Exact diagnostics do not depend on the BLAS thread count"
 # dense fourth cumulant at a clique order, and a
 # copy whose [128] rung is [12000] takes 4-cycle rows longer than
 # the dot products OpenBLAS keeps on one thread (about 10 000
-# elements)
+# elements); every frozen config's validate report must not differ
+# either
 copies="$(mktemp -d)"
 trap 'rm -rf "$copies"' EXIT
 for q in 3 4 25; do
@@ -81,8 +84,13 @@ for threads in 1 2; do
     OPENBLAS_NUM_THREADS=$threads latfield chaos --config "$cfg" \
       --out "chaos-blas$threads/$(basename "$cfg" .yaml)"
   done
+  for cfg in configs/*.yaml; do
+    OPENBLAS_NUM_THREADS=$threads latfield validate --config "$cfg" \
+      --out "validate-blas$threads/$(basename "$cfg" .yaml)"
+  done
 done
 diff -r chaos-blas1 chaos-blas2
+diff -r validate-blas1 validate-blas2
 
 step "Benchmark references, one chaos-ladder round and one traced Monte Carlo round"
 python3 perfbench/refs.py

@@ -475,18 +475,15 @@ def _cmd_rates(args) -> int:
         print("rates: nothing to do (pass --hurst and/or --alpha/--beta)", file=sys.stderr)
         return 2
     sizes = args.sizes or [10**4]
-    doc = {"q": args.q, "rows": []}
-    if args.hurst:
-        for h in args.hurst:
-            row = {"hurst": h,
-                   "rates": {str(n): rate_g(args.q, h, n) for n in sizes}}
-            doc["rows"].append(row)
-            rendered = "  ".join(
-                f"g(N={n})={row['rates'][str(n)]:.6g}" for n in sizes
-            )
-            print(f"q={args.q} H={h}: {rendered}")
-    if args.alpha is not None:
-        verdict = fbs_regime(args.alpha, args.beta, args.q)
+    # every row and the regime before any is printed: a refused value prints none
+    rows = [{"hurst": h, "rates": {str(n): rate_g(args.q, h, n) for n in sizes}}
+            for h in args.hurst or ()]
+    verdict = None if args.alpha is None else fbs_regime(args.alpha, args.beta, args.q)
+    doc = {"q": args.q, "rows": rows}
+    for row in rows:
+        rendered = "  ".join(f"g(N={n})={row['rates'][str(n)]:.6g}" for n in sizes)
+        print(f"q={args.q} H={row['hurst']}: {rendered}")
+    if verdict is not None:
         doc["regime"] = _doc(verdict)
         print(f"regime({args.alpha}, {args.beta}, q={args.q}): "
               f"{verdict.verdict}"

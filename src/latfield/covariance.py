@@ -17,9 +17,12 @@ metadata the regime classifier needs: the power-law decay exponent of the
 tail and a nonnegativity flag; a tabulated factor carries neither, and
 the classifier refuses it.  The regular-variation spectral hypothesis of
 the long-memory limit is taken as granted for every closed-form family.
-The lag window (_lag_window) is the one place a covariance is evaluated
-over a lattice, the embedding grid aside: C once per lag, under one cap;
-every dense lattice matrix is gathered from it (_window_matrix).
+A factor is evaluated by _lag_values and a composite by composite_values,
+the one definition of each structure; both the lag window (_lag_window)
+and the circulant embedding grid (_embedding_values) read that choice
+(_values).  The lag window is the one place a covariance is evaluated over
+a lattice, the embedding grid aside: C once per lag, under one cap; every
+dense lattice matrix is gathered from it (_window_matrix).
 """
 from __future__ import annotations
 
@@ -122,7 +125,11 @@ class CompositeCovariance:
 
     structure:
       * separable -- product of per-block factor values
-      * gneiting  -- c2(x2) * c1(x1 * c2(x2)^(2/d1)) for factors (c1, c2)
+      * gneiting  -- c2(x2) * c1(|x1| * c2(x2)^(1/d1)) for factors (c1, c2),
+        d1 = c1.dim: with c2 = psi^(-d1/2) and c1(r) = phi(r^2), the class
+        of Gneiting (2002, JASA 97, Thm 2), positive definite for phi
+        completely monotone and psi positive with a completely monotone
+        derivative (c1 Cauchy or exponential, c2 Cauchy of exponent <= d1)
       * additive  -- w1*k1(x1) + w2*k2(x2), weights summing to 1
       * isotropic -- a single radial profile over the whole lag vector,
         with the block layout declared separately (no product structure)
@@ -270,49 +277,43 @@ def eval_factor(model: FactorCovariance, lag) -> float:
     return float(_lag_values(model, lag))
 
 
-def _split_blocks(cov: CompositeCovariance, lag):
-    lag = np.atleast_1d(np.asarray(lag, dtype=float))
-    if lag.size != cov.total_dim:
-        raise ModelError(f"lag length {lag.size} != total dim {cov.total_dim}")
-    parts, k = [], 0
-    for d in cov.blocks:
-        parts.append(lag[k : k + d])
-        k += d
-    return parts
+def _block_lags(cov: CompositeCovariance, lags):
+    """``lags``, of shape (..., total_dim), as floats, and its view on each
+    block; ModelError for a lag of another length."""
+    lags = np.atleast_1d(np.asarray(lags, dtype=float))
+    if lags.shape[-1] != cov.total_dim:
+        raise ModelError(f"lag length {lags.shape[-1]} != total dim {cov.total_dim}")
+    ends = itertools.accumulate(cov.blocks)
+    return lags, [lags[..., end - d:end] for d, end in zip(cov.blocks, ends)]
+
+
+def _gneiting_profile(c1: FactorCovariance, x1, c2v, scale):
+    """c2v * c1(|x1| scale^(1/d1)), d1 = c1.dim: the Gneiting model at
+    c2v = scale = c2(x2), and its separable envelopes at c2v = c2(x2) with
+    scale 1 (lower) or c2 at the block-2 window's diameter (upper)."""
+    r1 = np.sqrt(np.sum(x1**2, axis=-1))
+    return c2v * _norm_values(c1, r1 * scale ** (1.0 / c1.dim))
 
 
 def composite_values(cov: CompositeCovariance, lags):
-    """Vectorized composite evaluation; ``lags`` has shape (..., total_dim)."""
-    lags = np.asarray(lags, dtype=float)
-    if lags.shape[-1] != cov.total_dim:
-        raise ModelError(f"lag length {lags.shape[-1]} != total dim {cov.total_dim}")
-    if cov.structure == SEPARABLE:
-        out = np.ones(lags.shape[:-1])
-        k = 0
-        for f in cov.factors:
-            out = out * _lag_values(f, lags[..., k : k + f.dim])
-            k += f.dim
-        return out
+    """Vectorized composite evaluation; ``lags`` has shape (..., total_dim).
+    The one definition of every composite structure's covariance."""
+    lags, parts = _block_lags(cov, lags)
+    if cov.structure == ISOTROPIC:
+        return _lag_values(cov.factors[0], lags)
     if cov.structure == GNEITING:
         c1, c2 = cov.factors
-        x1 = lags[..., : c1.dim]
-        c2v = _lag_values(c2, lags[..., c1.dim :])
-        r1 = np.sqrt(np.sum(x1**2, axis=-1))
-        return c2v * _norm_values(c1, r1 * c2v ** (2.0 / c1.dim))
+        c2v = _lag_values(c2, parts[1])
+        return _gneiting_profile(c1, parts[0], c2v, c2v)
+    values = [_lag_values(f, x) for f, x in zip(cov.factors, parts)]
     if cov.structure == ADDITIVE:
-        k1, k2 = cov.factors
-        w1, w2 = cov.weights
-        return w1 * _lag_values(k1, lags[..., : k1.dim]) + w2 * _lag_values(
-            k2, lags[..., k1.dim :]
-        )
-    return _norm_values(cov.factors[0], np.sqrt(np.sum(lags**2, axis=-1)))
+        (w1, w2), (v1, v2) = cov.weights, values
+        return w1 * v1 + w2 * v2
+    return functools.reduce(np.multiply, values, np.ones(lags.shape[:-1]))
 
 
 def eval_composite(cov: CompositeCovariance, lag) -> float:
     """Full covariance value at an integer lag vector of length total_dim."""
-    lag = np.atleast_1d(np.asarray(lag, dtype=float))
-    if lag.size != cov.total_dim:
-        raise ModelError(f"lag length {lag.size} != total dim {cov.total_dim}")
     return float(composite_values(cov, lag))
 
 
@@ -320,42 +321,43 @@ def gneiting_sandwich(cov: CompositeCovariance, lag, domain_diameter2: float):
     """Separable lower/upper envelope of a Gneiting composite at one lag.
 
     ``domain_diameter2`` is the diameter of the block-2 observation window;
-    the upper envelope rescales the block-1 argument by the smallest block-2
+    both envelopes take the model's profile (_gneiting_profile), which
+    scales the block-1 argument by 1 in the lower and by
+    c2(domain_diameter2)^(1/d1) in the upper, from the smallest block-2
     value reachable within that window.  Guarantees
     lower <= eval_composite <= upper.
     """
     if cov.structure != GNEITING:
         raise ModelError("gneiting_sandwich requires a gneiting composite")
     c1, c2 = cov.factors
-    x1, x2 = _split_blocks(cov, lag)
+    _, (x1, x2) = _block_lags(cov, lag)
     c2v = float(_lag_values(c2, x2))
-    c2_floor = float(_norm_values(c2, float(domain_diameter2)))
-    r1 = np.linalg.norm(x1)
-    lower = c2v * float(_norm_values(c1, r1))
-    upper = c2v * float(_norm_values(c1, r1 * c2_floor ** (2.0 / c1.dim)))
-    return lower, upper
+    floor = float(_norm_values(c2, float(domain_diameter2)))
+    return tuple(float(_gneiting_profile(c1, x1, c2v, scale)) for scale in (1.0, floor))
 
 
 #: the most lags a window may hold: 128 MB for its covariance values
 _DIRECT_LAG_LIMIT = 2**24
 
 
+def _values(model, lags):
+    """``model``'s covariance at ``lags`` of shape (..., dim): a factor's
+    by _lag_values, a composite's by composite_values."""
+    evaluate = _lag_values if isinstance(model, FactorCovariance) else composite_values
+    return evaluate(model, lags)
+
+
 def _lag_window(model, sizes):
     """(C(z), W(z)) over every lag z of a window of sizes n_j, in axis-major
     order: ``model``'s covariance (a factor or a composite), evaluated once
-    per lag, and the pair weight W(z) = prod_j (n_j - |z_j|); ModelError
-    past _DIRECT_LAG_LIMIT lags, before anything is allocated.  A separable
-    model's C and W are the outer products of its factors' own windows,
-    the same bits as composite_values on the whole lag grid."""
+    per lag by _values, and the pair weight W(z) = prod_j (n_j - |z_j|);
+    ModelError past _DIRECT_LAG_LIMIT lags, before anything is allocated.
+    A separable model's C and W carry the bits of its factors' windows
+    multiplied out (_multiplied_out)."""
     _check_lag_cap(math.prod(2 * n - 1 for n in sizes))
-    if isinstance(model, CompositeCovariance) and model.structure == SEPARABLE:
-        ends = itertools.accumulate(f.dim for f in model.factors)
-        return _multiplied_out([_lag_window(f, sizes[end - f.dim:end])
-                                for f, end in zip(model.factors, ends)])
     axes = [np.arange(1 - n, n, dtype=float) for n in sizes]
     weights = functools.reduce(np.multiply.outer, [n - np.abs(ax) for n, ax in zip(sizes, axes)])
-    evaluate = _lag_values if isinstance(model, FactorCovariance) else composite_values
-    return evaluate(model, _grid_vectors(axes).reshape(-1, len(sizes))), weights.ravel()
+    return _values(model, _grid_vectors(axes).reshape(-1, len(sizes))), weights.ravel()
 
 
 def _check_lag_cap(count):
@@ -427,24 +429,20 @@ def _even_per_axis(model: FactorCovariance) -> bool:
                for lag, value in table.items() for j in range(model.dim))
 
 
-def _require_even_per_axis(factors):
-    """NumericalError unless every factor is even in each lag coordinate,
-    as the wrapped embedding grid assumes."""
-    for f in factors:
+def _embedding_values(model, sizes, doublings: int):
+    """``model``'s covariance (a factor or a composite) on the lag grid of
+    its circulant embedding, each axis wrapped to |z| = min(k, m-k): right
+    only for factors even in each lag coordinate, so NumericalError for
+    any other."""
+    for f in model.factors if isinstance(model, CompositeCovariance) else (model,):
         if not _even_per_axis(f):
             raise NumericalError(
                 f"a dim-{f.dim} tabulated factor that is not even in each lag "
                 "coordinate has no circulant embedding: the embedding grid "
                 "evaluates each axis at |z_j|"
             )
-
-
-def _wrapped_lag_grid(sizes, doublings: int):
-    """Lag vectors of a circulant embedding grid, each axis wrapped to
-    |z| = min(k, m-k): right only for covariances even in each lag
-    coordinate."""
-    return _grid_vectors([np.minimum(np.arange(m), m - np.arange(m))
-                          for m in embedded_sizes(sizes, doublings)])
+    return _values(model, _grid_vectors([np.minimum(np.arange(m), m - np.arange(m))
+                                         for m in embedded_sizes(sizes, doublings)]))
 
 
 def nonnegative_spectrum(eigenvalues: np.ndarray) -> bool:
@@ -474,8 +472,7 @@ def embedding_spectrum(model: FactorCovariance, sizes, doublings: int = 0) -> Sp
     coordinate, which has no such embedding.
     """
     sizes = _checked_sizes(model, sizes)
-    _require_even_per_axis((model,))
-    eig = np.fft.fftn(_lag_values(model, _wrapped_lag_grid(sizes, doublings))).real
+    eig = np.fft.fftn(_embedding_values(model, sizes, doublings)).real
     return SpectrumReport(
         eigenvalues=eig,
         min_eigenvalue=float(eig.min()),
@@ -486,8 +483,7 @@ def embedding_spectrum(model: FactorCovariance, sizes, doublings: int = 0) -> Sp
 def composite_embedding_values(cov: CompositeCovariance, sizes, doublings: int = 0):
     """Composite covariance on the wrapped embedding grid of all axes;
     NumericalError for a factor that is not even in each lag coordinate."""
-    _require_even_per_axis(cov.factors)
-    return composite_values(cov, _wrapped_lag_grid(sizes, doublings))
+    return _embedding_values(cov, sizes, doublings)
 
 
 # ---------------------------------------------------------------------------

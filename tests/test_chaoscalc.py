@@ -1196,23 +1196,26 @@ def test_factorized_variances_are_checked_against_the_lag_sum(monkeypatch):
 
 
 def test_separable_lag_window_is_the_full_grid_evaluation():
-    # per-factor windows, multiplied out, against composite_values on the
-    # whole lag grid: the same bits for C and W
+    # the walk's whole-lattice window, its factors' windows multiplied out,
+    # against composite_values on the whole lag grid: the same bits for C
+    # and W
     exp2, fgn3 = FactorCovariance(EXPONENTIAL, scale=2.0), FactorCovariance(FGN, hurst=0.3)
     cauchy2 = FactorCovariance(CAUCHY, exponent=0.8, dim=2)
     cases = [
-        (_sep(exp2, fgn3), (7, 5)),
-        (_sep(cauchy2, fgn3), (3, 4, 5)),
-        (_sep(fgn3, cauchy2), (5, 3, 4)),
-        (_sep(fgn3, exp2, FactorCovariance(FGN, hurst=0.8)), (4, 3, 6)),
+        (_sep(exp2, fgn3), ((7,), (5,))),
+        (_sep(cauchy2, fgn3), ((3, 4), (5,))),
+        (_sep(fgn3, cauchy2), ((5,), (3, 4))),
+        (_sep(fgn3, exp2, FactorCovariance(FGN, hurst=0.8)), ((4,), (3,), (6,))),
     ]
-    for cov, sizes in cases:
+    for cov, blocks in cases:
+        lat = LatticeSpec(blocks)
+        sizes = lat.all_sizes
         axes = [np.arange(-(n - 1), n) for n in sizes]
         lags = _grid_vectors(axes).reshape(-1, len(sizes))
         weights = np.ones(())
         for n, ax in zip(sizes, axes):
             weights = np.multiply.outer(weights, (n - np.abs(ax)).astype(float))
-        values, got_weights = chaoscalc._lag_window(cov, sizes)
+        values, got_weights = chaoscalc._walk(cov, lat)()
         np.testing.assert_array_equal(values, composite_values(cov, lags), err_msg=str(sizes))
         np.testing.assert_array_equal(got_weights, weights.ravel(), err_msg=str(sizes))
 

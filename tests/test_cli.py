@@ -574,6 +574,17 @@ def test_experiment_command_end_to_end(tmp_path, capsys):
     assert (out / "smoke.manifest.json").exists()
 
 
+def test_experiment_command_prints_the_rate(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace("    - [32]\n", "    - [32]\n    - [64]\n    - [128]\n")
+                   .replace("outputs: [normality]", "outputs: [rate_fit]"))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "smoke.json").read_text())
+    slope, stderr = result["rate"]
+    assert (f"rate: slope {slope:+.4f} (se {stderr:.4f}) from {result['rate_source']}\n"
+            in capsys.readouterr().out)
+
+
 def test_experiment_results_are_thread_count_invariant(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINIMAL)
@@ -777,6 +788,10 @@ def test_rates_command(tmp_path, capsys):
     assert capsys.readouterr() == ("", "rates: --alpha and --beta must be given together\n")
     assert main(["rates", "--q", "2"]) == 2
     assert capsys.readouterr().out == ""
+    # a refused H or beta prints no row of the values before it
+    for args in (["--hurst", "0.3,0.9"], ["--hurst", "0.3", "--alpha", "0.3", "--beta", "1.2"]):
+        assert main(["rates", "--q", "2", *args]) == 2, args
+        assert capsys.readouterr().out == "", args
     # a 401-digit size is a keyed model error, not an OverflowError
     capsys.readouterr()
     assert main(["rates", "--q", "2", "--hurst", "0.3", "--sizes", "1" * 401]) == 2

@@ -5,6 +5,8 @@ from latfield._errors import ModelError, NumericalError
 from latfield.chaoscalc import gamma_quotient
 from latfield.covariance import (
     ADDITIVE,
+    CAUCHY,
+    EXPONENTIAL,
     GNEITING,
     ISOTROPIC,
     SEPARABLE,
@@ -18,6 +20,7 @@ from latfield.covariance import (
     gneiting_sandwich,
     is_nonnegative,
 )
+from latfield.fieldsim import LatticeSpec, build_sampler, dense_covariance_matrix
 
 FGN_075_LAG1 = 0.41421356237309515  # 0.5 * (2**1.5 - 2), i.e. sqrt(2) - 1
 
@@ -187,6 +190,28 @@ def test_gneiting_sandwich_exhaustive_8x8():
     assert up >= lo
     with pytest.raises(ModelError):
         gneiting_sandwich(CompositeCovariance(SEPARABLE, (_fgn(0.6),)), (1,), 4.0)
+
+
+@pytest.mark.parametrize("c1, c2, blocks", [
+    (_cauchy(1.0), _cauchy(1.0), ((24,), (24,))),
+    (_cauchy(1.0), _cauchy(0.7), ((8,), (8,))),
+    (_cauchy(1.0), _cauchy(0.7), ((24,), (24,))),
+    (_cauchy(1.5), _cauchy(0.8), ((8,), (8,))),
+    (FactorCovariance(EXPONENTIAL, scale=2.0), _cauchy(0.5), ((24,), (24,))),
+    (FactorCovariance(EXPONENTIAL, scale=1.0, dim=2), _cauchy(1.5), ((8, 8), (8,))),
+    (_cauchy(0.3), _cauchy(1.0), ((24,), (24,))),  # gneiting-growing
+])
+def test_gneiting_class_models_are_positive_semidefinite(c1, c2, blocks):
+    # Gneiting (2002, Thm 2): c1(r) = phi(r^2) with phi completely monotone
+    # (Cauchy, exponential) and c2 = psi^(-d1/2) with psi' completely
+    # monotone (Cauchy of exponent <= d1) make a covariance, so its lattice
+    # matrix is PSD and some exact sampler exists
+    assert c1.family in (CAUCHY, EXPONENTIAL) and c2.family == CAUCHY
+    assert c2.exponent <= c1.dim
+    cov = CompositeCovariance(GNEITING, (c1, c2))
+    lat = LatticeSpec(blocks)
+    assert np.linalg.eigvalsh(dense_covariance_matrix(cov, lat)).min() >= -1e-10
+    build_sampler(cov, lat)
 
 
 def test_additive_normalization():

@@ -16,6 +16,7 @@ from latfield.chaoscalc import fourth_cumulant, variance_hermite, variance_phi
 from latfield.covariance import (
     ADDITIVE,
     GNEITING,
+    ISOTROPIC,
     SEPARABLE,
     CompositeCovariance,
     FactorCovariance,
@@ -623,6 +624,39 @@ def test_chaos_reports_and_rate_fit_sum_each_rungs_cliques_once(monkeypatch):
     assert result.rate_source == "exact-fourth-cumulant"
     assert result.rate == rate_fit([(latt.n_total, fourth_cumulant(cov, latt, 3)[0])
                                     for latt in ladder])
+
+
+def test_rate_fit_notes_a_cumulant_series_past_the_dense_cap():
+    # a 2-D factor's 65x64 rung (4160 points) is past DENSE_LIMIT, so its
+    # kappa_4 is refused and the fit reads the empirical kurtosis
+    cov = separable(FactorCovariance("cauchy", exponent=3.0, dim=2))
+    ladder = tuple(LatticeSpec(((n1, n2),)) for n1, n2 in ((8, 8), (16, 16), (32, 32), (65, 64)))
+    config = ExperimentConfig(cov, pure(2), ladder, 100, 7, outputs=("rate_fit",))
+    result = run_experiment(config)
+    assert result.rate_source == "empirical-kurtosis"
+    assert result.rate == rate_fit([(r.n_total, abs(r.stats.kurtosis)) for r in result.rungs])
+    assert result.notes == ("exact cumulant series unavailable: contraction norms are capped "
+                            "at 4096 points per factor (4160 requested)",)
+
+
+def test_rate_fit_on_too_few_rungs_is_a_note():
+    config = ExperimentConfig(WHITE, pure(2), (lattice(16), lattice(32)), 100, 7,
+                              outputs=("rate_fit",))
+    result = run_experiment(config)
+    assert (result.rate, result.rate_source) == (None, None)
+    assert result.notes == ("rate fit skipped: rate fits need at least 4 points",)
+
+
+def test_a_rung_past_the_chaos_cap_notes_its_missing_report():
+    # an isotropic 65x64 rung samples by one circulant but has no chaos
+    # report past DENSE_LIMIT points
+    cov = CompositeCovariance(ISOTROPIC, (FactorCovariance("cauchy", exponent=3.0, dim=2),),
+                              block_dims=(1, 1))
+    config = ExperimentConfig(cov, pure(2), (lattice(65, 64),), 100, 7,
+                              outputs=("chaos_reports",))
+    (rung,) = run_experiment(config).rungs
+    assert rung.chaos is None
+    assert rung.notes == ("chaos report unavailable: dense covariance capped at 4096 points",)
 
 
 def test_thread_count_is_checked_and_auto_counts_usable_cpus(monkeypatch):
