@@ -65,8 +65,10 @@ step "Exact diagnostics do not depend on the BLAS thread count"
 # dense fourth cumulant at a clique order, and a
 # copy whose [128] rung is [12000] takes 4-cycle rows longer than
 # the dot products OpenBLAS keeps on one thread (about 10 000
-# elements); every frozen config's validate report must not differ
-# either
+# elements), and a copy of the isotropic config whose [32, 32] rung is
+# [1, 6000] takes them on a whole-lattice block past the dense cap, as a
+# Toeplitz block of one axis longer than one point; every frozen
+# config's validate report must not differ either
 copies="$(mktemp -d)"
 trap 'rm -rf "$copies"' EXIT
 for q in 3 4 25; do
@@ -79,6 +81,9 @@ for name in gneiting-growing sepmatters-isotropic crit10-path-a crit10-path-b; d
 done
 sed "s/^    - \[128\]$/    - [12000]/" configs/smoke.yaml > "$copies/smoke-n12000.yaml"
 grep -qx "    - \[12000\]" "$copies/smoke-n12000.yaml"
+sed "s/^    - \[32, 32\]$/    - [1, 6000]/" configs/sepmatters-isotropic.yaml \
+  > "$copies/sepmatters-isotropic-1x6000.yaml"
+grep -qx "    - \[1, 6000\]" "$copies/sepmatters-isotropic-1x6000.yaml"
 for threads in 1 2; do
   for cfg in configs/*.yaml "$copies"/*.yaml; do
     OPENBLAS_NUM_THREADS=$threads latfield chaos --config "$cfg" \

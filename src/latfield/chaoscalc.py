@@ -18,8 +18,9 @@ record per block (_block_terms), and a model's sums are the products over
 its blocks: kappa_4 Var^2 sums them over the connected 4-vertex diagrams,
 edge multiplicities a, b, c with a + b + c = q.  A diagram with c = 0 is a
 4-cycle, ||f (x)_a f||^2 = trace((A B)^2) with A = M^(.a), B = M^(.b)
-elementwise; one with a, b, c > 0 is a generalized 4-clique.  A 1-D
-block's M is symmetric Toeplitz, so its 4-cycles come from its first
+elementwise; one with a, b, c > 0 is a generalized 4-clique.  A block of
+one axis longer than one point (_clique_axes), a factor or the whole
+lattice alike, has a symmetric Toeplitz M: its 4-cycles come from its first
 column alone, row by row through the displacement recurrence of A B
 (Kailath & Sayed 1995), in O(n^2) time and O(n) memory, summed by einsum
 with no BLAS call whose thread count could move their bits; any other
@@ -80,7 +81,7 @@ _CLIQUE_BUDGET = 262_268_928
 #: transformed points per batch of lag rows in the clique sum: rows times
 #: transforms per row times the transform size
 _LAG_CLIQUE_POINTS = 2**16
-#: largest 1-D factor whose 4-cycles are summed, O(n^2) each
+#: largest Toeplitz block (_cycle_sums) whose 4-cycles are summed, O(n^2) each
 _TOEPLITZ_LIMIT = 2**15
 #: factorized variances self-check against the direct lag sum on windows
 #: of at most this many lags
@@ -453,27 +454,25 @@ def _lag_clique_sum(values: np.ndarray, sizes, triple) -> float:
 
 def _blocks(cov, lattice, window) -> list:
     """The lag windows (values, sizes) of the blocks whose diagram sums
-    multiply to the model's: a separable model's factors, else the full
-    lattice.  Before any window is read, each is refused past the points
-    its 4-cycles take: _TOEPLITZ_LIMIT for a 1-D factor, else DENSE_LIMIT."""
-    if cov.structure != SEPARABLE:
-        if lattice.n_total > DENSE_LIMIT:
-            raise ModelError(f"dense covariance capped at {DENSE_LIMIT} points")
-        return [(window()[0], lattice.all_sizes)]
-    for sizes in lattice.blocks:
-        n, limit = math.prod(sizes), _TOEPLITZ_LIMIT if len(sizes) == 1 else DENSE_LIMIT
-        if n > limit:
+    multiply to the model's: a separable model's factors, else the whole
+    lattice (window None).  Before any window is read, each is refused past
+    the points its 4-cycles take (_cycle_sums): _TOEPLITZ_LIMIT or DENSE_LIMIT."""
+    parts = (list(enumerate(lattice.blocks)) if cov.structure == SEPARABLE
+             else [(None, lattice.all_sizes)])
+    for _, sizes in parts:
+        limit = _TOEPLITZ_LIMIT if len(_clique_axes(sizes)) == 1 else DENSE_LIMIT
+        if math.prod(sizes) > limit:
             raise ModelError(f"contraction norms are capped at {limit} points per "
-                             f"factor ({n} requested)")
-    return [(window(i)[0], sizes) for i, sizes in enumerate(lattice.blocks)]
+                             f"block ({math.prod(sizes)} requested)")
+    return [(window(i)[0], sizes) for i, sizes in parts]
 
 
 def _cycle_sums(values: np.ndarray, sizes, q: int, orders) -> list:
     """trace((AB)^2) for each r in ``orders`` of the block with lag window
-    ``values``: a 1-D block's from its Toeplitz column, lags 0 .. n-1, any
-    other's from its dense matrix, gathered once for every order."""
-    if len(sizes) == 1:
-        col = values[sizes[0] - 1:]
+    ``values``: a Toeplitz block's, one axis longer than one point, from
+    its column of lags 0 .. n-1, any other's from its dense matrix."""
+    if len(_clique_axes(sizes)) == 1:
+        col = values[math.prod(sizes) - 1:]
         return [_toeplitz_trace_abab(col, q, r) for r in orders]
     matrix = _window_matrix(values, sizes)
     return [_trace_abab(matrix, q, r) for r in orders]

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._errors import (COUNT, POSITIVE_COUNT, ModelError, NumericalError, checked_number,
-                      checked_numbers, is_sequence, refuse, set_params)
+from ._errors import (COUNT, POSITIVE_COUNT, ModelError, NumericalError, checked_arg,
+                      checked_number, checked_numbers, is_sequence, refuse, set_params)
 
 FGN = "fgn"
 CAUCHY = "cauchy"
@@ -249,6 +249,11 @@ def _grid_vectors(axes) -> np.ndarray:
     return out
 
 
+def _table_value(table: dict, lag: tuple):
+    """A lag table's value at ``lag`` or, as it is even, at -lag; else None."""
+    return table.get(lag, table.get(tuple(-c for c in lag)))
+
+
 def _lag_values(model: FactorCovariance, lags):
     """Vectorized factor evaluation; ``lags`` has shape (..., dim)."""
     lags = np.asarray(lags, dtype=float)
@@ -258,13 +263,11 @@ def _lag_values(model: FactorCovariance, lags):
         flat = lags.reshape(-1, model.dim)
         out = np.empty(len(flat))
         for i, row in enumerate(flat):
-            key = tuple(int(c) for c in row)
-            if key in model.table:
-                out[i] = model.table[key]
-            elif tuple(-c for c in key) in model.table:
-                out[i] = model.table[tuple(-c for c in key)]
-            else:
+            key = tuple(int(c) if c.is_integer() else float(c) for c in row)
+            value = _table_value(model.table, key)
+            if value is None:
                 raise ModelError(f"tabulated covariance has no entry for lag {key}")
+            out[i] = value
         return out.reshape(lags.shape[:-1])
     return _norm_values(model, np.sqrt(np.sum(lags**2, axis=-1)))
 
@@ -329,10 +332,11 @@ def gneiting_sandwich(cov: CompositeCovariance, lag, domain_diameter2: float):
     """
     if cov.structure != GNEITING:
         raise ModelError("gneiting_sandwich requires a gneiting composite")
+    diameter = checked_arg("domain_diameter2", domain_diameter2, {"minimum": 0.0})
     c1, c2 = cov.factors
     _, (x1, x2) = _block_lags(cov, lag)
     c2v = float(_lag_values(c2, x2))
-    floor = float(_norm_values(c2, float(domain_diameter2)))
+    floor = float(_norm_values(c2, diameter))
     return tuple(float(_gneiting_profile(c1, x1, c2v, scale)) for scale in (1.0, floor))
 
 
@@ -391,12 +395,13 @@ def _window_matrix(values, sizes) -> np.ndarray:
 # circulant embedding spectra
 
 
-def _checked_sizes(model: FactorCovariance, sizes) -> tuple:
-    """A window of ``model`` as one positive int per axis of the factor, the
-    rule LatticeSpec applies to a block; else one ModelError listing every
-    violation, keyed sizes[i] (sizes for the count)."""
-    if not is_sequence(sizes) or len(sizes) != model.dim:
-        refuse([("sizes", f"must be a sequence of {model.dim} sizes, got {sizes!r}")])
+def _checked_sizes(model, sizes) -> tuple:
+    """A window of ``model`` as one positive int per axis (a composite's
+    total_dim), the rule LatticeSpec applies to a block; else one
+    ModelError listing every violation, keyed sizes[i] (sizes for the count)."""
+    dim = model.total_dim if isinstance(model, CompositeCovariance) else model.dim
+    if not is_sequence(sizes) or len(sizes) != dim:
+        refuse([("sizes", f"must be a sequence of {dim} sizes, got {sizes!r}")])
     violations = []
     sizes = checked_numbers(violations, "sizes", sizes, **POSITIVE_COUNT)
     refuse(violations)
@@ -420,13 +425,8 @@ def _even_per_axis(model: FactorCovariance) -> bool:
     reflection in each coordinate (a missing reflection fails)."""
     if model.family != TABULATED or model.dim == 1:
         return True
-    table = model.table
-
-    def at(lag):
-        return table.get(lag, table.get(tuple(-c for c in lag)))
-
-    return all(at(lag[:j] + (-lag[j],) + lag[j + 1:]) == value
-               for lag, value in table.items() for j in range(model.dim))
+    return all(_table_value(model.table, lag[:j] + (-lag[j],) + lag[j + 1:]) == value
+               for lag, value in model.table.items() for j in range(model.dim))
 
 
 def _embedding_values(model, sizes, doublings: int):
@@ -463,11 +463,11 @@ class SpectrumReport:
         return nonnegative_spectrum(self.eigenvalues)
 
 
-def embedding_spectrum(model: FactorCovariance, sizes, doublings: int = 0) -> SpectrumReport:
-    """Discrete Fourier spectrum of the circulant embedding of one factor.
+def embedding_spectrum(model, sizes, doublings: int = 0) -> SpectrumReport:
+    """Discrete Fourier spectrum of the circulant embedding of a factor or a composite.
 
     A nonnegative minimum eigenvalue certifies that FFT sampling of this
-    factor on the given grid is exact.  A negative minimum is an outcome,
+    model on the given grid is exact.  A negative minimum is an outcome,
     not an error.  NumericalError for a factor that is not even in each lag
     coordinate, which has no such embedding.
     """

@@ -60,7 +60,7 @@ from .covariance import (
     CompositeCovariance,
     _lag_window,
     _window_matrix,
-    composite_embedding_values,
+    composite_embedding_values,  # noqa: F401 (read here by callers that wrap it)
     embedding_spectrum,
     nonnegative_spectrum,
 )
@@ -225,23 +225,23 @@ def _dense_factor(cov, lattice):
         return vec * np.sqrt(np.clip(eig, 0.0, None)), float(eig.min())
 
 
-def _embed(spectrum_at):
-    """Square root of the first nonnegative spectrum_at(doublings) over
-    doublings 0..MAX_DOUBLINGS, and its Embedding record.  Raises
+def _embed(model, sizes):
+    """Square root of the first nonnegative embedding_spectrum(model, sizes)
+    over doublings 0..MAX_DOUBLINGS, and its Embedding record.  Raises
     NumericalError when none is nonnegative, and the ModelError of a
     minimal embedding that cannot be built."""
     worst = np.inf
     for doublings in range(MAX_DOUBLINGS + 1):
         try:
-            eig = spectrum_at(doublings)
+            spectrum = embedding_spectrum(model, sizes, doublings)
         except ModelError:
             if doublings == 0:
                 raise  # e.g. a tabulated covariance lacks a lag of the lattice
             break  # e.g. a tabulated covariance has no lags this far out
-        mn = float(eig.min())
-        if nonnegative_spectrum(eig):
-            return np.sqrt(np.clip(eig, 0.0, None)), Embedding(eig.shape, doublings, mn)
-        worst = min(worst, mn)
+        if spectrum.nonnegative:
+            return (np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None)),
+                    Embedding(spectrum.embedded_shape, doublings, spectrum.min_eigenvalue))
+        worst = min(worst, spectrum.min_eigenvalue)
     raise NumericalError(f"no nonnegative circulant embedding (min eigenvalue {worst:.3e})")
 
 
@@ -250,14 +250,11 @@ def build_sampler(cov: CompositeCovariance, lattice: LatticeSpec) -> Sampler:
     _check_blocks(cov, lattice)
     if cov.structure in (SEPARABLE, ADDITIVE):  # one embedding per factor
         method = KRONECKER_CIRCULANT if cov.structure == SEPARABLE else ADDITIVE_CIRCULANT
-        spectra = [lambda d, f=f, s=s: embedding_spectrum(f, s, d).eigenvalues
-                   for f, s in zip(cov.factors, lattice.blocks)]
-    else:
-        method = FULL_CIRCULANT
-        spectra = [lambda d: np.fft.fftn(
-            composite_embedding_values(cov, lattice.all_sizes, d)).real]
+        parts = zip(cov.factors, lattice.blocks)
+    else:  # one embedding of the whole lattice, by the same route
+        method, parts = FULL_CIRCULANT, [(cov, lattice.all_sizes)]
     try:
-        roots, records = zip(*map(_embed, spectra))
+        roots, records = zip(*(_embed(model, sizes) for model, sizes in parts))
     except NumericalError as exc:
         if lattice.n_total > DENSE_LIMIT:
             raise NumericalError(

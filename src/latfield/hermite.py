@@ -134,17 +134,22 @@ class HermiteSpec:
         return out
 
 
-def _quadrature_coefficients(phi, nodes):
+def _quadrature(phi, nodes):
+    """A custom phi's a_0..a_qmax and E[phi^2] by Gauss-Hermite quadrature
+    on ``nodes`` nodes; NumericalError unless phi is finite at every node."""
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    values = phi(x)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("the custom phi returned a non-finite value at a quadrature node")
     w = w / np.sqrt(2.0 * np.pi)  # normalize to the standard Gaussian measure
-    weighted = w * phi(x)
+    weighted = w * values
     coeffs = np.empty(phi.qmax + 1)
     fact = 1.0
     for q, h in enumerate(hermite_terms(phi.qmax, x)):
         if q > 1:
             fact *= q
         coeffs[q] = np.sum(weighted * h) / fact
-    return coeffs
+    return coeffs, float(np.sum(w * values**2))
 
 
 def hermite_coefficients(phi: HermiteSpec) -> np.ndarray:
@@ -171,8 +176,8 @@ def hermite_coefficients(phi: HermiteSpec) -> np.ndarray:
             fact *= q
             coeffs[q] = pdf * h / fact
         return coeffs
-    coarse = _quadrature_coefficients(phi, _GH_NODES)
-    fine = _quadrature_coefficients(phi, 2 * _GH_NODES)
+    coarse, _ = _quadrature(phi, _GH_NODES)
+    fine, _ = _quadrature(phi, 2 * _GH_NODES)
     scale = max(1.0, float(np.max(np.abs(fine))))
     if np.max(np.abs(fine - coarse)) > _GH_RTOL * scale:
         raise NumericalError(
@@ -197,6 +202,4 @@ def phi_second_moment(phi: HermiteSpec) -> float:
         return float(math.factorial(phi.q))
     if phi.kind == INDICATOR:
         return normal_cdf(-phi.level)
-    x, w = np.polynomial.hermite_e.hermegauss(2 * _GH_NODES)
-    w = w / np.sqrt(2.0 * np.pi)
-    return float(np.sum(w * phi(x) ** 2))
+    return _quadrature(phi, 2 * _GH_NODES)[1]

@@ -222,7 +222,7 @@ def test_dense_limit_binds_multi_d_factors_only():
     # a 2-D factor past it is still refused before any matrix is built
     square = _sep(FactorCovariance(CAUCHY, exponent=0.8, dim=2))
     with pytest.raises(ModelError, match=(
-            rf"contraction norms are capped at {DENSE_LIMIT} points per factor "
+            rf"contraction norms are capped at {DENSE_LIMIT} points per block "
             r"\(4160 requested\)")):
         contraction_norm(square, LatticeSpec(((65, 64),)), 2, 1)
 
@@ -236,10 +236,67 @@ def test_toeplitz_limit_refuses_before_any_row(monkeypatch):
     n = chaoscalc._TOEPLITZ_LIMIT + 1
     assert n == 32_769
     with pytest.raises(ModelError, match=(
-            r"contraction norms are capped at 32768 points per factor \(32769 requested\)")):
+            r"contraction norms are capped at 32768 points per block \(32769 requested\)")):
         contraction_norm(cov, LatticeSpec(((n,),)), 2, 1)
     with pytest.raises(ModelError, match="capped at 32768 points"):
         chaos_report(cov, LatticeSpec(((n,),)), 2)
+
+
+# models whose covariance on their lattice is the 1-D Cauchy(0.6) factor's
+# on n points, each a block of one axis longer than one point
+_CAUCHY_06 = FactorCovariance(CAUCHY, exponent=0.6)
+_TOEPLITZ_SHAPES = {
+    "isotropic-n": lambda n: (CompositeCovariance(ISOTROPIC, (_CAUCHY_06,), block_dims=(1,)),
+                              LatticeSpec(((n,),))),
+    "isotropic-1xn": lambda n: (
+        CompositeCovariance(ISOTROPIC, (FactorCovariance(CAUCHY, exponent=0.6, dim=2),),
+                            block_dims=(1, 1)), LatticeSpec(((1,), (n,)))),
+    "separable-(1,n)": lambda n: (_sep(FactorCovariance(CAUCHY, exponent=0.6, dim=2)),
+                                  LatticeSpec(((1, n),))),
+    "separable-(n,1)": lambda n: (_sep(FactorCovariance(CAUCHY, exponent=0.6, dim=2)),
+                                  LatticeSpec(((n, 1),))),
+    "gneiting-nx1": lambda n: (
+        CompositeCovariance(GNEITING, (_CAUCHY_06, FactorCovariance(CAUCHY, exponent=1.0))),
+        LatticeSpec(((n,), (1,)))),
+}
+
+
+def _report_bits(report):
+    return (report.variance, report.contraction_norms, report.fourth_cumulant,
+            report.fourth_exact)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("shape", list(_TOEPLITZ_SHAPES))
+def test_every_toeplitz_block_takes_the_factor_route(shape, q):
+    # whatever the structure, a block of one axis longer than one point is
+    # summed as the 1-D factor is, to the bit
+    cov, lat = _TOEPLITZ_SHAPES[shape](300)
+    want = chaos_report(_sep(_CAUCHY_06), LatticeSpec(((300,),)), q)
+    assert _report_bits(chaos_report(cov, lat, q)) == _report_bits(want)
+
+
+def test_a_toeplitz_block_is_exact_past_the_dense_limit():
+    # 5000 points is past DENSE_LIMIT, not past _TOEPLITZ_LIMIT, for every shape
+    n = 5000
+    want = _report_bits(chaos_report(_sep(_CAUCHY_06), LatticeSpec(((n,),)), 2))
+    assert want[3] is True
+    for shape, model in _TOEPLITZ_SHAPES.items():
+        assert _report_bits(chaos_report(*model(n), 2)) == want, shape
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_an_additive_column_matches_its_dense_products(q):
+    # the n x 1 additive lattice is one Toeplitz block: the Toeplitz route
+    # against trace((AB)^2) of the dense matrix
+    cov = CompositeCovariance(ADDITIVE, (FactorCovariance(CAUCHY, exponent=0.3),
+                                         FactorCovariance(CAUCHY, exponent=0.7)),
+                              weights=(0.3, 0.7))
+    lat = LatticeSpec(((300,), (1,)))
+    matrix = dense_covariance_matrix(cov, lat)
+    for r in range(1, q):
+        want = chaoscalc._trace_abab(matrix, q, r)
+        assert contraction_norm(cov, lat, q, r) == pytest.approx(want, rel=1e-12), r
 
 
 ORACLE_MODELS = [
@@ -759,7 +816,8 @@ _TANH = HermiteSpec(CUSTOM, func=np.tanh)  # 15 chaoses up to qmax = 20
 
 def _capped_report():
     # a crit10 rung past DENSE_LIMIT points, refused before any window
-    with pytest.raises(ModelError, match=f"^dense covariance capped at {DENSE_LIMIT} points$"):
+    with pytest.raises(ModelError, match=(rf"^contraction norms are capped at {DENSE_LIMIT} "
+                                          r"points per block \(16384 requested\)$")):
         chaos_report(_CRIT10, LatticeSpec(((256,), (64,))), 2)
 
 

@@ -747,13 +747,14 @@ def test_chaos_command_notes_a_rung_it_cannot_compute(tmp_path, capsys):
     cfg.write_text(ADDITIVE.replace("    - [8, 8]\n", "    - [8, 8]\n    - [80, 60]\n    - [81, 60]\n"))
     out = tmp_path / "out"
     assert main(["chaos", "--config", str(cfg), "--out", str(out)]) == 0
-    note = "chaos report unavailable: dense covariance capped at 4096 points"
+    notes = [f"chaos report unavailable: contraction norms are capped at 4096 points per "
+             f"block ({n} requested)" for n in (4800, 4860)]
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("n=64: variance=")
-    assert lines[1:3] == [f"n=4800: {note}", f"n=4860: {note}"]
+    assert lines[1:3] == [f"n=4800: {notes[0]}", f"n=4860: {notes[1]}"]
     rungs = json.loads((out / "additive-sample-chaos.json").read_text())["rungs"]
     assert rungs[0]["fourth_exact"] is True
-    assert rungs[1:] == [{"notes": [note]}, {"notes": [note]}]
+    assert rungs[1:] == [{"notes": [notes[0]]}, {"notes": [notes[1]]}]
 
 
 def test_classify_command(tmp_path, capsys):

@@ -73,6 +73,12 @@ def test_factor_input_validation():
     assert eval_factor(tab, (-1,)) == pytest.approx(0.25)  # even extension
     with pytest.raises(ModelError):
         eval_factor(tab, (2,))  # missing lag
+    # a table has no entry between its integral lags
+    tab = FactorCovariance("tabulated", table={(0,): 1.0, (1,): 0.5, (2,): 0.1})
+    for lag in (0.5, 1.9, -1.5):
+        with pytest.raises(ModelError, match=rf"^tabulated covariance has no entry for lag "
+                                             rf"\({lag},\)$"):
+            eval_factor(tab, lag)
 
 
 def test_a_tabulated_covariance_must_be_even():

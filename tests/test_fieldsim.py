@@ -27,6 +27,8 @@ from latfield.covariance import (
     CompositeCovariance,
     FactorCovariance,
     composite_embedding_values,
+    embedding_spectrum,
+    nonnegative_spectrum,
 )
 from latfield import fieldsim
 from latfield.fieldsim import (
@@ -528,6 +530,29 @@ def test_kronecker_embedding_matches_full_embedding():
     joint = np.fft.ifftn(sampler.sqrt_spectrum.astype(complex) ** 2).real
     expected = composite_embedding_values(cov, lat.all_sizes, 0)
     assert np.allclose(joint, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("cov, doublings", [
+    (CompositeCovariance(GNEITING, (FactorCovariance(CAUCHY, exponent=0.3),
+                                    FactorCovariance(CAUCHY, exponent=1.0))), 1),
+    (CompositeCovariance(ISOTROPIC, (FactorCovariance(CAUCHY, exponent=0.5, dim=2),),
+                         block_dims=(1, 1)), 3),
+], ids=["gneiting", "isotropic"])
+def test_a_whole_lattice_model_is_embedded_like_a_factor(cov, doublings):
+    # the joint circulant's spectrum, fftn of the composite's embedding grid,
+    # at its first nonnegative doubling gives the sampler's record and root
+    sizes = (8, 6)
+    spectra = [np.fft.fftn(composite_embedding_values(cov, sizes, d)).real
+               for d in range(fieldsim.MAX_DOUBLINGS + 1)]
+    assert [nonnegative_spectrum(eig) for eig in spectra].index(True) == doublings
+    eig = spectra[doublings]
+    assert np.array_equal(embedding_spectrum(cov, sizes, doublings).eigenvalues, eig)
+    sampler = build_sampler(cov, LatticeSpec(((8,), (6,))))
+    assert sampler.method == FULL_CIRCULANT
+    assert sampler.embeddings == (Embedding(eig.shape, doublings, float(eig.min())),)
+    assert np.array_equal(sampler.sqrt_spectrum, np.sqrt(np.clip(eig, 0.0, None)))
+    with pytest.raises(ModelError, match=r"^sizes: must be a sequence of 2 sizes, got \(8,\)$"):
+        embedding_spectrum(cov, (8,))
 
 
 def _diagonal_moving_average(a=0.2, c=0.05, reach=7):

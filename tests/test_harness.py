@@ -636,7 +636,7 @@ def test_rate_fit_notes_a_cumulant_series_past_the_dense_cap():
     assert result.rate_source == "empirical-kurtosis"
     assert result.rate == rate_fit([(r.n_total, abs(r.stats.kurtosis)) for r in result.rungs])
     assert result.notes == ("exact cumulant series unavailable: contraction norms are capped "
-                            "at 4096 points per factor (4160 requested)",)
+                            "at 4096 points per block (4160 requested)",)
 
 
 def test_rate_fit_on_too_few_rungs_is_a_note():
@@ -656,7 +656,8 @@ def test_a_rung_past_the_chaos_cap_notes_its_missing_report():
                               outputs=("chaos_reports",))
     (rung,) = run_experiment(config).rungs
     assert rung.chaos is None
-    assert rung.notes == ("chaos report unavailable: dense covariance capped at 4096 points",)
+    assert rung.notes == ("chaos report unavailable: contraction norms are capped at 4096 "
+                          "points per block (4160 requested)",)
 
 
 def test_thread_count_is_checked_and_auto_counts_usable_cpus(monkeypatch):

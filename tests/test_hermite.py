@@ -174,6 +174,12 @@ def test_custom_quadrature_convergence_guard():
     assert hermite_rank(smooth) == 1
     with pytest.raises(NumericalError):
         hermite_coefficients(HermiteSpec("custom", func=lambda x: np.sin(80.0 * x**2)))
+    # a NaN or an infinity at a node is refused, not integrated
+    for func in (lambda x: np.where(x > 0, x, np.nan), lambda x: np.where(x > 3, np.inf, x * x)):
+        phi = HermiteSpec("custom", func=func)
+        for moment in (hermite_coefficients, phi_second_moment):
+            with pytest.raises(NumericalError, match="custom phi returned a non-finite value"):
+                moment(phi)
 
 
 def test_spec_validation():

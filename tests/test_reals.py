@@ -6,11 +6,13 @@ import pytest
 
 from latfield._errors import ModelError
 from latfield.chaoscalc import gamma_quotient
-from latfield.covariance import FactorCovariance
+from latfield.covariance import GNEITING, CompositeCovariance, FactorCovariance, gneiting_sandwich
 from latfield.harness import is_gaussian, normality_report, rate_fit
 from latfield.ratelab import fbs_regime, rate_g
 
 FGN = FactorCovariance("fgn", hurst=0.7)
+GNEITING_MODEL = CompositeCovariance(GNEITING, (FactorCovariance("cauchy", exponent=1.0),
+                                                FactorCovariance("cauchy", exponent=0.5)))
 REPORT = normality_report(np.random.default_rng(5).standard_normal(200))
 
 HURST_OUTSIDE = [(0, "must lie in (0, 1), got 0.0"), (1, "must lie in (0, 1), got 1.0")]
@@ -19,6 +21,9 @@ HURST_OUTSIDE = [(0, "must lie in (0, 1), got 0.0"), (1, "must lie in (0, 1), go
 ENTRIES = [
     ("gamma_quotient", "weight", lambda v: gamma_quotient(FGN, (8,), 2, v),
      [(0.0, "must be positive, got 0.0"), (-0.5, "must be positive, got -0.5")]),
+    ("gneiting_sandwich", "domain_diameter2",
+     lambda v: gneiting_sandwich(GNEITING_MODEL, (1, 0), v),
+     [(-3.0, "must be at least 0.0, got -3.0"), (-0.5, "must be at least 0.0, got -0.5")]),
     ("is_gaussian", "alpha", lambda v: is_gaussian(REPORT, v),
      [(0, "must lie in (0, 1), got 0.0"), (2, "must lie in (0, 1), got 2.0")]),
     ("rate_fit", "series[2].size", lambda v: rate_fit([(10, 1.0), (20, 0.5), (v, 0.25), (80, 0.1)]),
